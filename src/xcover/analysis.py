@@ -567,9 +567,18 @@ def _family_ham(cfg):
     return _family_result(cases, failures, bounds=bounds)
 
 
+def _coverage_result(cases, failures, trees_embedded):
+    """Family result for a partition-tree family; a family that handed no
+    tree to the embedder certified nothing about it and fails."""
+    if not trees_embedded:
+        failures.append({"check": "coverage", "trees_embedded": 0})
+    return _family_result(cases, failures, {"trees_embedded": trees_embedded})
+
+
 def _family_setcover_ktree(cfg):
     rng = random.Random(cfg.seed * 11 + 8)
     failures = []
+    trees_embedded = 0
     cases = cfg.n_trials("setcover_ktree")
     for t in range(cases):
         n = rng.choice([8, 10, 12])
@@ -583,30 +592,40 @@ def _family_setcover_ktree(cfg):
                               max_set_size=max(1, n // 2))
         dp = setcover_dp(inst)
         kt = solve_setcover_via_ktree(inst, g)
+        trees_embedded += kt.stats["trees_tried"]
         if (dp.answer, dp.optimum) != (kt.answer, kt.optimum):
             failures.append({"check": "equivalence",
                              "instance": serialize_instance(inst),
                              "dp": dp.optimum, "pipeline": kt.optimum})
-    return _family_result(cases, failures)
+    return _coverage_result(cases, failures, trees_embedded)
 
 
 def _family_partial_ktree(cfg):
     rng = random.Random(cfg.seed * 11 + 9)
     failures = []
+    trees_embedded = 0
     cases = cfg.n_trials("partial_ktree")
     for t in range(cases):
-        n = rng.choice([6, 7, 8])
-        p = rng.randint(0, n)
-        base = gen_random("setcover", seed=cfg.seed + 19 * t, n=n,
-                          m=rng.randint(3, 7), max_set_size=rng.randint(1, max(1, n // 2)))
+        # with g=2 a set is large once 4|S| >= p: sets of at most 3 elements
+        # and p in n-5..n send some cases through the embedder and some
+        # through large-set preprocessing
+        n = rng.randint(13, 16)
+        p = rng.randint(n - 5, n)
+        m = rng.randint(8, 12)
+        if rng.random() < 0.75:
+            base, _ = gen_planted("covered_universe", seed=cfg.seed + 19 * t, n=n, m=m,
+                                  max_set_size=3)
+        else:
+            base = gen_random("setcover", seed=cfg.seed + 19 * t, n=n, m=m, max_set_size=3)
         inst = SetCoverInstance(n, base.sets, variant=PARTIAL, p=p)
         dp = partialcover_dp(inst)
         kt = solve_ppc_via_ktree(inst, 2)
+        trees_embedded += kt.stats["trees_tried"]
         if (dp.answer, dp.optimum) != (kt.answer, kt.optimum):
             failures.append({"check": "equivalence",
                              "instance": serialize_instance(inst),
                              "dp": dp.optimum, "pipeline": kt.optimum})
-    return _family_result(cases, failures)
+    return _coverage_result(cases, failures, trees_embedded)
 
 
 def _family_colorcoding(cfg):

@@ -131,8 +131,12 @@ class Digraph:
     def predecessors(self, u: int) -> tuple[int, ...]:
         return self._pred[u]
 
+    @cached_property
+    def _nbr(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(sorted(set(s) | set(p))) for s, p in zip(self._succ, self._pred))
+
     def neighbors(self, u: int) -> tuple[int, ...]:
-        return tuple(sorted(set(self._succ[u]) | set(self._pred[u])))
+        return self._nbr[u]
 
     def has_arc(self, u: int, v: int) -> bool:
         """True when an edge usable in direction u -> v exists."""

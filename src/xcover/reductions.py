@@ -570,6 +570,13 @@ def _default_ktree_solver(budget):
     return solve
 
 
+def _ktree_stats(start, trees_tried=0, explored=0, **extra):
+    """Pipeline counters: pattern trees handed to the solver and the sum of
+    the solver's ``explored`` counts over them."""
+    return {"trees_tried": trees_tried, "explored": explored,
+            "wall_time": time.perf_counter() - start, **extra}
+
+
 def _extract_cover_indices(bundle, meta, mapping):
     chosen = set()
     for center in meta.grouped_centers:
@@ -596,8 +603,7 @@ def setcover_to_ktree(inst: SetCoverInstance, g: int,
     start = time.perf_counter()
     n = inst.n
     if n == 0:
-        return SolveResult("optimum", optimum=0, certificate=[],
-                           stats={"explored": 0, "wall_time": time.perf_counter() - start})
+        return SolveResult("optimum", optimum=0, certificate=[], stats=_ktree_stats(start))
     _check_forcing_margins(n, g)
     bundle = build_host_graph(inst, g)  # also enforces the set-size assumption
     coverable = set()
@@ -606,11 +612,10 @@ def setcover_to_ktree(inst: SetCoverInstance, g: int,
     if len(coverable) < n:
         # a star leaf standing for an uncovered element can never map
         return SolveResult("infeasible",
-                           stats={"explored": 0, "uncoverable": n - len(coverable),
-                                  "wall_time": time.perf_counter() - start})
+                           stats=_ktree_stats(start, uncoverable=n - len(coverable)))
     solver = ktree_solver or _default_ktree_solver(budget)
     max_size = max((len(s) for s in inst.sets), default=0)
-    trees_tried = 0
+    trees_tried = explored = 0
     for length in range(1, n + 1):
         for alpha in partitions_with_length(n, length):
             shrunk = shrink_partition(alpha, g)
@@ -622,6 +627,7 @@ def setcover_to_ktree(inst: SetCoverInstance, g: int,
             meta = _build_pattern_tree(alpha, g, gadget_n=n, total=n)
             trees_tried += 1
             res = solver(bundle.host, meta.tree)
+            explored += res.stats.get("explored", 0)
             if res.is_yes:
                 cert = None
                 if isinstance(res.certificate, dict):
@@ -629,12 +635,9 @@ def setcover_to_ktree(inst: SetCoverInstance, g: int,
                     if indices is not None and verify_cover(inst, indices):
                         cert = indices
                 return SolveResult("optimum", optimum=length, certificate=cert,
-                                   stats={"explored": trees_tried,
-                                          "wall_time": time.perf_counter() - start,
-                                          "partition": alpha.parts})
-    return SolveResult("infeasible",
-                       stats={"explored": trees_tried,
-                              "wall_time": time.perf_counter() - start})
+                                   stats=_ktree_stats(start, trees_tried, explored,
+                                                      partition=alpha.parts))
+    return SolveResult("infeasible", stats=_ktree_stats(start, trees_tried, explored))
 
 
 @dataclass
@@ -700,7 +703,12 @@ def setcover_preprocess_large(inst: SetCoverInstance, g: int) -> PreprocessOutco
 
 def solve_setcover_via_ktree(inst: SetCoverInstance, g: int,
                              ktree_solver=None, budget: int = DEFAULT_BUDGET) -> SolveResult:
-    """Large-set preprocessing composed with the partition-tree pipeline."""
+    """Large-set preprocessing composed with the partition-tree pipeline.
+
+    ``stats`` passes through the pipeline's ``trees_tried`` and the summed
+    solver ``explored`` count.
+    """
+    start = time.perf_counter()
     pre = setcover_preprocess_large(inst, g)
     candidates = []
     if pre.solved_with_large is not None:
@@ -711,10 +719,11 @@ def solve_setcover_via_ktree(inst: SetCoverInstance, g: int,
         if kt.certificate is not None:
             cert = sorted(pre.residual_index_map[j] for j in kt.certificate)
         candidates.append((kt.optimum, cert))
+    stats = _ktree_stats(start, kt.stats["trees_tried"], kt.stats["explored"])
     if not candidates:
-        return SolveResult("infeasible")
+        return SolveResult("infeasible", stats=stats)
     opt, cert = min(candidates, key=lambda c: c[0])
-    return SolveResult("optimum", optimum=opt, certificate=cert)
+    return SolveResult("optimum", optimum=opt, certificate=cert, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -755,8 +764,7 @@ def ppc_to_ktree(inst: SetCoverInstance, g: int,
     start = time.perf_counter()
     p = inst.p
     if p == 0:
-        return SolveResult("optimum", optimum=0, certificate=[],
-                           stats={"explored": 0, "wall_time": time.perf_counter() - start})
+        return SolveResult("optimum", optimum=0, certificate=[], stats=_ktree_stats(start))
     n = inst.n
     for s in inst.sets:
         if len(s) * g * g >= p:
@@ -769,11 +777,10 @@ def ppc_to_ktree(inst: SetCoverInstance, g: int,
     for s in inst.sets:
         coverable.update(s)
     if len(coverable) < p:
-        return SolveResult("infeasible",
-                           stats={"explored": 0, "wall_time": time.perf_counter() - start})
+        return SolveResult("infeasible", stats=_ktree_stats(start))
     solver = ktree_solver or _default_ktree_solver(budget)
     max_size = max((len(s) for s in inst.sets), default=0)
-    trees_tried = 0
+    trees_tried = explored = 0
     for length in range(1, p + 1):
         for alpha in partitions_with_length(p, length):
             shrunk = shrink_partition(alpha, g)
@@ -784,6 +791,7 @@ def ppc_to_ktree(inst: SetCoverInstance, g: int,
             meta = _build_pattern_tree(alpha, g, gadget_n=n, total=p)
             trees_tried += 1
             res = solver(bundle.host, meta.tree)
+            explored += res.stats.get("explored", 0)
             if res.is_yes:
                 cert = None
                 if isinstance(res.certificate, dict):
@@ -795,16 +803,15 @@ def ppc_to_ktree(inst: SetCoverInstance, g: int,
                         if len(covered) >= p:
                             cert = indices
                 return SolveResult("optimum", optimum=length, certificate=cert,
-                                   stats={"explored": trees_tried,
-                                          "wall_time": time.perf_counter() - start,
-                                          "partition": alpha.parts})
-    return SolveResult("infeasible",
-                       stats={"explored": trees_tried,
-                              "wall_time": time.perf_counter() - start})
+                                   stats=_ktree_stats(start, trees_tried, explored,
+                                                      partition=alpha.parts))
+    return SolveResult("infeasible", stats=_ktree_stats(start, trees_tried, explored))
 
 
 def solve_ppc_via_ktree(inst: SetCoverInstance, g: int,
                         ktree_solver=None, budget: int = DEFAULT_BUDGET) -> SolveResult:
+    """Partial-cover analogue of solve_setcover_via_ktree, with the same stats."""
+    start = time.perf_counter()
     pre = ppc_preprocess_large(inst, g)
     candidates = []
     if pre.solved_with_large is not None:
@@ -815,7 +822,8 @@ def solve_ppc_via_ktree(inst: SetCoverInstance, g: int,
         if kt.certificate is not None:
             cert = sorted(pre.residual_index_map[j] for j in kt.certificate)
         candidates.append((kt.optimum, cert))
+    stats = _ktree_stats(start, kt.stats["trees_tried"], kt.stats["explored"])
     if not candidates:
-        return SolveResult("infeasible")
+        return SolveResult("infeasible", stats=stats)
     opt, cert = min(candidates, key=lambda c: c[0])
-    return SolveResult("optimum", optimum=opt, certificate=cert)
+    return SolveResult("optimum", optimum=opt, certificate=cert, stats=stats)

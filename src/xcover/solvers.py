@@ -286,9 +286,15 @@ def tree_embed_backtrack(G: Digraph, T: PatternTree, pins=None, forbidden=None,
     Tree edges must map to host arcs matching their orientation (any
     direction when T is undirected).  Internal nodes are placed by DFS with
     degree pruning and symmetric-sibling ordering; the interchangeable leaf
-    children are assigned at the end via bipartite matching, which keeps
-    star-heavy patterns from exploding.  Raises BudgetExceededError after
-    ``budget`` expansions.
+    children are kept in a bipartite matching that each placement repairs
+    with augmenting paths (a placement is pruned when no matching saturates
+    the leaves of placed parents), and are assigned at the end by one
+    deterministic matching pass.  This keeps star-heavy patterns from
+    exploding.
+
+    ``stats["explored"]`` counts budget units: one per placement candidate
+    tried for an internal node and one per augmenting-path step.  Raises
+    BudgetExceededError once more than ``budget`` units would be spent.
     """
     pins = dict(pins or {})
     forbidden = set(forbidden or ())
@@ -328,14 +334,16 @@ class _EmbedSearch:
             v != T.root and not self.children[v] and v not in pins for v in range(self.k)
         ]
         self.leaf_groups = self._leaf_groups()
-        self.groups_by_parent = {}
-        for (parent, o), leaves in self.leaf_groups.items():
-            self.groups_by_parent.setdefault(parent, []).append((o, len(leaves)))
         self.order, self.twin_prev = self._internal_order()
         self.need = self._degree_needs()
         self.host_caps = self._host_caps()
         self.assign = {}
         self.used = set()
+        # leaf matching kept across placements (see _extend_matching)
+        self.blocked = forbidden | self.pin_images
+        self.leaf_pool = {}  # free leaf -> hosts it may take; ``used`` is checked on use
+        self.match = {}  # host -> free leaf
+        self.undo = []  # (host, previous leaf or None), replayed backwards on backtrack
 
     def _subtree_sizes(self):
         size = [1] * self.k
@@ -365,12 +373,15 @@ class _EmbedSearch:
         return below
 
     def _leaf_groups(self):
+        """parent -> [(orientation, free leaf children with that orientation)]."""
         groups = {}
         for v in range(self.k):
+            by_orient = {}
             for c in self.children[v]:
                 if self.is_free_leaf[c]:
-                    o = self.T.orientation[c]
-                    groups.setdefault((v, o), []).append(c)
+                    by_orient.setdefault(self.T.orientation[c], []).append(c)
+            if by_orient:
+                groups[v] = list(by_orient.items())
         return groups
 
     def _canon(self, v):
@@ -473,61 +484,84 @@ class _EmbedSearch:
             if v in self.pins:
                 if u != self.pins[v]:
                     continue
-            elif u in self.forbidden or u in self.pin_images:
+            elif u in self.blocked:
                 continue
             if not self._capacity_ok(v, u):
                 continue
-            if not self._leaf_pools_feasible(v, u):
-                continue
+            mark = len(self.undo)
             self.assign[v] = u
             self.used.add(u)
-            if self.leaf_groups and self._solve_leaf_matching(check_only=True) is None:
-                del self.assign[v]
-                self.used.remove(u)
-                continue
-            result = self._place(idx + 1)
-            if result is not None:
-                return result
+            if self._extend_matching(v, u):
+                result = self._place(idx + 1)
+                if result is not None:
+                    return result
+            self._rollback(mark)
             del self.assign[v]
             self.used.remove(u)
         return None
 
-    def _leaf_pools_feasible(self, v, u):
-        for o, count in self.groups_by_parent.get(v, ()):
-            pool = [w for w in self._adj(u, o)
-                    if w not in self.forbidden and w not in self.pin_images and w not in self.used]
-            if len(pool) < count:
+    def _extend_matching(self, v, u):
+        """Repair the leaf matching after placing ``v`` at ``u``.
+
+        Before the placement every leaf slot of a placed parent is matched,
+        so by Berge's theorem one failed augmenting path (from the leaf that
+        lost host ``u``, or from one of v's new leaves) proves that no
+        matching saturates all slots; pools only shrink deeper in the
+        search, so the branch is dead.
+        """
+        displaced = self.match.pop(u, None)
+        if displaced is not None:
+            self.undo.append((u, displaced))
+            if not self._augment(displaced, set()):
                 return False
+        for o, leaves in self.leaf_groups.get(v, ()):
+            pool = tuple(w for w in self._adj(u, o) if w not in self.blocked)
+            for leaf in leaves:
+                self.leaf_pool[leaf] = pool
+                if not self._augment(leaf, set()):
+                    return False
         return True
 
-    def _match_leaves(self):
-        matched = self._solve_leaf_matching(check_only=False)
-        if matched is None:
-            return None
-        mapping = dict(self.assign)
-        mapping.update(matched)
-        return mapping
-
-    def _solve_leaf_matching(self, check_only):
-        """Bipartite matching of leaf slots (of assigned parents) to hosts.
-
-        Also used mid-search as a pruning feasibility check: pools only
-        shrink as the partial assignment grows, so infeasibility here is
-        final for the current branch.
-        """
-        slots = []
-        for (parent, o), leaves in self.leaf_groups.items():
-            if parent not in self.assign:
+    def _augment(self, leaf, visited):
+        """Augmenting path from the unmatched ``leaf`` over unused hosts."""
+        self._tick()
+        pool, match, used = self.leaf_pool[leaf], self.match, self.used
+        for w in pool:
+            if w not in match and w not in used:
+                self.undo.append((w, None))
+                match[w] = leaf
+                return True
+        for w in pool:
+            if w in visited or w in used:
                 continue
-            u = self.assign[parent]
-            pool = frozenset(
-                w for w in self._adj(u, o)
-                if w not in self.forbidden and w not in self.pin_images and w not in self.used)
-            for leaf in leaves:
-                slots.append((leaf, pool))
-        if not slots:
-            return {}
-        slots.sort(key=lambda s: (len(s[1]), s[0]))
+            visited.add(w)
+            holder = match[w]
+            if self._augment(holder, visited):
+                self.undo.append((w, holder))
+                match[w] = leaf
+                return True
+        return False
+
+    def _rollback(self, mark):
+        undo, match = self.undo, self.match
+        while len(undo) > mark:
+            w, leaf = undo.pop()
+            if leaf is None:
+                del match[w]
+            else:
+                match[w] = leaf
+
+    def _match_leaves(self):
+        """Final leaf assignment, independent of the search's matching.
+
+        Slots go smallest pool first (ties by leaf id) and augment over
+        sorted pools, so the mapping depends only on the placement of the
+        internal nodes.  The search guarantees that a perfect matching exists.
+        """
+        slots = sorted(
+            ((leaf, [w for w in sorted(pool) if w not in self.used])
+             for leaf, pool in self.leaf_pool.items()),
+            key=lambda s: (len(s[1]), s[0]))
         matched = {}
 
         def augment(i, visited):
@@ -542,28 +576,10 @@ class _EmbedSearch:
             return False
 
         for i in range(len(slots)):
-            if not augment(i, set()):
-                return None
-        if check_only:
-            return matched
-        # deterministic final assignment: redo augmenting with sorted pools
-        matched = {}
-
-        def augment_sorted(i, visited):
-            self._tick()
-            for w in sorted(slots[i][1]):
-                if w in visited:
-                    continue
-                visited.add(w)
-                if w not in matched or augment_sorted(matched[w], visited):
-                    matched[w] = i
-                    return True
-            return False
-
-        for i in range(len(slots)):
-            if not augment_sorted(i, set()):
-                return None
-        return {slots[i][0]: w for w, i in matched.items()}
+            augment(i, set())
+        mapping = dict(self.assign)
+        mapping.update((slots[i][0], w) for w, i in matched.items())
+        return mapping
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,17 @@ def test_suite_default_passes_and_deterministic():
     assert json.dumps(report, sort_keys=True) == json.dumps(again, sort_keys=True)
 
 
+def test_suite_ktree_families_count_embedded_trees():
+    report = run_verification_suite({"families": ["setcover_ktree", "partial_ktree"]})
+    assert report["passed"]
+    for fam in report["families"].values():
+        assert fam["notes"]["trees_embedded"] > 0
+    idle = run_verification_suite({"families": ["partial_ktree"], "trials": {"partial_ktree": 0}})
+    assert not idle["passed"]
+    assert idle["families"]["partial_ktree"]["failures"] == [
+        {"check": "coverage", "trees_embedded": 0}]
+
+
 def test_suite_literal_variant_reports_over_accepts():
     cfg = VerifyConfig(variant="literal", families=("ntree",),
                        trials={"ntree": 20})

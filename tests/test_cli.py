@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -111,6 +112,51 @@ def test_generate_planted_with_witness(run, tmp_path):
     assert sorted(witness["order"]) == list(range(6))
 
 
+# (seed, k, host n, oriented) -> certificate of `solve embed`, captured
+# before the leaf matching became incremental
+EMBED_GOLDEN_PLANTED = {
+    (1, 6, 9, False): {"0": 0, "1": 3, "2": 2, "3": 7, "4": 1, "5": 4},
+    (2, 7, 10, True): {"0": 6, "1": 5, "2": 1, "3": 4, "4": 8, "5": 3, "6": 2},
+    (3, 8, 12, False): {"0": 4, "1": 6, "2": 3, "3": 5, "4": 1, "5": 2, "6": 7, "7": 0},
+    (4, 8, 11, True): {"0": 8, "1": 0, "2": 3, "3": 4, "4": 7, "5": 6, "6": 1, "7": 5},
+}
+# cover seed -> {pattern tree of `reduce sc-to-ktree` (n=8, m=6, g=2):
+# sha256 prefix of the certificate's JSON, or None for a no}
+EMBED_GOLDEN_REDUCED = {
+    5: {"produced_000000.tree": None, "produced_000017.tree": "6e0ac4202be388a4",
+        "produced_000018.tree": "a1c475b462fa810e"},
+    6: {"produced_000000.tree": None, "produced_000017.tree": "1329a616c90c47cd",
+        "produced_000018.tree": "9a00ad48e4605b86"},
+}
+
+
+def test_solve_embed_golden_certificates(run, tmp_path):
+    for (seed, k, host_n, oriented), expected in EMBED_GOLDEN_PLANTED.items():
+        base = str(tmp_path / f"e{seed}")
+        run("generate", "embedded-tree", "--k", str(k), "--host-n", str(host_n),
+            "--seed", str(seed), "--edge-probability", "0.2", "--out", base,
+            *(["--oriented"] if oriented else []))
+        code, out, _ = run("solve", "embed", base + ".graph", base + ".tree")
+        assert code == 0
+        assert json.loads(out)["certificate"] == expected, seed
+    for seed, trees in EMBED_GOLDEN_REDUCED.items():
+        sc = str(tmp_path / f"s{seed}.sc")
+        emit = tmp_path / f"r{seed}"
+        run("generate", "covered-universe", "--n", "8", "--m", "6", "--max-set-size", "2",
+            "--seed", str(seed), "--out", sc)
+        run("reduce", "sc-to-ktree", sc, "--g", "2", "--emit-dir", str(emit))
+        for name, digest in trees.items():
+            code, out, _ = run("solve", "embed", str(emit / "host.graph"), str(emit / name))
+            record = json.loads(out)
+            assert code == 0
+            if digest is None:
+                assert (record["answer"], record["certificate"]) == ("no", None)
+            else:
+                text = json.dumps(record["certificate"], sort_keys=True)
+                assert record["answer"] == "yes"
+                assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, (seed, name)
+
+
 def test_solve_ham_pipeline_agree(run, tmp_path):
     g, _ = gen_planted("ham_cycle", seed=4, n=6, extra_edges=3)
     path = tmp_path / "g.digraph"
@@ -146,6 +192,21 @@ def test_pipeline_jobs_answer_stable(run, tmp_path):
         assert code == 0
         answers[jobs] = json.loads(out)["answer"]
     assert answers[1] == answers[2]
+
+
+def test_pipeline_ktree_stats_pass_through(run, tmp_path):
+    sc = tmp_path / "a.sc"
+    sc.write_text("p setcover 8 5\n0 1\n2 3\n4 5\n6 7\n1 2\n")
+    ppc = tmp_path / "a.ppc"
+    ppc.write_text("p partialcover 12 6 9\n0 1\n2 3\n4 5\n6 7\n8 9\n1 2\n")
+    for kind, path, optimum in (("sc-ktree", sc, 4), ("ppc-ktree", ppc, 5)):
+        code, out, err = run("pipeline", kind, str(path))
+        record = json.loads(out)
+        assert code == 0 and record["optimum"] == optimum
+        assert sorted(record["stats"]) == ["explored", "trees_tried"]
+        assert record["stats"]["trees_tried"] >= 1
+        assert record["stats"]["explored"] > record["stats"]["trees_tried"]
+        assert "wall time" in err
 
 
 def test_reduce_emit_dir(run, tmp_path):

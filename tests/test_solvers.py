@@ -272,6 +272,90 @@ def test_embed_star_heavy_pattern_is_fast():
     assert verify_embedding(g, t, res.certificate)
 
 
+def oracle_embeds(G, T, pins=None, forbidden=()):
+    """Independent oracle: try injective maps node by node in id order,
+    checking each tree edge against the host's arcs once both ends are mapped."""
+    pins = pins or {}
+    free_hosts = [u for u in range(G.num_nodes) if u not in forbidden]
+    edges_at = [[] for _ in range(T.k)]
+    for v in range(T.k):
+        if v != T.root:
+            edges_at[max(v, T.parent[v])].append((T.parent[v], v, T.orientation[v]))
+    image = {}
+
+    def arc_ok(hp, hv, o):
+        if o == "fwd":
+            return G.has_arc(hp, hv)
+        if o == "rev":
+            return G.has_arc(hv, hp)
+        return G.has_arc(hp, hv) or G.has_arc(hv, hp)
+
+    def extend(v):
+        if v == T.k:
+            return True
+        for u in ([pins[v]] if v in pins else free_hosts):
+            if u in image.values():
+                continue
+            image[v] = u
+            if all(arc_ok(image[p], image[c], o) for p, c, o in edges_at[v]) and extend(v + 1):
+                return True
+            del image[v]
+        return False
+
+    return extend(0)
+
+
+def _broom(rng, k):
+    """Root with leaves plus internal children with leaves of their own, so
+    placing a child takes a host that one of the root's leaves may hold."""
+    parent = [-1]
+    while len(parent) < k:
+        hub = rng.choice([0] + [v for v in range(1, len(parent)) if parent[v] == 0])
+        parent.append(hub)
+    orient = ("und",) * k if rng.random() < 0.5 else \
+        ("und",) + tuple(rng.choice(["fwd", "rev"]) for _ in range(k - 1))
+    return PatternTree(k, 0, tuple(parent), orient)
+
+
+def test_embed_matches_bruteforce_oracle():
+    rng = random.Random(11)
+    yes = 0
+    for t in range(300):
+        n = rng.randint(2, 9)
+        k = rng.randint(1, min(n, 7))
+        if t % 2:
+            T = _broom(rng, k)
+        else:
+            T = gen_random("tree", seed=t, k=k, oriented=rng.random() < 0.5)
+        G = gen_random(rng.choice(["digraph", "graph"]), seed=t, n=n,
+                       edge_probability=rng.choice([0.3, 0.5, 0.7]))
+        nodes = rng.sample(range(k), rng.randint(0, min(2, k)))
+        images = rng.sample(range(n), len(nodes))
+        pins = dict(zip(nodes, images))
+        forbidden = set(rng.sample([u for u in range(n) if u not in images],
+                                   min(rng.randint(0, 2), n - len(images))))
+        res = tree_embed_backtrack(G, T, pins=pins, forbidden=forbidden)
+        assert res.is_yes == oracle_embeds(G, T, pins, forbidden), (t, pins, forbidden)
+        if res.is_yes:
+            yes += 1
+            cert = res.certificate
+            assert verify_embedding(G, T, cert)
+            assert all(cert[v] == u for v, u in pins.items())
+            assert not forbidden & {cert[v] for v in range(k) if v not in pins}
+    assert 60 <= yes <= 240
+
+
+def test_embed_leaf_host_displaced_by_parent():
+    # root 0 with leaves 1, 2 and child 3 with leaves 4, 5: the root's leaves
+    # first take hosts 1 and 2, then child 3 is placed at host 1
+    t = PatternTree(6, 0, (-1, 0, 0, 0, 3, 3), ("und",) * 6)
+    g = Digraph(6, frozenset({(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)}), undirected_mode=True)
+    res = tree_embed_backtrack(g, t)
+    assert res.certificate == {0: 0, 1: 3, 2: 2, 3: 1, 4: 5, 5: 4}
+    assert not tree_embed_backtrack(g, t, forbidden={3}).is_yes
+    assert not oracle_embeds(g, t, forbidden={3})
+
+
 # ---------------------------------------------------------------------------
 # color coding
 # ---------------------------------------------------------------------------
