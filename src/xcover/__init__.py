@@ -45,6 +45,7 @@ from xcover.reductions import (  # noqa: F401
     build_host_graph,
     build_pattern_tree,
     check_cover_properties,
+    decide_stream,
     ham_to_setcover,
     ntree_to_setcover,
     ppc_preprocess_large,

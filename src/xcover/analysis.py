@@ -22,16 +22,18 @@ from xcover.instances import (
     serialize_instance,
 )
 from xcover.partitions import count_partitions, enumerate_partitions
-from xcover.reductions import (
+from xcover.reductions import (  # noqa: F401 (count_bound_log2, element_bound: re-exported)
     ANCHORED,
     LITERAL,
     ReductionBatch,
     check_cover_properties,
+    count_bound_log2,
+    decide_stream,
+    element_bound,
     ham_to_setcover,
     ntree_to_setcover,
     solve_ham_via_setcover,
     solve_ntree_via_setcover,
-    solve_ppc_via_ktree,
     solve_setcover_via_ktree,
     tree_cover,
 )
@@ -64,19 +66,6 @@ def koivisto_lambda(delta: int) -> float:
     value = (2 * delta - 2) / math.sqrt((2 * delta - 1) ** 2 - 2 * math.log(2))
     assert value <= 1 - 1 / (2 * delta) + TOL
     return value
-
-
-def count_bound_log2(ntilde: int, delta: int, variant: str = LITERAL) -> float:
-    """log2 of the declared instance-count cap of the tree-to-cover stream."""
-    if ntilde <= 1:
-        return 0.0
-    exponent = (9 if variant == LITERAL else 18) * ntilde / delta
-    return exponent * math.log2(ntilde)
-
-
-def element_bound(ntilde: int, delta: int) -> float:
-    """Declared per-instance ground-set cap of the tree-to-cover stream."""
-    return ntilde + 9 * ntilde / delta
 
 
 def _log2_sum(a: float, b: float) -> float:
@@ -461,7 +450,8 @@ def _family_ntree(cfg):
         G = gen_random("digraph", seed=cfg.seed + 2 * t, n=nt,
                        edge_probability=rng.choice([0.25, 0.4, 0.55]))
         bt = tree_embed_backtrack(G, T).is_yes
-        red = solve_ntree_via_setcover(G, T, delta, variant=variant)
+        decision = decide_stream(ntree_to_setcover(G, T, delta, variant=variant))
+        red = decision.accepted is not None
         if variant == LITERAL:
             if bt and not red:
                 failures.append(_graph_pair_failure(G, T, delta, variant, "completeness"))
@@ -478,28 +468,23 @@ def _family_ntree(cfg):
             # defined only when delta fits the composition's range
             estimate = compose_runtime(nt, delta, lambda n, _d: n) \
                 if delta <= nt else None
-            bounds.append(asdict(reduction_bound_report(
+            report = reduction_bound_report(
                 batch, {"ntilde": nt, "delta": delta, "variant": variant},
-                runtime_estimate_log2=estimate)))
-            if bounds[-1]["verdicts"]["count"] != "within" \
-                    or bounds[-1]["verdicts"]["elements"] != "within":
+                runtime_estimate_log2=estimate)
+            bounds.append(asdict(report))
+            if not report.within:
                 failures.append({"check": "bounds", "report": bounds[-1]})
         # record whether accepting covers are disjoint (claimed, not proven,
         # for the tree case)
         if red and t % 5 == 0:
-            batch = ntree_to_setcover(G, T, delta, variant=variant)
-            for prod in batch.produced:
-                res = setcover_dp(prod.instance)
-                if res.answer == "optimum" and res.optimum == prod.target:
-                    seen = set()
-                    overlap = False
-                    for j in res.certificate:
-                        s = set(prod.instance.sets[j])
-                        if seen & s:
-                            overlap = True
-                        seen |= s
-                    disjoint_counts["overlapping" if overlap else "disjoint"] += 1
-                    break
+            seen = set()
+            overlap = False
+            for j in decision.result.certificate:
+                s = set(decision.accepted.instance.sets[j])
+                if seen & s:
+                    overlap = True
+                seen |= s
+            disjoint_counts["overlapping" if overlap else "disjoint"] += 1
     notes = {"disjoint_accepting_covers": disjoint_counts}
     if variant == LITERAL:
         notes["over_accepts"] = over_accepts
@@ -536,76 +521,56 @@ def _family_ham(cfg):
                 failures.append({"check": "equivalence", "delta": delta,
                                  "graph": serialize_instance(mini)})
         if t % 5 == 0:
-            batch = ham_to_setcover(G, 2)
-            sizes_ok = True
-            count = 0
-            max_el = 0
-            for prod in batch.produced:
-                count += 1
-                max_el = max(max_el, prod.instance.n)
-                sizes_ok = sizes_ok and all(len(s) == 2 for s in prod.instance.sets)
-            if not sizes_ok:
+            if any(len(s) != 2 for prod in ham_to_setcover(G, 2).produced
+                   for s in prod.instance.sets):
                 failures.append({"check": "set_sizes", "graph": serialize_instance(G)})
-            realized_log2 = math.log2(count) if count else 0.0
-            bounds.append({
-                "inputs": {"n": n, "delta": 2},
-                "declared_count_log2": batch.bound_declared_log2,
-                "realized_count": count,
-                "realized_count_log2": realized_log2,
-                "declared_elements": batch.elements_declared,
-                "realized_max_elements": max_el,
-                "runtime_estimate_log2": None,
-                "verdicts": {
-                    "count": "within" if realized_log2 <= batch.bound_declared_log2 + TOL
-                    else "exceeded",
-                    "elements": "within" if max_el <= batch.elements_declared + TOL
-                    else "exceeded",
-                },
-            })
-            if bounds[-1]["verdicts"]["count"] != "within":
+            report = reduction_bound_report(ham_to_setcover(G, 2), {"n": n, "delta": 2})
+            bounds.append(asdict(report))
+            if not report.within:
                 failures.append({"check": "bounds", "report": bounds[-1]})
     return _family_result(cases, failures, bounds=bounds)
 
 
-def _coverage_result(cases, failures, trees_embedded):
-    """Family result for a partition-tree family; a family that handed no
-    tree to the embedder certified nothing about it and fails."""
-    if not trees_embedded:
-        failures.append({"check": "coverage", "trees_embedded": 0})
-    return _family_result(cases, failures, {"trees_embedded": trees_embedded})
-
-
-def _family_setcover_ktree(cfg):
-    rng = random.Random(cfg.seed * 11 + 8)
+def _ktree_family(instances, oracle):
+    """The partition-tree pipeline (g = 2) against a DP oracle on each
+    instance; a family that handed no tree to the embedder certified
+    nothing about it and fails."""
     failures = []
     trees_embedded = 0
-    cases = cfg.n_trials("setcover_ktree")
-    for t in range(cases):
-        n = rng.choice([8, 10, 12])
-        g = 2
-        m = rng.randint(5, 8)
-        if rng.random() < 0.75:
-            inst, _ = gen_planted("covered_universe", seed=cfg.seed + 17 * t, n=n, m=m,
-                                  max_set_size=n // (g * g))
-        else:
-            inst = gen_random("setcover", seed=cfg.seed + 17 * t, n=n, m=m,
-                              max_set_size=max(1, n // 2))
-        dp = setcover_dp(inst)
-        kt = solve_setcover_via_ktree(inst, g)
+    for inst in instances:
+        dp = oracle(inst)
+        kt = solve_setcover_via_ktree(inst, 2)
         trees_embedded += kt.stats["trees_tried"]
         if (dp.answer, dp.optimum) != (kt.answer, kt.optimum):
             failures.append({"check": "equivalence",
                              "instance": serialize_instance(inst),
                              "dp": dp.optimum, "pipeline": kt.optimum})
-    return _coverage_result(cases, failures, trees_embedded)
+    if not trees_embedded:
+        failures.append({"check": "coverage", "trees_embedded": 0})
+    return _family_result(len(instances), failures, {"trees_embedded": trees_embedded})
+
+
+def _family_setcover_ktree(cfg):
+    rng = random.Random(cfg.seed * 11 + 8)
+    instances = []
+    for t in range(cfg.n_trials("setcover_ktree")):
+        n = rng.choice([8, 10, 12])
+        m = rng.randint(5, 8)
+        if rng.random() < 0.75:
+            # sets of at most n/g^2 elements, so no case is decided by preprocessing
+            inst, _ = gen_planted("covered_universe", seed=cfg.seed + 17 * t, n=n, m=m,
+                                  max_set_size=n // 4)
+        else:
+            inst = gen_random("setcover", seed=cfg.seed + 17 * t, n=n, m=m,
+                              max_set_size=max(1, n // 2))
+        instances.append(inst)
+    return _ktree_family(instances, setcover_dp)
 
 
 def _family_partial_ktree(cfg):
     rng = random.Random(cfg.seed * 11 + 9)
-    failures = []
-    trees_embedded = 0
-    cases = cfg.n_trials("partial_ktree")
-    for t in range(cases):
+    instances = []
+    for t in range(cfg.n_trials("partial_ktree")):
         # with g=2 a set is large once 4|S| >= p: sets of at most 3 elements
         # and p in n-5..n send some cases through the embedder and some
         # through large-set preprocessing
@@ -617,15 +582,8 @@ def _family_partial_ktree(cfg):
                                   max_set_size=3)
         else:
             base = gen_random("setcover", seed=cfg.seed + 19 * t, n=n, m=m, max_set_size=3)
-        inst = SetCoverInstance(n, base.sets, variant=PARTIAL, p=p)
-        dp = partialcover_dp(inst)
-        kt = solve_ppc_via_ktree(inst, 2)
-        trees_embedded += kt.stats["trees_tried"]
-        if (dp.answer, dp.optimum) != (kt.answer, kt.optimum):
-            failures.append({"check": "equivalence",
-                             "instance": serialize_instance(inst),
-                             "dp": dp.optimum, "pipeline": kt.optimum})
-    return _coverage_result(cases, failures, trees_embedded)
+        instances.append(SetCoverInstance(n, base.sets, variant=PARTIAL, p=p))
+    return _ktree_family(instances, partialcover_dp)
 
 
 def _family_colorcoding(cfg):

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from xcover import __version__, analysis, reductions, solvers
 from xcover.errors import BudgetExceededError, CapacityError, FormatError, PreconditionError
@@ -23,12 +23,7 @@ from xcover.instances import (
     parse_instance,
     serialize_instance,
 )
-from xcover.partitions import (
-    count_partitions,
-    enumerate_partitions,
-    partition_asymptotic,
-    partitions_with_length,
-)
+from xcover.partitions import count_partitions, enumerate_partitions, partition_asymptotic
 
 
 def _digest(path: str) -> str:
@@ -136,124 +131,67 @@ def _provenance_comment(prov) -> str:
     return "c provenance " + json.dumps(prov, sort_keys=True, default=list)
 
 
+def _stream(args) -> reductions.ReductionBatch:
+    """The cover-instance stream of an ntree or ham command."""
+    G = _parse_graph_file(args.files[0])
+    if args.kind.startswith("ntree"):
+        T = _read(args.files[1], "tree")
+        return reductions.ntree_to_setcover(G, T, args.delta, variant=args.variant)
+    return reductions.ham_to_setcover(G, args.delta)
+
+
 def _cmd_reduce(args) -> int:
+    if args.limit < 0:
+        raise PreconditionError("--limit must be non-negative")
     emit_dir = args.emit_dir
     if emit_dir:
         os.makedirs(emit_dir, exist_ok=True)
 
-    def write(index, text, suffix):
+    def write(name, text):
         if emit_dir:
-            path = os.path.join(emit_dir, f"produced_{index:06d}.{suffix}")
-            with open(path, "w", encoding="utf-8") as fh:
+            with open(os.path.join(emit_dir, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
 
     count = 0
     if args.kind in ("ntree-to-sc", "ham-to-sc"):
-        if args.kind == "ntree-to-sc":
-            G = _parse_graph_file(args.files[0])
-            T = _read(args.files[1], "tree")
-            batch = reductions.ntree_to_setcover(G, T, args.delta, variant=args.variant)
-        else:
-            G = _parse_graph_file(args.files[0])
-            batch = reductions.ham_to_setcover(G, args.delta)
-        for prod in batch.produced:
+        for prod in itertools.islice(_stream(args).produced, args.limit or None):
             text = (_provenance_comment({"guess": prod.provenance, "target": prod.target})
                     + "\n" + serialize_instance(prod.instance))
-            write(count, text, "sc")
+            write(f"produced_{count:06d}.sc", text)
             count += 1
-            if args.limit and count >= args.limit:
-                break
         sys.stderr.write(f"emitted {count} instances\n")
     else:
         inst = _read(args.files[0],
                      "setcover" if args.kind == "sc-to-ktree" else "partialcover")
         g = args.g
         bundle = reductions.build_host_graph(inst, g)
-        host_text = _provenance_comment({"role": "host", "g": g}) + "\n" \
-            + serialize_instance(bundle.host)
-        if emit_dir:
-            with open(os.path.join(emit_dir, "host.graph"), "w", encoding="utf-8") as fh:
-                fh.write(host_text)
-        else:
-            sys.stdout.write(host_text)
-        total = inst.n if args.kind == "sc-to-ktree" else inst.p
-        for length in range(1, max(total, 1) + 1):
-            stop = False
-            for alpha in partitions_with_length(total, length):
-                tree = reductions.build_pattern_tree(
-                    alpha, g, inst.n) if args.kind == "sc-to-ktree" else \
-                    reductions._build_pattern_tree(alpha, g, gadget_n=inst.n, total=total).tree
-                text = (_provenance_comment({"partition": list(alpha.parts)})
-                        + "\n" + serialize_instance(tree))
-                write(count, text, "tree")
-                count += 1
-                if args.limit and count >= args.limit:
-                    stop = True
-                    break
-            if stop:
-                break
+        write("host.graph", _provenance_comment({"role": "host", "g": g}) + "\n"
+              + serialize_instance(bundle.host))
+        for alpha in itertools.islice(reductions.leaf_partitions(inst), args.limit or None):
+            tree = reductions.build_pattern_tree(alpha, g, inst.n)
+            text = (_provenance_comment({"partition": list(alpha.parts)})
+                    + "\n" + serialize_instance(tree))
+            write(f"produced_{count:06d}.tree", text)
+            count += 1
         sys.stderr.write(f"emitted host graph and {count} trees\n")
     return 0
 
 
-def _solve_one(payload):
-    inst, target = payload
-    res = solvers.setcover_dp(inst)
-    return res.answer == "optimum" and res.optimum == target
-
-
-def _decide_stream(batch, jobs: int) -> tuple[bool, int]:
-    """(answer, instances examined); answer independent of job count."""
-    examined = 0
-    if jobs <= 1:
-        for prod in batch.produced:
-            examined += 1
-            if _solve_one((prod.instance, prod.target)):
-                return True, examined
-        return False, examined
-    chunk = max(jobs * 4, 8)
-    stream = batch.produced
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        while True:
-            block = []
-            for prod in stream:
-                block.append((prod.instance, prod.target))
-                if len(block) >= chunk:
-                    break
-            if not block:
-                return False, examined
-            examined += len(block)
-            if any(pool.map(_solve_one, block)):
-                return True, examined
-
-
 def _cmd_pipeline(args) -> int:
     params = {"kind": args.kind, "jobs": args.jobs}
-    if args.kind == "ntree":
-        G = _parse_graph_file(args.files[0])
-        T = _read(args.files[1], "tree")
-        params.update(delta=args.delta, variant=args.variant)
-        batch = reductions.ntree_to_setcover(G, T, args.delta, variant=args.variant)
-        answer, examined = _decide_stream(batch, args.jobs)
-        res = solvers.SolveResult("yes" if answer else "no",
-                                  stats={"instances_examined": examined})
-    elif args.kind == "ham":
-        G = _parse_graph_file(args.files[0])
+    if args.kind in ("ntree", "ham"):
         params.update(delta=args.delta)
-        batch = reductions.ham_to_setcover(G, args.delta)
-        answer, examined = _decide_stream(batch, args.jobs)
-        res = solvers.SolveResult("yes" if answer else "no",
-                                  stats={"instances_examined": examined})
-    elif args.kind == "sc-ktree":
-        inst = _read(args.files[0], "setcover")
+        if args.kind == "ntree":
+            params.update(variant=args.variant)
+        decision = reductions.decide_stream(_stream(args), args.jobs)
+        res = solvers.SolveResult("no" if decision.accepted is None else "yes",
+                                  stats={"instances_examined": decision.examined})
+    else:
+        inst = _read(args.files[0], "setcover" if args.kind == "sc-ktree" else "partialcover")
         params.update(g=args.g)
         res = reductions.solve_setcover_via_ktree(inst, args.g, budget=args.budget)
-    else:  # ppc-ktree
-        inst = _read(args.files[0], "partialcover")
-        params.update(g=args.g)
-        res = reductions.solve_ppc_via_ktree(inst, args.g, budget=args.budget)
     record = _record("pipeline", args.files, params)
     record["kind"] = args.kind
     record.update(_result_fields(res))
@@ -291,10 +229,10 @@ def _cmd_bounds(args) -> int:
         "ntilde": args.ntilde, "delta": args.delta, "epsilon": args.epsilon,
     })
     record.update({
-        "count_bound_log2": analysis.count_bound_log2(args.ntilde, args.delta),
-        "count_bound_log2_anchored": analysis.count_bound_log2(
+        "count_bound_log2": reductions.count_bound_log2(args.ntilde, args.delta),
+        "count_bound_log2_anchored": reductions.count_bound_log2(
             args.ntilde, args.delta, variant=reductions.ANCHORED),
-        "element_bound": analysis.element_bound(args.ntilde, args.delta),
+        "element_bound": reductions.element_bound(args.ntilde, args.delta),
     })
     if args.delta >= 2:
         record["lambda_delta"] = analysis.koivisto_lambda(args.delta)

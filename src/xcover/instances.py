@@ -138,6 +138,15 @@ class Digraph:
     def neighbors(self, u: int) -> tuple[int, ...]:
         return self._nbr[u]
 
+    def along(self, u: int, orient: str) -> tuple[int, ...]:
+        """Where a tree edge of orientation ``orient`` leaving a node placed
+        at ``u`` can end: successors, predecessors, or either for ``und``."""
+        if orient == FWD:
+            return self._succ[u]
+        if orient == REV:
+            return self._pred[u]
+        return self._nbr[u]
+
     def has_arc(self, u: int, v: int) -> bool:
         """True when an edge usable in direction u -> v exists."""
         if (u, v) in self.edges:
@@ -208,6 +217,22 @@ class PatternTree:
             if v != self.root:
                 kids[self.parent[v]].append(v)
         return tuple(tuple(sorted(c)) for c in kids)
+
+    @cached_property
+    def post_order(self) -> tuple[int, ...]:
+        """Every node after its children, the root last; the children of a
+        node are finished in descending id."""
+        out = []
+        stack = [(self.root, False)]
+        while stack:
+            v, done = stack.pop()
+            if done:
+                out.append(v)
+                continue
+            stack.append((v, True))
+            for c in self.children[v]:
+                stack.append((c, False))
+        return tuple(out)
 
     @property
     def oriented(self) -> bool:

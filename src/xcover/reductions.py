@@ -1,12 +1,17 @@
 """Reductions between set-cover variants and tree-pattern embedding.
 
-Four pipelines, each exposed as a lazy instance stream plus an end-to-end
-decision/optimization routine:
+Two directions, each with one driver:
 
-  * directed tree pattern (k = n) -> bounded-set-size cover instances
-  * directed Hamiltonicity       -> same-size-set cover instances
-  * set cover                    -> host graph + one pattern tree per partition
-  * partial cover                -> the same with leaf total p
+  * directed tree pattern (k = n) -> bounded-set-size cover instances, and
+    directed Hamiltonicity -> same-size-set cover instances.  Each is a
+    lazy instance stream; ``decide_stream`` decides either stream with the
+    cover DP, serially or on a process pool.
+  * set cover and p-partial cover -> host graph + one pattern tree per
+    partition of the leaf total (n for a plain cover, p for a partial
+    one).  ``setcover_preprocess_large``, ``setcover_to_ktree`` and their
+    composition ``solve_setcover_via_ktree`` read the variant, and so the
+    leaf total and the large-set test, from the instance; the ``ppc_*``
+    names are the same routines restricted to partial instances.
 
 The tree-to-cover direction ships in two variants.  ``literal`` pins only
 the subtree roots and each produced set certifies one subtree in isolation,
@@ -22,9 +27,10 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
-from typing import Callable, Iterator
+from typing import Iterator
 
 from xcover import kernels
 from xcover.errors import CapacityError, PreconditionError
@@ -86,6 +92,54 @@ class ReductionBatch:
     produced: Iterator[ProducedInstance]
     bound_declared_log2: float
     elements_declared: float
+
+
+@dataclass
+class StreamDecision:
+    """The first produced instance whose minimum cover has exactly the
+    target size (None if there is none), the cover DP's result on it, and
+    the number of instances examined."""
+
+    accepted: ProducedInstance | None
+    result: SolveResult | None
+    examined: int
+
+
+def _solve_instance(inst: SetCoverInstance) -> SolveResult:
+    # a module-level function, so the process pool can pickle it by name
+    return setcover_dp(inst)
+
+
+def _accepts(prod: ProducedInstance, res: SolveResult) -> bool:
+    return res.answer == "optimum" and res.optimum == prod.target
+
+
+def decide_stream(batch: ReductionBatch, jobs: int = 1) -> StreamDecision:
+    """Solve the produced instances with the cover DP until one accepts.
+
+    With ``jobs`` > 1 blocks of instances go to a process pool and every
+    instance of a block counts as examined.  The accepted instance does not
+    depend on the job count: it is the first accepting one of the stream.
+    """
+    examined = 0
+    if jobs <= 1:
+        for prod in batch.produced:
+            examined += 1
+            res = setcover_dp(prod.instance)
+            if _accepts(prod, res):
+                return StreamDecision(prod, res, examined)
+        return StreamDecision(None, None, examined)
+    chunk = max(jobs * 4, 8)
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        while True:
+            block = list(itertools.islice(batch.produced, chunk))
+            if not block:
+                return StreamDecision(None, None, examined)
+            examined += len(block)
+            results = pool.map(_solve_instance, [prod.instance for prod in block])
+            for prod, res in zip(block, results):
+                if _accepts(prod, res):
+                    return StreamDecision(prod, res, examined)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +245,19 @@ def check_cover_properties(T: PatternTree, cover: SubtreeCover, l: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def count_bound_log2(ntilde: int, delta: int, variant: str = LITERAL) -> float:
+    """log2 of the declared instance-count cap of the tree-to-cover stream."""
+    if ntilde <= 1:
+        return 0.0
+    exponent = (9 if variant == LITERAL else 18) * ntilde / delta
+    return exponent * math.log2(ntilde)
+
+
+def element_bound(ntilde: int, delta: int) -> float:
+    """Declared per-instance ground-set cap of the tree-to-cover stream."""
+    return ntilde + 9 * ntilde / delta
+
+
 def ntree_to_setcover(G: Digraph, T: PatternTree, delta: int,
                       variant: str = ANCHORED) -> ReductionBatch:
     """One cover instance per guessed placement of the subtree anchor nodes.
@@ -216,9 +283,6 @@ def ntree_to_setcover(G: Digraph, T: PatternTree, delta: int,
         anchors = sorted(set(roots) | {T.parent[r] for r in roots if r != T.root})
     else:
         anchors = roots
-    exponent = (9 if variant == LITERAL else 18) * ntilde / delta
-    bound_log2 = exponent * math.log2(ntilde) if ntilde > 1 else 0.0
-    elements_declared = ntilde + 9 * ntilde / delta
 
     def stream():
         for perm in itertools.permutations(range(ntilde), len(anchors)):
@@ -228,8 +292,9 @@ def ntree_to_setcover(G: Digraph, T: PatternTree, delta: int,
             inst = _build_reduced_instance(G, T, subtrees, pins, delta, variant)
             yield ProducedInstance(inst, len(subtrees), provenance=tuple(sorted(pins.items())))
 
-    return ReductionBatch(produced=stream(), bound_declared_log2=bound_log2,
-                          elements_declared=elements_declared)
+    return ReductionBatch(produced=stream(),
+                          bound_declared_log2=count_bound_log2(ntilde, delta, variant),
+                          elements_declared=element_bound(ntilde, delta))
 
 
 def _pinned_edges_ok(G, T, pins):
@@ -292,13 +357,6 @@ def _subtree_images(G, T, nodes, root, local_pins, avoid):
     assign = {}
     used = set()
 
-    def adj(u, orient):
-        if orient == FWD:
-            return G.successors(u)
-        if orient == REV:
-            return G.predecessors(u)
-        return G.neighbors(u)
-
     def rec(i):
         if i == len(order):
             images.add(tuple(sorted(assign.values())))
@@ -307,7 +365,7 @@ def _subtree_images(G, T, nodes, root, local_pins, avoid):
         if v == root:
             cands = (local_pins[root],)
         else:
-            cands = adj(assign[T.parent[v]], T.orientation[v])
+            cands = G.along(assign[T.parent[v]], T.orientation[v])
         pin = local_pins.get(v)
         for u in cands:
             if pin is not None and u != pin:
@@ -325,16 +383,9 @@ def _subtree_images(G, T, nodes, root, local_pins, avoid):
 
 
 def solve_ntree_via_setcover(G: Digraph, T: PatternTree, delta: int,
-                             solver: Callable[[SetCoverInstance], SolveResult] | None = None,
                              variant: str = ANCHORED) -> bool:
     """True iff some produced instance admits a cover of exactly the target size."""
-    solver = solver or setcover_dp
-    batch = ntree_to_setcover(G, T, delta, variant)
-    for prod in batch.produced:
-        res = solver(prod.instance)
-        if res.answer == "optimum" and res.optimum == prod.target:
-            return True
-    return False
+    return decide_stream(ntree_to_setcover(G, T, delta, variant)).accepted is not None
 
 
 # ---------------------------------------------------------------------------
@@ -407,15 +458,9 @@ def _paths_exact(G, a, b, length, reps):
     return out
 
 
-def solve_ham_via_setcover(G: Digraph, delta: int,
-                           solver: Callable[[SetCoverInstance], SolveResult] | None = None) -> bool:
-    solver = solver or setcover_dp
-    batch = ham_to_setcover(G, delta)
-    for prod in batch.produced:
-        res = solver(prod.instance)
-        if res.answer == "optimum" and res.optimum == prod.target:
-            return True
-    return False
+def solve_ham_via_setcover(G: Digraph, delta: int) -> bool:
+    """True iff some produced instance admits a cover of exactly the target size."""
+    return decide_stream(ham_to_setcover(G, delta)).accepted is not None
 
 
 # ---------------------------------------------------------------------------
@@ -505,17 +550,18 @@ def build_host_graph(inst: SetCoverInstance, g: int) -> HostGraphBundle:
     return HostGraphBundle(host=host, node_roles=roles, g=g)
 
 
-@dataclass
-class _TreeMeta:
-    tree: PatternTree
-    grouped_centers: list[int]
-    remainder_centers: list[int]
+def build_pattern_tree(alpha: Partition, g: int, n: int) -> PatternTree:
+    """Pattern tree for one partition of the leaf total over n elements.
 
-
-def _build_pattern_tree(alpha: Partition, g: int, gadget_n: int, total: int) -> _TreeMeta:
-    if alpha.total != total:
-        raise PreconditionError(f"partition sums to {alpha.total}, expected {total}")
-    q = _pendant_count(gadget_n, g)
+    The leaf total is n for a plain cover and p <= n for a partial one; the
+    rigid anchor gadget is sized by n either way, so the forcing margins
+    match build_host_graph.  One star per grouped sum hangs from anchor 1
+    (beside the g-subset nodes) and one star per remainder part from the
+    root (beside the set nodes).
+    """
+    if alpha.total > n:
+        raise PreconditionError(f"partition sums to {alpha.total}, more than n = {n}")
+    q = _pendant_count(n, g)
     shrunk = shrink_partition(alpha, g)
     # ids: root, three anchors, four pendant groups, then one star per entry
     parent = [-1, 0, 0, 0]
@@ -527,32 +573,44 @@ def _build_pattern_tree(alpha: Partition, g: int, gadget_n: int, total: int) -> 
         parent.append(0)
     for _ in range(q):
         parent.append(1)
-    grouped_centers = []
-    remainder_centers = []
     for value, is_grouped in shrunk.entries():
         center = len(parent)
         parent.append(1 if is_grouped else 0)
-        (grouped_centers if is_grouped else remainder_centers).append(center)
         for _ in range(value):
             parent.append(center)
     k = len(parent)
-    tree = PatternTree(k=k, root=0, parent=tuple(parent), orientation=(UND,) * k)
-    return _TreeMeta(tree=tree, grouped_centers=grouped_centers,
-                     remainder_centers=remainder_centers)
-
-
-def build_pattern_tree(alpha: Partition, g: int, n: int) -> PatternTree:
-    """Pattern tree for one partition of the ground set: the rigid anchor
-    gadget plus one star per grouped sum (attached beside the g-subset
-    nodes) and one star per remainder part (attached beside the set nodes).
-    """
-    return _build_pattern_tree(alpha, g, gadget_n=n, total=n).tree
+    return PatternTree(k=k, root=0, parent=tuple(parent), orientation=(UND,) * k)
 
 
 def pattern_tree_size(alpha: Partition, g: int, n: int) -> int:
     """Closed-form node count of build_pattern_tree's output."""
     shrunk = shrink_partition(alpha, g)
     return 4 + 4 * _pendant_count(n, g) + len(shrunk.entries()) + alpha.total
+
+
+def leaf_partitions(inst: SetCoverInstance) -> Iterator[Partition]:
+    """Partitions of the leaf total (n, or p for a partial cover) in
+    ascending part count: the order setcover_to_ktree tries them in."""
+    total = _leaf_total(inst)
+    for length in range(1, total + 1):
+        yield from partitions_with_length(total, length)
+
+
+def _leaf_total(inst: SetCoverInstance) -> int:
+    return inst.p if inst.variant == PARTIAL else inst.n
+
+
+def _large_indices(inst: SetCoverInstance, g: int) -> list[int]:
+    """Sets too large for the pattern trees: |S|g^2 > n for a plain cover,
+    |S|g^2 >= p for a partial one."""
+    if inst.variant == PARTIAL:
+        return [j for j, s in enumerate(inst.sets) if len(s) * g * g >= inst.p]
+    return [j for j, s in enumerate(inst.sets) if len(s) * g * g > inst.n]
+
+
+def _require_partial(inst: SetCoverInstance):
+    if inst.variant != PARTIAL:
+        raise PreconditionError("expected a partial-variant instance")
 
 
 def _check_forcing_margins(n: int, g: int):
@@ -563,13 +621,6 @@ def _check_forcing_margins(n: int, g: int):
             f"forcing margin fails: ceil(2n/g) = {q} < n/g + 3 for n={n}, g={g}")
 
 
-def _default_ktree_solver(budget):
-    def solve(host, tree):
-        return tree_embed_backtrack(host, tree, budget=budget)
-
-    return solve
-
-
 def _ktree_stats(start, trees_tried=0, explored=0, **extra):
     """Pipeline counters: pattern trees handed to the solver and the sum of
     the solver's ``explored`` counts over them."""
@@ -577,67 +628,83 @@ def _ktree_stats(start, trees_tried=0, explored=0, **extra):
             "wall_time": time.perf_counter() - start, **extra}
 
 
-def _extract_cover_indices(bundle, meta, mapping):
+def _extract_cover_indices(bundle, tree, mapping):
+    """Sets named by the images of the star centers, or None when a center
+    landed on a node of the wrong kind.
+
+    The star centers are the nodes after the anchors that have leaves:
+    grouped stars hang from anchor 1 and name a g-subset node, remainder
+    stars hang from the root and name a set node.
+    """
     chosen = set()
-    for center in meta.grouped_centers:
-        role = bundle.node_roles[mapping[center]]
-        if role[0] != "Mg":
+    for v in range(4, tree.k):
+        if not tree.children[v]:
+            continue
+        role = bundle.node_roles[mapping[v]]
+        if tree.parent[v] == 1 and role[0] == "Mg":
+            chosen.update(role[1])
+        elif tree.parent[v] == 0 and role[0] == "M":
+            chosen.add(role[1])
+        else:
             return None
-        chosen.update(role[1])
-    for center in meta.remainder_centers:
-        role = bundle.node_roles[mapping[center]]
-        if role[0] != "M":
-            return None
-        chosen.add(role[1])
     return sorted(chosen)
 
 
 def setcover_to_ktree(inst: SetCoverInstance, g: int,
-                      ktree_solver=None, budget: int = DEFAULT_BUDGET) -> SolveResult:
+                      budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Optimum cover size via pattern-tree embeddings, one tree per partition.
 
-    Partitions of n are tried in ascending part count; the first accepted
-    partition length is the optimum.  Requires the preprocessed size bound
-    and the numeric forcing margins; both are checked, never assumed.
+    The stars carry one leaf per element to cover, n for a plain cover and
+    p for a partial one; leaves map injectively into element nodes, so an
+    embedding covers at least that many elements.  Partitions are tried in
+    ascending part count; the first accepted partition length is the
+    optimum.  Requires the preprocessed size bound and the numeric forcing
+    margins; both are checked, never assumed.
     """
     start = time.perf_counter()
-    n = inst.n
-    if n == 0:
+    n, total = inst.n, _leaf_total(inst)
+    if total == 0:
         return SolveResult("optimum", optimum=0, certificate=[], stats=_ktree_stats(start))
+    large = _large_indices(inst, g)
+    if large:
+        raise PreconditionError(
+            f"set of size {len(inst.sets[large[0]])} is over the size bound for g={g}; "
+            "run setcover_preprocess_large first")
     _check_forcing_margins(n, g)
-    bundle = build_host_graph(inst, g)  # also enforces the set-size assumption
+    bundle = build_host_graph(inst, g)
     coverable = set()
     for s in inst.sets:
         coverable.update(s)
-    if len(coverable) < n:
+    if len(coverable) < total:
         # a star leaf standing for an uncovered element can never map
         return SolveResult("infeasible",
-                           stats=_ktree_stats(start, uncoverable=n - len(coverable)))
-    solver = ktree_solver or _default_ktree_solver(budget)
+                           stats=_ktree_stats(start, uncoverable=total - len(coverable)))
     max_size = max((len(s) for s in inst.sets), default=0)
     trees_tried = explored = 0
-    for length in range(1, n + 1):
-        for alpha in partitions_with_length(n, length):
-            shrunk = shrink_partition(alpha, g)
-            # stars larger than any achievable neighborhood cannot embed
-            if any(v > max_size for v in shrunk.remainder):
-                continue
-            if any(v > g * max_size for v in shrunk.grouped):
-                continue
-            meta = _build_pattern_tree(alpha, g, gadget_n=n, total=n)
-            trees_tried += 1
-            res = solver(bundle.host, meta.tree)
-            explored += res.stats.get("explored", 0)
-            if res.is_yes:
-                cert = None
-                if isinstance(res.certificate, dict):
-                    indices = _extract_cover_indices(bundle, meta, res.certificate)
-                    if indices is not None and verify_cover(inst, indices):
-                        cert = indices
-                return SolveResult("optimum", optimum=length, certificate=cert,
-                                   stats=_ktree_stats(start, trees_tried, explored,
-                                                      partition=alpha.parts))
+    for alpha in leaf_partitions(inst):
+        shrunk = shrink_partition(alpha, g)
+        # stars larger than any achievable neighborhood cannot embed
+        if any(v > max_size for v in shrunk.remainder):
+            continue
+        if any(v > g * max_size for v in shrunk.grouped):
+            continue
+        tree = build_pattern_tree(alpha, g, n)
+        trees_tried += 1
+        res = tree_embed_backtrack(bundle.host, tree, budget=budget)
+        explored += res.stats.get("explored", 0)
+        if res.is_yes:
+            indices = _extract_cover_indices(bundle, tree, res.certificate)
+            cert = indices if indices is not None and verify_cover(inst, indices) else None
+            return SolveResult("optimum", optimum=len(alpha), certificate=cert,
+                               stats=_ktree_stats(start, trees_tried, explored,
+                                                  partition=alpha.parts))
     return SolveResult("infeasible", stats=_ktree_stats(start, trees_tried, explored))
+
+
+def ppc_to_ktree(inst: SetCoverInstance, g: int, budget: int = DEFAULT_BUDGET) -> SolveResult:
+    """setcover_to_ktree for a partial-variant instance (leaf total p)."""
+    _require_partial(inst)
+    return setcover_to_ktree(inst, g, budget)
 
 
 @dataclass
@@ -652,10 +719,26 @@ class PreprocessOutcome:
     changed: bool = False
 
 
-def _restricted_cover_best(inst, fixed_indices_pool, p_of_rest):
-    """min over j in pool of 1 + optimum on elements outside set j."""
+def setcover_preprocess_large(inst: SetCoverInstance, g: int) -> PreprocessOutcome:
+    """Handle the sets too large for the pattern trees by guessing one of them.
+
+    Large means |S|g^2 > n for a plain cover and |S|g^2 >= p for a partial
+    one.  When some optimal solution uses a large set, the optimum is found
+    here by trying each large set and covering the rest of the leaf total
+    from the elements outside it by DP.  The residual instance (large sets
+    removed) satisfies the size assumption and is returned either way.
+    """
+    total = _leaf_total(inst)
+    large = _large_indices(inst, g)
+    small = [j for j in range(inst.m) if j not in set(large)]
+    small_sets = tuple(inst.sets[j] for j in small)
+    residual = SetCoverInstance(n=inst.n, sets=small_sets, variant=inst.variant, p=inst.p)
+    order = sorted(range(len(small)), key=lambda t: (small_sets[t], t))
+    index_map = [small[t] for t in order]
+    if not large or not total:
+        return PreprocessOutcome(None, residual, large, index_map, changed=bool(large))
     best = None
-    for j in fixed_indices_pool:
+    for j in large:
         covered = set(inst.sets[j])
         rest = [e for e in range(inst.n) if e not in covered]
         remap = {e: i for i, e in enumerate(rest)}
@@ -666,44 +749,28 @@ def _restricted_cover_best(inst, fixed_indices_pool, p_of_rest):
                 if e in remap:
                     mask |= 1 << remap[e]
             sub_masks.append(mask)
-        p_sub = p_of_rest(len(covered))
-        res = kernels.cover_optimum(sub_masks, len(rest), p_sub)
+        res = kernels.cover_optimum(sub_masks, len(rest), max(0, total - len(covered)))
         if res is None:
             continue
         opt, chosen = res
-        total = 1 + opt
-        if best is None or total < best[0]:
-            best = (total, sorted({j} | set(chosen)))
-    return best
-
-
-def setcover_preprocess_large(inst: SetCoverInstance, g: int) -> PreprocessOutcome:
-    """Handle sets larger than n/g^2 by guessing one of them.
-
-    When some optimal solution uses a large set, the optimum is found here
-    by trying each large set and solving the uncovered remainder by DP.
-    The residual instance (large sets removed) satisfies the size
-    assumption and is returned either way.
-    """
-    n = inst.n
-    large = [j for j, s in enumerate(inst.sets) if len(s) * g * g > n]
-    small = [j for j in range(inst.m) if j not in set(large)]
-    small_sets = tuple(inst.sets[j] for j in small)
-    residual = SetCoverInstance(n=n, sets=small_sets, variant=inst.variant, p=inst.p)
-    order = sorted(range(len(small)), key=lambda t: (small_sets[t], t))
-    index_map = [small[t] for t in order]
-    if not large:
-        return PreprocessOutcome(None, residual, [], index_map, changed=False)
-    best = _restricted_cover_best(inst, large, lambda covered: n - covered)
+        if best is None or 1 + opt < best[0]:
+            best = (1 + opt, sorted({j} | set(chosen)))
     solved = None
     if best is not None:
         solved = SolveResult("optimum", optimum=best[0], certificate=best[1])
     return PreprocessOutcome(solved, residual, large, index_map, changed=True)
 
 
+def ppc_preprocess_large(inst: SetCoverInstance, g: int) -> PreprocessOutcome:
+    """setcover_preprocess_large for a partial-variant instance."""
+    _require_partial(inst)
+    return setcover_preprocess_large(inst, g)
+
+
 def solve_setcover_via_ktree(inst: SetCoverInstance, g: int,
-                             ktree_solver=None, budget: int = DEFAULT_BUDGET) -> SolveResult:
-    """Large-set preprocessing composed with the partition-tree pipeline.
+                             budget: int = DEFAULT_BUDGET) -> SolveResult:
+    """Large-set preprocessing composed with the partition-tree pipeline,
+    for a plain or a partial cover.
 
     ``stats`` passes through the pipeline's ``trees_tried`` and the summed
     solver ``explored`` count.
@@ -713,7 +780,7 @@ def solve_setcover_via_ktree(inst: SetCoverInstance, g: int,
     candidates = []
     if pre.solved_with_large is not None:
         candidates.append((pre.solved_with_large.optimum, pre.solved_with_large.certificate))
-    kt = setcover_to_ktree(pre.residual, g, ktree_solver, budget)
+    kt = setcover_to_ktree(pre.residual, g, budget)
     if kt.answer == "optimum":
         cert = None
         if kt.certificate is not None:
@@ -724,106 +791,10 @@ def solve_setcover_via_ktree(inst: SetCoverInstance, g: int,
         return SolveResult("infeasible", stats=stats)
     opt, cert = min(candidates, key=lambda c: c[0])
     return SolveResult("optimum", optimum=opt, certificate=cert, stats=stats)
-
-
-# ---------------------------------------------------------------------------
-# partial cover -> tree pattern embedding
-# ---------------------------------------------------------------------------
-
-
-def ppc_preprocess_large(inst: SetCoverInstance, g: int) -> PreprocessOutcome:
-    """Partial-cover analogue: guess one set of size at least p/g^2."""
-    if inst.variant != PARTIAL:
-        raise PreconditionError("expected a partial-variant instance")
-    p = inst.p
-    large = [j for j, s in enumerate(inst.sets) if len(s) * g * g >= p]
-    small = [j for j in range(inst.m) if j not in set(large)]
-    small_sets = tuple(inst.sets[j] for j in small)
-    residual = SetCoverInstance(n=inst.n, sets=small_sets, variant=PARTIAL, p=p)
-    order = sorted(range(len(small)), key=lambda t: (small_sets[t], t))
-    index_map = [small[t] for t in order]
-    if not large or p == 0:
-        return PreprocessOutcome(None, residual, large, index_map, changed=bool(large))
-    best = _restricted_cover_best(inst, large, lambda covered: max(0, p - covered))
-    solved = None
-    if best is not None:
-        solved = SolveResult("optimum", optimum=best[0], certificate=best[1])
-    return PreprocessOutcome(solved, residual, large, index_map, changed=True)
-
-
-def ppc_to_ktree(inst: SetCoverInstance, g: int,
-                 ktree_solver=None, budget: int = DEFAULT_BUDGET) -> SolveResult:
-    """Partition-tree pipeline over partitions of p (leaf total p).
-
-    The anchor gadget is sized by the host's ground set so the forcing
-    margins match build_host_graph; the stars contribute p leaves mapped
-    injectively into element nodes, i.e. at least p covered elements.
-    """
-    if inst.variant != PARTIAL:
-        raise PreconditionError("expected a partial-variant instance")
-    start = time.perf_counter()
-    p = inst.p
-    if p == 0:
-        return SolveResult("optimum", optimum=0, certificate=[], stats=_ktree_stats(start))
-    n = inst.n
-    for s in inst.sets:
-        if len(s) * g * g >= p:
-            raise PreconditionError(
-                f"set of size {len(s)} is >= p/g^2 = {p}/{g * g}; "
-                "run ppc_preprocess_large first")
-    _check_forcing_margins(n, g)
-    bundle = build_host_graph(inst, g)
-    coverable = set()
-    for s in inst.sets:
-        coverable.update(s)
-    if len(coverable) < p:
-        return SolveResult("infeasible", stats=_ktree_stats(start))
-    solver = ktree_solver or _default_ktree_solver(budget)
-    max_size = max((len(s) for s in inst.sets), default=0)
-    trees_tried = explored = 0
-    for length in range(1, p + 1):
-        for alpha in partitions_with_length(p, length):
-            shrunk = shrink_partition(alpha, g)
-            if any(v > max_size for v in shrunk.remainder):
-                continue
-            if any(v > g * max_size for v in shrunk.grouped):
-                continue
-            meta = _build_pattern_tree(alpha, g, gadget_n=n, total=p)
-            trees_tried += 1
-            res = solver(bundle.host, meta.tree)
-            explored += res.stats.get("explored", 0)
-            if res.is_yes:
-                cert = None
-                if isinstance(res.certificate, dict):
-                    indices = _extract_cover_indices(bundle, meta, res.certificate)
-                    if indices is not None:
-                        covered = set()
-                        for j in indices:
-                            covered.update(inst.sets[j])
-                        if len(covered) >= p:
-                            cert = indices
-                return SolveResult("optimum", optimum=length, certificate=cert,
-                                   stats=_ktree_stats(start, trees_tried, explored,
-                                                      partition=alpha.parts))
-    return SolveResult("infeasible", stats=_ktree_stats(start, trees_tried, explored))
 
 
 def solve_ppc_via_ktree(inst: SetCoverInstance, g: int,
-                        ktree_solver=None, budget: int = DEFAULT_BUDGET) -> SolveResult:
-    """Partial-cover analogue of solve_setcover_via_ktree, with the same stats."""
-    start = time.perf_counter()
-    pre = ppc_preprocess_large(inst, g)
-    candidates = []
-    if pre.solved_with_large is not None:
-        candidates.append((pre.solved_with_large.optimum, pre.solved_with_large.certificate))
-    kt = ppc_to_ktree(pre.residual, g, ktree_solver, budget)
-    if kt.answer == "optimum":
-        cert = None
-        if kt.certificate is not None:
-            cert = sorted(pre.residual_index_map[j] for j in kt.certificate)
-        candidates.append((kt.optimum, cert))
-    stats = _ktree_stats(start, kt.stats["trees_tried"], kt.stats["explored"])
-    if not candidates:
-        return SolveResult("infeasible", stats=stats)
-    opt, cert = min(candidates, key=lambda c: c[0])
-    return SolveResult("optimum", optimum=opt, certificate=cert, stats=stats)
+                        budget: int = DEFAULT_BUDGET) -> SolveResult:
+    """solve_setcover_via_ktree for a partial-variant instance."""
+    _require_partial(inst)
+    return solve_setcover_via_ktree(inst, g, budget)

@@ -19,6 +19,7 @@ from xcover.errors import BudgetExceededError, CapacityError, PreconditionError
 from xcover.instances import EXACT, FWD, PARTIAL, REV, UND, Digraph, PatternTree, SetCoverInstance
 
 DEFAULT_CAP_N = 24
+MAX_CAP_N = 32
 DEFAULT_CAP_M_BRUTE = 20
 DEFAULT_CAP_HAM = 22
 DEFAULT_CAP_K = 16
@@ -26,8 +27,22 @@ DEFAULT_BUDGET = 10 ** 8
 
 
 def cap_n() -> int:
-    """Subset-DP width cap; XCOVER_CAP_N overrides the default of 24."""
-    return int(os.environ.get("XCOVER_CAP_N", DEFAULT_CAP_N))
+    """Subset-DP width cap; XCOVER_CAP_N overrides the default of 24.
+
+    The override must be an integer of at most MAX_CAP_N: the compiled
+    kernels keep element sets in 32-bit masks, which wider ground sets
+    would overflow without notice.
+    """
+    raw = os.environ.get("XCOVER_CAP_N")
+    if raw is None:
+        return DEFAULT_CAP_N
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise PreconditionError(f"XCOVER_CAP_N={raw!r} is not an integer") from None
+    if cap > MAX_CAP_N:
+        raise PreconditionError(f"XCOVER_CAP_N={cap} exceeds the kernels' limit of {MAX_CAP_N}")
+    return cap
 
 
 @dataclass
@@ -54,21 +69,16 @@ def _check_cap_n(n):
 
 
 def verify_cover(inst: SetCoverInstance, indices) -> bool:
+    """The named sets cover every element, or at least p of them for a
+    partial-variant instance."""
     got = set()
     for j in indices:
         if not 0 <= j < inst.m:
             return False
         got.update(inst.sets[j])
+    if inst.variant == PARTIAL:
+        return len(got) >= inst.p
     return got == set(range(inst.n))
-
-
-def verify_partial_cover(inst: SetCoverInstance, indices, p: int) -> bool:
-    got = set()
-    for j in indices:
-        if not 0 <= j < inst.m:
-            return False
-        got.update(inst.sets[j])
-    return len(got) >= p
 
 
 def verify_exact_cover(inst: SetCoverInstance, indices) -> bool:
@@ -347,27 +357,14 @@ class _EmbedSearch:
 
     def _subtree_sizes(self):
         size = [1] * self.k
-        for v in self._post_order():
+        for v in self.T.post_order:
             for c in self.children[v]:
                 size[v] += size[c]
         return size
 
-    def _post_order(self):
-        out = []
-        stack = [(self.T.root, False)]
-        while stack:
-            v, done = stack.pop()
-            if done:
-                out.append(v)
-                continue
-            stack.append((v, True))
-            for c in self.children[v]:
-                stack.append((c, False))
-        return out
-
     def _pins_below(self):
         below = [v in self.pins for v in range(self.k)]
-        for v in self._post_order():
+        for v in self.T.post_order:
             for c in self.children[v]:
                 below[v] = below[v] or below[c]
         return below
@@ -447,14 +444,6 @@ class _EmbedSearch:
             return False
         return out_d >= out_n and in_d >= in_n
 
-    def _adj(self, u, orient):
-        """Host candidates for a child of the node placed at ``u``."""
-        if orient == UND:
-            return self.G.neighbors(u)
-        if orient == FWD:
-            return self.G.successors(u)
-        return self.G.predecessors(u)
-
     def _tick(self):
         self.explored += 1
         if self.explored > self.budget:
@@ -471,7 +460,7 @@ class _EmbedSearch:
             cands = [self.pins[v]] if v in self.pins else range(self.G.num_nodes)
         else:
             up = self.assign[self.T.parent[v]]
-            cands = self._adj(up, self.T.orientation[v])
+            cands = self.G.along(up, self.T.orientation[v])
             if v in self.pins:
                 cands = [u for u in cands if u == self.pins[v]]
         floor = -1
@@ -515,7 +504,7 @@ class _EmbedSearch:
             if not self._augment(displaced, set()):
                 return False
         for o, leaves in self.leaf_groups.get(v, ()):
-            pool = tuple(w for w in self._adj(u, o) if w not in self.blocked)
+            pool = tuple(w for w in self.G.along(u, o) if w not in self.blocked)
             for leaf in leaves:
                 self.leaf_pool[leaf] = pool
                 if not self._augment(leaf, set()):
@@ -614,7 +603,7 @@ def ktree_colorcoding(G: Digraph, T: PatternTree, failure_prob: float = 0.01,
     if k == 1:
         return SolveResult("yes", certificate={T.root: 0}, stats=_stats(start, 0, trials=0))
     trials = colorcoding_trials(k, failure_prob)
-    post = _tree_post_order(T)
+    post = T.post_order
     orient_code = [0] * k
     for v in range(k):
         if v != T.root:
@@ -638,20 +627,6 @@ def ktree_colorcoding(G: Digraph, T: PatternTree, failure_prob: float = 0.01,
                 return SolveResult("yes", certificate=mapping,
                                    stats=_stats(start, t + 1, trials=t + 1))
     return SolveResult("no", stats=_stats(start, trials, trials=trials))
-
-
-def _tree_post_order(T: PatternTree) -> list[int]:
-    out = []
-    stack = [(T.root, False)]
-    while stack:
-        v, done = stack.pop()
-        if done:
-            out.append(v)
-            continue
-        stack.append((v, True))
-        for c in T.children[v]:
-            stack.append((c, False))
-    return out
 
 
 def _colorful_reconstruct(T, post, out_adj, in_adj, colors, root_host):

@@ -251,6 +251,22 @@ def test_reduce_sc_to_ktree_stream(run, tmp_path):
     assert "p graph" in out and "p tree" in out
 
 
+def test_reduce_ppc_to_ktree_p_zero_emits_only_the_host(run, tmp_path):
+    path = tmp_path / "i.pc"
+    path.write_text("p partialcover 8 2 0\n0 1\n2 3\n")
+    code, out, err = run("reduce", "ppc-to-ktree", str(path))
+    assert code == 0
+    assert out.count("c provenance") == 1 and "p tree" not in out
+    assert "0 trees" in err
+
+
+def test_reduce_rejects_negative_limit(run, tmp_path):
+    path = tmp_path / "i.sc"
+    path.write_text("p setcover 8 4\n0 1\n2 3\n4 5\n6 7\n")
+    code, out, err = run("reduce", "sc-to-ktree", str(path), "--limit", "-1")
+    assert code == 3 and out == "" and "--limit" in err
+
+
 def test_verify_subcommand(run, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"families": ["partition_facts", "roundtrip"],
@@ -266,12 +282,22 @@ def test_verify_subcommand(run, tmp_path):
 def test_env_cap_override_via_subprocess(tmp_path):
     path = tmp_path / "a.sc"
     path.write_text("p setcover 9 1\n0 1 2 3 4 5 6 7 8\n")
-    env = dict(os.environ, XCOVER_CAP_N="8",
-               PYTHONPATH=os.pathsep.join(
-                   [os.path.join(os.path.dirname(__file__), "..", "src"),
-                    os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-m", "xcover.cli",
-                           "solve", "setcover", str(path)],
-                          capture_output=True, text=True, env=env)
+
+    def solve(cap):
+        env = dict(os.environ, XCOVER_CAP_N=cap,
+                   PYTHONPATH=os.pathsep.join(
+                       [os.path.join(os.path.dirname(__file__), "..", "src"),
+                        os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run([sys.executable, "-m", "xcover.cli",
+                               "solve", "setcover", str(path)],
+                              capture_output=True, text=True, env=env)
+
+    proc = solve("8")
     assert proc.returncode == 3
     assert "exceed" in proc.stderr
+    # not an integer, and wider than the kernels' 32-bit element masks
+    for cap in ("abc", "33"):
+        proc = solve(cap)
+        assert proc.returncode == 3, proc.stderr
+        assert "XCOVER_CAP_N" in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == ""

@@ -184,3 +184,12 @@ def test_invariant_violations_rejected():
         Digraph(3, frozenset({(1, 1)}))
     with pytest.raises(ValueError):
         PatternTree(3, 0, (-1, 0, 1), ("und", "fwd", "und"))
+
+
+def test_post_order_puts_children_first_and_the_root_last():
+    for seed in range(20):
+        T = gen_random("tree", seed=seed, k=1 + seed)
+        post = T.post_order
+        assert sorted(post) == list(range(T.k)) and post[-1] == T.root
+        where = {v: i for i, v in enumerate(post)}
+        assert all(where[c] < where[v] for v in range(T.k) for c in T.children[v])

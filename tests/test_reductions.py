@@ -16,6 +16,7 @@ from xcover.reductions import (
     build_host_graph,
     build_pattern_tree,
     check_cover_properties,
+    decide_stream,
     ham_to_setcover,
     ntree_to_setcover,
     pattern_tree_size,
@@ -185,6 +186,20 @@ def test_ntree_literal_complete_but_over_accepts():
     assert over > 0
 
 
+def test_decide_stream_returns_the_first_accepting_instance_for_any_job_count():
+    G, _ = gen_planted("ham_cycle", seed=4, n=8, extra_edges=6)
+    first = next(prod for prod in ham_to_setcover(G, 2).produced
+                 if setcover_dp(prod.instance).optimum == prod.target)
+    for jobs in (1, 2):
+        decision = decide_stream(ham_to_setcover(G, 2), jobs)
+        assert decision.accepted.provenance == first.provenance
+        assert decision.result.optimum == first.target
+        assert verify_cover(first.instance, decision.result.certificate)
+        assert decision.examined >= 1
+    no = decide_stream(ham_to_setcover(Digraph(4, frozenset({(0, 1), (1, 2), (2, 3)})), 2))
+    assert no.accepted is None and no.result is None and no.examined == 3
+
+
 def test_ntree_rejects_small_delta():
     G = Digraph(2, frozenset({(0, 1)}))
     T = PatternTree(2, 0, (-1, 0), ("und", "fwd"))
@@ -340,6 +355,15 @@ def test_pattern_tree_closed_form_size():
         alpha = alphas[rng.randrange(len(alphas))]
         t = build_pattern_tree(alpha, g, n)
         assert t.k == pattern_tree_size(alpha, g, n)
+
+
+def test_pattern_tree_for_a_partial_leaf_total():
+    # p = 5 leaves over n = 8 elements: the gadget is sized by n
+    alpha = Partition((3, 2))
+    t = build_pattern_tree(alpha, 2, 8)
+    assert t.k == pattern_tree_size(alpha, 2, 8) == 4 + 4 * 8 + 1 + 5
+    with pytest.raises(PreconditionError):
+        build_pattern_tree(Partition((5, 4)), 2, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,15 @@ def test_setcover_monotone_under_new_sets():
             assert res.optimum <= base.optimum
 
 
+def test_verify_cover_partial_target():
+    inst = SetCoverInstance(6, ((0, 1), (2, 3), (4,)), variant="partial", p=4)
+    assert verify_cover(inst, [0, 1])
+    assert not verify_cover(inst, [0, 2])
+    assert not verify_cover(inst, [0, 3])
+    plain = SetCoverInstance(6, inst.sets)
+    assert not verify_cover(plain, [0, 1])
+
+
 def test_capacity_cap_and_env_override(monkeypatch):
     big = SetCoverInstance(30, tuple((i,) for i in range(30)))
     with pytest.raises(CapacityError):
