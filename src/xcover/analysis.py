@@ -48,6 +48,7 @@ from xcover.solvers import (
     tree_embed_backtrack,
     verify_cover,
     verify_embedding,
+    verify_exact_cover,
     verify_ham_cycle,
 )
 
@@ -410,15 +411,23 @@ def _family_exactcover_large(cfg):
         inst = gen_random("exactcover", seed=cfg.seed + 77 * t, n=n,
                           m=rng.randint(0, 8), max_set_size=rng.randint(1, n))
         delta = rng.choice([2, 3])
-        a = exactcover_solve(inst)
-        b = exactcover_with_large_sets(inst, delta)
-        if (a.answer, a.optimum) != (b.answer, b.optimum):
-            mini = _minimize_sets(inst, lambda c: (
-                (exactcover_solve(c).answer, exactcover_solve(c).optimum)
-                != (exactcover_with_large_sets(c, delta).answer,
-                    exactcover_with_large_sets(c, delta).optimum)))
+        if _exactcover_disagrees(inst, delta):
+            mini = _minimize_sets(inst, lambda c: _exactcover_disagrees(c, delta))
             failures.append({"delta": delta, "instance": serialize_instance(mini)})
     return _family_result(cases, failures)
+
+
+def _exactcover_disagrees(inst, delta):
+    """The two exact-cover solvers differ in answer or optimum, or one of
+    them returns an optimum whose certificate is not an exact cover of that
+    many sets."""
+    a = exactcover_solve(inst)
+    b = exactcover_with_large_sets(inst, delta)
+    if (a.answer, a.optimum) != (b.answer, b.optimum):
+        return True
+    return a.answer == "optimum" and not all(
+        verify_exact_cover(inst, r.certificate) and len(r.certificate) == r.optimum
+        for r in (a, b))
 
 
 def _family_partition_facts(cfg):

@@ -1,8 +1,8 @@
 """Exact solvers and brute-force oracles used as pipeline endpoints.
 
-The subset-DP solvers run on the selected kernel backend; the brute-force
-oracles are deliberately independent implementations so differential tests
-never compare a kernel against itself.
+The subset-DP solvers and color coding run on ``xcover.kernels``; the
+brute-force oracles are deliberately independent implementations so
+differential tests never compare a kernel against itself.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ DEFAULT_BUDGET = 10 ** 8
 def cap_n() -> int:
     """Subset-DP width cap; XCOVER_CAP_N overrides the default of 24.
 
-    The override must be an integer of at most MAX_CAP_N: the compiled
-    kernels keep element sets in 32-bit masks, which wider ground sets
-    would overflow without notice.
+    The override must be an integer of at most MAX_CAP_N: the cover DPs
+    allocate tables of 2^n entries (over 300 MB at n = 24, tens of GB at
+    n = 32), so a wider cap could never be used and is rejected up front.
     """
     raw = os.environ.get("XCOVER_CAP_N")
     if raw is None:
@@ -622,55 +622,33 @@ def ktree_colorcoding(G: Digraph, T: PatternTree, failure_prob: float = 0.01,
         root_host = kernels.colorful_trial_yes(k, post, parent, orient_code,
                                                out_adj, in_adj, colors)
         if root_host >= 0:
-            mapping = _colorful_reconstruct(T, post, out_adj, in_adj, colors, root_host)
+            mapping = _colorful_reconstruct(G, T, orient_code, out_adj, in_adj, colors,
+                                            root_host)
             if mapping is not None and verify_embedding(G, T, mapping):
                 return SolveResult("yes", certificate=mapping,
                                    stats=_stats(start, t + 1, trials=t + 1))
     return SolveResult("no", stats=_stats(start, trials, trials=trials))
 
 
-def _colorful_reconstruct(T, post, out_adj, in_adj, colors, root_host):
-    """Re-run one successful trial storing merge stages, then extract a map."""
+def _colorful_reconstruct(G, T, orient_code, out_adj, in_adj, colors, root_host):
+    """Re-run one successful trial keeping every merge stage, then extract a map.
+
+    ``stages[v][i]`` is v's family list after its first i child merges: a
+    shallow copy suffices because ``kernels.colorful_merge`` replaces the
+    per-host sets and never mutates them.
+    """
     k = T.k
     n = len(colors)
     full = (1 << k) - 1
     fam = [[{1 << colors[u]} for u in range(n)] for _ in range(k)]
-    stages = [[[set(fam[v][u]) for u in range(n)]] for v in range(k)]
+    stages = [[list(fam[v])] for v in range(k)]
     merged = [[] for _ in range(k)]
-
-    def allowed(u, child):
-        o = T.orientation[child]
-        if o == FWD:
-            ws = out_adj[u]
-        elif o == REV:
-            ws = in_adj[u]
-        else:
-            ws = out_adj[u] | in_adj[u]
-        out = []
-        while ws:
-            w = (ws & -ws).bit_length() - 1
-            ws &= ws - 1
-            out.append(w)
-        return out
-
-    root = post[-1]
-    for v in post:
-        if v == root:
-            break
+    root = T.post_order[-1]
+    for v in T.post_order[:-1]:
         p = T.parent[v]
-        for u in range(n):
-            cur = fam[p][u]
-            if not cur:
-                continue
-            acc = set()
-            for w in allowed(u, v):
-                for b in fam[v][w]:
-                    for a in cur:
-                        if a & b == 0:
-                            acc.add(a | b)
-            fam[p][u] = acc
+        kernels.colorful_merge(fam[p], fam[v], orient_code[v], out_adj, in_adj)
         merged[p].append(v)
-        stages[p].append([set(fam[p][u]) for u in range(n)])
+        stages[p].append(list(fam[p]))
     if full not in fam[root][root_host]:
         return None
 
@@ -684,7 +662,7 @@ def _colorful_reconstruct(T, post, out_adj, in_adj, colors, root_host):
             b = mask ^ a
             if not b:
                 continue
-            for w in allowed(u, child):
+            for w in G.along(u, T.orientation[child]):
                 if b not in fam[child][w]:
                     continue
                 sub = extract(child, w, b, len(merged[child]))

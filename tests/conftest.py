@@ -1,6 +1,5 @@
 import os
 import sys
 
-# allow running the suite from a checkout without installing; the compiled
-# kernel is picked up when built in place, otherwise the fallback loads
+# allow running the suite from a checkout without installing
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))

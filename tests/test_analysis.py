@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from xcover import analysis
 from xcover.analysis import (
     large_delta_beats_barrier,
     VerifyConfig,
@@ -17,9 +18,9 @@ from xcover.analysis import (
     _minimize_sets,
 )
 from xcover.errors import PreconditionError
-from xcover.instances import Digraph, SetCoverInstance, gen_random
+from xcover.instances import Digraph, SetCoverInstance, gen_random, parse_instance
 from xcover.reductions import ntree_to_setcover
-from xcover.solvers import setcover_dp
+from xcover.solvers import exactcover_with_large_sets, setcover_dp, verify_exact_cover
 
 
 def test_lambda_value_at_two():
@@ -124,6 +125,24 @@ def test_suite_ktree_families_count_embedded_trees():
     assert not idle["passed"]
     assert idle["families"]["partial_ktree"]["failures"] == [
         {"check": "coverage", "trees_embedded": 0}]
+
+
+def test_suite_exactcover_large_rejects_an_overlapping_certificate(monkeypatch):
+    def overlapping(inst, delta):
+        # same optimum, but the first set stands in for the last one
+        res = exactcover_with_large_sets(inst, delta)
+        if res.answer == "optimum" and len(res.certificate) >= 2:
+            res.certificate = res.certificate[:-1] + res.certificate[:1]
+        return res
+
+    monkeypatch.setattr(analysis, "exactcover_with_large_sets", overlapping)
+    report = run_verification_suite({"families": ["exactcover_large"]})
+    failures = report["families"]["exactcover_large"]["failures"]
+    assert failures
+    for failure in failures:
+        inst = parse_instance(failure["instance"])
+        res = overlapping(inst, failure["delta"])
+        assert not verify_exact_cover(inst, res.certificate)
 
 
 def test_suite_literal_variant_reports_over_accepts():

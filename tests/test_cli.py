@@ -295,7 +295,7 @@ def test_env_cap_override_via_subprocess(tmp_path):
     proc = solve("8")
     assert proc.returncode == 3
     assert "exceed" in proc.stderr
-    # not an integer, and wider than the kernels' 32-bit element masks
+    # not an integer, and wider than any 2^n DP table that fits in memory
     for cap in ("abc", "33"):
         proc = solve(cap)
         assert proc.returncode == 3, proc.stderr

@@ -6,12 +6,16 @@ record is the same on every machine.  The corpus reaches every reduction
 pipeline branch the CLI exposes: anchored and literal ntree (a yes, a
 literal over-accept and a no), ham with one and two jobs, sc-ktree with
 and without large sets and infeasible, ppc-ktree at p = 0, with large sets,
-with sets on the large-set bound and plain, every ``reduce`` kind, ``bounds`` and a small ``verify`` run
-(whose ``backend`` field is dropped, because it names the kernel build).
+with sets on the large-set bound and plain, every ``reduce`` kind,
+``bounds``, a small ``verify`` run (whose ``backend`` field is dropped,
+because it names the kernel implementation) and every ``solve`` kind, the
+only commands that reach the solvers without a reduction in front.
 
-The digests were captured at commit 2b3ddf6, before the set-cover and
-partial-cover drivers were merged into one.  After a change that is meant
-to alter stdout, print the new digests with
+The pipeline, reduce, bounds and verify digests were captured at commit
+2b3ddf6, before the set-cover and partial-cover drivers were merged into
+one; the solve digests at commit 2e259a8, before the compiled-kernel fork
+was deleted.  After a change that is meant to alter stdout, print the new
+digests with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -20,6 +24,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -28,6 +33,7 @@ import pytest
 
 from xcover.cli import main
 from xcover.instances import (
+    EXACT,
     PARTIAL,
     SetCoverInstance,
     gen_planted,
@@ -72,6 +78,19 @@ def _inputs():
     small, _ = gen_planted("covered_universe", seed=3, n=12, m=8, max_set_size=2)
     files["ppc_bound.pc"] = serialize_instance(
         SetCoverInstance(12, small.sets, variant=PARTIAL, p=8))
+    # a planted exact partition with blocks of 4 and 5 elements, so --delta 3
+    # has large sets to guess, plus random sets of up to 4 elements
+    elems = list(range(12))
+    random.Random(10).shuffle(elems)
+    blocks = [elems[0:4], elems[4:6], elems[6:7], elems[7:12]]
+    noise = gen_random("exactcover", seed=10, n=12, m=8, max_set_size=4).sets
+    files["exact.xc"] = serialize_instance(SetCoverInstance(
+        12, tuple(tuple(sorted(b)) for b in blocks) + noise, variant=EXACT))
+    for name, s, k, host_n in (("ktree", 3, 7, 10), ("embed", 4, 8, 11)):
+        host, tree, _ = gen_planted("embedded_tree", seed=s, k=k, host_n=host_n,
+                                    oriented=True, extra_edge_probability=0.2)
+        files[name + ".digraph"] = serialize_instance(host)
+        files[name + ".tree"] = serialize_instance(tree)
     files["verify.json"] = json.dumps({
         "seed": 1, "families": ["ntree", "ham", "setcover_ktree", "partial_ktree"],
         "trials": {"ntree": 5, "ham": 5, "setcover_ktree": 2, "partial_ktree": 4}})
@@ -104,6 +123,15 @@ CASES = {
     "reduce-ppc-to-ktree": "reduce ppc-to-ktree ppc_small.pc --limit 4",
     "bounds": "bounds --ntilde 4096 --delta 8 --epsilon 0.9",
     "verify": "verify --config verify.json",
+    "solve-setcover": "solve setcover sc_large.sc",
+    "solve-exactcover": "solve exactcover exact.xc",
+    "solve-exactcover-delta3": "solve exactcover exact.xc --delta 3",
+    "solve-partialcover": "solve partialcover ppc_large.pc",
+    "solve-ham-yes": "solve ham ham_yes.digraph",
+    "solve-ham-no": "solve ham ham_no.digraph",
+    "solve-ktree-seed0": "solve ktree ktree.digraph ktree.tree --seed 0",
+    "solve-ktree-seed5": "solve ktree ktree.digraph ktree.tree --seed 5",
+    "solve-embed": "solve embed embed.digraph embed.tree",
 }
 
 GOLDEN = {
@@ -129,6 +157,15 @@ GOLDEN = {
     "reduce-ppc-to-ktree": "37c5a788c18bef0a0658dcd480cb3485f245472f255f931684be6bf5d93f5e0f",
     "reduce-sc-to-ktree": "ddb6b9039c0c95293cbd8c30a0196edbb486cc75bb6739c0d7d60d5ff33539b5",
     "verify": "3449532e209c718ae00f10cbc37eac88c2d323703369c27e8768e5847ba3b146",
+    "solve-embed": "165ee9c0e8b62cb9532496aaa33042ee2889ca02e7d569c337cd80d9956ece3e",
+    "solve-exactcover": "d82023ddc2d378efa74305b4d619aeb7e4c435a9a673fd00eda947b9b38b81b5",
+    "solve-exactcover-delta3": "44512d83bdbbf838acf99d46945551f70a0a5c06b84b7b155fe9068409c6ed94",
+    "solve-ham-no": "12ba2dcfbd4e8fb95f0b896772ccc89a53309a716ee983c954b3da5f84e290df",
+    "solve-ham-yes": "0769b272f56ce5385cec5b77586c224360b9975812ff8ca63fb2fda9d793fe9a",
+    "solve-ktree-seed0": "3d910b2d07db427f46b9d5e644380d54ead19b56c0054d9566cc4321b1fd21d7",
+    "solve-ktree-seed5": "aca0af99f18f92f2466def745d5d49deb3695e4daad2a21724cec7f9581cd29b",
+    "solve-partialcover": "b96c890ac5c7efcf56db9ccff619475e67760a816906fc9801b3763e5d51f7f9",
+    "solve-setcover": "977a3a8b6ba3d5efdbd8b7213949f12d152d350767df52fedd6b50ce4596e6e0",
 }
 
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from xcover import solvers
 from xcover.errors import BudgetExceededError, CapacityError, PreconditionError
 from xcover.instances import Digraph, PatternTree, SetCoverInstance, gen_planted, gen_random
 from xcover.solvers import (
@@ -16,6 +17,7 @@ from xcover.solvers import (
     tree_embed_backtrack,
     verify_cover,
     verify_embedding,
+    verify_exact_cover,
     verify_ham_cycle,
 )
 
@@ -153,6 +155,10 @@ def test_exactcover_large_sets_differential():
         for delta in (2, 3):
             b = exactcover_with_large_sets(inst, delta)
             assert (a.answer, a.optimum) == (b.answer, b.optimum)
+            if b.answer == "optimum":
+                for res in (a, b):
+                    assert verify_exact_cover(inst, res.certificate)
+                    assert len(res.certificate) == res.optimum
 
 
 def test_exactcover_requires_variant():
@@ -401,6 +407,25 @@ def test_colorcoding_differential():
         elif bt.is_yes:
             missed += 1
     assert missed <= 1
+
+
+def test_colorcoding_extracts_a_valid_embedding_from_every_hit(monkeypatch):
+    # a failed extraction only costs ktree_colorcoding another trial, so
+    # check every extraction rather than the final answer
+    extract = solvers._colorful_reconstruct
+    hits = []
+
+    def checked(G, T, *rest):
+        mapping = extract(G, T, *rest)
+        hits.append(mapping is not None and verify_embedding(G, T, mapping))
+        return mapping
+
+    monkeypatch.setattr(solvers, "_colorful_reconstruct", checked)
+    for t in range(40):
+        tree = gen_random("tree", seed=1000 + t, k=2 + t % 5, oriented=True)
+        g = gen_random("digraph", seed=2000 + t, n=8, edge_probability=0.45)
+        ktree_colorcoding(g, tree, seed=t)
+    assert len(hits) > 20 and all(hits)
 
 
 def test_colorcoding_deterministic_for_seed():
