@@ -166,8 +166,15 @@ def _cmd_reduce(args) -> int:
         inst = _read(args.files[0],
                      "setcover" if args.kind == "sc-to-ktree" else "partialcover")
         g = args.g
-        bundle = reductions.build_host_graph(inst, g)
-        write("host.graph", _provenance_comment({"role": "host", "g": g}) + "\n"
+        # the host and trees are those of the residual instance, the one the
+        # pipeline embeds into once the large sets are guessed separately
+        pre = reductions.setcover_preprocess_large(inst, g)
+        host_prov = {"role": "host", "g": g}
+        if pre.large_indices:
+            host_prov["removed_large"] = pre.large_indices
+            sys.stderr.write(f"large sets removed: {len(pre.large_indices)}\n")
+        bundle = reductions.build_host_graph(pre.residual, g)
+        write("host.graph", _provenance_comment(host_prov) + "\n"
               + serialize_instance(bundle.host))
         for alpha in itertools.islice(reductions.leaf_partitions(inst), args.limit or None):
             tree = reductions.build_pattern_tree(alpha, g, inst.n)

@@ -258,6 +258,9 @@ def element_bound(ntilde: int, delta: int) -> float:
     return ntilde + 9 * ntilde / delta
 
 
+_REVERSED = {FWD: REV, REV: FWD, UND: UND}
+
+
 def ntree_to_setcover(G: Digraph, T: PatternTree, delta: int,
                       variant: str = ANCHORED) -> ReductionBatch:
     """One cover instance per guessed placement of the subtree anchor nodes.
@@ -268,6 +271,14 @@ def ntree_to_setcover(G: Digraph, T: PatternTree, delta: int,
     set: a label element standing for the subtree plus the image's
     non-pinned host nodes.  A cover hitting the target size reassembles a
     full embedding.
+
+    Placements come in lexicographic order of the host tuple given to the
+    anchors in ascending node id (``itertools.permutations`` order), with
+    the anchored variant skipping the placements that miss a pinned tree
+    edge.  They are generated by backtracking: each pinned edge restricts
+    the hosts of its later anchor, so a miss prunes every completion.
+    The images of a subtree depend only on its own pins and are computed
+    once per stream.
     """
     variant = normalize_variant(variant)
     if G.num_nodes != T.k:
@@ -283,67 +294,97 @@ def ntree_to_setcover(G: Digraph, T: PatternTree, delta: int,
         anchors = sorted(set(roots) | {T.parent[r] for r in roots if r != T.root})
     else:
         anchors = roots
+    slot = {v: i for i, v in enumerate(anchors)}
+    # each pinned tree edge restricts the later of its two anchors to the
+    # hosts the edge can reach from the earlier one's host: (slot, orientation)
+    reach = [[] for _ in anchors]
+    if variant == ANCHORED:
+        for p, v, o in T.edge_list():
+            if p in slot and v in slot:
+                if slot[p] < slot[v]:
+                    reach[slot[v]].append((slot[p], o))
+                else:
+                    reach[slot[p]].append((slot[v], _REVERSED[o]))
+    layout = _ReducedLayout(G, T, subtrees, slot, variant, delta)
+
+    def placements(i, hosts, used):
+        if i == len(anchors):
+            yield tuple(hosts)
+            return
+        cands = range(ntilde)
+        for j, o in reach[i]:
+            cands = [u for u in G.along(hosts[j], o) if u in cands]
+        for u in cands:
+            if not used[u]:
+                hosts[i] = u
+                used[u] = True
+                yield from placements(i + 1, hosts, used)
+                used[u] = False
 
     def stream():
-        for perm in itertools.permutations(range(ntilde), len(anchors)):
-            pins = dict(zip(anchors, perm))
-            if variant == ANCHORED and not _pinned_edges_ok(G, T, pins):
-                continue
-            inst = _build_reduced_instance(G, T, subtrees, pins, delta, variant)
-            yield ProducedInstance(inst, len(subtrees), provenance=tuple(sorted(pins.items())))
+        for hosts in placements(0, [0] * len(anchors), [False] * ntilde):
+            yield ProducedInstance(layout.instance(hosts), len(subtrees),
+                                   provenance=tuple(zip(anchors, hosts)))
 
     return ReductionBatch(produced=stream(),
                           bound_declared_log2=count_bound_log2(ntilde, delta, variant),
                           elements_declared=element_bound(ntilde, delta))
 
 
-def _pinned_edges_ok(G, T, pins):
-    for p, v, o in T.edge_list():
-        if p in pins and v in pins:
-            hp, hv = pins[p], pins[v]
-            if o == FWD:
-                ok = G.has_arc(hp, hv)
-            elif o == REV:
-                ok = G.has_arc(hv, hp)
-            else:
-                ok = G.has_arc(hp, hv) or G.has_arc(hv, hp)
-            if not ok:
-                return False
-    return True
+class _ReducedLayout:
+    """Element numbering and memoized subtree images of one ntree stream.
+
+    Elements are the non-pinned host nodes in ascending order, then per
+    subtree its label element followed, in the anchored variant, by one
+    incidence element per pinned non-root node of the subtree.  With a
+    fixed anchor count these ids do not depend on the placement.
+    """
+
+    def __init__(self, G, T, subtrees, slot, variant, delta):
+        self.G, self.T, self.subtrees, self.delta = G, T, subtrees, delta
+        next_id = G.num_nodes - len(slot)
+        self.bases = []
+        self.pinned_slots = []
+        for r, nodes in subtrees:
+            base = [next_id]
+            next_id += 1
+            if variant == ANCHORED:
+                for q in sorted(nodes):
+                    if q in slot and q != r:
+                        base.append(next_id)
+                        next_id += 1
+            self.bases.append(base)
+            self.pinned_slots.append([(q, slot[q]) for q in sorted(nodes) if q in slot])
+        self.n = next_id
+        self.images = {}
+
+    def instance(self, hosts):
+        pinned = set(hosts)
+        elem = {}
+        for u in range(self.G.num_nodes):
+            if u not in pinned:
+                elem[u] = len(elem)
+        produced = []
+        for idx, (r, nodes) in enumerate(self.subtrees):
+            local = tuple(hosts[s] for _, s in self.pinned_slots[idx])
+            key = (idx, local)
+            images = self.images.get(key)
+            if images is None:
+                local_pins = {q: hosts[s] for q, s in self.pinned_slots[idx]}
+                images = self.images[key] = _subtree_images(self.G, self.T, nodes, r, local_pins)
+            avoid = pinned.difference(local)
+            base = self.bases[idx]
+            for image in images:
+                if avoid.isdisjoint(image):
+                    # host elements precede the label and incidence ones
+                    produced.append(tuple([elem[u] for u in image if u in elem] + base))
+        produced = list(dict.fromkeys(produced))
+        return SetCoverInstance(n=self.n, sets=tuple(produced), delta=self.delta)
 
 
-def _build_reduced_instance(G, T, subtrees, pins, delta, variant):
-    pinned_images = set(pins.values())
-    free_hosts = [u for u in range(G.num_nodes) if u not in pinned_images]
-    host_elem = {u: i for i, u in enumerate(free_hosts)}
-    next_id = len(free_hosts)
-    label_elem = []
-    incidence_elem = {}
-    for idx, (r, nodes) in enumerate(subtrees):
-        label_elem.append(next_id)
-        next_id += 1
-        if variant == ANCHORED:
-            for q in sorted(nodes):
-                if q in pins and q != r:
-                    incidence_elem[(idx, q)] = next_id
-                    next_id += 1
-    produced = []
-    for idx, (r, nodes) in enumerate(subtrees):
-        local_pins = {v: pins[v] for v in nodes if v in pins}
-        avoid = pinned_images - set(local_pins.values())
-        base = [label_elem[idx]]
-        base += [incidence_elem[(idx, q)] for q in sorted(nodes)
-                 if (idx, q) in incidence_elem]
-        for image in _subtree_images(G, T, nodes, r, local_pins, avoid):
-            elems = base + [host_elem[u] for u in image if u not in pinned_images]
-            produced.append(tuple(sorted(elems)))
-    produced = list(dict.fromkeys(produced))
-    return SetCoverInstance(n=next_id, sets=tuple(produced), delta=delta)
-
-
-def _subtree_images(G, T, nodes, root, local_pins, avoid):
-    """Distinct host-node sets carrying an orientation-respecting copy of the
-    subtree with the given pins, avoiding other pinned images."""
+def _subtree_images(G, T, nodes, root, local_pins):
+    """Distinct host-node sets, sorted, carrying an orientation-respecting
+    copy of the subtree with the given pins."""
     members = set(nodes)
     order = [root]
     stack = [root]
@@ -370,7 +411,7 @@ def _subtree_images(G, T, nodes, root, local_pins, avoid):
         for u in cands:
             if pin is not None and u != pin:
                 continue
-            if u in used or u in avoid:
+            if u in used:
                 continue
             assign[v] = u
             used.add(u)
@@ -402,6 +443,11 @@ def ham_to_setcover(G: Digraph, delta: int) -> ReductionBatch:
     interior avoids all representatives contributes the set of its nodes
     minus the endpoint; all sets have size exactly delta and a cover of the
     target size n/delta must consist of pairwise-disjoint sets.
+
+    Orders come as ``itertools.combinations`` of the other representatives,
+    each followed by its ``itertools.permutations``.  The paths of one
+    representative set are found once, one DFS per representative, and
+    shared by all of its cyclic orders.
     """
     n = G.num_nodes
     if delta < 2:
@@ -415,15 +461,15 @@ def ham_to_setcover(G: Digraph, delta: int) -> ReductionBatch:
 
     def stream():
         for rest in itertools.combinations(range(1, n), t - 1):
+            reps = frozenset((0,) + rest)
+            paths = {a: _paths_from(G, a, delta, reps) for a in reps}
             for perm in itertools.permutations(rest):
                 order = (0,) + perm
-                reps = frozenset(order)
+                # a set holds exactly one representative, the start of its
+                # path, so sets of different consecutive pairs never coincide
                 produced = []
-                for i in range(t):
-                    a, b = order[i], order[(i + 1) % t]
-                    for path in _paths_exact(G, a, b, delta, reps):
-                        produced.append(tuple(sorted(path[:-1])))
-                produced = list(dict.fromkeys(produced))
+                for a, b in zip(order, perm + (0,)):
+                    produced += paths[a].get(b, ())
                 inst = SetCoverInstance(n=n, sets=tuple(produced), delta=delta)
                 yield ProducedInstance(inst, t, provenance=order)
 
@@ -431,31 +477,27 @@ def ham_to_setcover(G: Digraph, delta: int) -> ReductionBatch:
                           elements_declared=float(n))
 
 
-def _paths_exact(G, a, b, length, reps):
-    """Simple directed paths from a to b with exactly ``length`` edges whose
-    interior avoids ``reps``."""
-    out = []
+def _paths_from(G, a, length, reps):
+    """End node -> distinct sorted node tuples (endpoint excluded) of the
+    simple directed paths from a with exactly ``length`` edges whose interior
+    avoids ``reps`` and whose end is in ``reps``, each in DFS order."""
+    out = {}
     path = [a]
 
     def rec(u, depth):
-        if depth == length:
-            if u == b:
-                out.append(list(path))
+        if depth + 1 == length:
+            for w in G.successors(u):
+                if w in reps:
+                    out.setdefault(w, []).append(tuple(sorted(path)))
             return
-        last = depth + 1 == length
         for w in G.successors(u):
-            if last:
-                if w == b:
-                    path.append(w)
-                    rec(w, depth + 1)
-                    path.pop()
-            elif w not in reps and w not in path:
+            if w not in reps and w not in path:
                 path.append(w)
                 rec(w, depth + 1)
                 path.pop()
 
     rec(a, 0)
-    return out
+    return {b: tuple(dict.fromkeys(sets)) for b, sets in out.items()}
 
 
 def solve_ham_via_setcover(G: Digraph, delta: int) -> bool:

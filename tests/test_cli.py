@@ -251,6 +251,26 @@ def test_reduce_sc_to_ktree_stream(run, tmp_path):
     assert "p graph" in out and "p tree" in out
 
 
+def test_reduce_sc_to_ktree_removes_large_sets_first(run, tmp_path):
+    from xcover.instances import iter_instances
+    from xcover.reductions import build_host_graph, setcover_preprocess_large
+
+    path = tmp_path / "i.sc"
+    # with g = 2 a set of more than 8/4 elements is large; sorted, it is set 1
+    path.write_text("p setcover 8 5\n0 1\n2 3\n4 5\n6 7\n0 1 2 3 4\n")
+    code, out, err = run("reduce", "sc-to-ktree", str(path), "--limit", "2")
+    assert code == 0
+    assert "large sets removed: 1" in err
+    header = json.loads(out.splitlines()[0].removeprefix("c provenance "))
+    assert header == {"g": 2, "removed_large": [1], "role": "host"}
+    host = next(iter_instances(out))
+    residual = setcover_preprocess_large(parse_instance(path.read_text(), "setcover"), 2).residual
+    assert host == build_host_graph(residual, 2).host
+    assert out.count("p tree") == 2
+    code, out, _ = run("pipeline", "sc-ktree", str(path))
+    assert code == 0 and json.loads(out)["optimum"] == 3
+
+
 def test_reduce_ppc_to_ktree_p_zero_emits_only_the_host(run, tmp_path):
     path = tmp_path / "i.pc"
     path.write_text("p partialcover 8 2 0\n0 1\n2 3\n")

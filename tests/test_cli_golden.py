@@ -6,7 +6,8 @@ record is the same on every machine.  The corpus reaches every reduction
 pipeline branch the CLI exposes: anchored and literal ntree (a yes, a
 literal over-accept and a no), ham with one and two jobs, sc-ktree with
 and without large sets and infeasible, ppc-ktree at p = 0, with large sets,
-with sets on the large-set bound and plain, every ``reduce`` kind,
+with sets on the large-set bound and plain, every ``reduce`` kind (whole
+ntree and ham streams among them, and the cover kinds with large sets),
 ``bounds``, a small ``verify`` run (whose ``backend`` field is dropped,
 because it names the kernel implementation) and every ``solve`` kind, the
 only commands that reach the solvers without a reduction in front.
@@ -14,8 +15,14 @@ only commands that reach the solvers without a reduction in front.
 The pipeline, reduce, bounds and verify digests were captured at commit
 2b3ddf6, before the set-cover and partial-cover drivers were merged into
 one; the solve digests at commit 2e259a8, before the compiled-kernel fork
-was deleted.  After a change that is meant to alter stdout, print the new
-digests with
+was deleted; the whole-stream ntree and ham digests (the anchored ntree
+no-instance and the ``reduce`` runs without ``--limit``) at commit
+23a41cb, before the two streams were generated by backtracking and
+per-representative-set path tables.  ``reduce sc-to-ktree`` and
+``ppc-to-ktree`` on the inputs with large sets exited 3 before they
+learned to remove those sets first, so their digests are of the first
+output they gave.  After a change that is meant to alter stdout, print the
+new digests with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -104,6 +111,7 @@ CASES = {
     "pipeline-ntree-over-anchored": "pipeline ntree ntree_over.digraph ntree_over.tree",
     "pipeline-ntree-over-literal":
         "pipeline ntree ntree_over.digraph ntree_over.tree --variant literal",
+    "pipeline-ntree-no-anchored": "pipeline ntree ntree_no.digraph ntree_no.tree",
     "pipeline-ntree-no-literal":
         "pipeline ntree ntree_no.digraph ntree_no.tree --variant literal",
     "pipeline-ham-yes-jobs1": "pipeline ham ham_yes.digraph --delta 2 --jobs 1",
@@ -118,9 +126,16 @@ CASES = {
     "pipeline-ppc-ktree-small": "pipeline ppc-ktree ppc_small.pc",
     "pipeline-ppc-ktree-bound": "pipeline ppc-ktree ppc_bound.pc",
     "reduce-ntree-to-sc": "reduce ntree-to-sc ntree_yes.digraph ntree_yes.tree --limit 3",
+    "reduce-ntree-to-sc-all-anchored": "reduce ntree-to-sc ntree_yes.digraph ntree_yes.tree",
+    "reduce-ntree-to-sc-all-literal":
+        "reduce ntree-to-sc ntree_yes.digraph ntree_yes.tree --variant literal",
     "reduce-ham-to-sc": "reduce ham-to-sc ham_yes.digraph --delta 2 --limit 3",
+    "reduce-ham-to-sc-all-delta2": "reduce ham-to-sc ham_no.digraph --delta 2",
+    "reduce-ham-to-sc-all-delta4": "reduce ham-to-sc ham_no.digraph --delta 4",
     "reduce-sc-to-ktree": "reduce sc-to-ktree sc_small.sc --limit 4",
+    "reduce-sc-to-ktree-large": "reduce sc-to-ktree sc_large.sc --limit 4",
     "reduce-ppc-to-ktree": "reduce ppc-to-ktree ppc_small.pc --limit 4",
+    "reduce-ppc-to-ktree-large": "reduce ppc-to-ktree ppc_large.pc --limit 4",
     "bounds": "bounds --ntilde 4096 --delta 8 --epsilon 0.9",
     "verify": "verify --config verify.json",
     "solve-setcover": "solve setcover sc_large.sc",
@@ -140,6 +155,7 @@ GOLDEN = {
     "pipeline-ham-no-jobs2": "f351b818177c256c7e5b85e698130ddb675a9a21dc246d77d2353d9a068e74b8",
     "pipeline-ham-yes-jobs1": "d92069413b2c9b74812971e1dc7938395b10c812f3f78feedd053e539b6a2bef",
     "pipeline-ham-yes-jobs2": "48bf0ef664ceab15a4d419ae6f318be60e97df303fb25237e85039a12c717732",
+    "pipeline-ntree-no-anchored": "6cdfeeb958cab267c2c7129066563df83db3011685fef7cfa04bf5d5b53fac2d",
     "pipeline-ntree-no-literal": "16225bad40f3735f956f59ec1ab6c4d5d29deee3db1d8673d55962796fd7694a",
     "pipeline-ntree-over-anchored": "845e6da73419bbc4f763022537f086fe48babd71100700c9660b4d03fc775335",
     "pipeline-ntree-over-literal": "30bfcf89258f5cd171d495b336714ecc2d9cf076cced338ec38defb4a9bfc2a3",
@@ -153,9 +169,15 @@ GOLDEN = {
     "pipeline-sc-ktree-large": "5667d3117037c25cc58a1e1c0e285ae227503f0e16c034a9bb5e427eac008c72",
     "pipeline-sc-ktree-small": "2a606d75e5b9c615947178fed876cdda37591e604ea13e14c1e61ecc960cbd37",
     "reduce-ham-to-sc": "9b8140d5d65db841f95fd15dada90b1b1e3de5c299eff9e4a1ecfc9b838b9a6a",
+    "reduce-ham-to-sc-all-delta2": "fe987812bc1f6b832d7d8398135d5c62c175ea5d4be320159ed6804abbb046b0",
+    "reduce-ham-to-sc-all-delta4": "718058a06bd0990da020135ee8dd8a69fa4c2961b883d80062efd90cafbe0f1d",
     "reduce-ntree-to-sc": "44e830f83d67f75cd254173c62b1247458820c65aa2dd303f761c4c5e143c143",
+    "reduce-ntree-to-sc-all-anchored": "5f797d2b6a997606e0879cb45d616b679bf8ae97d094ee9c94ecc4a2577bcd3f",
+    "reduce-ntree-to-sc-all-literal": "374c3a26ffd5ac718ac3f78b423ed8af5bc87cbe047d676e99488d07876e58ba",
     "reduce-ppc-to-ktree": "37c5a788c18bef0a0658dcd480cb3485f245472f255f931684be6bf5d93f5e0f",
+    "reduce-ppc-to-ktree-large": "f916fb2136cc911aa87efbbe0f496df1572bcfa67b2502194ba44facf4db344b",
     "reduce-sc-to-ktree": "ddb6b9039c0c95293cbd8c30a0196edbb486cc75bb6739c0d7d60d5ff33539b5",
+    "reduce-sc-to-ktree-large": "b6f0334734de8476cb7119ca0596029b9973924bfd4670189432991d75675732",
     "verify": "3449532e209c718ae00f10cbc37eac88c2d323703369c27e8768e5847ba3b146",
     "solve-embed": "165ee9c0e8b62cb9532496aaa33042ee2889ca02e7d569c337cd80d9956ece3e",
     "solve-exactcover": "d82023ddc2d378efa74305b4d619aeb7e4c435a9a673fd00eda947b9b38b81b5",

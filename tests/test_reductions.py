@@ -1,10 +1,15 @@
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xcover.errors import CapacityError, PreconditionError
 from xcover.instances import (
+    FWD,
+    REV,
     Digraph,
     PatternTree,
     SetCoverInstance,
@@ -198,6 +203,22 @@ def test_decide_stream_returns_the_first_accepting_instance_for_any_job_count():
         assert decision.examined >= 1
     no = decide_stream(ham_to_setcover(Digraph(4, frozenset({(0, 1), (1, 2), (2, 3)})), 2))
     assert no.accepted is None and no.result is None and no.examined == 3
+
+
+def test_decide_stream_jobs_on_an_anchored_ntree_stream():
+    G, T, _ = gen_planted("embedded_tree", seed=7, k=7, host_n=7,
+                          extra_edge_probability=0.15)
+    serial = decide_stream(ntree_to_setcover(G, T, 6), 1)
+    # instance 29 of 55 accepts: the pool path needs four blocks of 8 to reach it
+    assert serial.examined == 29
+    pooled = decide_stream(ntree_to_setcover(G, T, 6), 2)
+    assert pooled.examined == 32
+    assert pooled.accepted.provenance == serial.accepted.provenance
+    assert pooled.accepted.instance == serial.accepted.instance
+    for res in (serial.result, pooled.result):
+        assert res.answer == "optimum" and res.optimum == serial.accepted.target
+    assert pooled.result.certificate == serial.result.certificate
+    assert verify_cover(serial.accepted.instance, serial.result.certificate)
 
 
 def test_ntree_rejects_small_delta():
@@ -492,3 +513,148 @@ def test_ppc_rejects_unpreprocessed_large_sets():
     inst = SetCoverInstance(8, ((0, 1, 2, 3),), variant="partial", p=4)
     with pytest.raises(PreconditionError):
         ppc_to_ktree(inst, 2)
+
+
+# ---------------------------------------------------------------------------
+# whole ntree and ham streams against independent oracles
+# ---------------------------------------------------------------------------
+
+
+def _stream_records(batch):
+    return [(prod.instance, prod.target, prod.provenance) for prod in batch.produced]
+
+
+def _edge_ok(G, hp, hv, o):
+    if o == FWD:
+        return G.has_arc(hp, hv)
+    if o == REV:
+        return G.has_arc(hv, hp)
+    return G.has_arc(hp, hv) or G.has_arc(hv, hp)
+
+
+def _oracle_images(G, T, nodes, root, pins, avoid):
+    """Host-node sets of the orientation-respecting copies of a subtree,
+    pinned and kept off ``avoid``, placing parents before children."""
+    depths = T.depths()
+    order = sorted(nodes, key=lambda v: depths[v])
+    images = set()
+
+    def place(i, assign):
+        if i == len(order):
+            images.add(tuple(sorted(assign.values())))
+            return
+        v = order[i]
+        for u in ([pins[v]] if v in pins else range(G.num_nodes)):
+            if u in avoid or u in assign.values():
+                continue
+            if v != root and not _edge_ok(G, assign[T.parent[v]], u, T.orientation[v]):
+                continue
+            place(i + 1, {**assign, v: u})
+
+    place(0, {})
+    return sorted(images)
+
+
+def _ntree_oracle(G, T, delta, variant):
+    """Every anchor permutation, then the pinned-edge filter, then per
+    placement the subtree images with the other pinned hosts avoided."""
+    subtrees = tree_cover(T, delta // 3 + 1).subtrees
+    roots = sorted({r for r, _ in subtrees})
+    anchors = roots
+    if variant == "anchored":
+        anchors = sorted(set(roots) | {T.parent[r] for r in roots if r != T.root})
+    out = []
+    for perm in itertools.permutations(range(T.k), len(anchors)):
+        pins = dict(zip(anchors, perm))
+        if variant == "anchored" and not all(
+                _edge_ok(G, pins[p], pins[v], o) for p, v, o in T.edge_list()
+                if p in pins and v in pins):
+            continue
+        pinned = set(perm)
+        host_elem = {u: i for i, u in enumerate(u for u in range(T.k) if u not in pinned)}
+        next_id = len(host_elem)
+        bases = []
+        for r, nodes in subtrees:
+            base = [next_id]
+            next_id += 1
+            if variant == "anchored":
+                for q in sorted(nodes):
+                    if q in pins and q != r:
+                        base.append(next_id)
+                        next_id += 1
+            bases.append(base)
+        sets = []
+        for (r, nodes), base in zip(subtrees, bases):
+            local = {v: pins[v] for v in nodes if v in pins}
+            for image in _oracle_images(G, T, nodes, r, local, pinned - set(local.values())):
+                sets.append(tuple(sorted(base + [host_elem[u] for u in image if u in host_elem])))
+        inst = SetCoverInstance(n=next_id, sets=tuple(dict.fromkeys(sets)), delta=delta)
+        out.append((inst, len(subtrees), tuple(sorted(pins.items()))))
+    return out
+
+
+def _ham_oracle(G, delta):
+    """Per cyclic order, one path search per consecutive pair."""
+    n = G.num_nodes
+    t = n // delta
+    out = []
+    for rest in itertools.combinations(range(1, n), t - 1):
+        for perm in itertools.permutations(rest):
+            order = (0,) + perm
+            sets = []
+            for i in range(t):
+                a, b = order[i], order[(i + 1) % t]
+                stack = [[a]]
+                while stack:
+                    path = stack.pop()
+                    if len(path) == delta:
+                        if G.has_arc(path[-1], b):
+                            sets.append(tuple(sorted(path)))
+                        continue
+                    # reversed, so the pop order is ascending successor order
+                    for w in reversed(G.successors(path[-1])):
+                        if w not in order and w not in path:
+                            stack.append(path + [w])
+            inst = SetCoverInstance(n=n, sets=tuple(dict.fromkeys(sets)), delta=delta)
+            out.append((inst, t, order))
+    return out
+
+
+@st.composite
+def _digraphs(draw, n):
+    """Each ordered pair is an arc independently, so anti-parallel pairs occur."""
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Digraph(n, frozenset(pair for pair, k in zip(pairs, keep) if k))
+
+
+@st.composite
+def _trees(draw, k):
+    """A tree with a drawn root and labelling, oriented or not."""
+    label = draw(st.permutations(range(k)))
+    parent = [-1] * k
+    orientation = ["und"] * k
+    oriented = draw(st.booleans())
+    for i in range(1, k):
+        parent[label[i]] = label[draw(st.integers(0, i - 1))]
+        if oriented:
+            orientation[label[i]] = draw(st.sampled_from([FWD, REV]))
+    return PatternTree(k, label[0], tuple(parent), tuple(orientation))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(4, 8), delta=st.integers(6, 9),
+       variant=st.sampled_from(["anchored", "literal"]))
+def test_ntree_stream_matches_the_oracle(data, k, delta, variant):
+    G = data.draw(_digraphs(k))
+    T = data.draw(_trees(k))
+    assert _stream_records(ntree_to_setcover(G, T, delta, variant)) == \
+        _ntree_oracle(G, T, delta, variant)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(4, 8))
+def test_ham_stream_matches_the_oracle(data, n):
+    G = data.draw(_digraphs(n))
+    delta = data.draw(st.sampled_from([d for d in range(2, n + 1) if n % d == 0]))
+    assert _stream_records(ham_to_setcover(G, delta)) == _ham_oracle(G, delta)
