@@ -1,9 +1,10 @@
-"""Subset-DP kernels for the hot inner loops.
+"""Kernels for the hot inner loops.
 
-The cover, exact-cover and Hamiltonicity DPs and the color-coding trial
-work on integer bitmasks and return plain ints, lists and tuples.  Callers
-reach them as attributes of this module (``kernels.cover_optimum(...)``),
-never through a local alias, so a profiler can wrap them in one place.
+The cover and exact-cover searches, the Hamiltonicity DP and the
+color-coding trial work on integer bitmasks and return plain ints, lists
+and tuples.  Callers reach them as attributes of this module
+(``kernels.cover_optimum(...)``), never through a local alias, so a
+profiler can wrap them in one place.
 """
 
 from __future__ import annotations
@@ -16,87 +17,95 @@ BACKEND = "python"
 def cover_optimum(masks, n, p):
     """Smallest sub-collection whose union has at least p bits.
 
-    Returns (size, chosen indices) or None when unreachable.  The DP state
-    is the exact union bitmask; predecessors are stored for certificate
-    reconstruction.
+    Returns (size, chosen indices, states), with size and chosen None when
+    no union has p bits; ``states`` counts the distinct unions reached,
+    the empty one included.  The search runs breadth-first over unions:
+    layer c holds the unions first reached with c sets, and it stops at the
+    first layer holding a union of at least p bits, taking the smallest
+    such union.  The certificate walks back one layer at a time to the
+    smallest union of the layer before and then the smallest index j that
+    reaches the current union, which is the first strict improvement of the
+    subset DP over all 2^n unions in ascending (union, j) order, so both
+    give the same sets in the same order.
     """
     if p <= 0:
-        return 0, []
-    size = 1 << n
-    dp = bytearray([_INF]) * size
-    dp[0] = 0
-    choice = [-1] * size
-    pred = [0] * size
-    m = len(masks)
-    for mask in range(size):
-        d = dp[mask]
-        if d == _INF:
-            continue
-        d1 = d + 1
-        for j in range(m):
-            nm = mask | masks[j]
-            if dp[nm] > d1:
-                dp[nm] = d1
-                choice[nm] = j
-                pred[nm] = mask
-    best = _INF
-    best_mask = -1
-    for mask in range(size):
-        if dp[mask] < best and bin(mask).count("1") >= p:
-            best = dp[mask]
-            best_mask = mask
-    if best_mask < 0:
-        return None
+        return 0, [], 1
+    seen = bytearray(1 << n)
+    seen[0] = 1
+    distinct = list(dict.fromkeys(masks))
+    layers = [[0]]
+    states = 1
+    goal = -1
+    while goal < 0:
+        layer = []
+        for u in layers[-1]:
+            for s in distinct:
+                v = u | s
+                if not seen[v]:
+                    seen[v] = 1
+                    layer.append(v)
+        if not layer:
+            return None, None, states
+        states += len(layer)
+        layers.append(layer)
+        goal = min((v for v in layer if v.bit_count() >= p), default=-1)
     chosen = []
-    mask = best_mask
-    while mask:
-        chosen.append(choice[mask])
-        mask = pred[mask]
+    cur = goal
+    for layer in reversed(layers[:-1]):
+        cur, j = next((u, j) for u in sorted(layer) if u | cur == cur
+                      for j, s in enumerate(masks) if u | s == cur)
+        chosen.append(j)
     chosen.reverse()
-    return best, chosen
+    return len(chosen), chosen, states
 
 
 def exact_cover_optimum(masks, n):
     """Smallest partition of the ground set into pairwise-disjoint sets.
 
-    Returns (size, chosen indices) or None when no exact cover exists.
+    Returns (size, chosen indices, states), with size and chosen None when
+    no exact cover exists; ``states`` counts the distinct uncovered masks
+    solved, the empty one included.  Each uncovered mask branches on its
+    lowest element, trying only the sets whose lowest element it is, in
+    index order; the memo keeps the first strictly better set.  This is the
+    subset-DP recurrence over all 2^n masks evaluated top-down from the
+    ground set, so both give the same sets in the same order.  Every level
+    of the recursion covers at least one element, so it is at most n deep.
     """
-    size = 1 << n
-    full = size - 1
-    if full == 0:
-        return 0, []
     buckets = [[] for _ in range(n)]
     for j, s in enumerate(masks):
         if s:
-            buckets[(s & -s).bit_length() - 1].append(j)
-    dp = bytearray([_INF]) * size
-    dp[0] = 0
-    choice = [-1] * size
-    for mask in range(1, size):
-        low = (mask & -mask).bit_length() - 1
+            buckets[(s & -s).bit_length() - 1].append((j, s))
+    memo = {0: 0}
+    choice = {}
+
+    def solve(rest):
+        best = memo.get(rest)
+        if best is not None:
+            return best
         best = _INF
-        bj = -1
-        for j in buckets[low]:
-            s = masks[j]
-            if s & ~mask:
+        for j, s in buckets[(rest & -rest).bit_length() - 1]:
+            if s & rest != s:
                 continue
-            d = dp[mask ^ s]
-            if d + 1 < best:
-                best = d + 1
-                bj = j
-        if bj >= 0:
-            dp[mask] = best
-            choice[mask] = bj
-    if dp[full] == _INF:
-        return None
+            d = solve(rest ^ s) + 1
+            if d < best:
+                best = d
+                choice[rest] = j
+                if d == 1:  # no later set can do strictly better
+                    break
+        memo[rest] = best
+        return best
+
+    full = (1 << n) - 1
+    if solve(full) == _INF:
+        return None, None, len(memo)
     chosen = []
-    mask = full
-    while mask:
-        j = choice[mask]
+    rest = full
+    while rest:
+        j = choice[rest]
         chosen.append(j)
-        mask ^= masks[j]
+        rest ^= masks[j]
     chosen.reverse()
-    return dp[full], chosen
+    return len(chosen), chosen, len(memo)
 
 
 def ham_cycle(succ, n):

@@ -791,10 +791,9 @@ def setcover_preprocess_large(inst: SetCoverInstance, g: int) -> PreprocessOutco
                 if e in remap:
                     mask |= 1 << remap[e]
             sub_masks.append(mask)
-        res = kernels.cover_optimum(sub_masks, len(rest), max(0, total - len(covered)))
-        if res is None:
+        opt, chosen, _ = kernels.cover_optimum(sub_masks, len(rest), max(0, total - len(covered)))
+        if opt is None:
             continue
-        opt, chosen = res
         if best is None or 1 + opt < best[0]:
             best = (1 + opt, sorted({j} | set(chosen)))
     solved = None

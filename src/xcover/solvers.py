@@ -1,8 +1,9 @@
 """Exact solvers and brute-force oracles used as pipeline endpoints.
 
-The subset-DP solvers and color coding run on ``xcover.kernels``; the
-brute-force oracles are deliberately independent implementations so
-differential tests never compare a kernel against itself.
+The cover and Hamiltonicity solvers and color coding run on
+``xcover.kernels``; the brute-force oracles are deliberately independent
+implementations so differential tests never compare a kernel against
+itself.
 """
 
 from __future__ import annotations
@@ -27,11 +28,13 @@ DEFAULT_BUDGET = 10 ** 8
 
 
 def cap_n() -> int:
-    """Subset-DP width cap; XCOVER_CAP_N overrides the default of 24.
+    """Ground-set width cap of the cover solvers; XCOVER_CAP_N overrides
+    the default of 24.
 
-    The override must be an integer of at most MAX_CAP_N: the cover DPs
-    allocate tables of 2^n entries (over 300 MB at n = 24, tens of GB at
-    n = 32), so a wider cap could never be used and is rejected up front.
+    The override must be an integer of at most MAX_CAP_N and is rejected
+    up front otherwise: the plain and partial cover search keeps one
+    visited byte per possible union, 2^n bytes (16 MB at n = 24, 4 GB at
+    n = 32), however few unions it reaches.
     """
     raw = os.environ.get("XCOVER_CAP_N")
     if raw is None:
@@ -127,7 +130,11 @@ def verify_embedding(G: Digraph, T: PatternTree, mapping) -> bool:
 
 
 def setcover_dp(inst: SetCoverInstance) -> SolveResult:
-    """Minimum cover via subset DP over all 2^n element unions."""
+    """Minimum cover by a breadth-first search over the reachable unions.
+
+    ``stats["explored"]`` is the number of unions the kernel reached; an
+    instance whose sets do not cover the ground set stops before it, at 0.
+    """
     _check_cap_n(inst.n)
     start = time.perf_counter()
     masks = inst.masks()
@@ -137,10 +144,9 @@ def setcover_dp(inst: SetCoverInstance) -> SolveResult:
         union |= s
     if union != full:
         return SolveResult("infeasible", stats=_stats(start, 0))
-    res = kernels.cover_optimum(masks, inst.n, inst.n)
-    opt, chosen = res
+    opt, chosen, states = kernels.cover_optimum(masks, inst.n, inst.n)
     return SolveResult("optimum", optimum=opt, certificate=chosen,
-                       stats=_stats(start, 1 << inst.n))
+                       stats=_stats(start, states))
 
 
 def setcover_bruteforce(inst: SetCoverInstance, cap_m: int = DEFAULT_CAP_M_BRUTE) -> SolveResult:
@@ -176,17 +182,19 @@ def setcover_bruteforce(inst: SetCoverInstance, cap_m: int = DEFAULT_CAP_M_BRUTE
 
 
 def exactcover_solve(inst: SetCoverInstance) -> SolveResult:
-    """Minimum number of pairwise-disjoint sets covering the ground set."""
+    """Minimum number of pairwise-disjoint sets covering the ground set.
+
+    ``stats["explored"]`` is the number of uncovered masks the kernel solved.
+    """
     if inst.variant != EXACT:
         raise PreconditionError("exactcover_solve expects an exact-variant instance")
     _check_cap_n(inst.n)
     start = time.perf_counter()
-    res = kernels.exact_cover_optimum(inst.masks(), inst.n)
-    if res is None:
-        return SolveResult("infeasible", stats=_stats(start, 1 << inst.n))
-    opt, chosen = res
+    opt, chosen, states = kernels.exact_cover_optimum(inst.masks(), inst.n)
+    if opt is None:
+        return SolveResult("infeasible", stats=_stats(start, states))
     return SolveResult("optimum", optimum=opt, certificate=chosen,
-                       stats=_stats(start, 1 << inst.n))
+                       stats=_stats(start, states))
 
 
 def exactcover_with_large_sets(inst: SetCoverInstance, delta: int) -> SolveResult:
@@ -221,10 +229,9 @@ def exactcover_with_large_sets(inst: SetCoverInstance, delta: int) -> SolveResul
                 continue
             sub_masks.append(sum(1 << remap[e] for e in inst.sets[j]))
             sub_index.append(j)
-        res = kernels.exact_cover_optimum(sub_masks, len(positions))
-        if res is None:
+        opt, chosen, _ = kernels.exact_cover_optimum(sub_masks, len(positions))
+        if opt is None:
             return
-        opt, chosen = res
         total = len(chosen_large) + opt
         if best is None or total < best[0]:
             best = (total, sorted(chosen_large + [sub_index[j] for j in chosen]))
@@ -245,7 +252,10 @@ def exactcover_with_large_sets(inst: SetCoverInstance, delta: int) -> SolveResul
 
 
 def partialcover_dp(inst: SetCoverInstance) -> SolveResult:
-    """Minimum number of sets covering at least p elements."""
+    """Minimum number of sets covering at least p elements.
+
+    ``stats["explored"]`` is the number of unions the kernel reached.
+    """
     if inst.variant != PARTIAL:
         raise PreconditionError("partialcover_dp expects a partial-variant instance")
     _check_cap_n(inst.n)
@@ -253,12 +263,11 @@ def partialcover_dp(inst: SetCoverInstance) -> SolveResult:
     p = inst.p
     if p == 0:
         return SolveResult("optimum", optimum=0, certificate=[], stats=_stats(start, 0))
-    res = kernels.cover_optimum(inst.masks(), inst.n, p)
-    if res is None:
-        return SolveResult("infeasible", stats=_stats(start, 1 << inst.n))
-    opt, chosen = res
+    opt, chosen, states = kernels.cover_optimum(inst.masks(), inst.n, p)
+    if opt is None:
+        return SolveResult("infeasible", stats=_stats(start, states))
     return SolveResult("optimum", optimum=opt, certificate=chosen,
-                       stats=_stats(start, 1 << inst.n))
+                       stats=_stats(start, states))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,21 @@
-"""The DP kernels and the color-coding trial against brute-force oracles."""
+"""The kernels and the color-coding trial against brute-force oracles."""
 
 import itertools
 import random
+import tracemalloc
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xcover import kernels
+from xcover.instances import EXACT, PARTIAL, SetCoverInstance
+from xcover.solvers import (
+    exactcover_solve,
+    partialcover_dp,
+    setcover_dp,
+    verify_cover,
+    verify_exact_cover,
+)
 
 
 def _subsets_by_size(m):
@@ -31,7 +43,8 @@ def test_cover_optimum_matches_subset_enumeration():
         p = rng.randint(0, n)
         want = next((len(c) for c in _subsets_by_size(m)
                      if bin(_union(masks, c)).count("1") >= p), None)
-        res = kernels.cover_optimum(masks, n, p)
+        size, chosen, _ = kernels.cover_optimum(masks, n, p)
+        res = None if size is None else (size, chosen)
         assert (res is None) == (want is None), (n, masks, p)
         if res is not None:
             assert res[0] == want
@@ -49,7 +62,8 @@ def test_exact_cover_optimum_matches_disjoint_subset_enumeration():
         # the masks of c are pairwise disjoint exactly when their sum has no carry
         want = next((len(c) for c in _subsets_by_size(m)
                      if sum(masks[j] for j in c) == full == _union(masks, c)), None)
-        res = kernels.exact_cover_optimum(masks, n)
+        size, chosen, _ = kernels.exact_cover_optimum(masks, n)
+        res = None if size is None else (size, chosen)
         assert (res is None) == (want is None), (n, masks)
         if res is not None:
             assert res[0] == want
@@ -59,6 +73,136 @@ def test_exact_cover_optimum_matches_disjoint_subset_enumeration():
                 assert got & masks[j] == 0
                 got |= masks[j]
             assert got == full
+
+
+# Reference oracle: the dense subset DPs over all 2^n masks that the sparse
+# cover kernels replaced, kept here verbatim so the sparse searches must
+# reproduce their optima and certificates exactly.
+_INF = 0xFF
+
+
+def _dense_cover_optimum(masks, n, p):
+    if p <= 0:
+        return 0, []
+    size = 1 << n
+    dp = bytearray([_INF]) * size
+    dp[0] = 0
+    choice = [-1] * size
+    pred = [0] * size
+    m = len(masks)
+    for mask in range(size):
+        d = dp[mask]
+        if d == _INF:
+            continue
+        d1 = d + 1
+        for j in range(m):
+            nm = mask | masks[j]
+            if dp[nm] > d1:
+                dp[nm] = d1
+                choice[nm] = j
+                pred[nm] = mask
+    best = _INF
+    best_mask = -1
+    for mask in range(size):
+        if dp[mask] < best and bin(mask).count("1") >= p:
+            best = dp[mask]
+            best_mask = mask
+    if best_mask < 0:
+        return None
+    chosen = []
+    mask = best_mask
+    while mask:
+        chosen.append(choice[mask])
+        mask = pred[mask]
+    chosen.reverse()
+    return best, chosen
+
+
+def _dense_exact_cover_optimum(masks, n):
+    size = 1 << n
+    full = size - 1
+    if full == 0:
+        return 0, []
+    buckets = [[] for _ in range(n)]
+    for j, s in enumerate(masks):
+        if s:
+            buckets[(s & -s).bit_length() - 1].append(j)
+    dp = bytearray([_INF]) * size
+    dp[0] = 0
+    choice = [-1] * size
+    for mask in range(1, size):
+        low = (mask & -mask).bit_length() - 1
+        best = _INF
+        bj = -1
+        for j in buckets[low]:
+            s = masks[j]
+            if s & ~mask:
+                continue
+            d = dp[mask ^ s]
+            if d + 1 < best:
+                best = d + 1
+                bj = j
+        if bj >= 0:
+            dp[mask] = best
+            choice[mask] = bj
+    if dp[full] == _INF:
+        return None
+    chosen = []
+    mask = full
+    while mask:
+        j = choice[mask]
+        chosen.append(j)
+        mask ^= masks[j]
+    chosen.reverse()
+    return dp[full], chosen
+
+
+@st.composite
+def _mask_lists(draw):
+    """n <= 10 and up to 12 masks, drawn partly from a small pool so that
+    duplicate and empty masks are common."""
+    n = draw(st.integers(0, 10))
+    mask = st.integers(0, (1 << n) - 1)
+    pool = draw(st.lists(mask, min_size=1, max_size=4)) + [0]
+    masks = draw(st.lists(st.one_of(st.sampled_from(pool), mask), max_size=12))
+    return n, masks
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mask_lists())
+def test_sparse_cover_kernels_give_the_dense_certificates(case):
+    n, masks = case
+    for p in range(n + 1):
+        size, chosen, states = kernels.cover_optimum(masks, n, p)
+        assert _dense_cover_optimum(masks, n, p) == (None if size is None else (size, chosen))
+        assert 1 <= states <= 1 << n
+    size, chosen, states = kernels.exact_cover_optimum(masks, n)
+    assert _dense_exact_cover_optimum(masks, n) == (None if size is None else (size, chosen))
+    assert 1 <= states <= 1 << n
+
+
+def test_wide_instance_at_the_default_cap():
+    """n = 24: 8 disjoint triples and noise sets of at most 3 elements, so
+    every cover needs 8 sets and 21 elements need 7.  The dense tables of
+    2^24 states needed over 300 MB."""
+    rng = random.Random(24)
+    sets = [tuple(range(3 * i, 3 * i + 3)) for i in range(8)]
+    sets += [tuple(sorted(rng.sample(range(24), rng.randint(2, 3)))) for _ in range(8)]
+    plain = SetCoverInstance(24, tuple(sets))
+    exact = SetCoverInstance(24, tuple(sets), variant=EXACT)
+    partial = SetCoverInstance(24, tuple(sets), variant=PARTIAL, p=21)
+    tracemalloc.start()
+    try:
+        results = [setcover_dp(plain), exactcover_solve(exact), partialcover_dp(partial)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.optimum for r in results] == [8, 8, 7]
+    assert verify_cover(plain, results[0].certificate)
+    assert verify_exact_cover(exact, results[1].certificate)
+    assert verify_cover(partial, results[2].certificate)
+    assert all(0 < r.stats["explored"] < 1 << 24 for r in results)
+    assert peak < 64 << 20
 
 
 def test_ham_cycle_matches_permutation_search():

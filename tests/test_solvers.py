@@ -65,6 +65,17 @@ def test_setcover_dp_examples():
     assert setcover_dp(SetCoverInstance(2, ((0,),))).answer == "infeasible"
 
 
+def test_cover_solvers_count_the_states_visited():
+    # unions {}, then {0,1} {1,2} {2}, then the ground set
+    assert setcover_dp(SetCoverInstance(3, ((0, 1), (1, 2), (2,)))).stats["explored"] == 5
+    # unions {} and {0}; no second set adds an element
+    res = partialcover_dp(SetCoverInstance(3, ((0,),), variant="partial", p=2))
+    assert (res.answer, res.stats["explored"]) == ("infeasible", 2)
+    # uncovered {0,1,2}, then {2}, which no set starts at; and the empty mask
+    res = exactcover_solve(SetCoverInstance(3, ((0, 1), (1, 2)), variant="exact"))
+    assert (res.answer, res.stats["explored"]) == ("infeasible", 3)
+
+
 def test_setcover_bruteforce_example():
     sets = ((0, 1), (2, 3), (0, 2), (1, 3))
     assert oracle_min_cover(4, sets) == 2
