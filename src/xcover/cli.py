@@ -9,6 +9,7 @@ error, 3 capacity/precondition/budget error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -194,7 +195,8 @@ def _cmd_pipeline(args) -> int:
             params.update(variant=args.variant)
         decision = reductions.decide_stream(_stream(args), args.jobs)
         res = solvers.SolveResult("no" if decision.accepted is None else "yes",
-                                  stats={"instances_examined": decision.examined})
+                                  stats={"instances_examined": decision.examined,
+                                         "instances_distinct": decision.distinct})
     else:
         inst = _read(args.files[0], "setcover" if args.kind == "sc-ktree" else "partialcover")
         params.update(g=args.g)
@@ -321,6 +323,16 @@ def _cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xcover",
@@ -357,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, default=2)
     p.add_argument("--variant", default="anchored",
                    choices=["paper", "literal", "anchored"])
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--budget", type=int, default=solvers.DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_pipeline)
 
@@ -400,10 +412,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use and kept: parsing leaves no state in the parser, and
+    # building it costs more than many queries take
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -44,12 +44,15 @@ class SetCoverInstance:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("element count must be non-negative")
+        n = self.n
         norm = tuple(sorted(tuple(sorted(set(s))) for s in self.sets))
         object.__setattr__(self, "sets", norm)
+        # each set is sorted, so its ends decide whether it is in range; the
+        # first out-of-range element in set order is reported
         for s in norm:
-            for e in s:
-                if not 0 <= e < self.n:
-                    raise ValueError(f"element {e} out of range [0, {self.n})")
+            if s and (s[0] < 0 or s[-1] >= n):
+                e = s[0] if s[0] < 0 else next(e for e in s if e >= n)
+                raise ValueError(f"element {e} out of range [0, {n})")
         if self.variant not in (PLAIN, EXACT, PARTIAL):
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant == PARTIAL:

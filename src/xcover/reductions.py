@@ -97,12 +97,14 @@ class ReductionBatch:
 @dataclass
 class StreamDecision:
     """The first produced instance whose minimum cover has exactly the
-    target size (None if there is none), the cover DP's result on it, and
-    the number of instances examined."""
+    target size (None if there is none), the cover DP's result on it, the
+    number of instances examined and the number of distinct instances the
+    cover DP solved."""
 
     accepted: ProducedInstance | None
     result: SolveResult | None
     examined: int
+    distinct: int
 
 
 def _solve_instance(inst: SetCoverInstance) -> SolveResult:
@@ -117,29 +119,49 @@ def _accepts(prod: ProducedInstance, res: SolveResult) -> bool:
 def decide_stream(batch: ReductionBatch, jobs: int = 1) -> StreamDecision:
     """Solve the produced instances with the cover DP until one accepts.
 
-    With ``jobs`` > 1 blocks of instances go to a process pool and every
-    instance of a block counts as examined.  The accepted instance does not
-    depend on the job count: it is the first accepting one of the stream.
+    Each distinct instance is solved once.  An instance with the same
+    target, element count and sets as an earlier one of the stream cannot
+    accept, because the earlier one was rejected, so it is counted as
+    examined and skipped.  The memo of decided keys holds one entry per
+    distinct instance; the ``sets`` tuples in it are the instances' own, so
+    it grows with the number of distinct instances of the stream and is
+    released on return.
+
+    With ``jobs`` > 1 blocks of instances go to a process pool, each block
+    deduplicated first, and every instance of a block counts as examined.
+    The accepted instance does not depend on the job count: it is the first
+    accepting one of the stream.
     """
+    seen = set()
     examined = 0
+
+    def fresh(prod):
+        key = (prod.target, prod.instance.n, prod.instance.sets)
+        if key in seen:
+            return False
+        seen.add(key)
+        return True
+
     if jobs <= 1:
         for prod in batch.produced:
             examined += 1
-            res = setcover_dp(prod.instance)
-            if _accepts(prod, res):
-                return StreamDecision(prod, res, examined)
-        return StreamDecision(None, None, examined)
+            if fresh(prod):
+                res = setcover_dp(prod.instance)
+                if _accepts(prod, res):
+                    return StreamDecision(prod, res, examined, len(seen))
+        return StreamDecision(None, None, examined, len(seen))
     chunk = max(jobs * 4, 8)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         while True:
             block = list(itertools.islice(batch.produced, chunk))
             if not block:
-                return StreamDecision(None, None, examined)
+                return StreamDecision(None, None, examined, len(seen))
             examined += len(block)
+            block = [prod for prod in block if fresh(prod)]
             results = pool.map(_solve_instance, [prod.instance for prod in block])
             for prod, res in zip(block, results):
                 if _accepts(prod, res):
-                    return StreamDecision(prod, res, examined)
+                    return StreamDecision(prod, res, examined, len(seen))
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,28 @@ def test_pipeline_jobs_answer_stable(run, tmp_path):
     assert answers[1] == answers[2]
 
 
+def test_pipeline_rejects_jobs_below_one_and_the_parser_survives(run, tmp_path):
+    g, _ = gen_planted("ham_cycle", seed=8, n=6, extra_edges=2)
+    path = tmp_path / "g.digraph"
+    path.write_text(serialize_instance(g))
+    for jobs in ("0", "-1", "two"):
+        code, out, err = run("pipeline", "ham", str(path), "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert "--jobs" in err and "usage:" in err
+    code, out, _ = run("--version")
+    assert code == 0 and out.startswith("xcover ")
+    argv = ["pipeline", "ham", str(path), "--delta", "2", "--jobs", "2"]
+    code, out, _ = run(*argv)
+    assert code == 0
+    assert json.loads(out)["stats"]["instances_distinct"] >= 1
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    fresh = subprocess.run([sys.executable, "-m", "xcover.cli", *argv],
+                           capture_output=True, text=True, env=env)
+    assert fresh.returncode == 0 and fresh.stdout == out
+
+
 def test_pipeline_ktree_stats_pass_through(run, tmp_path):
     sc = tmp_path / "a.sc"
     sc.write_text("p setcover 8 5\n0 1\n2 3\n4 5\n6 7\n1 2\n")

@@ -21,7 +21,11 @@ states the sparse cover kernels visit (the records differ from the earlier
 ones in that value alone); the whole-stream ntree and ham digests (the
 anchored ntree no-instance and the ``reduce`` runs without ``--limit``) at
 commit 23a41cb, before the two streams were generated by backtracking and
-per-representative-set path tables.  ``reduce sc-to-ktree`` and
+per-representative-set path tables.  The ten ``pipeline ntree`` and
+``pipeline ham`` digests were re-taken when their records gained
+``stats.instances_distinct``, the number of distinct instances the cover
+DP solved (the records differ from the earlier ones in that key alone).
+``reduce sc-to-ktree`` and
 ``ppc-to-ktree`` on the inputs with large sets exited 3 before they
 learned to remove those sets first, so their digests are of the first
 output they gave.  After a change that is meant to alter stdout, print the
@@ -154,16 +158,16 @@ CASES = {
 
 GOLDEN = {
     "bounds": "856427367579962b0810bdb7889aeeb17e2b1f7d90e3195f144a6551c677f039",
-    "pipeline-ham-no-jobs1": "46e7a2a3f6701d46f31ac129c13c32f4e75309a060e94dc8512022907fb4ef32",
-    "pipeline-ham-no-jobs2": "f351b818177c256c7e5b85e698130ddb675a9a21dc246d77d2353d9a068e74b8",
-    "pipeline-ham-yes-jobs1": "d92069413b2c9b74812971e1dc7938395b10c812f3f78feedd053e539b6a2bef",
-    "pipeline-ham-yes-jobs2": "48bf0ef664ceab15a4d419ae6f318be60e97df303fb25237e85039a12c717732",
-    "pipeline-ntree-no-anchored": "6cdfeeb958cab267c2c7129066563df83db3011685fef7cfa04bf5d5b53fac2d",
-    "pipeline-ntree-no-literal": "16225bad40f3735f956f59ec1ab6c4d5d29deee3db1d8673d55962796fd7694a",
-    "pipeline-ntree-over-anchored": "845e6da73419bbc4f763022537f086fe48babd71100700c9660b4d03fc775335",
-    "pipeline-ntree-over-literal": "30bfcf89258f5cd171d495b336714ecc2d9cf076cced338ec38defb4a9bfc2a3",
-    "pipeline-ntree-yes-anchored": "85cb21dd2483e2519f993ac43b58a2a11e73a914e805023f73a7abf498c2aba0",
-    "pipeline-ntree-yes-literal": "8f8e8a9ef97654be1f295a78738523bfd5fe4fa672fc85a2535af865261e42ce",
+    "pipeline-ham-no-jobs1": "599cf1e60b89a5094c052e1f0cc604f46fa46c787564741a5e46c1779d07d560",
+    "pipeline-ham-no-jobs2": "1714d210c202651ee1691cbaa547967af245a82d3c077a1ff929e271ba7373cd",
+    "pipeline-ham-yes-jobs1": "6676b0360a555fe75626d0b9cf2fe4e3174f39a13087a14c9c221d203676e818",
+    "pipeline-ham-yes-jobs2": "683d9969338e28b1414e39d3f13b65bf7630d542127ed4e138b37ce99222f5ea",
+    "pipeline-ntree-no-anchored": "fa93005c42ff89614b395ef26b31f57e640d8ce39f056ada94fc930c2370046c",
+    "pipeline-ntree-no-literal": "f59ceb8f8dbc22548cff8dead82e124534e2a28225caebf845a3f6ebbeb8fdf7",
+    "pipeline-ntree-over-anchored": "ac2dba92d4c4c18188ba6123c7771e5a0893b506d91e37699a42b0af51dea44e",
+    "pipeline-ntree-over-literal": "2597741f045db8810dc11c732dbce6cdcae778c8495192a22300f2e99c1023a1",
+    "pipeline-ntree-yes-anchored": "54f130a6265d03475320ab990b16748a8ebc8965b89d4a70ceca10fc5f17cf03",
+    "pipeline-ntree-yes-literal": "1cc2d38ddc54d922a466da149c7b6f5337cff09cdb11df7cfe2eb30ef4d6efed",
     "pipeline-ppc-ktree-bound": "c0a5ae1795c5066068585aecb59a4e263a7197b07ee1acc9d815ce700b00fe1a",
     "pipeline-ppc-ktree-large": "555d6266d795aac444e3abe28e1075ca0e17b50413984185dc78c72bc570f384",
     "pipeline-ppc-ktree-p0": "e8c651aa3c48daeb3f36f3a0696c49f27cc2ecf1383f2d489d5e476f093fa922",

@@ -1,9 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xcover.errors import FormatError, PreconditionError
 from xcover.instances import (
+    EXACT,
+    FWD,
+    PARTIAL,
+    PLAIN,
+    REV,
+    UND,
     Digraph,
     PatternTree,
     SetCoverInstance,
@@ -163,6 +171,77 @@ def test_round_trip_fuzz():
         text = serialize_instance(value)
         assert parse_instance(text) == value
         assert serialize_instance(parse_instance(text)) == text
+
+
+@st.composite
+def _cover_instances(draw):
+    n = draw(st.integers(0, 12))
+    sets = draw(st.lists(st.frozensets(st.integers(0, n - 1), max_size=n) if n else
+                         st.just(frozenset()), max_size=8))
+    variant = draw(st.sampled_from([PLAIN, EXACT, PARTIAL]))
+    p = draw(st.integers(0, n)) if variant == PARTIAL else None
+    return SetCoverInstance(n, tuple(tuple(s) for s in sets), variant=variant, p=p)
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(0, 8))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.frozensets(st.sampled_from(pairs))) if pairs else frozenset()
+    return Digraph(n, edges, undirected_mode=draw(st.booleans()))
+
+
+@st.composite
+def _pattern_trees(draw):
+    k = draw(st.integers(1, 10))
+    label = draw(st.permutations(range(k)))
+    oriented = draw(st.booleans())
+    parent = [-1] * k
+    orientation = [UND] * k
+    for i in range(1, k):
+        parent[label[i]] = label[draw(st.integers(0, i - 1))]
+        if oriented:
+            orientation[label[i]] = draw(st.sampled_from([FWD, REV]))
+    return PatternTree(k, label[0], tuple(parent), tuple(orientation))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_cover_instances(), _graphs(), _pattern_trees()))
+def test_serialize_parse_round_trip(value):
+    # delta is not part of the text format, so the drawn instances carry none
+    text = serialize_instance(value)
+    assert parse_instance(text) == value
+    assert serialize_instance(parse_instance(text)) == text
+
+
+def _old_normalization(n, sets, delta):
+    """The set normalisation and checks of SetCoverInstance before its range
+    check looked at the ends of each sorted set only."""
+    norm = tuple(sorted(tuple(sorted(set(s))) for s in sets))
+    for s in norm:
+        for e in s:
+            if not 0 <= e < n:
+                raise ValueError(f"element {e} out of range [0, {n})")
+    if delta is not None:
+        for s in norm:
+            if len(s) > delta:
+                raise ValueError(f"set of size {len(s)} exceeds delta={delta}")
+    return norm
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), n=st.integers(0, 12), delta=st.none() | st.integers(1, 4))
+def test_constructor_matches_the_old_normalization(data, n, delta):
+    # unsorted sets with repeated elements, some of them negative or >= n
+    sets = data.draw(st.lists(st.lists(st.integers(-3, n + 2), max_size=6), max_size=6))
+    try:
+        want = _old_normalization(n, sets, delta)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            SetCoverInstance(n, tuple(tuple(s) for s in sets), delta=delta)
+        assert str(got.value) == str(exc)
+    else:
+        assert SetCoverInstance(n, tuple(tuple(s) for s in sets), delta=delta).sets == want
 
 
 def test_duplicate_sets_are_kept():

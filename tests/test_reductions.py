@@ -221,6 +221,106 @@ def test_decide_stream_jobs_on_an_anchored_ntree_stream():
     assert verify_cover(serial.accepted.instance, serial.result.certificate)
 
 
+def _decide_without_memo(batch, jobs):
+    """The decide loop before the per-stream memo: every produced instance
+    goes to the cover DP.  Blocks are mapped in process, which gives what
+    the process pool gave."""
+    examined = 0
+    if jobs <= 1:
+        for prod in batch.produced:
+            examined += 1
+            res = setcover_dp(prod.instance)
+            if res.answer == "optimum" and res.optimum == prod.target:
+                return prod, res, examined
+        return None, None, examined
+    chunk = max(jobs * 4, 8)
+    while True:
+        block = list(itertools.islice(batch.produced, chunk))
+        if not block:
+            return None, None, examined
+        examined += len(block)
+        for prod, res in zip(block, map(setcover_dp, [prod.instance for prod in block])):
+            if res.answer == "optimum" and res.optimum == prod.target:
+                return prod, res, examined
+
+
+def _seeded_streams():
+    """(label, stream factory): planted and random hosts, so both answers occur."""
+    for n in (4, 6, 8):
+        for delta in sorted({2, n // 2}):
+            for seed in range(2):
+                planted, _ = gen_planted("ham_cycle", seed=seed, n=n, extra_edges=n)
+                rand = gen_random("digraph", seed=seed, n=n, edge_probability=0.4)
+                for name, G in (("planted", planted), ("random", rand)):
+                    yield (f"ham n={n} delta={delta} {name} {seed}",
+                           lambda G=G, delta=delta: ham_to_setcover(G, delta))
+    for k in (5, 6, 7):
+        for variant in ("anchored", "literal"):
+            planted, T, _ = gen_planted("embedded_tree", seed=k, k=k, host_n=k,
+                                        extra_edge_probability=0.2)
+            rand = gen_random("digraph", seed=k, n=k, edge_probability=0.35)
+            for name, G in (("planted", planted), ("random", rand)):
+                yield (f"ntree k={k} {variant} {name}",
+                       lambda G=G, T=T, variant=variant: ntree_to_setcover(G, T, 6, variant))
+
+
+def _key(prod):
+    return prod.target, prod.instance.n, prod.instance.sets
+
+
+class _InlinePool:
+    """A process pool stand-in that maps in this process, so a wrapper on
+    ``setcover_dp`` sees the calls the workers would make."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        # eager, as the pool is: every instance of a block gets solved
+        return [fn(item) for item in items]
+
+
+def test_decide_stream_solves_each_distinct_instance_once(monkeypatch):
+    import xcover.reductions as reductions
+
+    calls = []
+
+    def counting(inst):
+        calls.append((inst.n, inst.sets))
+        return setcover_dp(inst)
+
+    answers = set()
+    for label, make in _seeded_streams():
+        for jobs in (1, 2):
+            prod, res, examined = _decide_without_memo(make(), jobs)
+            got = decide_stream(make(), jobs)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(reductions, "setcover_dp", counting)
+                patch.setattr(reductions, "ProcessPoolExecutor", _InlinePool)
+                counted = decide_stream(make(), jobs)
+            assert len(calls) == len(set(calls)) == counted.distinct == got.distinct, label
+            assert counted.examined == got.examined == examined, label
+            if prod is None:
+                assert got.accepted is None and got.result is None, label
+            else:
+                assert got.accepted.provenance == prod.provenance, label
+                assert got.accepted.instance == prod.instance, label
+                assert got.result.optimum == res.optimum, label
+                assert got.result.certificate == res.certificate, label
+            # the DP saw exactly the distinct instances of the examined prefix
+            prefix = itertools.islice(make().produced, examined)
+            assert got.distinct == len({_key(p) for p in prefix}), label
+            answers.add(prod is not None)
+    assert answers == {True, False}
+
+
 def test_ntree_rejects_small_delta():
     G = Digraph(2, frozenset({(0, 1)}))
     T = PatternTree(2, 0, (-1, 0), ("und", "fwd"))
