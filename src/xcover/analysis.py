@@ -10,7 +10,6 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 
-from xcover import kernels
 from xcover.errors import PreconditionError
 from xcover.instances import (
     PARTIAL,
@@ -97,6 +96,8 @@ def pipeline_total_exponent(ntilde: int, eps: float) -> float:
     2^((1-eps)n)-time cover solver, at delta = 81/eps * log2(ntilde)."""
     if ntilde < 2:
         raise PreconditionError("ntilde >= 2 required")
+    if not 0 < eps <= 1:
+        raise PreconditionError(f"eps must lie in (0, 1], got {eps}")
     delta = 81 / eps * math.log2(ntilde)
     return compose_runtime(ntilde, delta, lambda n, _d: (1 - eps) * n)
 
@@ -253,6 +254,9 @@ class VerifyConfig:
         cfg.variant = data.get("variant", ANCHORED)
         cfg.families = tuple(data.get("families", ALL_FAMILIES))
         cfg.trials = dict(data.get("trials", {}))
+        low = {f: t for f, t in cfg.trials.items() if int(t) < 1}
+        if low:
+            raise PreconditionError(f"trial counts must be at least 1: {low}")
         unknown = set(cfg.families) - set(ALL_FAMILIES)
         if unknown:
             raise PreconditionError(f"unknown families: {sorted(unknown)}")
@@ -270,7 +274,6 @@ def run_verification_suite(config: VerifyConfig | dict | None = None) -> dict:
     elif isinstance(config, dict):
         config = VerifyConfig.from_dict(config)
     report = {
-        "backend": kernels.BACKEND,
         "config": {
             "seed": config.seed,
             "variant": config.variant,

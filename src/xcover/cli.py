@@ -188,12 +188,12 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    params = {"kind": args.kind, "jobs": args.jobs}
+    params = {"kind": args.kind}
     if args.kind in ("ntree", "ham"):
         params.update(delta=args.delta)
         if args.kind == "ntree":
             params.update(variant=args.variant)
-        decision = reductions.decide_stream(_stream(args), args.jobs)
+        decision = reductions.decide_stream(_stream(args))
         res = solvers.SolveResult("no" if decision.accepted is None else "yes",
                                   stats={"instances_examined": decision.examined,
                                          "instances_distinct": decision.distinct})
@@ -234,6 +234,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.ntilde < 1:
+        raise PreconditionError(f"--ntilde must be at least 1, got {args.ntilde}")
     record = _record("bounds", [], {
         "ntilde": args.ntilde, "delta": args.delta, "epsilon": args.epsilon,
     })
@@ -369,14 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, default=2)
     p.add_argument("--variant", default="anchored",
                    choices=["paper", "literal", "anchored"])
-    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--budget", type=int, default=solvers.DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("verify", help="run the differential verification suite")
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--trials", type=int, default=None,
+    p.add_argument("--trials", type=_positive_int, default=None,
                    help="override the per-family trial counts")
     p.set_defaults(func=_cmd_verify)
 

@@ -5,7 +5,7 @@ Two directions, each with one driver:
   * directed tree pattern (k = n) -> bounded-set-size cover instances, and
     directed Hamiltonicity -> same-size-set cover instances.  Each is a
     lazy instance stream; ``decide_stream`` decides either stream with the
-    cover DP, serially or on a process pool.
+    cover DP.
   * set cover and p-partial cover -> host graph + one pattern tree per
     partition of the leaf total (n for a plain cover, p for a partial
     one).  ``setcover_preprocess_large``, ``setcover_to_ktree`` and their
@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
 from typing import Iterator
@@ -107,16 +106,7 @@ class StreamDecision:
     distinct: int
 
 
-def _solve_instance(inst: SetCoverInstance) -> SolveResult:
-    # a module-level function, so the process pool can pickle it by name
-    return setcover_dp(inst)
-
-
-def _accepts(prod: ProducedInstance, res: SolveResult) -> bool:
-    return res.answer == "optimum" and res.optimum == prod.target
-
-
-def decide_stream(batch: ReductionBatch, jobs: int = 1) -> StreamDecision:
+def decide_stream(batch: ReductionBatch) -> StreamDecision:
     """Solve the produced instances with the cover DP until one accepts.
 
     Each distinct instance is solved once.  An instance with the same
@@ -126,42 +116,19 @@ def decide_stream(batch: ReductionBatch, jobs: int = 1) -> StreamDecision:
     distinct instance; the ``sets`` tuples in it are the instances' own, so
     it grows with the number of distinct instances of the stream and is
     released on return.
-
-    With ``jobs`` > 1 blocks of instances go to a process pool, each block
-    deduplicated first, and every instance of a block counts as examined.
-    The accepted instance does not depend on the job count: it is the first
-    accepting one of the stream.
     """
     seen = set()
     examined = 0
-
-    def fresh(prod):
+    for prod in batch.produced:
+        examined += 1
         key = (prod.target, prod.instance.n, prod.instance.sets)
         if key in seen:
-            return False
+            continue
         seen.add(key)
-        return True
-
-    if jobs <= 1:
-        for prod in batch.produced:
-            examined += 1
-            if fresh(prod):
-                res = setcover_dp(prod.instance)
-                if _accepts(prod, res):
-                    return StreamDecision(prod, res, examined, len(seen))
-        return StreamDecision(None, None, examined, len(seen))
-    chunk = max(jobs * 4, 8)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        while True:
-            block = list(itertools.islice(batch.produced, chunk))
-            if not block:
-                return StreamDecision(None, None, examined, len(seen))
-            examined += len(block)
-            block = [prod for prod in block if fresh(prod)]
-            results = pool.map(_solve_instance, [prod.instance for prod in block])
-            for prod, res in zip(block, results):
-                if _accepts(prod, res):
-                    return StreamDecision(prod, res, examined, len(seen))
+        res = setcover_dp(prod.instance)
+        if res.answer == "optimum" and res.optimum == prod.target:
+            return StreamDecision(prod, res, examined, len(seen))
+    return StreamDecision(None, None, examined, len(seen))
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +234,14 @@ def check_cover_properties(T: PatternTree, cover: SubtreeCover, l: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _require_delta(delta: int):
+    if delta < 1:
+        raise PreconditionError(f"delta >= 1 required, got {delta}")
+
+
 def count_bound_log2(ntilde: int, delta: int, variant: str = LITERAL) -> float:
     """log2 of the declared instance-count cap of the tree-to-cover stream."""
+    _require_delta(delta)
     if ntilde <= 1:
         return 0.0
     exponent = (9 if variant == LITERAL else 18) * ntilde / delta
@@ -277,6 +250,7 @@ def count_bound_log2(ntilde: int, delta: int, variant: str = LITERAL) -> float:
 
 def element_bound(ntilde: int, delta: int) -> float:
     """Declared per-instance ground-set cap of the tree-to-cover stream."""
+    _require_delta(delta)
     return ntilde + 9 * ntilde / delta
 
 
@@ -667,6 +641,8 @@ def _leaf_total(inst: SetCoverInstance) -> int:
 def _large_indices(inst: SetCoverInstance, g: int) -> list[int]:
     """Sets too large for the pattern trees: |S|g^2 > n for a plain cover,
     |S|g^2 >= p for a partial one."""
+    if g < 2:
+        raise PreconditionError(f"g >= 2 required, got {g}")
     if inst.variant == PARTIAL:
         return [j for j, s in enumerate(inst.sets) if len(s) * g * g >= inst.p]
     return [j for j, s in enumerate(inst.sets) if len(s) * g * g > inst.n]

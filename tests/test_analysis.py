@@ -121,7 +121,11 @@ def test_suite_ktree_families_count_embedded_trees():
     assert report["passed"]
     for fam in report["families"].values():
         assert fam["notes"]["trees_embedded"] > 0
-    idle = run_verification_suite({"families": ["partial_ktree"], "trials": {"partial_ktree": 0}})
+    # a config file cannot ask for 0 trials; a VerifyConfig built in code can
+    with pytest.raises(PreconditionError):
+        run_verification_suite({"families": ["partial_ktree"], "trials": {"partial_ktree": 0}})
+    idle = run_verification_suite(VerifyConfig(families=("partial_ktree",),
+                                               trials={"partial_ktree": 0}))
     assert not idle["passed"]
     assert idle["families"]["partial_ktree"]["failures"] == [
         {"check": "coverage", "trees_embedded": 0}]

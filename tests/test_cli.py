@@ -80,6 +80,21 @@ def test_bounds_example(run):
     assert record["element_bound"] == 136.0
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--ntilde", "64", "--delta", "0"], "delta >= 1"),
+    (["--ntilde", "64", "--delta", "-3"], "delta >= 1"),
+    (["--ntilde", "0", "--delta", "8"], "--ntilde"),
+    (["--ntilde", "-5", "--delta", "8"], "--ntilde"),
+    (["--ntilde", "64", "--delta", "8", "--epsilon", "0"], "eps"),
+    (["--ntilde", "64", "--delta", "8", "--epsilon", "-0.5"], "eps"),
+    (["--ntilde", "64", "--delta", "8", "--epsilon", "1.5"], "eps"),
+], ids=["delta-0", "delta-neg", "ntilde-0", "ntilde-neg", "eps-0", "eps-neg", "eps-over-1"])
+def test_bounds_rejects_values_outside_the_formulas(run, argv, message):
+    code, out, err = run("bounds", *argv)
+    assert code == 3 and out == ""
+    assert message in err
+
+
 def test_partitions_count(run):
     code, out, _ = run("partitions", "--count", "10")
     record = json.loads(out)
@@ -181,39 +196,42 @@ def test_pipeline_ntree_variants(run, tmp_path):
         assert json.loads(out)["answer"] == "yes"
 
 
-def test_pipeline_jobs_answer_stable(run, tmp_path):
-    g, _ = gen_planted("ham_cycle", seed=8, n=6, extra_edges=2)
-    path = tmp_path / "g.digraph"
-    path.write_text(serialize_instance(g))
-    answers = {}
-    for jobs in (1, 2):
-        code, out, _ = run("pipeline", "ham", str(path), "--delta", "3",
-                           "--jobs", str(jobs))
-        assert code == 0
-        answers[jobs] = json.loads(out)["answer"]
-    assert answers[1] == answers[2]
-
-
 def test_pipeline_rejects_jobs_below_one_and_the_parser_survives(run, tmp_path):
+    # there is no --jobs option: every value of it is a usage error
     g, _ = gen_planted("ham_cycle", seed=8, n=6, extra_edges=2)
     path = tmp_path / "g.digraph"
     path.write_text(serialize_instance(g))
-    for jobs in ("0", "-1", "two"):
+    for jobs in ("0", "1", "2"):
         code, out, err = run("pipeline", "ham", str(path), "--jobs", jobs)
         assert code == 2 and out == ""
         assert "--jobs" in err and "usage:" in err
     code, out, _ = run("--version")
     assert code == 0 and out.startswith("xcover ")
-    argv = ["pipeline", "ham", str(path), "--delta", "2", "--jobs", "2"]
+    argv = ["pipeline", "ham", str(path), "--delta", "2"]
     code, out, _ = run(*argv)
     assert code == 0
-    assert json.loads(out)["stats"]["instances_distinct"] >= 1
+    record = json.loads(out)
+    assert record["parameters"] == {"delta": 2, "kind": "ham"}
+    assert record["stats"]["instances_distinct"] >= 1
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(os.path.dirname(__file__), "..", "src"),
          os.environ.get("PYTHONPATH", "")]))
     fresh = subprocess.run([sys.executable, "-m", "xcover.cli", *argv],
                            capture_output=True, text=True, env=env)
     assert fresh.returncode == 0 and fresh.stdout == out
+    fresh = subprocess.run([sys.executable, "-m", "xcover.cli", *argv, "--jobs", "2"],
+                           capture_output=True, text=True, env=env)
+    assert fresh.returncode == 2 and fresh.stdout == "" and "usage:" in fresh.stderr
+
+
+@pytest.mark.parametrize("kind", ["sc-ktree", "ppc-ktree"])
+def test_pipeline_ktree_rejects_g_zero(run, tmp_path, kind):
+    path = tmp_path / "i.sc"
+    path.write_text({"sc-ktree": "p setcover 8 4\n0 1\n2 3\n4 5\n6 7\n",
+                     "ppc-ktree": "p partialcover 8 4 6\n0 1\n2 3\n4 5\n6 7\n"}[kind])
+    code, out, err = run("pipeline", kind, str(path), "--g", "0")
+    assert code == 3 and out == ""
+    assert "g >= 2" in err
 
 
 def test_pipeline_ktree_stats_pass_through(run, tmp_path):
@@ -319,6 +337,18 @@ def test_verify_subcommand(run, tmp_path):
     report = json.loads(out_path.read_text())
     assert report["passed"]
     assert set(report["families"]) == {"partition_facts", "roundtrip"}
+
+
+def test_verify_rejects_trial_counts_below_one(run, tmp_path):
+    for trials in ("0", "-1", "two"):
+        code, out, err = run("verify", "--trials", trials)
+        assert code == 2 and out == ""
+        assert "--trials" in err and "usage:" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"families": ["roundtrip"], "trials": {"roundtrip": 0}}))
+    code, out, err = run("verify", "--config", str(cfg))
+    assert code == 3 and out == ""
+    assert "roundtrip" in err
 
 
 def test_env_cap_override_via_subprocess(tmp_path):

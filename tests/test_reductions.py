@@ -191,57 +191,36 @@ def test_ntree_literal_complete_but_over_accepts():
     assert over > 0
 
 
-def test_decide_stream_returns_the_first_accepting_instance_for_any_job_count():
+def test_decide_stream_returns_the_first_accepting_instance():
     G, _ = gen_planted("ham_cycle", seed=4, n=8, extra_edges=6)
     first = next(prod for prod in ham_to_setcover(G, 2).produced
                  if setcover_dp(prod.instance).optimum == prod.target)
-    for jobs in (1, 2):
-        decision = decide_stream(ham_to_setcover(G, 2), jobs)
-        assert decision.accepted.provenance == first.provenance
-        assert decision.result.optimum == first.target
-        assert verify_cover(first.instance, decision.result.certificate)
-        assert decision.examined >= 1
+    decision = decide_stream(ham_to_setcover(G, 2))
+    assert decision.accepted.provenance == first.provenance
+    assert decision.result.optimum == first.target
+    assert verify_cover(first.instance, decision.result.certificate)
+    assert decision.examined >= 1
     no = decide_stream(ham_to_setcover(Digraph(4, frozenset({(0, 1), (1, 2), (2, 3)})), 2))
     assert no.accepted is None and no.result is None and no.examined == 3
-
-
-def test_decide_stream_jobs_on_an_anchored_ntree_stream():
+    # instance 29 of 55 of an anchored ntree stream is the first to accept
     G, T, _ = gen_planted("embedded_tree", seed=7, k=7, host_n=7,
                           extra_edge_probability=0.15)
-    serial = decide_stream(ntree_to_setcover(G, T, 6), 1)
-    # instance 29 of 55 accepts: the pool path needs four blocks of 8 to reach it
-    assert serial.examined == 29
-    pooled = decide_stream(ntree_to_setcover(G, T, 6), 2)
-    assert pooled.examined == 32
-    assert pooled.accepted.provenance == serial.accepted.provenance
-    assert pooled.accepted.instance == serial.accepted.instance
-    for res in (serial.result, pooled.result):
-        assert res.answer == "optimum" and res.optimum == serial.accepted.target
-    assert pooled.result.certificate == serial.result.certificate
-    assert verify_cover(serial.accepted.instance, serial.result.certificate)
+    ntree = decide_stream(ntree_to_setcover(G, T, 6))
+    assert ntree.examined == 29
+    assert ntree.result.answer == "optimum" and ntree.result.optimum == ntree.accepted.target
+    assert verify_cover(ntree.accepted.instance, ntree.result.certificate)
 
 
-def _decide_without_memo(batch, jobs):
+def _decide_without_memo(batch):
     """The decide loop before the per-stream memo: every produced instance
-    goes to the cover DP.  Blocks are mapped in process, which gives what
-    the process pool gave."""
+    goes to the cover DP."""
     examined = 0
-    if jobs <= 1:
-        for prod in batch.produced:
-            examined += 1
-            res = setcover_dp(prod.instance)
-            if res.answer == "optimum" and res.optimum == prod.target:
-                return prod, res, examined
-        return None, None, examined
-    chunk = max(jobs * 4, 8)
-    while True:
-        block = list(itertools.islice(batch.produced, chunk))
-        if not block:
-            return None, None, examined
-        examined += len(block)
-        for prod, res in zip(block, map(setcover_dp, [prod.instance for prod in block])):
-            if res.answer == "optimum" and res.optimum == prod.target:
-                return prod, res, examined
+    for prod in batch.produced:
+        examined += 1
+        res = setcover_dp(prod.instance)
+        if res.answer == "optimum" and res.optimum == prod.target:
+            return prod, res, examined
+    return None, None, examined
 
 
 def _seeded_streams():
@@ -268,24 +247,6 @@ def _key(prod):
     return prod.target, prod.instance.n, prod.instance.sets
 
 
-class _InlinePool:
-    """A process pool stand-in that maps in this process, so a wrapper on
-    ``setcover_dp`` sees the calls the workers would make."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        # eager, as the pool is: every instance of a block gets solved
-        return [fn(item) for item in items]
-
-
 def test_decide_stream_solves_each_distinct_instance_once(monkeypatch):
     import xcover.reductions as reductions
 
@@ -297,27 +258,25 @@ def test_decide_stream_solves_each_distinct_instance_once(monkeypatch):
 
     answers = set()
     for label, make in _seeded_streams():
-        for jobs in (1, 2):
-            prod, res, examined = _decide_without_memo(make(), jobs)
-            got = decide_stream(make(), jobs)
-            calls.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(reductions, "setcover_dp", counting)
-                patch.setattr(reductions, "ProcessPoolExecutor", _InlinePool)
-                counted = decide_stream(make(), jobs)
-            assert len(calls) == len(set(calls)) == counted.distinct == got.distinct, label
-            assert counted.examined == got.examined == examined, label
-            if prod is None:
-                assert got.accepted is None and got.result is None, label
-            else:
-                assert got.accepted.provenance == prod.provenance, label
-                assert got.accepted.instance == prod.instance, label
-                assert got.result.optimum == res.optimum, label
-                assert got.result.certificate == res.certificate, label
-            # the DP saw exactly the distinct instances of the examined prefix
-            prefix = itertools.islice(make().produced, examined)
-            assert got.distinct == len({_key(p) for p in prefix}), label
-            answers.add(prod is not None)
+        prod, res, examined = _decide_without_memo(make())
+        got = decide_stream(make())
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(reductions, "setcover_dp", counting)
+            counted = decide_stream(make())
+        assert len(calls) == len(set(calls)) == counted.distinct == got.distinct, label
+        assert counted.examined == got.examined == examined, label
+        if prod is None:
+            assert got.accepted is None and got.result is None, label
+        else:
+            assert got.accepted.provenance == prod.provenance, label
+            assert got.accepted.instance == prod.instance, label
+            assert got.result.optimum == res.optimum, label
+            assert got.result.certificate == res.certificate, label
+        # the DP saw exactly the distinct instances of the examined prefix
+        prefix = itertools.islice(make().produced, examined)
+        assert got.distinct == len({_key(p) for p in prefix}), label
+        answers.add(prod is not None)
     assert answers == {True, False}
 
 
