@@ -49,7 +49,6 @@ from xcover.reductions import (  # noqa: F401
     ham_to_setcover,
     ntree_to_setcover,
     ppc_preprocess_large,
-    ppc_to_ktree,
     setcover_preprocess_large,
     setcover_to_ktree,
     solve_ham_via_setcover,

@@ -250,20 +250,30 @@ class VerifyConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "VerifyConfig":
         cfg = cls()
-        cfg.seed = int(data.get("seed", 0))
+        cfg.seed = data.get("seed", 0)
+        if not _is_int(cfg.seed):
+            raise PreconditionError(f"seed must be an integer, got {cfg.seed!r}")
         cfg.variant = data.get("variant", ANCHORED)
-        cfg.families = tuple(data.get("families", ALL_FAMILIES))
-        cfg.trials = dict(data.get("trials", {}))
-        low = {f: t for f, t in cfg.trials.items() if int(t) < 1}
-        if low:
-            raise PreconditionError(f"trial counts must be at least 1: {low}")
-        unknown = set(cfg.families) - set(ALL_FAMILIES)
+        families = data.get("families", list(ALL_FAMILIES))
+        trials = data.get("trials", {})
+        if not isinstance(families, list) or not isinstance(trials, dict):
+            raise PreconditionError("families must be a list and trials an object")
+        unknown = [f for f in [*families, *trials] if f not in ALL_FAMILIES]
         if unknown:
-            raise PreconditionError(f"unknown families: {sorted(unknown)}")
+            raise PreconditionError(f"unknown families: {unknown}")
+        bad = {f: t for f, t in trials.items() if not _is_int(t) or t < 1}
+        if bad:
+            raise PreconditionError(f"trial counts must be integers of at least 1: {bad}")
+        cfg.families = tuple(families)
+        cfg.trials = dict(trials)
         return cfg
 
     def n_trials(self, family: str) -> int:
-        return int(self.trials.get(family, _DEFAULT_TRIALS[family]))
+        return self.trials.get(family, _DEFAULT_TRIALS[family])
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def run_verification_suite(config: VerifyConfig | dict | None = None) -> dict:

@@ -217,12 +217,16 @@ def _cmd_verify(args) -> int:
     config = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+            try:
+                config = json.load(fh)
+            except ValueError as exc:
+                raise FormatError(f"{args.config}: {exc}") from None
+        if not isinstance(config, dict):
+            raise PreconditionError(f"{args.config}: the config must be a JSON object")
+    cfg = analysis.VerifyConfig.from_dict(config)
     if args.trials is not None:
-        families = config.get("families", list(analysis.ALL_FAMILIES))
-        config["trials"] = {**{f: args.trials for f in families},
-                            **config.get("trials", {})}
-    report = analysis.run_verification_suite(config or None)
+        cfg.trials = {**{f: args.trials for f in cfg.families}, **cfg.trials}
+    report = analysis.run_verification_suite(cfg)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

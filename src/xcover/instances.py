@@ -463,6 +463,8 @@ def gen_random(kind: str, seed: int = 0, **params):
 
 
 def _random_setcover(rng, variant, n, m, max_set_size, p=None, distinct=False):
+    if variant == PARTIAL and (p is None or not 0 <= p <= n):
+        raise PreconditionError(f"a partial cover needs 0 <= p <= n = {n}, got p = {p}")
     if max_set_size > n:
         raise PreconditionError("max_set_size exceeds the ground set size")
     if max_set_size < 1 or m < 0:
@@ -486,6 +488,8 @@ def _random_setcover(rng, variant, n, m, max_set_size, p=None, distinct=False):
 
 
 def _random_graph(rng, undirected, n, edge_probability):
+    if n < 0:
+        raise PreconditionError(f"node count must be non-negative, got {n}")
     edges = set()
     for u in range(n):
         for v in range(u + 1, n) if undirected else range(n):
@@ -498,6 +502,8 @@ def _random_graph(rng, undirected, n, edge_probability):
 
 def _random_tree(rng, k, oriented=False):
     """Uniform labeled tree (Pruefer code) rooted at a uniform node."""
+    if k < 1:
+        raise PreconditionError(f"a tree has at least one node, got k = {k}")
     if k == 1:
         return PatternTree(k=1, root=0, parent=(-1,), orientation=(UND,))
     if k == 2:
@@ -593,6 +599,8 @@ def _planted_embedding(rng, k, host_n, oriented=True, extra_edge_probability=0.0
 
 
 def _planted_cover(rng, n, m, max_set_size=None):
+    if n < 1:
+        raise PreconditionError(f"a planted cover needs n >= 1, got {n}")
     if max_set_size is None:
         max_set_size = max(1, (n + m - 1) // max(m, 1))
     if m * max_set_size < n:

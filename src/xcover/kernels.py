@@ -59,17 +59,20 @@ def cover_optimum(masks, n, p):
     return len(chosen), chosen, states
 
 
-def exact_cover_optimum(masks, n):
-    """Smallest partition of the ground set into pairwise-disjoint sets.
+def exact_cover_optimum(masks, n, covered=0):
+    """Smallest partition of the uncovered elements into pairwise-disjoint sets.
 
+    The uncovered elements are those of range(n) outside the bitmask
+    ``covered`` (none by default), so no set meeting ``covered`` is chosen.
     Returns (size, chosen indices, states), with size and chosen None when
     no exact cover exists; ``states`` counts the distinct uncovered masks
     solved, the empty one included.  Each uncovered mask branches on its
     lowest element, trying only the sets whose lowest element it is, in
     index order; the memo keeps the first strictly better set.  This is the
     subset-DP recurrence over all 2^n masks evaluated top-down from the
-    ground set, so both give the same sets in the same order.  Every level
-    of the recursion covers at least one element, so it is at most n deep.
+    uncovered mask, so both give the same sets in the same order.  Every
+    level of the recursion covers at least one element, so it is at most n
+    deep.
     """
     buckets = [[] for _ in range(n)]
     for j, s in enumerate(masks):
@@ -95,7 +98,7 @@ def exact_cover_optimum(masks, n):
         memo[rest] = best
         return best
 
-    full = (1 << n) - 1
+    full = ((1 << n) - 1) & ~covered
     if solve(full) == _INF:
         return None, None, len(memo)
     chosen = []

@@ -76,7 +76,7 @@ def enumerate_partitions(a: int) -> Iterator[Partition]:
             parts.append(rem % v)
 
 
-def partitions_with_length(a: int, length: int, max_part: int | None = None) -> Iterator[Partition]:
+def partitions_with_length(a: int, length: int) -> Iterator[Partition]:
     """Partitions of ``a`` into exactly ``length`` parts, descending-lex."""
     if a < 0 or length < 0:
         raise PreconditionError("need a >= 0 and length >= 0")
@@ -92,9 +92,7 @@ def partitions_with_length(a: int, length: int, max_part: int | None = None) -> 
             for rest in rec(total - first, count - 1, first):
                 yield (first,) + rest
 
-    if max_part is None:
-        max_part = a
-    for parts in rec(a, length, max_part):
+    for parts in rec(a, length, a):
         yield Partition(parts)
 
 

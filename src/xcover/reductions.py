@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
@@ -58,7 +58,6 @@ ANCHORED = "anchored"
 _VARIANT_ALIASES = {
     "literal": LITERAL,
     "paper": LITERAL,
-    "paper-literal": LITERAL,
     "anchored": ANCHORED,
 }
 
@@ -510,7 +509,6 @@ def solve_ham_via_setcover(G: Digraph, delta: int) -> bool:
 class HostGraphBundle:
     host: Digraph
     node_roles: dict[int, tuple]
-    g: int
 
 
 def _pendant_count(n: int, g: int) -> int:
@@ -585,7 +583,7 @@ def build_host_graph(inst: SetCoverInstance, g: int) -> HostGraphBundle:
     for i in range(m):
         edges.add((min(r, n + i), max(r, n + i)))
     host = Digraph(num_nodes=base_s + 4, edges=frozenset(edges), undirected_mode=True)
-    return HostGraphBundle(host=host, node_roles=roles, g=g)
+    return HostGraphBundle(host=host, node_roles=roles)
 
 
 def build_pattern_tree(alpha: Partition, g: int, n: int) -> PatternTree:
@@ -741,12 +739,6 @@ def setcover_to_ktree(inst: SetCoverInstance, g: int,
     return SolveResult("infeasible", stats=_ktree_stats(start, trees_tried, explored))
 
 
-def ppc_to_ktree(inst: SetCoverInstance, g: int, budget: int = DEFAULT_BUDGET) -> SolveResult:
-    """setcover_to_ktree for a partial-variant instance (leaf total p)."""
-    _require_partial(inst)
-    return setcover_to_ktree(inst, g, budget)
-
-
 @dataclass
 class PreprocessOutcome:
     """Split result: the best solution forced through a removed large set
@@ -755,8 +747,7 @@ class PreprocessOutcome:
     solved_with_large: SolveResult | None
     residual: SetCoverInstance
     large_indices: list[int]
-    residual_index_map: list[int] = field(default_factory=list)
-    changed: bool = False
+    residual_index_map: list[int]
 
 
 def setcover_preprocess_large(inst: SetCoverInstance, g: int) -> PreprocessOutcome:
@@ -770,13 +761,13 @@ def setcover_preprocess_large(inst: SetCoverInstance, g: int) -> PreprocessOutco
     """
     total = _leaf_total(inst)
     large = _large_indices(inst, g)
-    small = [j for j in range(inst.m) if j not in set(large)]
-    small_sets = tuple(inst.sets[j] for j in small)
-    residual = SetCoverInstance(n=inst.n, sets=small_sets, variant=inst.variant, p=inst.p)
-    order = sorted(range(len(small)), key=lambda t: (small_sets[t], t))
-    index_map = [small[t] for t in order]
+    large_set = set(large)
+    # inst.sets is sorted, so the residual keeps the small sets in this order
+    small = [j for j in range(inst.m) if j not in large_set]
+    residual = SetCoverInstance(n=inst.n, sets=tuple(inst.sets[j] for j in small),
+                                variant=inst.variant, p=inst.p)
     if not large or not total:
-        return PreprocessOutcome(None, residual, large, index_map, changed=bool(large))
+        return PreprocessOutcome(None, residual, large, small)
     best = None
     for j in large:
         covered = set(inst.sets[j])
@@ -797,7 +788,7 @@ def setcover_preprocess_large(inst: SetCoverInstance, g: int) -> PreprocessOutco
     solved = None
     if best is not None:
         solved = SolveResult("optimum", optimum=best[0], certificate=best[1])
-    return PreprocessOutcome(solved, residual, large, index_map, changed=True)
+    return PreprocessOutcome(solved, residual, large, small)
 
 
 def ppc_preprocess_large(inst: SetCoverInstance, g: int) -> PreprocessOutcome:

@@ -200,8 +200,8 @@ def exactcover_solve(inst: SetCoverInstance) -> SolveResult:
 def exactcover_with_large_sets(inst: SetCoverInstance, delta: int) -> SolveResult:
     """Exact cover split: guess the disjoint family of sets larger than delta.
 
-    Every disjoint sub-collection of the >delta sets is tried; the residual
-    elements are solved over the remaining small sets.  Agrees with
+    Every disjoint sub-collection of the >delta sets is tried; the elements
+    it leaves uncovered are solved over the small sets alone.  Agrees with
     exactcover_solve on all inputs.
     """
     if inst.variant != EXACT:
@@ -210,34 +210,16 @@ def exactcover_with_large_sets(inst: SetCoverInstance, delta: int) -> SolveResul
     start = time.perf_counter()
     masks = inst.masks()
     large = [j for j, s in enumerate(inst.sets) if len(s) > delta]
-    small = [j for j, s in enumerate(inst.sets) if len(s) <= delta]
-    full = inst.full_mask()
+    small_masks = [0 if len(s) > delta else mask for s, mask in zip(inst.sets, masks)]
     best: tuple[int, list[int]] | None = None
     explored = 0
 
-    def residual_solve(covered, chosen_large):
+    def rec(i, covered, chosen_large):
         nonlocal best, explored
         explored += 1
-        rest = full & ~covered
-        positions = [e for e in range(inst.n) if rest >> e & 1]
-        remap = {e: i for i, e in enumerate(positions)}
-        sub_masks = []
-        sub_index = []
-        for j in small:
-            s = masks[j]
-            if s & covered:
-                continue
-            sub_masks.append(sum(1 << remap[e] for e in inst.sets[j]))
-            sub_index.append(j)
-        opt, chosen, _ = kernels.exact_cover_optimum(sub_masks, len(positions))
-        if opt is None:
-            return
-        total = len(chosen_large) + opt
-        if best is None or total < best[0]:
-            best = (total, sorted(chosen_large + [sub_index[j] for j in chosen]))
-
-    def rec(i, covered, chosen_large):
-        residual_solve(covered, chosen_large)
+        opt, chosen, _ = kernels.exact_cover_optimum(small_masks, inst.n, covered)
+        if opt is not None and (best is None or len(chosen_large) + opt < best[0]):
+            best = (len(chosen_large) + opt, sorted(chosen_large + chosen))
         for t in range(i, len(large)):
             j = large[t]
             if masks[j] & covered:

@@ -351,6 +351,40 @@ def test_verify_rejects_trial_counts_below_one(run, tmp_path):
     assert "roundtrip" in err
 
 
+@pytest.mark.parametrize("text, code", [
+    ('{"trials": {"roundtrip": "x"}}', 3),
+    ('{"trials": {"roundtrip": 2.7}}', 3),
+    ('{"trials": {"roundtrip": true}}', 3),
+    ('{"trials": {"nosuch": 3}}', 3),
+    ('{"trials": [1]}', 3),
+    ('{"families": 3}', 3),
+    ('{"seed": "abc"}', 3),
+    ('{"seed": 1.5}', 3),
+    ('["roundtrip"]', 3),
+    ('{"seed": ', 2),
+])
+def test_verify_rejects_a_bad_config_file(run, tmp_path, text, code):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    got, out, err = run("verify", "--config", str(cfg))
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["tree", "--k", "0"],
+    ["embedded-tree", "--k", "0"],
+    ["digraph", "--n", "-1"],
+    ["partialcover"],
+    ["partialcover", "--p", "99"],
+    ["covered-universe", "--n", "0"],
+])
+def test_generate_rejects_out_of_range_sizes(run, argv):
+    code, out, err = run("generate", *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_env_cap_override_via_subprocess(tmp_path):
     path = tmp_path / "a.sc"
     path.write_text("p setcover 9 1\n0 1 2 3 4 5 6 7 8\n")

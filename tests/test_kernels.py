@@ -11,6 +11,7 @@ from xcover import kernels
 from xcover.instances import EXACT, PARTIAL, SetCoverInstance
 from xcover.solvers import (
     exactcover_solve,
+    exactcover_with_large_sets,
     partialcover_dp,
     setcover_dp,
     verify_cover,
@@ -76,7 +77,8 @@ def test_exact_cover_optimum_matches_disjoint_subset_enumeration():
 
 
 # Reference oracle: the dense subset DPs over all 2^n masks that the sparse
-# cover kernels replaced, kept here verbatim so the sparse searches must
+# cover kernels replaced, kept here (the exact one reading its answer at the
+# uncovered mask rather than the full one) so the sparse searches must
 # reproduce their optima and certificates exactly.
 _INF = 0xFF
 
@@ -118,9 +120,9 @@ def _dense_cover_optimum(masks, n, p):
     return best, chosen
 
 
-def _dense_exact_cover_optimum(masks, n):
+def _dense_exact_cover_optimum(masks, n, covered=0):
     size = 1 << n
-    full = size - 1
+    full = (size - 1) & ~covered
     if full == 0:
         return 0, []
     buckets = [[] for _ in range(n)]
@@ -158,27 +160,102 @@ def _dense_exact_cover_optimum(masks, n):
 
 
 @st.composite
-def _mask_lists(draw):
-    """n <= 10 and up to 12 masks, drawn partly from a small pool so that
-    duplicate and empty masks are common."""
+def _mask_lists(draw, max_masks=12):
+    """n <= 10 and up to ``max_masks`` masks, drawn partly from a small pool
+    so that duplicate and empty masks are common."""
     n = draw(st.integers(0, 10))
     mask = st.integers(0, (1 << n) - 1)
     pool = draw(st.lists(mask, min_size=1, max_size=4)) + [0]
-    masks = draw(st.lists(st.one_of(st.sampled_from(pool), mask), max_size=12))
+    masks = draw(st.lists(st.one_of(st.sampled_from(pool), mask), max_size=max_masks))
     return n, masks
 
 
 @settings(max_examples=300, deadline=None)
-@given(_mask_lists())
-def test_sparse_cover_kernels_give_the_dense_certificates(case):
+@given(_mask_lists(), st.integers(0, (1 << 10) - 1))
+def test_sparse_cover_kernels_give_the_dense_certificates(case, covered):
     n, masks = case
     for p in range(n + 1):
         size, chosen, states = kernels.cover_optimum(masks, n, p)
         assert _dense_cover_optimum(masks, n, p) == (None if size is None else (size, chosen))
         assert 1 <= states <= 1 << n
-    size, chosen, states = kernels.exact_cover_optimum(masks, n)
-    assert _dense_exact_cover_optimum(masks, n) == (None if size is None else (size, chosen))
-    assert 1 <= states <= 1 << n
+    covered &= (1 << n) - 1
+    for start in (0, covered):
+        size, chosen, states = kernels.exact_cover_optimum(masks, n, start)
+        assert _dense_exact_cover_optimum(masks, n, start) == (
+            None if size is None else (size, chosen))
+        assert 1 <= states <= 1 << n
+
+
+def _split_with_residual_remap(inst, delta):
+    """The exact split as it was before the kernel took a covered mask: each
+    guess renumbers the uncovered elements and solves the small sets that
+    avoid the guess.  Returns (answer, optimum, certificate, explored)."""
+    masks = inst.masks()
+    large = [j for j, s in enumerate(inst.sets) if len(s) > delta]
+    small = [j for j, s in enumerate(inst.sets) if len(s) <= delta]
+    full = inst.full_mask()
+    best = None
+    explored = 0
+
+    def residual_solve(covered, chosen_large):
+        nonlocal best, explored
+        explored += 1
+        rest = full & ~covered
+        positions = [e for e in range(inst.n) if rest >> e & 1]
+        remap = {e: i for i, e in enumerate(positions)}
+        sub_masks = []
+        sub_index = []
+        for j in small:
+            s = masks[j]
+            if s & covered:
+                continue
+            sub_masks.append(sum(1 << remap[e] for e in inst.sets[j]))
+            sub_index.append(j)
+        opt, chosen, _ = kernels.exact_cover_optimum(sub_masks, len(positions))
+        if opt is None:
+            return
+        total = len(chosen_large) + opt
+        if best is None or total < best[0]:
+            best = (total, sorted(chosen_large + [sub_index[j] for j in chosen]))
+
+    def rec(i, covered, chosen_large):
+        residual_solve(covered, chosen_large)
+        for t in range(i, len(large)):
+            j = large[t]
+            if masks[j] & covered:
+                continue
+            rec(t + 1, covered | masks[j], chosen_large + [j])
+
+    rec(0, 0, [])
+    if best is None:
+        return "infeasible", None, None, explored
+    return "optimum", best[0], best[1], explored
+
+
+@st.composite
+def _partition_blocks(draw):
+    """n <= 10 and up to 10 masks: the blocks of two random partitions of
+    the ground set into at most four blocks (so exact covers exist, often
+    several of one size), with empty and repeated blocks, plus up to two
+    random masks, shuffled."""
+    n = draw(st.integers(0, 10))
+    masks = []
+    for _ in range(2):
+        labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        masks += [sum(1 << e for e in range(n) if labels[e] == b) for b in range(4)]
+    masks += draw(st.lists(st.integers(0, (1 << n) - 1), max_size=2))
+    return n, draw(st.permutations(masks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_mask_lists(max_masks=10), _partition_blocks()), st.integers(0, 4))
+def test_exact_split_on_the_covered_mask_matches_the_residual_remap(case, delta):
+    n, masks = case
+    sets = tuple(tuple(e for e in range(n) if s >> e & 1) for s in masks)
+    inst = SetCoverInstance(n, sets, variant=EXACT)
+    res = exactcover_with_large_sets(inst, delta)
+    got = (res.answer, res.optimum, res.certificate, res.stats["explored"])
+    assert got == _split_with_residual_remap(inst, delta)
 
 
 def test_wide_instance_at_the_default_cap():

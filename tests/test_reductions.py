@@ -26,7 +26,6 @@ from xcover.reductions import (
     ntree_to_setcover,
     pattern_tree_size,
     ppc_preprocess_large,
-    ppc_to_ktree,
     setcover_preprocess_large,
     setcover_to_ktree,
     solve_ham_via_setcover,
@@ -488,8 +487,9 @@ def test_preprocess_large_forced_choice():
 def test_preprocess_noop_when_all_small():
     inst = _crafted_inst()
     pre = setcover_preprocess_large(inst, 2)
-    assert not pre.changed
+    assert not pre.large_indices
     assert pre.residual == inst
+    assert pre.residual_index_map == list(range(inst.m))
 
 
 def test_sck_composition_differential():
@@ -526,6 +526,11 @@ def test_sck_composition_with_large_sets_differential():
         n = rng.choice([8, 9, 10])
         inst = gen_random("setcover", seed=t * 5, n=n, m=rng.randint(3, 7),
                           max_set_size=n)
+        pre = setcover_preprocess_large(inst, 2)
+        # the small sets' indices in order, each naming its residual set
+        assert pre.residual_index_map == [j for j in range(inst.m)
+                                          if j not in pre.large_indices]
+        assert [inst.sets[j] for j in pre.residual_index_map] == list(pre.residual.sets)
         dp = setcover_dp(inst)
         kt = solve_setcover_via_ktree(inst, 2)
         assert (dp.answer, dp.optimum) == (kt.answer, kt.optimum)
@@ -538,7 +543,7 @@ def test_sck_composition_with_large_sets_differential():
 
 def test_ppc_p_zero():
     inst = SetCoverInstance(6, ((0, 1),), variant="partial", p=0)
-    res = ppc_to_ktree(inst, 2)
+    res = setcover_to_ktree(inst, 2)
     assert res.optimum == 0
 
 
@@ -571,7 +576,7 @@ def test_ppc_preprocess_requires_partial():
 def test_ppc_rejects_unpreprocessed_large_sets():
     inst = SetCoverInstance(8, ((0, 1, 2, 3),), variant="partial", p=4)
     with pytest.raises(PreconditionError):
-        ppc_to_ktree(inst, 2)
+        setcover_to_ktree(inst, 2)
 
 
 # ---------------------------------------------------------------------------
