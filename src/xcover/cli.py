@@ -434,6 +434,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         sys.stderr.write(f"error: file not found: {exc.filename}\n")
         return 2
+    except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+        sys.stderr.write(f"error: cannot open {exc.filename}: {exc.strerror}\n")
+        return 2
     except FormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -487,9 +487,15 @@ def _random_setcover(rng, variant, n, m, max_set_size, p=None, distinct=False):
     return SetCoverInstance(n=n, sets=tuple(sets), variant=variant, p=p)
 
 
+def _require_probability(name, value):
+    if not 0 <= value <= 1:
+        raise PreconditionError(f"{name} must lie in [0, 1], got {value}")
+
+
 def _random_graph(rng, undirected, n, edge_probability):
     if n < 0:
         raise PreconditionError(f"node count must be non-negative, got {n}")
+    _require_probability("edge probability", edge_probability)
     edges = set()
     for u in range(n):
         for v in range(u + 1, n) if undirected else range(n):
@@ -567,6 +573,8 @@ def gen_planted(kind: str, seed: int = 0, **params):
 def _planted_ham(rng, n, extra_edges=0):
     if n < 2:
         raise PreconditionError("a directed cycle needs at least 2 nodes")
+    if extra_edges < 0:
+        raise PreconditionError(f"extra edge count must be non-negative, got {extra_edges}")
     order = list(range(n))
     rng.shuffle(order)
     edges = {(order[i], order[(i + 1) % n]) for i in range(n)}
@@ -579,6 +587,7 @@ def _planted_ham(rng, n, extra_edges=0):
 def _planted_embedding(rng, k, host_n, oriented=True, extra_edge_probability=0.0):
     if host_n < k:
         raise PreconditionError("host must have at least k nodes")
+    _require_probability("extra edge probability", extra_edge_probability)
     tree = _random_tree(rng, k, oriented=oriented)
     image = rng.sample(range(host_n), k)
     mapping = {v: image[v] for v in range(k)}

@@ -24,8 +24,10 @@ differential soundness tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from math import comb
@@ -72,11 +74,39 @@ def normalize_variant(name: str) -> str:
         raise PreconditionError(f"unknown variant {name!r}") from None
 
 
-@dataclass
 class ProducedInstance:
-    instance: SetCoverInstance
-    target: int
-    provenance: tuple
+    """One instance of a reduction stream: its target cover size, the guess
+    that produced it and its identity key.
+
+    Within one stream two produced instances have equal keys exactly when
+    their instances are equal (same element count and sets), so a consumer
+    can recognise a repeat without the instance.  ``instance`` is built by
+    the producer's zero-argument ``build`` on first access and then kept.
+    """
+
+    __slots__ = ("target", "provenance", "key", "_build", "_instance")
+
+    def __init__(self, build, target: int, provenance: tuple, key):
+        self.target = target
+        self.provenance = provenance
+        self.key = key
+        self._build = build
+        self._instance = None
+
+    @classmethod
+    def built(cls, inst: SetCoverInstance, target: int, provenance: tuple) -> ProducedInstance:
+        """An instance built eagerly, keyed by its sets (for a stream whose
+        element count is fixed)."""
+        prod = cls(None, target, provenance, inst.sets)
+        prod._instance = inst
+        return prod
+
+    @property
+    def instance(self) -> SetCoverInstance:
+        if self._instance is None:
+            self._instance = self._build()
+            self._build = None
+        return self._instance
 
 
 @dataclass
@@ -109,18 +139,19 @@ def decide_stream(batch: ReductionBatch) -> StreamDecision:
     """Solve the produced instances with the cover DP until one accepts.
 
     Each distinct instance is solved once.  An instance with the same
-    target, element count and sets as an earlier one of the stream cannot
-    accept, because the earlier one was rejected, so it is counted as
-    examined and skipped.  The memo of decided keys holds one entry per
-    distinct instance; the ``sets`` tuples in it are the instances' own, so
-    it grows with the number of distinct instances of the stream and is
+    target and key (so the same element count and sets) as an earlier one
+    of the stream cannot accept, because the earlier one was rejected, so it
+    is counted as examined and skipped without being built: only the
+    distinct instances are built here.  The memo of decided
+    ``(target, key)`` pairs holds one entry per distinct instance, so it
+    grows with the number of distinct instances of the stream and is
     released on return.
     """
     seen = set()
     examined = 0
     for prod in batch.produced:
         examined += 1
-        key = (prod.target, prod.instance.n, prod.instance.sets)
+        key = (prod.target, prod.key)
         if key in seen:
             continue
         seen.add(key)
@@ -318,8 +349,8 @@ def ntree_to_setcover(G: Digraph, T: PatternTree, delta: int,
 
     def stream():
         for hosts in placements(0, [0] * len(anchors), [False] * ntilde):
-            yield ProducedInstance(layout.instance(hosts), len(subtrees),
-                                   provenance=tuple(zip(anchors, hosts)))
+            yield ProducedInstance.built(layout.instance(hosts), len(subtrees),
+                                         provenance=tuple(zip(anchors, hosts)))
 
     return ReductionBatch(produced=stream(),
                           bound_declared_log2=count_bound_log2(ntilde, delta, variant),
@@ -443,6 +474,13 @@ def ham_to_setcover(G: Digraph, delta: int) -> ReductionBatch:
     each followed by its ``itertools.permutations``.  The paths of one
     representative set are found once, one DFS per representative, and
     shared by all of its cyclic orders.
+
+    An order's key is a bitmask over the distinct path sets of the stream,
+    numbered once per stream: the OR of its consecutive pairs' group masks.
+    The sets of one order are distinct (each holds exactly one
+    representative, the start of its path), so equal keys mean equal set
+    families and, n and delta being fixed, equal instances.  The instance
+    itself is concatenated only when it is first read.
     """
     n = G.num_nodes
     if delta < 2:
@@ -455,21 +493,33 @@ def ham_to_setcover(G: Digraph, delta: int) -> ReductionBatch:
     bound_log2 = (t - 1) * math.log2(n) if n > 1 else 0.0
 
     def stream():
+        # the same node set can come from different representative sets
+        bit = {}
         for rest in itertools.combinations(range(1, n), t - 1):
             reps = frozenset((0,) + rest)
             paths = {a: _paths_from(G, a, delta, reps) for a in reps}
+            masks = dict.fromkeys(itertools.product(reps, repeat=2), 0)
+            for a, groups in paths.items():
+                for b, group in groups.items():
+                    for s in group:
+                        masks[a, b] |= 1 << bit.setdefault(s, len(bit))
             for perm in itertools.permutations(rest):
                 order = (0,) + perm
-                # a set holds exactly one representative, the start of its
-                # path, so sets of different consecutive pairs never coincide
-                produced = []
-                for a, b in zip(order, perm + (0,)):
-                    produced += paths[a].get(b, ())
-                inst = SetCoverInstance(n=n, sets=tuple(produced), delta=delta)
-                yield ProducedInstance(inst, t, provenance=order)
+                key = functools.reduce(operator.or_, map(masks.__getitem__,
+                                                         zip(order, perm + (0,))))
+                yield ProducedInstance(functools.partial(_ham_instance, n, delta, paths, order),
+                                       t, order, key)
 
     return ReductionBatch(produced=stream(), bound_declared_log2=bound_log2,
                           elements_declared=float(n))
+
+
+def _ham_instance(n, delta, paths, order):
+    """The instance of one cyclic order: its consecutive pairs' path sets."""
+    produced = []
+    for a, b in zip(order, order[1:] + order[:1]):
+        produced += paths[a].get(b, ())
+    return SetCoverInstance(n=n, sets=tuple(produced), delta=delta)
 
 
 def _paths_from(G, a, length, reps):

@@ -378,11 +378,25 @@ def test_verify_rejects_a_bad_config_file(run, tmp_path, text, code):
     ["partialcover"],
     ["partialcover", "--p", "99"],
     ["covered-universe", "--n", "0"],
+    ["ham-cycle", "--n", "4", "--extra-edges", "-1"],
+    ["digraph", "--edge-probability", "2"],
+    ["graph", "--edge-probability", "nan"],
+    ["embedded-tree", "--edge-probability", "-0.5"],
 ])
 def test_generate_rejects_out_of_range_sizes(run, argv):
     code, out, err = run("generate", *argv)
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["solve", "setcover"], ["verify", "--config"]])
+def test_unreadable_input_path_exits_2(run, tmp_path, argv):
+    (tmp_path / "a.sc").write_text("p setcover 1 1\n0\n")
+    # a directory, and a path through a regular file
+    for path in (tmp_path, tmp_path / "a.sc" / "x"):
+        code, out, err = run(*argv, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot open {path}: ") and err.count("\n") == 1
 
 
 def test_env_cap_override_via_subprocess(tmp_path):

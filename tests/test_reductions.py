@@ -279,6 +279,38 @@ def test_decide_stream_solves_each_distinct_instance_once(monkeypatch):
     assert answers == {True, False}
 
 
+def test_decide_stream_builds_only_the_distinct_ham_instances(monkeypatch):
+    import xcover.reductions as reductions
+
+    built = []
+
+    def counting(**fields):
+        built.append(fields["sets"])
+        return SetCoverInstance(**fields)
+
+    monkeypatch.setattr(reductions, "SetCoverInstance", counting)
+    no = gen_random("digraph", seed=0, n=8, edge_probability=0.35)
+    yes, _ = gen_planted("ham_cycle", seed=3, n=8, extra_edges=8)
+    answers = []
+    for G in (no, yes):
+        built.clear()
+        decision = decide_stream(ham_to_setcover(G, 2))
+        assert len(built) == decision.distinct < decision.examined
+        answers.append(decision.accepted is not None)
+    assert answers == [False, True]
+
+
+def _keys_match_instances(batch):
+    """Equal keys exactly when the instances are equal, over the whole stream:
+    the (key, instance) pairs are as many as the keys and as the instances
+    exactly when each key names one instance and each instance one key."""
+    prods = list(batch.produced)
+    keys = {prod.key for prod in prods}
+    instances = {(prod.instance.n, prod.instance.sets) for prod in prods}
+    pairs = {(prod.key, prod.instance.n, prod.instance.sets) for prod in prods}
+    return len(pairs) == len(keys) == len(instances)
+
+
 def test_ntree_rejects_small_delta():
     G = Digraph(2, frozenset({(0, 1)}))
     T = PatternTree(2, 0, (-1, 0), ("und", "fwd"))
@@ -722,3 +754,20 @@ def test_ham_stream_matches_the_oracle(data, n):
     G = data.draw(_digraphs(n))
     delta = data.draw(st.sampled_from([d for d in range(2, n + 1) if n % d == 0]))
     assert _stream_records(ham_to_setcover(G, delta)) == _ham_oracle(G, delta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(4, 8))
+def test_ham_stream_keys_name_instances(data, n):
+    G = data.draw(_digraphs(n))
+    for delta in range(2, n + 1):
+        if n % delta == 0:
+            assert _keys_match_instances(ham_to_setcover(G, delta)), delta
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), k=st.integers(4, 7), variant=st.sampled_from(["anchored", "literal"]))
+def test_ntree_stream_keys_name_instances(data, k, variant):
+    G = data.draw(_digraphs(k))
+    T = data.draw(_trees(k))
+    assert _keys_match_instances(ntree_to_setcover(G, T, 6, variant))
