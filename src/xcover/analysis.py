@@ -463,6 +463,7 @@ def _family_ntree(cfg):
     bounds = []
     over_accepts = []
     disjoint_counts = {"disjoint": 0, "overlapping": 0}
+    counts = {"yes": 0, "no": 0, "instances_distinct": 0}
     cases = cfg.n_trials("ntree")
     variant = cfg.variant
     delta = 6
@@ -472,7 +473,9 @@ def _family_ntree(cfg):
         G = gen_random("digraph", seed=cfg.seed + 2 * t, n=nt,
                        edge_probability=rng.choice([0.25, 0.4, 0.55]))
         bt = tree_embed_backtrack(G, T).is_yes
+        counts["yes" if bt else "no"] += 1
         decision = decide_stream(ntree_to_setcover(G, T, delta, variant=variant))
+        counts["instances_distinct"] += decision.distinct
         red = decision.accepted is not None
         if variant == LITERAL:
             if bt and not red:
@@ -507,7 +510,8 @@ def _family_ntree(cfg):
                     overlap = True
                 seen |= s
             disjoint_counts["overlapping" if overlap else "disjoint"] += 1
-    notes = {"disjoint_accepting_covers": disjoint_counts}
+    _require_both_answers(counts, failures)
+    notes = {"disjoint_accepting_covers": disjoint_counts, **counts}
     if variant == LITERAL:
         notes["over_accepts"] = over_accepts
     return _family_result(cases, failures, notes, bounds)
@@ -525,19 +529,34 @@ def _graph_pair_failure(G, T, delta, variant, check):
             "tree": serialize_instance(T), "backtrack": bt0}
 
 
+def _require_both_answers(counts, failures):
+    """A decision family whose oracle gave only one answer certified
+    nothing about the other, and fails."""
+    if not counts["yes"] or not counts["no"]:
+        failures.append({"check": "coverage", "yes": counts["yes"], "no": counts["no"]})
+
+
 def _family_ham(cfg):
+    """The ham stream's decide path against Held-Karp, on random digraphs
+    and, every other case, a planted Hamiltonian cycle."""
     rng = random.Random(cfg.seed * 11 + 7)
     failures = []
     bounds = []
+    counts = {"yes": 0, "no": 0, "instances_distinct": 0}
     cases = cfg.n_trials("ham")
     for t in range(cases):
         n = rng.choice([4, 6, 8])
-        G = gen_random("digraph", seed=cfg.seed + 13 * t, n=n,
-                       edge_probability=rng.choice([0.2, 0.35, 0.5]))
+        if t % 2:
+            G, _ = gen_planted("ham_cycle", seed=cfg.seed + 13 * t, n=n, extra_edges=n)
+        else:
+            G = gen_random("digraph", seed=cfg.seed + 13 * t, n=n,
+                           edge_probability=rng.choice([0.2, 0.35, 0.5]))
         hk = heldkarp_ham(G).is_yes
+        counts["yes" if hk else "no"] += 1
         for delta in (2, n // 2):
-            red = solve_ham_via_setcover(G, delta)
-            if red != hk:
+            decision = decide_stream(ham_to_setcover(G, delta, live_only=True))
+            counts["instances_distinct"] += decision.distinct
+            if (decision.accepted is not None) != hk:
                 mini = _minimize_edges(G, lambda c: heldkarp_ham(c).is_yes
                                        != solve_ham_via_setcover(c, delta))
                 failures.append({"check": "equivalence", "delta": delta,
@@ -550,7 +569,8 @@ def _family_ham(cfg):
             bounds.append(asdict(report))
             if not report.within:
                 failures.append({"check": "bounds", "report": bounds[-1]})
-    return _family_result(cases, failures, bounds=bounds)
+    _require_both_answers(counts, failures)
+    return _family_result(cases, failures, counts, bounds=bounds)
 
 
 def _ktree_family(instances, oracle):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import itertools
 import json
 import os
@@ -26,10 +25,15 @@ from xcover.instances import (
 )
 from xcover.partitions import count_partitions, enumerate_partitions, partition_asymptotic
 
+try:  # CPython's own SHA-256: hashlib loads OpenSSL, 3.5 MB resident on x86-64 Linux
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
+
 
 def _digest(path: str) -> str:
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:16]
+        return sha256(fh.read()).hexdigest()[:16]
 
 
 def _read(path: str, kind: str):
@@ -132,13 +136,13 @@ def _provenance_comment(prov) -> str:
     return "c provenance " + json.dumps(prov, sort_keys=True, default=list)
 
 
-def _stream(args) -> reductions.ReductionBatch:
-    """The cover-instance stream of an ntree or ham command."""
+def _stream(args, live_only=False) -> reductions.ReductionBatch:
+    """The cover stream of an ntree or ham command; ``live_only`` is ham_to_setcover's."""
     G = _parse_graph_file(args.files[0])
     if args.kind.startswith("ntree"):
         T = _read(args.files[1], "tree")
         return reductions.ntree_to_setcover(G, T, args.delta, variant=args.variant)
-    return reductions.ham_to_setcover(G, args.delta)
+    return reductions.ham_to_setcover(G, args.delta, live_only)
 
 
 def _cmd_reduce(args) -> int:
@@ -193,10 +197,12 @@ def _cmd_pipeline(args) -> int:
         params.update(delta=args.delta)
         if args.kind == "ntree":
             params.update(variant=args.variant)
-        decision = reductions.decide_stream(_stream(args))
-        res = solvers.SolveResult("no" if decision.accepted is None else "yes",
-                                  stats={"instances_examined": decision.examined,
-                                         "instances_distinct": decision.distinct})
+        decision = reductions.decide_stream(_stream(args, live_only=True))
+        stats = {"instances_examined": decision.examined,
+                 "instances_distinct": decision.distinct}
+        if args.kind == "ham":
+            stats["instances_filtered"] = decision.filtered
+        res = solvers.SolveResult("no" if decision.accepted is None else "yes", stats=stats)
     else:
         inst = _read(args.files[0], "setcover" if args.kind == "sc-ktree" else "partialcover")
         params.update(g=args.g)

@@ -12,7 +12,6 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Iterator
 
 from xcover.errors import FormatError, PreconditionError
 
@@ -632,19 +631,3 @@ def _planted_cover(rng, n, m, max_set_size=None):
     inst = SetCoverInstance(n=n, sets=tuple(sets))
     witness = [i for i in range(inst.m)]
     return inst, witness
-
-
-def iter_instances(text) -> Iterator:
-    """Parse a concatenation of records (headers delimit)."""
-    chunks = []
-    current = []
-    for _, line in _content_lines(text):
-        if line.startswith("p ") and current and any(l.strip() for l in current):
-            chunks.append("\n".join(current))
-            current = [line]
-        else:
-            current.append(line)
-    if any(l.strip() for l in current):
-        chunks.append("\n".join(current))
-    for chunk in chunks:
-        yield parse_instance(chunk)

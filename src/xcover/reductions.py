@@ -24,10 +24,8 @@ differential soundness tests.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 import time
 from dataclasses import dataclass
 from math import comb
@@ -74,39 +72,14 @@ def normalize_variant(name: str) -> str:
         raise PreconditionError(f"unknown variant {name!r}") from None
 
 
+@dataclass
 class ProducedInstance:
-    """One instance of a reduction stream: its target cover size, the guess
-    that produced it and its identity key.
+    """One instance of a reduction stream: the instance, its target cover
+    size and the guess that produced it."""
 
-    Within one stream two produced instances have equal keys exactly when
-    their instances are equal (same element count and sets), so a consumer
-    can recognise a repeat without the instance.  ``instance`` is built by
-    the producer's zero-argument ``build`` on first access and then kept.
-    """
-
-    __slots__ = ("target", "provenance", "key", "_build", "_instance")
-
-    def __init__(self, build, target: int, provenance: tuple, key):
-        self.target = target
-        self.provenance = provenance
-        self.key = key
-        self._build = build
-        self._instance = None
-
-    @classmethod
-    def built(cls, inst: SetCoverInstance, target: int, provenance: tuple) -> ProducedInstance:
-        """An instance built eagerly, keyed by its sets (for a stream whose
-        element count is fixed)."""
-        prod = cls(None, target, provenance, inst.sets)
-        prod._instance = inst
-        return prod
-
-    @property
-    def instance(self) -> SetCoverInstance:
-        if self._instance is None:
-            self._instance = self._build()
-            self._build = None
-        return self._instance
+    instance: SetCoverInstance
+    target: int
+    provenance: tuple
 
 
 @dataclass
@@ -114,10 +87,12 @@ class ReductionBatch:
     """Lazy stream of produced instances plus the declared caps.
 
     Counts are astronomically large in general, so the stream-length cap is
-    carried in log2.
+    carried in log2.  A stream made for deciding may also yield ints: each
+    is a number of instances, in stream order, skipped because they cannot
+    accept.
     """
 
-    produced: Iterator[ProducedInstance]
+    produced: Iterator[ProducedInstance | int]
     bound_declared_log2: float
     elements_declared: float
 
@@ -126,39 +101,43 @@ class ReductionBatch:
 class StreamDecision:
     """The first produced instance whose minimum cover has exactly the
     target size (None if there is none), the cover DP's result on it, the
-    number of instances examined and the number of distinct instances the
-    cover DP solved."""
+    number of instances examined, the number of distinct instances the
+    cover DP solved and the number of instances examined as skip counts,
+    without being built."""
 
     accepted: ProducedInstance | None
     result: SolveResult | None
     examined: int
     distinct: int
+    filtered: int
 
 
 def decide_stream(batch: ReductionBatch) -> StreamDecision:
     """Solve the produced instances with the cover DP until one accepts.
 
-    Each distinct instance is solved once.  An instance with the same
-    target and key (so the same element count and sets) as an earlier one
-    of the stream cannot accept, because the earlier one was rejected, so it
-    is counted as examined and skipped without being built: only the
-    distinct instances are built here.  The memo of decided
-    ``(target, key)`` pairs holds one entry per distinct instance, so it
-    grows with the number of distinct instances of the stream and is
-    released on return.
+    A skip count the stream yields is added to ``examined`` and
+    ``filtered``.  Each distinct instance is solved once: an instance with
+    the same target and sets as an earlier one cannot accept, because the
+    earlier one was rejected, so it is only counted as examined.  The memo
+    of decided ``(target, sets)`` pairs holds one entry per distinct
+    instance solved and is released on return.
     """
     seen = set()
-    examined = 0
+    examined = filtered = 0
     for prod in batch.produced:
+        if isinstance(prod, int):
+            examined += prod
+            filtered += prod
+            continue
         examined += 1
-        key = (prod.target, prod.key)
+        key = (prod.target, prod.instance.sets)
         if key in seen:
             continue
         seen.add(key)
         res = setcover_dp(prod.instance)
         if res.answer == "optimum" and res.optimum == prod.target:
-            return StreamDecision(prod, res, examined, len(seen))
-    return StreamDecision(None, None, examined, len(seen))
+            return StreamDecision(prod, res, examined, len(seen), filtered)
+    return StreamDecision(None, None, examined, len(seen), filtered)
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +328,8 @@ def ntree_to_setcover(G: Digraph, T: PatternTree, delta: int,
 
     def stream():
         for hosts in placements(0, [0] * len(anchors), [False] * ntilde):
-            yield ProducedInstance.built(layout.instance(hosts), len(subtrees),
-                                         provenance=tuple(zip(anchors, hosts)))
+            yield ProducedInstance(layout.instance(hosts), len(subtrees),
+                                   provenance=tuple(zip(anchors, hosts)))
 
     return ReductionBatch(produced=stream(),
                           bound_declared_log2=count_bound_log2(ntilde, delta, variant),
@@ -460,7 +439,7 @@ def solve_ntree_via_setcover(G: Digraph, T: PatternTree, delta: int,
 # ---------------------------------------------------------------------------
 
 
-def ham_to_setcover(G: Digraph, delta: int) -> ReductionBatch:
+def ham_to_setcover(G: Digraph, delta: int, live_only: bool = False) -> ReductionBatch:
     """One instance per guessed representative set and cyclic order.
 
     Representatives are n/delta nodes with node 0 fixed first (a
@@ -471,16 +450,17 @@ def ham_to_setcover(G: Digraph, delta: int) -> ReductionBatch:
     target size n/delta must consist of pairwise-disjoint sets.
 
     Orders come as ``itertools.combinations`` of the other representatives,
-    each followed by its ``itertools.permutations``.  The paths of one
-    representative set are found once, one DFS per representative, and
-    shared by all of its cyclic orders.
+    each followed by its ``itertools.permutations``, by backtracking over
+    the positions after node 0.  Each start node's simple delta-edge paths
+    are found once per stream and filtered per representative set.
 
-    An order's key is a bitmask over the distinct path sets of the stream,
-    numbered once per stream: the OR of its consecutive pairs' group masks.
-    The sets of one order are distinct (each holds exactly one
-    representative, the start of its path), so equal keys mean equal set
-    families and, n and delta being fixed, equal instances.  The instance
-    itself is concatenated only when it is first read.
+    An order is live when every consecutive pair, the closing one included,
+    has a path.  A representative lies only in the sets of the paths to its
+    successor, so a dead order cannot accept.  With ``live_only`` (the
+    decide-side form) only the live orders are built, and the dead ones
+    come as skip counts in their place in the stream: a dead pair skips
+    every completion of its prefix, and a representative with no path to
+    another one skips its representative set's (t-1)! orders.
     """
     n = G.num_nodes
     if delta < 2:
@@ -492,62 +472,71 @@ def ham_to_setcover(G: Digraph, delta: int) -> ReductionBatch:
     t = n // delta
     bound_log2 = (t - 1) * math.log2(n) if n > 1 else 0.0
 
+    def orders(paths, order, free):
+        if not free:
+            if live_only and 0 not in paths[order[-1]]:
+                yield 1
+            else:
+                sets = [s for a, b in zip(order, order[1:] + [0]) for s in paths[a].get(b, ())]
+                yield ProducedInstance(SetCoverInstance(n=n, sets=tuple(sets), delta=delta),
+                                       t, tuple(order))
+            return
+        for i, b in enumerate(free):
+            if live_only and b not in paths[order[-1]]:
+                yield math.factorial(len(free) - 1)
+                continue
+            order.append(b)
+            yield from orders(paths, order, free[:i] + free[i + 1:])
+            order.pop()
+
     def stream():
-        # the same node set can come from different representative sets
-        bit = {}
+        table = [_paths_by_end(G, a, delta) for a in range(n)]
         for rest in itertools.combinations(range(1, n), t - 1):
-            reps = frozenset((0,) + rest)
-            paths = {a: _paths_from(G, a, delta, reps) for a in reps}
-            masks = dict.fromkeys(itertools.product(reps, repeat=2), 0)
-            for a, groups in paths.items():
-                for b, group in groups.items():
-                    for s in group:
-                        masks[a, b] |= 1 << bit.setdefault(s, len(bit))
-            for perm in itertools.permutations(rest):
-                order = (0,) + perm
-                key = functools.reduce(operator.or_, map(masks.__getitem__,
-                                                         zip(order, perm + (0,))))
-                yield ProducedInstance(functools.partial(_ham_instance, n, delta, paths, order),
-                                       t, order, key)
+            reps_mask = sum(1 << a for a in rest) | 1
+            paths = {}
+            for a in (0,) + rest:
+                # a's successor is another representative unless a is the only one
+                ends = reps_mask if t == 1 else reps_mask & ~(1 << a)
+                groups = {b: tuple(s for s, inner in sets.items() if not inner & reps_mask)
+                          for b, sets in table[a].items() if ends >> b & 1}
+                paths[a] = {b: group for b, group in groups.items() if group}
+                if live_only and not paths[a]:
+                    yield math.factorial(t - 1)
+                    break
+            else:
+                yield from orders(paths, [0], rest)
 
     return ReductionBatch(produced=stream(), bound_declared_log2=bound_log2,
                           elements_declared=float(n))
 
 
-def _ham_instance(n, delta, paths, order):
-    """The instance of one cyclic order: its consecutive pairs' path sets."""
-    produced = []
-    for a, b in zip(order, order[1:] + order[:1]):
-        produced += paths[a].get(b, ())
-    return SetCoverInstance(n=n, sets=tuple(produced), delta=delta)
-
-
-def _paths_from(G, a, length, reps):
-    """End node -> distinct sorted node tuples (endpoint excluded) of the
-    simple directed paths from a with exactly ``length`` edges whose interior
-    avoids ``reps`` and whose end is in ``reps``, each in DFS order."""
+def _paths_by_end(G, a, length):
+    """End node -> {sorted node tuple (end excluded): interior node mask} of
+    the distinct simple directed paths from a with exactly ``length`` edges,
+    each in DFS order.  The end may be a itself, never an interior node."""
     out = {}
     path = [a]
 
-    def rec(u, depth):
+    def rec(u, depth, inner):
         if depth + 1 == length:
+            nodes = tuple(sorted(path))
             for w in G.successors(u):
-                if w in reps:
-                    out.setdefault(w, []).append(tuple(sorted(path)))
+                if w == a or w not in path:
+                    out.setdefault(w, {}).setdefault(nodes, inner)
             return
         for w in G.successors(u):
-            if w not in reps and w not in path:
+            if w not in path:
                 path.append(w)
-                rec(w, depth + 1)
+                rec(w, depth + 1, inner | 1 << w)
                 path.pop()
 
-    rec(a, 0)
-    return {b: tuple(dict.fromkeys(sets)) for b, sets in out.items()}
+    rec(a, 0, 0)
+    return out
 
 
 def solve_ham_via_setcover(G: Digraph, delta: int) -> bool:
     """True iff some produced instance admits a cover of exactly the target size."""
-    return decide_stream(ham_to_setcover(G, delta)).accepted is not None
+    return decide_stream(ham_to_setcover(G, delta, live_only=True)).accepted is not None
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,23 @@ def test_suite_ktree_families_count_embedded_trees():
         {"check": "coverage", "trees_embedded": 0}]
 
 
+def test_suite_decision_families_count_both_answers():
+    report = run_verification_suite({"families": ["ntree", "ham"]})
+    assert report["passed"]
+    for fam in report["families"].values():
+        notes = fam["notes"]
+        assert notes["yes"] > 0 and notes["no"] > 0
+        assert notes["yes"] + notes["no"] == fam["cases"]
+        assert notes["instances_distinct"] > 0
+    # one case has one answer, so the other one went uncertified
+    single = run_verification_suite({"families": ["ntree", "ham"],
+                                     "trials": {"ntree": 1, "ham": 1}})
+    assert not single["passed"]
+    for fam in single["families"].values():
+        notes = fam["notes"]
+        assert fam["failures"] == [{"check": "coverage", "yes": notes["yes"], "no": notes["no"]}]
+
+
 def test_suite_exactcover_large_rejects_an_overlapping_certificate(monkeypatch):
     def overlapping(inst, delta):
         # same optimum, but the first set stands in for the last one

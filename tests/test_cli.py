@@ -268,15 +268,25 @@ def test_reduce_emit_dir(run, tmp_path):
     assert inst.n >= 1
 
 
-def test_reduce_ham_stream_parses_back(run, tmp_path):
-    from xcover.instances import iter_instances
+def _parse_records(text):
+    """The instances of a concatenation of records, each starting at its
+    ``p`` header line; comment lines are dropped."""
+    chunks = []
+    for line in text.splitlines():
+        if line.startswith("p "):
+            chunks.append([])
+        if not line.startswith("c"):
+            chunks[-1].append(line)
+    return [parse_instance("\n".join(chunk)) for chunk in chunks]
 
+
+def test_reduce_ham_stream_parses_back(run, tmp_path):
     g, _ = gen_planted("ham_cycle", seed=3, n=4, extra_edges=2)
     path = tmp_path / "g.digraph"
     path.write_text(serialize_instance(g))
     code, out, _ = run("reduce", "ham-to-sc", str(path), "--delta", "2")
     assert code == 0
-    instances = list(iter_instances(out))
+    instances = _parse_records(out)
     assert len(instances) == 3  # representative sets {0,x} for x in 1..3, one order each
     assert all(inst.n == 4 for inst in instances)
     assert all(all(len(s) == 2 for s in inst.sets) for inst in instances)
@@ -292,7 +302,6 @@ def test_reduce_sc_to_ktree_stream(run, tmp_path):
 
 
 def test_reduce_sc_to_ktree_removes_large_sets_first(run, tmp_path):
-    from xcover.instances import iter_instances
     from xcover.reductions import build_host_graph, setcover_preprocess_large
 
     path = tmp_path / "i.sc"
@@ -303,7 +312,7 @@ def test_reduce_sc_to_ktree_removes_large_sets_first(run, tmp_path):
     assert "large sets removed: 1" in err
     header = json.loads(out.splitlines()[0].removeprefix("c provenance "))
     assert header == {"g": 2, "removed_large": [1], "role": "host"}
-    host = next(iter_instances(out))
+    host = _parse_records(out)[0]
     residual = setcover_preprocess_large(parse_instance(path.read_text(), "setcover"), 2).residual
     assert host == build_host_graph(residual, 2).host
     assert out.count("p tree") == 2

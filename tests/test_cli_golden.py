@@ -28,7 +28,13 @@ All fifteen pipeline digests were re-taken when the ``--jobs`` option was
 removed: each record equals the one commit 8fea5dd printed for the same
 command (with ``--jobs 1`` for ham) less its ``parameters.jobs`` key, and
 the two cases that ran ham with two jobs were dropped.  The ``verify`` digest did not move when the report lost its
-``backend`` field, which the digest had always left out.
+``backend`` field, which the digest had always left out.  The two ``pipeline
+ham`` digests were re-taken when the ham decide path began to skip the
+orders that cannot accept: their records differ from the earlier ones in
+``stats.instances_distinct`` alone, plus the new
+``stats.instances_filtered``.  The ``verify`` digest was re-taken when the
+``ntree`` and ``ham`` families began to report their yes and no counts and
+``instances_distinct`` (new keys under ``notes``, nothing else moved).
 ``reduce sc-to-ktree`` and
 ``ppc-to-ktree`` on the inputs with large sets exited 3 before they
 learned to remove those sets first, so their digests are of the first
@@ -160,8 +166,8 @@ CASES = {
 
 GOLDEN = {
     "bounds": "856427367579962b0810bdb7889aeeb17e2b1f7d90e3195f144a6551c677f039",
-    "pipeline-ham-no": "f004a5c53a54fa249ae655957c59763945ac849d667bd933b1cf972b91873db7",
-    "pipeline-ham-yes": "ee96265548f67d96c7301d70735388f237a97fbc1b392a3caba94c1514d39fbe",
+    "pipeline-ham-no": "b549b9c7f0a289ed7dd248d0dd4bb96509cd74036a9cf7ab9effbbc0d1579e64",
+    "pipeline-ham-yes": "60441132225aa954ad1f29558d2ea48daefb0a1de632664a2f6b32197fb58fb2",
     "pipeline-ntree-no-anchored": "737a0ccb79288efa931da56c6e5eebcfe35522f453e028043982ca11850c1297",
     "pipeline-ntree-no-literal": "e9cc2819cfab158e4bda22a00ec29a939255044e42e72cab18d5e88576652b3e",
     "pipeline-ntree-over-anchored": "603ae6034cb58d16fc9a166aeae910c997b0e0d0e88c1b6f015b28dae2f86bb8",
@@ -185,7 +191,7 @@ GOLDEN = {
     "reduce-ppc-to-ktree-large": "f916fb2136cc911aa87efbbe0f496df1572bcfa67b2502194ba44facf4db344b",
     "reduce-sc-to-ktree": "ddb6b9039c0c95293cbd8c30a0196edbb486cc75bb6739c0d7d60d5ff33539b5",
     "reduce-sc-to-ktree-large": "b6f0334734de8476cb7119ca0596029b9973924bfd4670189432991d75675732",
-    "verify": "3449532e209c718ae00f10cbc37eac88c2d323703369c27e8768e5847ba3b146",
+    "verify": "b8add61ac77fe1d852fb873f34ee306496ea56a95f591248decbdfa840089ce2",
     "solve-embed": "165ee9c0e8b62cb9532496aaa33042ee2889ca02e7d569c337cd80d9956ece3e",
     "solve-exactcover": "5e5eab674b852ed15c13ac14bc92459f08e8e7076640f4fe0abe98d0be4deff2",
     "solve-exactcover-delta3": "44512d83bdbbf838acf99d46945551f70a0a5c06b84b7b155fe9068409c6ed94",

@@ -194,13 +194,14 @@ def test_decide_stream_returns_the_first_accepting_instance():
     G, _ = gen_planted("ham_cycle", seed=4, n=8, extra_edges=6)
     first = next(prod for prod in ham_to_setcover(G, 2).produced
                  if setcover_dp(prod.instance).optimum == prod.target)
-    decision = decide_stream(ham_to_setcover(G, 2))
+    decision = decide_stream(ham_to_setcover(G, 2, live_only=True))
     assert decision.accepted.provenance == first.provenance
     assert decision.result.optimum == first.target
     assert verify_cover(first.instance, decision.result.certificate)
     assert decision.examined >= 1
-    no = decide_stream(ham_to_setcover(Digraph(4, frozenset({(0, 1), (1, 2), (2, 3)})), 2))
-    assert no.accepted is None and no.result is None and no.examined == 3
+    no = decide_stream(ham_to_setcover(Digraph(4, frozenset({(0, 1), (1, 2), (2, 3)})), 2,
+                                       live_only=True))
+    assert no.accepted is None and no.result is None and no.examined == no.filtered == 3
     # instance 29 of 55 of an anchored ntree stream is the first to accept
     G, T, _ = gen_planted("embedded_tree", seed=7, k=7, host_n=7,
                           extra_edge_probability=0.15)
@@ -223,7 +224,8 @@ def _decide_without_memo(batch):
 
 
 def _seeded_streams():
-    """(label, stream factory): planted and random hosts, so both answers occur."""
+    """(label, stream factory taking ``live_only``): planted and random
+    hosts, so both answers occur.  The ntree stream has no decide-side form."""
     for n in (4, 6, 8):
         for delta in sorted({2, n // 2}):
             for seed in range(2):
@@ -231,7 +233,8 @@ def _seeded_streams():
                 rand = gen_random("digraph", seed=seed, n=n, edge_probability=0.4)
                 for name, G in (("planted", planted), ("random", rand)):
                     yield (f"ham n={n} delta={delta} {name} {seed}",
-                           lambda G=G, delta=delta: ham_to_setcover(G, delta))
+                           lambda live_only, G=G, delta=delta:
+                           ham_to_setcover(G, delta, live_only))
     for k in (5, 6, 7):
         for variant in ("anchored", "literal"):
             planted, T, _ = gen_planted("embedded_tree", seed=k, k=k, host_n=k,
@@ -239,11 +242,18 @@ def _seeded_streams():
             rand = gen_random("digraph", seed=k, n=k, edge_probability=0.35)
             for name, G in (("planted", planted), ("random", rand)):
                 yield (f"ntree k={k} {variant} {name}",
-                       lambda G=G, T=T, variant=variant: ntree_to_setcover(G, T, 6, variant))
+                       lambda live_only, G=G, T=T, variant=variant:
+                       ntree_to_setcover(G, T, 6, variant))
 
 
 def _key(prod):
     return prod.target, prod.instance.n, prod.instance.sets
+
+
+def _covers_representatives(prod):
+    """A ham order's instance holds every representative in some set, which
+    is the case exactly when the order is live."""
+    return set(prod.provenance) <= set().union(*prod.instance.sets)
 
 
 def test_decide_stream_solves_each_distinct_instance_once(monkeypatch):
@@ -257,12 +267,12 @@ def test_decide_stream_solves_each_distinct_instance_once(monkeypatch):
 
     answers = set()
     for label, make in _seeded_streams():
-        prod, res, examined = _decide_without_memo(make())
-        got = decide_stream(make())
+        prod, res, examined = _decide_without_memo(make(False))
+        got = decide_stream(make(True))
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(reductions, "setcover_dp", counting)
-            counted = decide_stream(make())
+            counted = decide_stream(make(True))
         assert len(calls) == len(set(calls)) == counted.distinct == got.distinct, label
         assert counted.examined == got.examined == examined, label
         if prod is None:
@@ -272,14 +282,19 @@ def test_decide_stream_solves_each_distinct_instance_once(monkeypatch):
             assert got.accepted.instance == prod.instance, label
             assert got.result.optimum == res.optimum, label
             assert got.result.certificate == res.certificate, label
-        # the DP saw exactly the distinct instances of the examined prefix
-        prefix = itertools.islice(make().produced, examined)
-        assert got.distinct == len({_key(p) for p in prefix}), label
+        # the DP saw exactly the distinct live instances of the examined
+        # prefix, and the dead ones were counted as filtered
+        prefix = list(itertools.islice(make(False).produced, examined))
+        live = [p for p in prefix if not label.startswith("ham") or _covers_representatives(p)]
+        assert got.distinct == len({_key(p) for p in live}), label
+        assert got.filtered == len(prefix) - len(live), label
         answers.add(prod is not None)
     assert answers == {True, False}
 
 
 def test_decide_stream_builds_only_the_distinct_ham_instances(monkeypatch):
+    """The decide path builds an instance for each live order it yields and
+    for nothing else: every other examined order is a skip count."""
     import xcover.reductions as reductions
 
     built = []
@@ -294,21 +309,15 @@ def test_decide_stream_builds_only_the_distinct_ham_instances(monkeypatch):
     answers = []
     for G in (no, yes):
         built.clear()
-        decision = decide_stream(ham_to_setcover(G, 2))
-        assert len(built) == decision.distinct < decision.examined
+        batch = ham_to_setcover(G, 2, live_only=True)
+        items = []
+        batch.produced = (items.append(item) or item for item in batch.produced)
+        decision = decide_stream(batch)
+        live = [item for item in items if not isinstance(item, int)]
+        assert len(built) == len(live) == decision.examined - decision.filtered
+        assert len(built) < decision.examined
         answers.append(decision.accepted is not None)
     assert answers == [False, True]
-
-
-def _keys_match_instances(batch):
-    """Equal keys exactly when the instances are equal, over the whole stream:
-    the (key, instance) pairs are as many as the keys and as the instances
-    exactly when each key names one instance and each instance one key."""
-    prods = list(batch.produced)
-    keys = {prod.key for prod in prods}
-    instances = {(prod.instance.n, prod.instance.sets) for prod in prods}
-    pairs = {(prod.key, prod.instance.n, prod.instance.sets) for prod in prods}
-    return len(pairs) == len(keys) == len(instances)
 
 
 def test_ntree_rejects_small_delta():
@@ -758,16 +767,44 @@ def test_ham_stream_matches_the_oracle(data, n):
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.integers(4, 8))
-def test_ham_stream_keys_name_instances(data, n):
+def test_ham_live_decide_matches_the_unpruned_stream(data, n):
     G = data.draw(_digraphs(n))
     for delta in range(2, n + 1):
-        if n % delta == 0:
-            assert _keys_match_instances(ham_to_setcover(G, delta)), delta
+        if n % delta:
+            continue
+        full = list(ham_to_setcover(G, delta).produced)
+        items = list(ham_to_setcover(G, delta, live_only=True).produced)
+        live = [item for item in items if not isinstance(item, int)]
+        # the live orders are the orders covering every representative, in
+        # stream order, and the skip counts account for all the others
+        assert [(p.provenance, p.instance) for p in live] == \
+            [(p.provenance, p.instance) for p in full if _covers_representatives(p)], delta
+        assert sum(item for item in items if isinstance(item, int)) + len(live) == len(full)
+        if delta == n:
+            # one representative: its single order is live exactly when
+            # node 0 has a closed delta-walk, i.e. its instance has a set
+            assert len(live) == (full[0].instance.m > 0)
+        prod, _, examined = _decide_without_memo(ham_to_setcover(G, delta))
+        got = decide_stream(ham_to_setcover(G, delta, live_only=True))
+        assert got.examined == examined, delta
+        if prod is None:
+            assert got.accepted is None
+            assert got.filtered + len(live) == got.examined == len(full)
+        else:
+            assert got.accepted.provenance == prod.provenance, delta
 
 
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), k=st.integers(4, 7), variant=st.sampled_from(["anchored", "literal"]))
-def test_ntree_stream_keys_name_instances(data, k, variant):
+def test_ntree_decide_matches_the_unmemoized_stream(data, k, variant):
     G = data.draw(_digraphs(k))
     T = data.draw(_trees(k))
-    assert _keys_match_instances(ntree_to_setcover(G, T, 6, variant))
+    prod, res, examined = _decide_without_memo(ntree_to_setcover(G, T, 6, variant))
+    got = decide_stream(ntree_to_setcover(G, T, 6, variant))
+    assert (got.accepted is None) == (prod is None)
+    assert got.examined == examined and got.filtered == 0
+    prefix = itertools.islice(ntree_to_setcover(G, T, 6, variant).produced, examined)
+    assert got.distinct == len({_key(p) for p in prefix})
+    if prod is not None:
+        assert got.accepted.provenance == prod.provenance
+        assert got.result.certificate == res.certificate
