@@ -1,62 +1,25 @@
 """Kernels for the hot inner loops.
 
-The cover and exact-cover searches, the Hamiltonicity DP and the
-color-coding trial work on integer bitmasks and return plain ints, lists
-and tuples.  Callers reach them as attributes of this module
-(``kernels.cover_optimum(...)``), never through a local alias, so a
-profiler can wrap them in one place.
+One breadth-first union search serves plain, partial and exact cover.
+It, the Hamiltonicity DP and the color-coding trial work on integer
+bitmasks and return plain ints, lists and tuples.  Callers reach them as
+attributes of this module (``kernels.cover_optimum(...)``), never through
+a local alias, so a profiler can wrap them in one place.
 """
 
 from __future__ import annotations
 
-_INF = 0xFF
-
 BACKEND = "python"
 
 
-def cover_optimum(masks, n, p):
-    """Smallest sub-collection whose union has at least p bits.
+def cover_optimum(masks, n, p, covered=0):
+    """Smallest sub-collection whose union with ``covered`` has at least p bits.
 
     Returns (size, chosen indices, states), with size and chosen None when
-    no union has p bits; ``states`` counts the distinct unions reached,
-    the empty one included.  The search runs breadth-first over unions:
-    layer c holds the unions first reached with c sets, and it stops at the
-    first layer holding a union of at least p bits, taking the smallest
-    such union.  The certificate walks back one layer at a time to the
-    smallest union of the layer before and then the smallest index j that
-    reaches the current union, which is the first strict improvement of the
-    subset DP over all 2^n unions in ascending (union, j) order, so both
-    give the same sets in the same order.
+    no such union exists; ``states`` counts the distinct unions reached,
+    the ``covered`` one included.  See ``_union_search``.
     """
-    if p <= 0:
-        return 0, [], 1
-    seen = bytearray(1 << n)
-    seen[0] = 1
-    distinct = list(dict.fromkeys(masks))
-    layers = [[0]]
-    states = 1
-    goal = -1
-    while goal < 0:
-        layer = []
-        for u in layers[-1]:
-            for s in distinct:
-                v = u | s
-                if not seen[v]:
-                    seen[v] = 1
-                    layer.append(v)
-        if not layer:
-            return None, None, states
-        states += len(layer)
-        layers.append(layer)
-        goal = min((v for v in layer if v.bit_count() >= p), default=-1)
-    chosen = []
-    cur = goal
-    for layer in reversed(layers[:-1]):
-        cur, j = next((u, j) for u in sorted(layer) if u | cur == cur
-                      for j, s in enumerate(masks) if u | s == cur)
-        chosen.append(j)
-    chosen.reverse()
-    return len(chosen), chosen, states
+    return _union_search(masks, n, p, covered, False)
 
 
 def exact_cover_optimum(masks, n, covered=0):
@@ -64,51 +27,81 @@ def exact_cover_optimum(masks, n, covered=0):
 
     The uncovered elements are those of range(n) outside the bitmask
     ``covered`` (none by default), so no set meeting ``covered`` is chosen.
-    Returns (size, chosen indices, states), with size and chosen None when
-    no exact cover exists; ``states`` counts the distinct uncovered masks
-    solved, the empty one included.  Each uncovered mask branches on its
-    lowest element, trying only the sets whose lowest element it is, in
-    index order; the memo keeps the first strictly better set.  This is the
-    subset-DP recurrence over all 2^n masks evaluated top-down from the
-    uncovered mask, so both give the same sets in the same order.  Every
-    level of the recursion covers at least one element, so it is at most n
-    deep.
+    Returns (size, chosen indices, states) as ``cover_optimum`` does.
     """
-    buckets = [[] for _ in range(n)]
-    for j, s in enumerate(masks):
-        if s:
-            buckets[(s & -s).bit_length() - 1].append((j, s))
-    memo = {0: 0}
-    choice = {}
+    return _union_search(masks, n, n, covered, True)
 
-    def solve(rest):
-        best = memo.get(rest)
-        if best is not None:
-            return best
-        best = _INF
-        for j, s in buckets[(rest & -rest).bit_length() - 1]:
-            if s & rest != s:
-                continue
-            d = solve(rest ^ s) + 1
-            if d < best:
-                best = d
-                choice[rest] = j
-                if d == 1:  # no later set can do strictly better
-                    break
-        memo[rest] = best
-        return best
 
-    full = ((1 << n) - 1) & ~covered
-    if solve(full) == _INF:
-        return None, None, len(memo)
+def _union_search(masks, n, p, covered, disjoint):
+    """Breadth-first search over the unions reachable from ``covered``.
+
+    Layer c holds the unions first reached with c sets; the search stops at
+    the first layer holding a union of at least p bits and takes the
+    smallest such union.
+
+    A full cover (p >= n) grows a union u only by the sets holding its
+    lowest missing element ``~u & (u + 1)``, as every cover of u's
+    complement has one of them; with ``disjoint`` the set must also miss u.
+    The few unions reached are kept in a ``set``.  A partial cover lets
+    every set extend every union and keeps one visited byte per possible
+    union, 2^n bytes.
+
+    The certificate walks back one layer at a time to the smallest union of
+    the layer before and then the smallest index j that reaches the current
+    union (disjointly, with ``disjoint``).  For a partial cover from the
+    empty union that is the first strict improvement of the subset DP over
+    all 2^n unions in ascending (union, j) order, so both give the same
+    sets in the same order.
+    """
+    if covered.bit_count() >= p:
+        return 0, [], 1
+    distinct = list(dict.fromkeys(masks))
+    if p < n:
+        seen = bytearray(1 << n)
+        seen[covered] = 1
+    else:
+        # by_low[e]: the sets holding e, or with ``disjoint`` the sets whose
+        # lowest element is e (a set missing u has no element below u's
+        # lowest missing one); a full union's lowest missing element is n
+        by_low = [[] for _ in range(n + 1)]
+        for s in distinct:
+            rest = s
+            while rest:
+                low = rest & -rest
+                by_low[low.bit_length() - 1].append(s)
+                rest = 0 if disjoint else rest ^ low
+        seen = {covered}
+    layers = [[covered]]
+    goal = -1
+    while goal < 0:
+        layer = []
+        if p < n:
+            for u in layers[-1]:
+                for s in distinct:
+                    v = u | s
+                    if not seen[v]:
+                        seen[v] = 1
+                        layer.append(v)
+        else:
+            for u in layers[-1]:
+                for s in by_low[(~u & (u + 1)).bit_length() - 1]:
+                    v = u | s
+                    if v not in seen and not (disjoint and u & s):
+                        seen.add(v)
+                        layer.append(v)
+        if not layer:
+            return None, None, sum(map(len, layers))
+        layers.append(layer)
+        goal = min((v for v in layer if v.bit_count() >= p), default=-1)
     chosen = []
-    rest = full
-    while rest:
-        j = choice[rest]
+    cur = goal
+    for layer in reversed(layers[:-1]):
+        cur, j = next((u, j) for u in sorted(layer) if u | cur == cur
+                      for j, s in enumerate(masks)
+                      if u | s == cur and not (disjoint and u & s))
         chosen.append(j)
-        rest ^= masks[j]
     chosen.reverse()
-    return len(chosen), chosen, len(memo)
+    return len(chosen), chosen, sum(map(len, layers))
 
 
 def ham_cycle(succ, n):

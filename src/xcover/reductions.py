@@ -47,6 +47,7 @@ from xcover.partitions import Partition, partitions_with_length, shrink_partitio
 from xcover.solvers import (
     DEFAULT_BUDGET,
     SolveResult,
+    _check_cap_n,
     setcover_dp,
     tree_embed_backtrack,
     verify_cover,
@@ -794,9 +795,11 @@ def setcover_preprocess_large(inst: SetCoverInstance, g: int) -> PreprocessOutco
 
     Large means |S|g^2 > n for a plain cover and |S|g^2 >= p for a partial
     one.  When some optimal solution uses a large set, the optimum is found
-    here by trying each large set and covering the rest of the leaf total
-    from the elements outside it by DP.  The residual instance (large sets
-    removed) satisfies the size assumption and is returned either way.
+    here by trying each large set and running the cover search from its
+    union up to the leaf total.  The residual instance (large sets removed)
+    satisfies the size assumption and is returned either way.  Raises
+    CapacityError when a large set is present and n exceeds the cover
+    solvers' cap.
     """
     total = _leaf_total(inst)
     large = _large_indices(inst, g)
@@ -807,19 +810,11 @@ def setcover_preprocess_large(inst: SetCoverInstance, g: int) -> PreprocessOutco
                                 variant=inst.variant, p=inst.p)
     if not large or not total:
         return PreprocessOutcome(None, residual, large, small)
+    _check_cap_n(inst.n)
+    masks = inst.masks()
     best = None
     for j in large:
-        covered = set(inst.sets[j])
-        rest = [e for e in range(inst.n) if e not in covered]
-        remap = {e: i for i, e in enumerate(rest)}
-        sub_masks = []
-        for s in inst.sets:
-            mask = 0
-            for e in s:
-                if e in remap:
-                    mask |= 1 << remap[e]
-            sub_masks.append(mask)
-        opt, chosen, _ = kernels.cover_optimum(sub_masks, len(rest), max(0, total - len(covered)))
+        opt, chosen, _ = kernels.cover_optimum(masks, inst.n, total, covered=masks[j])
         if opt is None:
             continue
         if best is None or 1 + opt < best[0]:

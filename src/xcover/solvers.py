@@ -32,9 +32,10 @@ def cap_n() -> int:
     the default of 24.
 
     The override must be an integer of at most MAX_CAP_N and is rejected
-    up front otherwise: the plain and partial cover search keeps one
-    visited byte per possible union, 2^n bytes (16 MB at n = 24, 4 GB at
-    n = 32), however few unions it reaches.
+    up front otherwise: the partial cover search keeps one visited byte
+    per possible union, 2^n bytes (16 MB at n = 24, 4 GB at n = 32),
+    however few unions it reaches.  Plain and exact cover keep only the
+    unions they reach.
     """
     raw = os.environ.get("XCOVER_CAP_N")
     if raw is None:
@@ -130,7 +131,8 @@ def verify_embedding(G: Digraph, T: PatternTree, mapping) -> bool:
 
 
 def setcover_dp(inst: SetCoverInstance) -> SolveResult:
-    """Minimum cover by a breadth-first search over the reachable unions.
+    """Minimum cover by a breadth-first search over the reachable unions,
+    each grown by the sets holding its lowest missing element.
 
     ``stats["explored"]`` is the number of unions the kernel reached; an
     instance whose sets do not cover the ground set stops before it, at 0.
@@ -184,7 +186,9 @@ def setcover_bruteforce(inst: SetCoverInstance, cap_m: int = DEFAULT_CAP_M_BRUTE
 def exactcover_solve(inst: SetCoverInstance) -> SolveResult:
     """Minimum number of pairwise-disjoint sets covering the ground set.
 
-    ``stats["explored"]`` is the number of uncovered masks the kernel solved.
+    The cover search of ``setcover_dp`` with each union grown only by sets
+    disjoint from it.  ``stats["explored"]`` is the number of unions the
+    kernel reached.
     """
     if inst.variant != EXACT:
         raise PreconditionError("exactcover_solve expects an exact-variant instance")

@@ -61,6 +61,21 @@ def test_capacity_exits_3(run, tmp_path):
     assert code == 3
 
 
+def test_large_set_preprocessing_is_capped(run, tmp_path):
+    from xcover.errors import CapacityError
+    from xcover.reductions import setcover_preprocess_large
+
+    # with g = 2 and p = 20 a set of 5 or more elements is large
+    text = "p partialcover 25 3 20\n0 1 2 3 4 5 6 7\n8 9\n10 11\n"
+    with pytest.raises(CapacityError):
+        setcover_preprocess_large(parse_instance(text, "partialcover"), 2)
+    path = tmp_path / "wide.pc"
+    path.write_text(text)
+    code, out, err = run("pipeline", "ppc-ktree", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unknown_subcommand_exits_2(run):
     code, _, _ = run("frobnicate")
     assert code == 2

@@ -35,6 +35,13 @@ orders that cannot accept: their records differ from the earlier ones in
 ``stats.instances_filtered``.  The ``verify`` digest was re-taken when the
 ``ntree`` and ``ham`` families began to report their yes and no counts and
 ``instances_distinct`` (new keys under ``notes``, nothing else moved).
+``solve setcover`` and ``solve exactcover`` were re-taken when one
+breadth-first union search took over both and a full cover began to grow
+only by the sets holding the lowest missing element: the records differ in
+``certificate`` and ``stats.explored`` alone (setcover ``[1, 6, 0, 7, 5,
+8]`` became ``[0, 1, 6, 5, 7, 8]`` and 158 unions became 18; exactcover
+``[6, 5, 3, 2]`` became ``[2, 3, 5, 6]`` at 15 unions, as many as the
+uncovered masks the earlier memo solved).
 ``reduce sc-to-ktree`` and
 ``ppc-to-ktree`` on the inputs with large sets exited 3 before they
 learned to remove those sets first, so their digests are of the first
@@ -193,14 +200,14 @@ GOLDEN = {
     "reduce-sc-to-ktree-large": "b6f0334734de8476cb7119ca0596029b9973924bfd4670189432991d75675732",
     "verify": "b8add61ac77fe1d852fb873f34ee306496ea56a95f591248decbdfa840089ce2",
     "solve-embed": "165ee9c0e8b62cb9532496aaa33042ee2889ca02e7d569c337cd80d9956ece3e",
-    "solve-exactcover": "5e5eab674b852ed15c13ac14bc92459f08e8e7076640f4fe0abe98d0be4deff2",
+    "solve-exactcover": "22edcad9f8e2d648b0a01cf9341c57c679955f106536a5a0888f5ada388597f1",
     "solve-exactcover-delta3": "44512d83bdbbf838acf99d46945551f70a0a5c06b84b7b155fe9068409c6ed94",
     "solve-ham-no": "12ba2dcfbd4e8fb95f0b896772ccc89a53309a716ee983c954b3da5f84e290df",
     "solve-ham-yes": "0769b272f56ce5385cec5b77586c224360b9975812ff8ca63fb2fda9d793fe9a",
     "solve-ktree-seed0": "3d910b2d07db427f46b9d5e644380d54ead19b56c0054d9566cc4321b1fd21d7",
     "solve-ktree-seed5": "aca0af99f18f92f2466def745d5d49deb3695e4daad2a21724cec7f9581cd29b",
     "solve-partialcover": "14433d7405c3b1b47d344ae4c576d2ebbaa8dbdfae2a3ab1c2cf7760c6f58a3e",
-    "solve-setcover": "004223f62691b1e76e6fe3204948a41da9b7014709604335f6b61f8aab278ea2",
+    "solve-setcover": "dfd8593cbfb1229fa504efcf480adea531f013a12358696d682c3f4bb1998fc4",
 }
 
 

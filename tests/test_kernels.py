@@ -77,9 +77,10 @@ def test_exact_cover_optimum_matches_disjoint_subset_enumeration():
 
 
 # Reference oracle: the dense subset DPs over all 2^n masks that the sparse
-# cover kernels replaced, kept here (the exact one reading its answer at the
-# uncovered mask rather than the full one) so the sparse searches must
-# reproduce their optima and certificates exactly.
+# cover search replaced, kept here (the exact one reading its answer at the
+# uncovered mask rather than the full one).  A partial cover must reproduce
+# their certificates exactly; a full cover, which grows only by the sets
+# holding the lowest missing element, their optima.
 _INF = 0xFF
 
 
@@ -170,20 +171,46 @@ def _mask_lists(draw, max_masks=12):
     return n, masks
 
 
+def _remap(mask, rest):
+    """``mask`` restricted to the elements ``rest``, renumbered in order."""
+    return sum(1 << i for i, e in enumerate(rest) if mask >> e & 1)
+
+
+def _check_full_cover(masks, n, start, got, want, disjoint):
+    size, chosen, states = got
+    assert size == (None if want is None else want[0])
+    assert 1 <= states <= 1 << n
+    if size is None:
+        return
+    assert len(chosen) == size
+    union = start
+    for j in chosen:
+        assert not (disjoint and union & masks[j])
+        union |= masks[j]
+    assert union == (1 << n) - 1
+
+
 @settings(max_examples=300, deadline=None)
 @given(_mask_lists(), st.integers(0, (1 << 10) - 1))
-def test_sparse_cover_kernels_give_the_dense_certificates(case, covered):
+def test_union_search_matches_the_dense_oracles(case, covered):
+    """Cover from the empty union and from ``covered``, against the dense DP
+    on the masks renumbered over the uncovered elements."""
     n, masks = case
-    for p in range(n + 1):
-        size, chosen, states = kernels.cover_optimum(masks, n, p)
-        assert _dense_cover_optimum(masks, n, p) == (None if size is None else (size, chosen))
-        assert 1 <= states <= 1 << n
     covered &= (1 << n) - 1
     for start in (0, covered):
-        size, chosen, states = kernels.exact_cover_optimum(masks, n, start)
-        assert _dense_exact_cover_optimum(masks, n, start) == (
-            None if size is None else (size, chosen))
-        assert 1 <= states <= 1 << n
+        rest = [e for e in range(n) if not start >> e & 1]
+        sub_masks = [_remap(s, rest) for s in masks]
+        for p in range(n + 1):
+            got = kernels.cover_optimum(masks, n, p, covered=start)
+            want = _dense_cover_optimum(sub_masks, len(rest), p - start.bit_count())
+            if p < n:
+                size, chosen, states = got
+                assert want == (None if size is None else (size, chosen))
+                assert 1 <= states <= 1 << n
+            else:
+                _check_full_cover(masks, n, start, got, want, False)
+        got = kernels.exact_cover_optimum(masks, n, start)
+        _check_full_cover(masks, n, start, got, _dense_exact_cover_optimum(masks, n, start), True)
 
 
 def _split_with_residual_remap(inst, delta):
@@ -268,18 +295,24 @@ def test_wide_instance_at_the_default_cap():
     plain = SetCoverInstance(24, tuple(sets))
     exact = SetCoverInstance(24, tuple(sets), variant=EXACT)
     partial = SetCoverInstance(24, tuple(sets), variant=PARTIAL, p=21)
-    tracemalloc.start()
-    try:
-        results = [setcover_dp(plain), exactcover_solve(exact), partialcover_dp(partial)]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    results = []
+    peaks = []
+    for solve, inst in ((setcover_dp, plain), (exactcover_solve, exact),
+                        (partialcover_dp, partial)):
+        tracemalloc.start()
+        try:
+            results.append(solve(inst))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
     assert [r.optimum for r in results] == [8, 8, 7]
     assert verify_cover(plain, results[0].certificate)
     assert verify_exact_cover(exact, results[1].certificate)
     assert verify_cover(partial, results[2].certificate)
     assert all(0 < r.stats["explored"] < 1 << 24 for r in results)
-    assert peak < 64 << 20
+    # full covers keep only the unions they reach; the partial one keeps 2^24 bytes
+    assert peaks[0] < 1 << 20 and peaks[1] < 1 << 20
+    assert peaks[2] < 64 << 20
 
 
 def test_ham_cycle_matches_permutation_search():

@@ -66,14 +66,14 @@ def test_setcover_dp_examples():
 
 
 def test_cover_solvers_count_the_states_visited():
-    # unions {}, then {0,1} {1,2} {2}, then the ground set
-    assert setcover_dp(SetCoverInstance(3, ((0, 1), (1, 2), (2,)))).stats["explored"] == 5
+    # unions {}, then {0,1} (the only set holding 0), then the ground set
+    assert setcover_dp(SetCoverInstance(3, ((0, 1), (1, 2), (2,)))).stats["explored"] == 3
     # unions {} and {0}; no second set adds an element
     res = partialcover_dp(SetCoverInstance(3, ((0,),), variant="partial", p=2))
     assert (res.answer, res.stats["explored"]) == ("infeasible", 2)
-    # uncovered {0,1,2}, then {2}, which no set starts at; and the empty mask
+    # unions {} and {0,1}; the only set holding 2 meets {0,1}
     res = exactcover_solve(SetCoverInstance(3, ((0, 1), (1, 2)), variant="exact"))
-    assert (res.answer, res.stats["explored"]) == ("infeasible", 3)
+    assert (res.answer, res.stats["explored"]) == ("infeasible", 2)
 
 
 def test_setcover_bruteforce_example():
