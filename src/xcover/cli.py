@@ -104,7 +104,8 @@ def _cmd_solve(args) -> int:
     elif kind == "ktree":
         G = _parse_graph_file(args.files[0])
         T = _read(args.files[1], "tree")
-        res = solvers.ktree_colorcoding(G, T, failure_prob=args.failure_prob, seed=args.seed)
+        res = solvers.ktree_colorcoding(G, T, failure_prob=args.failure_prob, seed=args.seed,
+                                        budget=args.budget)
     else:  # embed
         G = _parse_graph_file(args.files[0])
         T = _read(args.files[1], "tree")

@@ -206,7 +206,10 @@ def exactcover_with_large_sets(inst: SetCoverInstance, delta: int) -> SolveResul
 
     Every disjoint sub-collection of the >delta sets is tried; the elements
     it leaves uncovered are solved over the small sets alone.  Agrees with
-    exactcover_solve on all inputs.
+    exactcover_solve on all inputs.  A family that leaves elements
+    uncovered is solved only when a small set disjoint from it has the
+    lowest uncovered element as its own lowest, which is the kernel's
+    first-layer test; ``stats["explored"]`` counts the families either way.
     """
     if inst.variant != EXACT:
         raise PreconditionError("exactcover_with_large_sets expects an exact-variant instance")
@@ -215,15 +218,22 @@ def exactcover_with_large_sets(inst: SetCoverInstance, delta: int) -> SolveResul
     masks = inst.masks()
     large = [j for j, s in enumerate(inst.sets) if len(s) > delta]
     small_masks = [0 if len(s) > delta else mask for s, mask in zip(inst.sets, masks)]
+    full = inst.full_mask()
+    by_low = {}  # lowest element's bit -> the small sets with that lowest element
+    for s in small_masks:
+        if s:
+            by_low.setdefault(s & -s, []).append(s)
     best: tuple[int, list[int]] | None = None
     explored = 0
 
     def rec(i, covered, chosen_large):
         nonlocal best, explored
         explored += 1
-        opt, chosen, _ = kernels.exact_cover_optimum(small_masks, inst.n, covered)
-        if opt is not None and (best is None or len(chosen_large) + opt < best[0]):
-            best = (len(chosen_large) + opt, sorted(chosen_large + chosen))
+        low = ~covered & (covered + 1)
+        if covered == full or any(not s & covered for s in by_low.get(low, ())):
+            opt, chosen, _ = kernels.exact_cover_optimum(small_masks, inst.n, covered)
+            if opt is not None and (best is None or len(chosen_large) + opt < best[0]):
+                best = (len(chosen_large) + opt, sorted(chosen_large + chosen))
         for t in range(i, len(large)):
             j = large[t]
             if masks[j] & covered:
@@ -290,15 +300,19 @@ def tree_embed_backtrack(G: Digraph, T: PatternTree, pins=None, forbidden=None,
 
     Tree edges must map to host arcs matching their orientation (any
     direction when T is undirected).  Internal nodes are placed by DFS with
-    degree pruning and symmetric-sibling ordering; the interchangeable leaf
-    children are kept in a bipartite matching that each placement repairs
-    with augmenting paths (a placement is pruned when no matching saturates
-    the leaves of placed parents), and are assigned at the end by one
-    deterministic matching pass.  This keeps star-heavy patterns from
+    degree pruning and symmetric-sibling ordering.  The interchangeable leaf
+    children form leaf groups (one parent, one orientation, one host pool);
+    each group is one slot whose capacity is its leaf count, kept in a
+    b-matching that each placement repairs with augmenting searches (a
+    placement is pruned when no b-matching fills the groups of placed
+    parents).  The leaves are assigned at the end by one deterministic
+    leaf-by-leaf matching pass.  This keeps star-heavy patterns from
     exploding.
 
     ``stats["explored"]`` counts budget units: one per placement candidate
-    tried for an internal node and one per augmenting-path step.  Raises
+    tried for an internal node, one per group fill (a newly placed group
+    taking free hosts of its pool), one per group expanded by an augmenting
+    search, and one per leaf expanded by the final matching pass.  Raises
     BudgetExceededError once more than ``budget`` units would be spent.
     """
     pins = dict(pins or {})
@@ -338,17 +352,20 @@ class _EmbedSearch:
         self.is_free_leaf = [
             v != T.root and not self.children[v] and v not in pins for v in range(self.k)
         ]
-        self.leaf_groups = self._leaf_groups()
+        self.groups, self.group_leaves = self._leaf_groups()
         self.order, self.twin_prev = self._internal_order()
         self.need = self._degree_needs()
         self.host_caps = self._host_caps()
         self.assign = {}
         self.used = set()
-        # leaf matching kept across placements (see _extend_matching)
+        # group matching kept across placements (see _extend_matching)
         self.blocked = forbidden | self.pin_images
-        self.leaf_pool = {}  # free leaf -> hosts it may take; ``used`` is checked on use
-        self.match = {}  # host -> free leaf
-        self.undo = []  # (host, previous leaf or None), replayed backwards on backtrack
+        # group -> hosts its leaves may take, set when its parent is placed;
+        # ``used`` is checked on use
+        self.group_pool = [()] * len(self.group_leaves)
+        self.pools = {}  # (host, orientation) -> unblocked hosts along it
+        self.match = {}  # host -> leaf group holding it
+        self.undo = []  # (host, previous group or None), replayed backwards on backtrack
 
     def _subtree_sizes(self):
         size = [1] * self.k
@@ -365,16 +382,19 @@ class _EmbedSearch:
         return below
 
     def _leaf_groups(self):
-        """parent -> [(orientation, free leaf children with that orientation)]."""
-        groups = {}
+        """A leaf group is the free leaf children of one parent with one
+        orientation, so they share one host pool.  Returns parent ->
+        [(group, orientation)] and group -> its leaves."""
+        groups, group_leaves = {}, []
         for v in range(self.k):
             by_orient = {}
             for c in self.children[v]:
                 if self.is_free_leaf[c]:
                     by_orient.setdefault(self.T.orientation[c], []).append(c)
-            if by_orient:
-                groups[v] = list(by_orient.items())
-        return groups
+            for o, leaves in by_orient.items():
+                groups.setdefault(v, []).append((len(group_leaves), o))
+                group_leaves.append(leaves)
+        return groups, group_leaves
 
     def _canon(self, v):
         return (
@@ -442,7 +462,10 @@ class _EmbedSearch:
     def _tick(self):
         self.explored += 1
         if self.explored > self.budget:
-            raise BudgetExceededError(f"embedding search exceeded {self.budget} expansions")
+            raise self._over_budget()
+
+    def _over_budget(self):
+        return BudgetExceededError(f"embedding search exceeded {self.budget} expansions")
 
     def run(self):
         return self._place(0)
@@ -461,79 +484,104 @@ class _EmbedSearch:
         floor = -1
         if v in self.twin_prev:
             floor = self.assign[self.twin_prev[v]]
+        used, blocked, pinned = self.used, self.blocked, v in self.pins
         for u in cands:
-            self._tick()
-            if u in self.used or u <= floor:
+            self.explored += 1  # _tick inlined: this loop spends most units
+            if self.explored > self.budget:
+                raise self._over_budget()
+            if u in used or u <= floor:
                 continue
-            if v in self.pins:
+            if pinned:
                 if u != self.pins[v]:
                     continue
-            elif u in self.blocked:
+            elif u in blocked:
                 continue
             if not self._capacity_ok(v, u):
                 continue
             mark = len(self.undo)
             self.assign[v] = u
-            self.used.add(u)
+            used.add(u)
             if self._extend_matching(v, u):
                 result = self._place(idx + 1)
                 if result is not None:
                     return result
             self._rollback(mark)
             del self.assign[v]
-            self.used.remove(u)
+            used.remove(u)
         return None
 
     def _extend_matching(self, v, u):
-        """Repair the leaf matching after placing ``v`` at ``u``.
+        """Repair the group matching after placing ``v`` at ``u``.
 
-        Before the placement every leaf slot of a placed parent is matched,
-        so by Berge's theorem one failed augmenting path (from the leaf that
-        lost host ``u``, or from one of v's new leaves) proves that no
-        matching saturates all slots; pools only shrink deeper in the
-        search, so the branch is dead.
+        The matching is a b-matching: a leaf group holds as many hosts of its
+        pool as it has leaves.  Before the placement every group of a placed
+        parent is full, so by Berge's theorem one failed augmenting search
+        (for the group that lost host ``u``, or for one of v's new groups)
+        proves that no b-matching fills every group; pools only shrink deeper
+        in the search, so the branch is dead.  Hall's condition holds over the
+        groups exactly when it holds over their leaves, so this prunes what a
+        matching of single leaves would.
         """
-        displaced = self.match.pop(u, None)
+        match, used, undo = self.match, self.used, self.undo
+        displaced = match.pop(u, None)
         if displaced is not None:
-            self.undo.append((u, displaced))
-            if not self._augment(displaced, set()):
+            undo.append((u, displaced))
+            if not self._augment(displaced, {displaced}):
                 return False
-        for o, leaves in self.leaf_groups.get(v, ()):
-            pool = tuple(w for w in self.G.along(u, o) if w not in self.blocked)
-            for leaf in leaves:
-                self.leaf_pool[leaf] = pool
-                if not self._augment(leaf, set()):
+        for g, o in self.groups.get(v, ()):
+            pool = self.pools.get((u, o))
+            if pool is None:
+                pool = self.pools[u, o] = tuple(
+                    w for w in self.G.along(u, o) if w not in self.blocked)
+            self.group_pool[g] = pool
+            self._tick()
+            missing = len(self.group_leaves[g])
+            for w in pool:
+                if w not in match and w not in used:
+                    undo.append((w, None))
+                    match[w] = g
+                    missing -= 1
+                    if not missing:
+                        break
+            for _ in range(missing):
+                if not self._augment(g, {g}):
                     return False
         return True
 
-    def _augment(self, leaf, visited):
-        """Augmenting path from the unmatched ``leaf`` over unused hosts."""
+    def _augment(self, g, visited):
+        """Augmenting path that gives group ``g`` one more unused host.
+
+        ``visited`` holds the groups this search has expanded, ``g`` among
+        them, so each pool is scanned at most once per search.
+        """
         self._tick()
-        pool, match, used = self.leaf_pool[leaf], self.match, self.used
+        pool, match, used = self.group_pool[g], self.match, self.used
         for w in pool:
             if w not in match and w not in used:
                 self.undo.append((w, None))
-                match[w] = leaf
+                match[w] = g
                 return True
         for w in pool:
-            if w in visited or w in used:
+            if w in used:
                 continue
-            visited.add(w)
             holder = match[w]
+            if holder in visited:
+                continue
+            visited.add(holder)
             if self._augment(holder, visited):
                 self.undo.append((w, holder))
-                match[w] = leaf
+                match[w] = g
                 return True
         return False
 
     def _rollback(self, mark):
         undo, match = self.undo, self.match
         while len(undo) > mark:
-            w, leaf = undo.pop()
-            if leaf is None:
+            w, g = undo.pop()
+            if g is None:
                 del match[w]
             else:
-                match[w] = leaf
+                match[w] = g
 
     def _match_leaves(self):
         """Final leaf assignment, independent of the search's matching.
@@ -542,10 +590,11 @@ class _EmbedSearch:
         sorted pools, so the mapping depends only on the placement of the
         internal nodes.  The search guarantees that a perfect matching exists.
         """
-        slots = sorted(
-            ((leaf, [w for w in sorted(pool) if w not in self.used])
-             for leaf, pool in self.leaf_pool.items()),
-            key=lambda s: (len(s[1]), s[0]))
+        slots = []
+        for g, leaves in enumerate(self.group_leaves):
+            pool = [w for w in sorted(self.group_pool[g]) if w not in self.used]
+            slots.extend((leaf, pool) for leaf in leaves)
+        slots.sort(key=lambda s: (len(s[1]), s[0]))
         matched = {}
 
         def augment(i, visited):
@@ -579,14 +628,17 @@ def colorcoding_trials(k: int, failure_prob: float) -> int:
 
 
 def ktree_colorcoding(G: Digraph, T: PatternTree, failure_prob: float = 0.01,
-                      seed: int = 0, cap_k: int = DEFAULT_CAP_K) -> SolveResult:
+                      seed: int = 0, cap_k: int = DEFAULT_CAP_K,
+                      budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Monte-Carlo tree embedding with one-sided error.
 
     Each trial colors the host with k colors exactly; a trial succeeds when
     a colorful embedding exists (per-trial success probability at least
     k!/k^k >= e^-k for yes-instances), so ceil(e^k * ln(1/failure_prob))
     trials bound the false-no probability by failure_prob.  Yes answers
-    carry an embedding verified by verify_embedding.
+    carry an embedding verified by verify_embedding.  Raises
+    BudgetExceededError before the first trial when more than ``budget``
+    trials are planned.
     """
     k = T.k
     if k > cap_k:
@@ -598,6 +650,9 @@ def ktree_colorcoding(G: Digraph, T: PatternTree, failure_prob: float = 0.01,
     if k == 1:
         return SolveResult("yes", certificate={T.root: 0}, stats=_stats(start, 0, trials=0))
     trials = colorcoding_trials(k, failure_prob)
+    if trials > budget:
+        raise BudgetExceededError(
+            f"color coding plans {trials} trials, more than the budget of {budget}")
     post = T.post_order
     orient_code = [0] * k
     for v in range(k):

@@ -76,6 +76,19 @@ def test_large_set_preprocessing_is_capped(run, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_ktree_budget_bounds_the_planned_trials(run, tmp_path):
+    # k = 5 at the default failure probability 0.01 plans 684 trials
+    host, tree, _ = gen_planted("embedded_tree", seed=3, k=5, host_n=10)
+    (tmp_path / "h.digraph").write_text(serialize_instance(host))
+    (tmp_path / "t.tree").write_text(serialize_instance(tree))
+    files = [str(tmp_path / "h.digraph"), str(tmp_path / "t.tree")]
+    code, out, err = run("solve", "ktree", *files, "--budget", "10")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, _ = run("solve", "ktree", *files, "--budget", "684")
+    assert code == 0 and json.loads(out)["answer"] == "yes"
+
+
 def test_unknown_subcommand_exits_2(run):
     code, _, _ = run("frobnicate")
     assert code == 2

@@ -216,7 +216,9 @@ def test_union_search_matches_the_dense_oracles(case, covered):
 def _split_with_residual_remap(inst, delta):
     """The exact split as it was before the kernel took a covered mask: each
     guess renumbers the uncovered elements and solves the small sets that
-    avoid the guess.  Returns (answer, optimum, certificate, explored)."""
+    avoid the guess.  Every guess is solved, so the split's first-layer
+    precheck must skip only guesses the kernel rejects.  Returns (answer,
+    optimum, certificate, explored)."""
     masks = inst.masks()
     large = [j for j, s in enumerate(inst.sets) if len(s) > delta]
     small = [j for j, s in enumerate(inst.sets) if len(s) <= delta]
@@ -283,6 +285,19 @@ def test_exact_split_on_the_covered_mask_matches_the_residual_remap(case, delta)
     res = exactcover_with_large_sets(inst, delta)
     got = (res.answer, res.optimum, res.certificate, res.stats["explored"])
     assert got == _split_with_residual_remap(inst, delta)
+
+
+def test_exact_split_precheck_fires(monkeypatch):
+    # {0, 1, 2} and {3, 4, 5} are large at delta 2; after either one alone
+    # no small set missing it starts at the lowest uncovered element (3 or 0)
+    inst = SetCoverInstance(6, ((0, 1, 2), (0, 3), (1, 4), (2, 5), (3, 4, 5)), variant=EXACT)
+    calls = []
+    solve = kernels.exact_cover_optimum
+    monkeypatch.setattr(kernels, "exact_cover_optimum",
+                        lambda *a: calls.append(a[2]) or solve(*a))
+    res = exactcover_with_large_sets(inst, 2)
+    assert (res.optimum, res.certificate, res.stats["explored"]) == (2, [0, 4], 4)
+    assert calls == [0, 0b111111]
 
 
 def test_wide_instance_at_the_default_cap():

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xcover import solvers
 from xcover.errors import BudgetExceededError, CapacityError, PreconditionError
@@ -380,6 +382,55 @@ def test_embed_leaf_host_displaced_by_parent():
     assert res.certificate == {0: 0, 1: 3, 2: 2, 3: 1, 4: 5, 5: 4}
     assert not tree_embed_backtrack(g, t, forbidden={3}).is_yes
     assert not oracle_embeds(g, t, forbidden={3})
+
+
+@st.composite
+def _pendant_case(draw):
+    """2-3 parents (node ids first, so the oracle checks each leaf as it is
+    mapped), each with 2-5 leaves whose ids interleave across parents, 9
+    nodes at most (a 10-node tree costs the oracle about 75 ms an example);
+    all edges fwd or rev at random or all und; a digraph on k <= n <= 10
+    nodes that holds each ordered pair at one density, so anti-parallel
+    arcs are common; up to two pins and up to two forbidden hosts."""
+    n_parents = draw(st.integers(2, 3))
+    parent = [-1] + [draw(st.integers(0, p - 1)) for p in range(1, n_parents)]
+    leaf_parents = []
+    for p in range(n_parents):
+        room = 9 - n_parents - len(leaf_parents) - 2 * (n_parents - 1 - p)
+        leaf_parents += [p] * draw(st.integers(2, room))
+    parent += draw(st.permutations(leaf_parents))
+    k = len(parent)
+    if draw(st.booleans()):
+        orient = ("und",) + tuple(draw(st.sampled_from(["fwd", "rev"])) for _ in range(k - 1))
+    else:
+        orient = ("und",) * k
+    T = PatternTree(k, 0, tuple(parent), orient)
+    n = draw(st.integers(k, 10))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    density = draw(st.sampled_from([0.3, 0.5, 0.7]))
+    G = Digraph(n, frozenset((u, v) for u in range(n) for v in range(n)
+                             if u != v and rng.random() < density))
+    nodes = draw(st.lists(st.integers(0, k - 1), max_size=2, unique=True))
+    images = draw(st.lists(st.integers(0, n - 1), min_size=len(nodes), max_size=len(nodes),
+                           unique=True))
+    free = [u for u in range(n) if u not in images]
+    forbidden = set(draw(st.lists(st.sampled_from(free), max_size=2, unique=True)))
+    return G, T, dict(zip(nodes, images)), forbidden
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pendant_case())
+def test_embed_leaf_groups_match_the_oracle(case):
+    """Leaf groups share hosts with each other and with placed parents: the
+    group matcher's answer is the oracle's, and every yes is an embedding."""
+    G, T, pins, forbidden = case
+    res = tree_embed_backtrack(G, T, pins=pins, forbidden=forbidden)
+    assert res.is_yes == oracle_embeds(G, T, pins, forbidden)
+    if res.is_yes:
+        cert = res.certificate
+        assert verify_embedding(G, T, cert)
+        assert all(cert[v] == u for v, u in pins.items())
+        assert not forbidden & {cert[v] for v in range(T.k) if v not in pins}
 
 
 # ---------------------------------------------------------------------------
