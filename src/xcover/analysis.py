@@ -30,6 +30,7 @@ from xcover.reductions import (  # noqa: F401 (count_bound_log2, element_bound: 
     decide_stream,
     element_bound,
     ham_to_setcover,
+    normalize_variant,
     ntree_to_setcover,
     solve_ham_via_setcover,
     solve_ntree_via_setcover,
@@ -210,106 +211,6 @@ def _minimize_sets(inst: SetCoverInstance, predicate) -> SetCoverInstance:
 # ---------------------------------------------------------------------------
 # verification suite
 # ---------------------------------------------------------------------------
-
-ALL_FAMILIES = (
-    "roundtrip",
-    "planted",
-    "cover_guarantees",
-    "solver_agreement",
-    "exactcover_large",
-    "partition_facts",
-    "ntree",
-    "ham",
-    "setcover_ktree",
-    "partial_ktree",
-    "colorcoding",
-)
-
-_DEFAULT_TRIALS = {
-    "roundtrip": 40,
-    "planted": 15,
-    "cover_guarantees": 120,
-    "solver_agreement": 30,
-    "exactcover_large": 30,
-    "partition_facts": 20,
-    "ntree": 25,
-    "ham": 20,
-    "setcover_ktree": 8,
-    "partial_ktree": 15,
-    "colorcoding": 12,
-}
-
-
-@dataclass
-class VerifyConfig:
-    seed: int = 0
-    variant: str = ANCHORED
-    families: tuple[str, ...] = ALL_FAMILIES
-    trials: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VerifyConfig":
-        cfg = cls()
-        cfg.seed = data.get("seed", 0)
-        if not _is_int(cfg.seed):
-            raise PreconditionError(f"seed must be an integer, got {cfg.seed!r}")
-        cfg.variant = data.get("variant", ANCHORED)
-        families = data.get("families", list(ALL_FAMILIES))
-        trials = data.get("trials", {})
-        if not isinstance(families, list) or not isinstance(trials, dict):
-            raise PreconditionError("families must be a list and trials an object")
-        unknown = [f for f in [*families, *trials] if f not in ALL_FAMILIES]
-        if unknown:
-            raise PreconditionError(f"unknown families: {unknown}")
-        bad = {f: t for f, t in trials.items() if not _is_int(t) or t < 1}
-        if bad:
-            raise PreconditionError(f"trial counts must be integers of at least 1: {bad}")
-        cfg.families = tuple(families)
-        cfg.trials = dict(trials)
-        return cfg
-
-    def n_trials(self, family: str) -> int:
-        return self.trials.get(family, _DEFAULT_TRIALS[family])
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def run_verification_suite(config: VerifyConfig | dict | None = None) -> dict:
-    """Run every configured differential family; failures are recorded with
-    minimized counterexamples, never aborting the suite."""
-    if config is None:
-        config = VerifyConfig()
-    elif isinstance(config, dict):
-        config = VerifyConfig.from_dict(config)
-    report = {
-        "config": {
-            "seed": config.seed,
-            "variant": config.variant,
-            "families": list(config.families),
-            "trials": {f: config.n_trials(f) for f in config.families},
-        },
-        "families": {},
-    }
-    runners = {
-        "roundtrip": _family_roundtrip,
-        "planted": _family_planted,
-        "cover_guarantees": _family_cover_guarantees,
-        "solver_agreement": _family_solver_agreement,
-        "exactcover_large": _family_exactcover_large,
-        "partition_facts": _family_partition_facts,
-        "ntree": _family_ntree,
-        "ham": _family_ham,
-        "setcover_ktree": _family_setcover_ktree,
-        "partial_ktree": _family_partial_ktree,
-        "colorcoding": _family_colorcoding,
-    }
-    for name in config.families:
-        report["families"][name] = runners[name](config)
-    report["passed"] = all(not fam["failures"] for fam in report["families"].values())
-    return report
-
 
 def _family_result(cases, failures, notes=None, bounds=None):
     out = {"cases": cases, "failures": failures, "notes": notes or {}}
@@ -653,3 +554,77 @@ def _family_colorcoding(cfg):
     if missed:
         failures.append({"check": "missed_yes", "count": missed})
     return _family_result(cases, failures, {"missed_yes": missed})
+
+
+# name -> (runner, default trial count), in report order
+_FAMILIES = {
+    "roundtrip": (_family_roundtrip, 40),
+    "planted": (_family_planted, 15),
+    "cover_guarantees": (_family_cover_guarantees, 120),
+    "solver_agreement": (_family_solver_agreement, 30),
+    "exactcover_large": (_family_exactcover_large, 30),
+    "partition_facts": (_family_partition_facts, 20),
+    "ntree": (_family_ntree, 25),
+    "ham": (_family_ham, 20),
+    "setcover_ktree": (_family_setcover_ktree, 8),
+    "partial_ktree": (_family_partial_ktree, 15),
+    "colorcoding": (_family_colorcoding, 12),
+}
+ALL_FAMILIES = tuple(_FAMILIES)
+
+
+@dataclass
+class VerifyConfig:
+    seed: int = 0
+    variant: str = ANCHORED  # any name normalize_variant accepts
+    families: tuple[str, ...] = ALL_FAMILIES
+    trials: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.variant = normalize_variant(self.variant)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "VerifyConfig":
+        seed = data.get("seed", 0)
+        if not _is_int(seed):
+            raise PreconditionError(f"seed must be an integer, got {seed!r}")
+        families = data.get("families", list(ALL_FAMILIES))
+        trials = data.get("trials", {})
+        if not isinstance(families, list) or not isinstance(trials, dict):
+            raise PreconditionError("families must be a list and trials an object")
+        unknown = [f for f in [*families, *trials] if f not in ALL_FAMILIES]
+        if unknown:
+            raise PreconditionError(f"unknown families: {unknown}")
+        bad = {f: t for f, t in trials.items() if not _is_int(t) or t < 1}
+        if bad:
+            raise PreconditionError(f"trial counts must be integers of at least 1: {bad}")
+        return cls(seed, data.get("variant", ANCHORED), tuple(families), dict(trials))
+
+    def n_trials(self, family: str) -> int:
+        return self.trials.get(family, _FAMILIES[family][1])
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def run_verification_suite(config: VerifyConfig | dict | None = None) -> dict:
+    """Run every configured differential family; failures are recorded with
+    minimized counterexamples, never aborting the suite."""
+    if config is None:
+        config = VerifyConfig()
+    elif isinstance(config, dict):
+        config = VerifyConfig.from_dict(config)
+    report = {
+        "config": {
+            "seed": config.seed,
+            "variant": config.variant,
+            "families": list(config.families),
+            "trials": {f: config.n_trials(f) for f in config.families},
+        },
+        "families": {},
+    }
+    for name in config.families:
+        report["families"][name] = _FAMILIES[name][0](config)
+    report["passed"] = all(not fam["failures"] for fam in report["families"].values())
+    return report

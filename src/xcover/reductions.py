@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator
@@ -699,11 +698,10 @@ def _check_forcing_margins(n: int, g: int):
             f"forcing margin fails: ceil(2n/g) = {q} < n/g + 3 for n={n}, g={g}")
 
 
-def _ktree_stats(start, trees_tried=0, explored=0, **extra):
+def _ktree_stats(trees_tried=0, explored=0):
     """Pipeline counters: pattern trees handed to the solver and the sum of
     the solver's ``explored`` counts over them."""
-    return {"trees_tried": trees_tried, "explored": explored,
-            "wall_time": time.perf_counter() - start, **extra}
+    return {"trees_tried": trees_tried, "explored": explored}
 
 
 def _extract_cover_indices(bundle, tree, mapping):
@@ -739,10 +737,9 @@ def setcover_to_ktree(inst: SetCoverInstance, g: int,
     optimum.  Requires the preprocessed size bound and the numeric forcing
     margins; both are checked, never assumed.
     """
-    start = time.perf_counter()
     n, total = inst.n, _leaf_total(inst)
     if total == 0:
-        return SolveResult("optimum", optimum=0, certificate=[], stats=_ktree_stats(start))
+        return SolveResult("optimum", optimum=0, certificate=[], stats=_ktree_stats())
     large = _large_indices(inst, g)
     if large:
         raise PreconditionError(
@@ -755,8 +752,7 @@ def setcover_to_ktree(inst: SetCoverInstance, g: int,
         coverable.update(s)
     if len(coverable) < total:
         # a star leaf standing for an uncovered element can never map
-        return SolveResult("infeasible",
-                           stats=_ktree_stats(start, uncoverable=total - len(coverable)))
+        return SolveResult("infeasible", stats=_ktree_stats())
     max_size = max((len(s) for s in inst.sets), default=0)
     trees_tried = explored = 0
     for alpha in leaf_partitions(inst):
@@ -769,14 +765,13 @@ def setcover_to_ktree(inst: SetCoverInstance, g: int,
         tree = build_pattern_tree(alpha, g, n)
         trees_tried += 1
         res = tree_embed_backtrack(bundle.host, tree, budget=budget)
-        explored += res.stats.get("explored", 0)
+        explored += res.stats["explored"]
         if res.is_yes:
             indices = _extract_cover_indices(bundle, tree, res.certificate)
             cert = indices if indices is not None and verify_cover(inst, indices) else None
             return SolveResult("optimum", optimum=len(alpha), certificate=cert,
-                               stats=_ktree_stats(start, trees_tried, explored,
-                                                  partition=alpha.parts))
-    return SolveResult("infeasible", stats=_ktree_stats(start, trees_tried, explored))
+                               stats=_ktree_stats(trees_tried, explored))
+    return SolveResult("infeasible", stats=_ktree_stats(trees_tried, explored))
 
 
 @dataclass
@@ -839,7 +834,6 @@ def solve_setcover_via_ktree(inst: SetCoverInstance, g: int,
     ``stats`` passes through the pipeline's ``trees_tried`` and the summed
     solver ``explored`` count.
     """
-    start = time.perf_counter()
     pre = setcover_preprocess_large(inst, g)
     candidates = []
     if pre.solved_with_large is not None:
@@ -850,11 +844,10 @@ def solve_setcover_via_ktree(inst: SetCoverInstance, g: int,
         if kt.certificate is not None:
             cert = sorted(pre.residual_index_map[j] for j in kt.certificate)
         candidates.append((kt.optimum, cert))
-    stats = _ktree_stats(start, kt.stats["trees_tried"], kt.stats["explored"])
     if not candidates:
-        return SolveResult("infeasible", stats=stats)
+        return SolveResult("infeasible", stats=kt.stats)
     opt, cert = min(candidates, key=lambda c: c[0])
-    return SolveResult("optimum", optimum=opt, certificate=cert, stats=stats)
+    return SolveResult("optimum", optimum=opt, certificate=cert, stats=kt.stats)
 
 
 def solve_ppc_via_ktree(inst: SetCoverInstance, g: int,

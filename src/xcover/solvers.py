@@ -12,7 +12,6 @@ import itertools
 import math
 import os
 import random
-import time
 from dataclasses import dataclass, field
 
 from xcover import kernels
@@ -54,7 +53,7 @@ class SolveResult:
     answer: str  # "yes" | "no" | "optimum" | "infeasible"
     optimum: int | None = None
     certificate: object = None
-    stats: dict = field(default_factory=dict)
+    stats: dict = field(default_factory=dict)  # deterministic counters, never timings
 
     @property
     def is_yes(self) -> bool:
@@ -138,38 +137,37 @@ def setcover_dp(inst: SetCoverInstance) -> SolveResult:
     instance whose sets do not cover the ground set stops before it, at 0.
     """
     _check_cap_n(inst.n)
-    start = time.perf_counter()
     masks = inst.masks()
     full = inst.full_mask()
     union = 0
     for s in masks:
         union |= s
     if union != full:
-        return SolveResult("infeasible", stats=_stats(start, 0))
+        return SolveResult("infeasible", stats={"explored": 0})
     opt, chosen, states = kernels.cover_optimum(masks, inst.n, inst.n)
     return SolveResult("optimum", optimum=opt, certificate=chosen,
-                       stats=_stats(start, states))
+                       stats={"explored": states})
 
 
-def setcover_bruteforce(inst: SetCoverInstance, cap_m: int = DEFAULT_CAP_M_BRUTE) -> SolveResult:
+def setcover_bruteforce(inst: SetCoverInstance) -> SolveResult:
     """Oracle: enumerate sub-collections by increasing cardinality.
 
     Independent of the DP kernels.  Duplicate sets are collapsed before
     enumeration (the representative's original index is reported).
     """
-    start = time.perf_counter()
     seen = {}
     for j, s in enumerate(inst.sets):
         seen.setdefault(tuple(s), j)
     reps = sorted(seen.values())
-    if len(reps) > cap_m:
-        raise CapacityError(f"{len(reps)} distinct sets exceed the brute-force cap of {cap_m}")
+    if len(reps) > DEFAULT_CAP_M_BRUTE:
+        raise CapacityError(
+            f"{len(reps)} distinct sets exceed the brute-force cap of {DEFAULT_CAP_M_BRUTE}")
     universe = set(range(inst.n))
     union = set()
     for j in reps:
         union.update(inst.sets[j])
     if union != universe:
-        return SolveResult("infeasible", stats=_stats(start, 0))
+        return SolveResult("infeasible", stats={"explored": 0})
     explored = 0
     for c in range(0, len(reps) + 1):
         for combo in itertools.combinations(reps, c):
@@ -179,8 +177,8 @@ def setcover_bruteforce(inst: SetCoverInstance, cap_m: int = DEFAULT_CAP_M_BRUTE
                 got.update(inst.sets[j])
             if got == universe:
                 return SolveResult("optimum", optimum=c, certificate=list(combo),
-                                   stats=_stats(start, explored))
-    return SolveResult("infeasible", stats=_stats(start, explored))
+                                   stats={"explored": explored})
+    return SolveResult("infeasible", stats={"explored": explored})
 
 
 def exactcover_solve(inst: SetCoverInstance) -> SolveResult:
@@ -193,12 +191,11 @@ def exactcover_solve(inst: SetCoverInstance) -> SolveResult:
     if inst.variant != EXACT:
         raise PreconditionError("exactcover_solve expects an exact-variant instance")
     _check_cap_n(inst.n)
-    start = time.perf_counter()
     opt, chosen, states = kernels.exact_cover_optimum(inst.masks(), inst.n)
     if opt is None:
-        return SolveResult("infeasible", stats=_stats(start, states))
+        return SolveResult("infeasible", stats={"explored": states})
     return SolveResult("optimum", optimum=opt, certificate=chosen,
-                       stats=_stats(start, states))
+                       stats={"explored": states})
 
 
 def exactcover_with_large_sets(inst: SetCoverInstance, delta: int) -> SolveResult:
@@ -214,7 +211,6 @@ def exactcover_with_large_sets(inst: SetCoverInstance, delta: int) -> SolveResul
     if inst.variant != EXACT:
         raise PreconditionError("exactcover_with_large_sets expects an exact-variant instance")
     _check_cap_n(inst.n)
-    start = time.perf_counter()
     masks = inst.masks()
     large = [j for j, s in enumerate(inst.sets) if len(s) > delta]
     small_masks = [0 if len(s) > delta else mask for s, mask in zip(inst.sets, masks)]
@@ -242,9 +238,9 @@ def exactcover_with_large_sets(inst: SetCoverInstance, delta: int) -> SolveResul
 
     rec(0, 0, [])
     if best is None:
-        return SolveResult("infeasible", stats=_stats(start, explored))
+        return SolveResult("infeasible", stats={"explored": explored})
     return SolveResult("optimum", optimum=best[0], certificate=best[1],
-                       stats=_stats(start, explored))
+                       stats={"explored": explored})
 
 
 def partialcover_dp(inst: SetCoverInstance) -> SolveResult:
@@ -255,15 +251,14 @@ def partialcover_dp(inst: SetCoverInstance) -> SolveResult:
     if inst.variant != PARTIAL:
         raise PreconditionError("partialcover_dp expects a partial-variant instance")
     _check_cap_n(inst.n)
-    start = time.perf_counter()
     p = inst.p
     if p == 0:
-        return SolveResult("optimum", optimum=0, certificate=[], stats=_stats(start, 0))
+        return SolveResult("optimum", optimum=0, certificate=[], stats={"explored": 0})
     opt, chosen, states = kernels.cover_optimum(inst.masks(), inst.n, p)
     if opt is None:
-        return SolveResult("infeasible", stats=_stats(start, states))
+        return SolveResult("infeasible", stats={"explored": states})
     return SolveResult("optimum", optimum=opt, certificate=chosen,
-                       stats=_stats(start, states))
+                       stats={"explored": states})
 
 
 # ---------------------------------------------------------------------------
@@ -271,22 +266,21 @@ def partialcover_dp(inst: SetCoverInstance) -> SolveResult:
 # ---------------------------------------------------------------------------
 
 
-def heldkarp_ham(G: Digraph, cap: int = DEFAULT_CAP_HAM) -> SolveResult:
+def heldkarp_ham(G: Digraph) -> SolveResult:
     """Directed Hamiltonian cycle decision by subset DP over visited sets."""
     n = G.num_nodes
-    if n > cap:
-        raise CapacityError(f"{n} nodes exceed the Hamiltonicity cap of {cap}")
-    start = time.perf_counter()
+    if n > DEFAULT_CAP_HAM:
+        raise CapacityError(f"{n} nodes exceed the Hamiltonicity cap of {DEFAULT_CAP_HAM}")
     if n < 2:
-        return SolveResult("no", stats=_stats(start, 0))
+        return SolveResult("no", stats={"explored": 0})
     succ = [0] * n
     for u in range(n):
         for v in G.successors(u):
             succ[u] |= 1 << v
     order = kernels.ham_cycle(succ, n)
     if order is None:
-        return SolveResult("no", stats=_stats(start, 1 << n))
-    return SolveResult("yes", certificate=order, stats=_stats(start, 1 << n))
+        return SolveResult("no", stats={"explored": 1 << n})
+    return SolveResult("yes", certificate=order, stats={"explored": 1 << n})
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +320,9 @@ def tree_embed_backtrack(G: Digraph, T: PatternTree, pins=None, forbidden=None,
             raise PreconditionError(f"pinned image {u} out of range")
         if u in forbidden:
             raise PreconditionError(f"pinned image {u} is forbidden")
-    start = time.perf_counter()
     searcher = _EmbedSearch(G, T, pins, forbidden, budget)
     mapping = searcher.run()
-    stats = _stats(start, searcher.explored)
+    stats = {"explored": searcher.explored}
     if mapping is None:
         return SolveResult("no", stats=stats)
     return SolveResult("yes", certificate=mapping, stats=stats)
@@ -628,8 +621,7 @@ def colorcoding_trials(k: int, failure_prob: float) -> int:
 
 
 def ktree_colorcoding(G: Digraph, T: PatternTree, failure_prob: float = 0.01,
-                      seed: int = 0, cap_k: int = DEFAULT_CAP_K,
-                      budget: int = DEFAULT_BUDGET) -> SolveResult:
+                      seed: int = 0, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Monte-Carlo tree embedding with one-sided error.
 
     Each trial colors the host with k colors exactly; a trial succeeds when
@@ -641,14 +633,14 @@ def ktree_colorcoding(G: Digraph, T: PatternTree, failure_prob: float = 0.01,
     trials are planned.
     """
     k = T.k
-    if k > cap_k:
-        raise CapacityError(f"pattern of {k} nodes exceeds the color-coding cap of {cap_k}")
-    start = time.perf_counter()
+    if k > DEFAULT_CAP_K:
+        raise CapacityError(
+            f"pattern of {k} nodes exceeds the color-coding cap of {DEFAULT_CAP_K}")
     n = G.num_nodes
     if k > n:
-        return SolveResult("no", stats=_stats(start, 0, trials=0))
+        return SolveResult("no", stats={"explored": 0, "trials": 0})
     if k == 1:
-        return SolveResult("yes", certificate={T.root: 0}, stats=_stats(start, 0, trials=0))
+        return SolveResult("yes", certificate={T.root: 0}, stats={"explored": 0, "trials": 0})
     trials = colorcoding_trials(k, failure_prob)
     if trials > budget:
         raise BudgetExceededError(
@@ -676,8 +668,8 @@ def ktree_colorcoding(G: Digraph, T: PatternTree, failure_prob: float = 0.01,
                                             root_host)
             if mapping is not None and verify_embedding(G, T, mapping):
                 return SolveResult("yes", certificate=mapping,
-                                   stats=_stats(start, t + 1, trials=t + 1))
-    return SolveResult("no", stats=_stats(start, trials, trials=trials))
+                                   stats={"explored": t + 1, "trials": t + 1})
+    return SolveResult("no", stats={"explored": trials, "trials": trials})
 
 
 def _colorful_reconstruct(G, T, orient_code, out_adj, in_adj, colors, root_host):
@@ -727,8 +719,3 @@ def _colorful_reconstruct(G, T, orient_code, out_adj, in_adj, colors, root_host)
 
     return extract(root, root_host, full, len(merged[root]))
 
-
-def _stats(start, explored, **extra):
-    stats = {"explored": explored, "wall_time": time.perf_counter() - start}
-    stats.update(extra)
-    return stats

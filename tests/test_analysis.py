@@ -167,12 +167,16 @@ def test_suite_exactcover_large_rejects_an_overlapping_certificate(monkeypatch):
 
 
 def test_suite_literal_variant_reports_over_accepts():
-    cfg = VerifyConfig(variant="literal", families=("ntree",),
-                       trials={"ntree": 20})
-    report = run_verification_suite(cfg)
-    fam = report["families"]["ntree"]
-    assert not [f for f in fam["failures"] if f.get("check") == "completeness"]
-    assert "over_accepts" in fam["notes"]
+    literal = VerifyConfig(variant="literal", families=("ntree",), trials={"ntree": 20})
+    # "paper" is the CLI's alias of "literal" and is judged the same way
+    paper = VerifyConfig.from_dict({"variant": "paper", "families": ["ntree"],
+                                    "trials": {"ntree": 20}})
+    for cfg in (literal, paper):
+        report = run_verification_suite(cfg)
+        assert report["config"]["variant"] == "literal"
+        fam = report["families"]["ntree"]
+        assert not [f for f in fam["failures"] if f.get("check") == "completeness"]
+        assert "over_accepts" in fam["notes"]
 
 
 def test_suite_config_from_dict_and_unknown_family():
@@ -180,3 +184,6 @@ def test_suite_config_from_dict_and_unknown_family():
     assert list(report["families"]) == ["partition_facts"]
     with pytest.raises(PreconditionError):
         run_verification_suite({"families": ["nope"]})
+    # rejected while the config is read, before any family runs
+    with pytest.raises(PreconditionError, match="unknown variant"):
+        VerifyConfig.from_dict({"variant": "nope"})

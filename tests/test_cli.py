@@ -277,6 +277,32 @@ def test_pipeline_ktree_stats_pass_through(run, tmp_path):
         assert "wall time" in err
 
 
+def test_wall_time_only_for_solve_and_ktree_pipelines(run, tmp_path):
+    sc = tmp_path / "a.sc"
+    sc.write_text("p setcover 8 5\n0 1\n2 3\n4 5\n6 7\n1 2\n")
+    g, _ = gen_planted("ham_cycle", seed=4, n=6, extra_edges=3)
+    ham = tmp_path / "g.digraph"
+    ham.write_text(serialize_instance(g))
+    host, tree, _ = gen_planted("embedded_tree", seed=6, k=5, host_n=5,
+                                extra_edge_probability=0.3)
+    gp = tmp_path / "h.digraph"
+    tp = tmp_path / "t.tree"
+    gp.write_text(serialize_instance(host))
+    tp.write_text(serialize_instance(tree))
+    for argv, lines in ((["solve", "setcover", str(sc)], 1),
+                        (["pipeline", "sc-ktree", str(sc)], 1),
+                        (["pipeline", "ntree", str(gp), str(tp)], 0),
+                        (["pipeline", "ham", str(ham), "--delta", "2"], 0)):
+        code, out, err = run(*argv)
+        assert code == 0 and out.count("\n") == 1
+        assert "wall_time" not in json.loads(out)["stats"]
+        timed = [line for line in err.splitlines() if line.startswith("wall time: ")]
+        assert len(timed) == lines, argv
+    # an error exit is not timed
+    code, _, err = run("solve", "setcover", str(tmp_path / "missing.sc"))
+    assert code == 2 and "wall time" not in err
+
+
 def test_reduce_emit_dir(run, tmp_path):
     g, t, _ = gen_planted("embedded_tree", seed=2, k=4, host_n=4,
                           extra_edge_probability=0.4)
@@ -397,6 +423,7 @@ def test_verify_rejects_trial_counts_below_one(run, tmp_path):
     ('{"families": 3}', 3),
     ('{"seed": "abc"}', 3),
     ('{"seed": 1.5}', 3),
+    ('{"variant": "nope"}', 3),
     ('["roundtrip"]', 3),
     ('{"seed": ', 2),
 ])

@@ -7,7 +7,16 @@ from hypothesis import strategies as st
 
 from xcover import solvers
 from xcover.errors import BudgetExceededError, CapacityError, PreconditionError
-from xcover.instances import Digraph, PatternTree, SetCoverInstance, gen_planted, gen_random
+from xcover.instances import (
+    EXACT,
+    PARTIAL,
+    Digraph,
+    PatternTree,
+    SetCoverInstance,
+    gen_planted,
+    gen_random,
+)
+from xcover.reductions import setcover_to_ktree, solve_setcover_via_ktree
 from xcover.solvers import (
     exactcover_solve,
     exactcover_with_large_sets,
@@ -502,3 +511,29 @@ def test_colorcoding_capacity():
     t = gen_random("tree", seed=0, k=17)
     with pytest.raises(CapacityError):
         ktree_colorcoding(g, t)
+
+
+_SC = SetCoverInstance(8, ((0, 1), (1, 2), (2, 3), (4, 5), (6, 7)))
+_EXACT = SetCoverInstance(4, ((0, 1), (0, 1, 2), (2, 3), (3,)), variant=EXACT)
+_HAM, _ = gen_planted("ham_cycle", seed=4, n=6, extra_edges=3)
+_HOST, _TREE, _ = gen_planted("embedded_tree", seed=3, k=5, host_n=8)
+
+
+@pytest.mark.parametrize("case", [
+    (setcover_dp, (_SC,)),
+    (setcover_bruteforce, (_SC,)),
+    (exactcover_solve, (_EXACT,)),
+    (exactcover_with_large_sets, (_EXACT, 2)),
+    (partialcover_dp, (SetCoverInstance(_SC.n, _SC.sets, variant=PARTIAL, p=6),)),
+    (heldkarp_ham, (_HAM,)),
+    (tree_embed_backtrack, (_HOST, _TREE)),
+    (ktree_colorcoding, (_HOST, _TREE)),
+    (setcover_to_ktree, (_SC, 2)),
+    (solve_setcover_via_ktree, (_SC, 2)),
+], ids=lambda case: case[0].__name__)
+def test_solve_result_is_deterministic(case):
+    # stats hold counters only, never a timing, so a repeated call is equal
+    solve, args = case
+    first = solve(*args)
+    assert first.stats
+    assert solve(*args) == first
