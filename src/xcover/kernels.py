@@ -1,13 +1,20 @@
 """Kernels for the hot inner loops.
 
 One breadth-first union search serves plain, partial and exact cover.
-It, the Hamiltonicity DP and the color-coding trial work on integer
+Held-Karp runs layer by layer over the visited sets reachable from node 0
+only, keeping each set's end nodes in one flat table of 4 bytes per
+possible set (16 MB at n = 22).  A color-coding trial keeps one bitset
+over the 2^k color masks per tree node and host, and merges a child into
+its parent with shifts of those bitsets.  All of them work on integer
 bitmasks and return plain ints, lists and tuples.  Callers reach them as
 attributes of this module (``kernels.cover_optimum(...)``), never through
 a local alias, so a profiler can wrap them in one place.
 """
 
 from __future__ import annotations
+
+from array import array
+from functools import lru_cache
 
 BACKEND = "python"
 
@@ -105,14 +112,21 @@ def _union_search(masks, n, p, covered, disjoint):
 
 
 def ham_cycle(succ, n):
-    """Directed Hamiltonian cycle through all n nodes, or None.
+    """Directed Hamiltonian cycle through all n nodes: (order or None, states).
 
     ``succ[u]`` is the successor bitmask of node u.  Cycles are anchored at
-    node 0; the returned order starts there.
+    node 0; the returned order starts there.  Held-Karp over the visited
+    sets reachable from node 0 only, layer by layer: layer c holds the sets
+    of c + 1 nodes first reached in that layer, each expanded once, and the
+    search stops at the first empty layer.  ``ends[s]`` is the bitmask of
+    the nodes a path from 0 through exactly the nodes of s can end at, one
+    4-byte entry per possible set (16 MB at n = 22); unreached sets stay 0,
+    as in the dense DP over all 2^(n-1) sets holding node 0, so the walk
+    back returns the cycle that DP returns.  ``states`` counts the visited
+    sets reached, {0} included (0 when n < 2).
     """
     if n < 2:
-        return None
-    size = 1 << n
+        return None, 0
     preds = [0] * n
     for u in range(n):
         s = succ[u]
@@ -120,38 +134,72 @@ def ham_cycle(succ, n):
             v = (s & -s).bit_length() - 1
             s &= s - 1
             preds[v] |= 1 << u
-    dp = [0] * size
-    dp[1] = 1
-    for mask in range(1, size, 2):
-        ends = dp[mask]
-        if not ends:
-            continue
-        ext = 0
-        e = ends
-        while e:
-            u = (e & -e).bit_length() - 1
-            e &= e - 1
-            ext |= succ[u]
-        ext &= ~mask
-        while ext:
-            v = (ext & -ext).bit_length() - 1
-            ext &= ext - 1
-            dp[mask | (1 << v)] |= 1 << v
-    full = size - 1
-    cand = dp[full] & preds[0]
+    ends = array("I", [0]) * (1 << n)
+    ends[1] = 1
+    layer = [1]
+    states = 1
+    while layer:
+        nxt = []
+        for mask in layer:
+            e = ends[mask]
+            ext = 0
+            while e:
+                low = e & -e
+                e ^= low
+                ext |= succ[low.bit_length() - 1]
+            ext &= ~mask
+            while ext:
+                bit = ext & -ext
+                ext ^= bit
+                nm = mask | bit
+                got = ends[nm]
+                if not got:
+                    nxt.append(nm)
+                ends[nm] = got | bit
+        states += len(nxt)
+        layer = nxt
+    full = (1 << n) - 1
+    cand = ends[full] & preds[0]
     if not cand:
-        return None
+        return None, states
     cur = (cand & -cand).bit_length() - 1
     order = [cur]
     mask = full
     while mask != 1:
         pm = mask ^ (1 << cur)
-        prev = dp[pm] & preds[cur]
+        prev = ends[pm] & preds[cur]
         cur = (prev & -prev).bit_length() - 1
         order.append(cur)
         mask = pm
     order.reverse()
-    return order
+    return order, states
+
+
+@lru_cache(maxsize=None)
+def color_disjoint(k):
+    """(h, low, high): the masks disjoint from a color mask a, in two halves.
+
+    Color masks are bit positions 0..2^k - 1 of a bitset.  ``clear[i]``,
+    the bitset of the masks without color i, repeats a block of 2^i ones
+    then 2^i zeros, so it is that block times the repunit of period
+    2^(i+1).  The bitset of the masks disjoint from a is the AND of
+    ``clear[i]`` over the colors i of a; it is split at color h = k // 2
+    into ``low[a & (2^h - 1)] & high[a >> h]``, two tables of 2^h and
+    2^(k-h) bitsets (4 MB at k = 16) built once per k.
+    """
+    width = 1 << k
+    clear = [((1 << width) - 1) // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1)
+             for i in range(k)]
+    h = k // 2
+
+    def table(colors):
+        rows = [(1 << width) - 1]
+        for j in range(1, 1 << len(colors)):
+            low = j & -j
+            rows.append(rows[j ^ low] & colors[low.bit_length() - 1])
+        return rows
+
+    return h, table(clear[:h]), table(clear[h:])
 
 
 def colorful_trial_yes(k, post_order, parent, orient, out_adj, in_adj, colors):
@@ -163,53 +211,62 @@ def colorful_trial_yes(k, post_order, parent, orient, out_adj, in_adj, colors):
     adjacency bitmasks and ``colors[u]`` in [0, k) the trial coloring.
     Returns a host node for the root on success, else -1.
     """
-    n = len(colors)
     full = (1 << k) - 1
-    fam = [[{1 << colors[u]} for u in range(n)] for _ in range(k)]
-    root = post_order[-1]
+    fam = [[1 << (1 << c) for c in colors] for _ in range(k)]
+    disjoint = color_disjoint(k)
     for v in post_order[:-1]:
-        if not colorful_merge(fam[parent[v]], fam[v], orient[v], out_adj, in_adj):
+        if not colorful_merge(fam[parent[v]], fam[v], orient[v], out_adj, in_adj, disjoint):
             return -1
-    root_fam = fam[root]
-    for u in range(n):
-        if full in root_fam[u]:
+    for u, masks in enumerate(fam[post_order[-1]]):
+        if masks >> full & 1:
             return u
     return -1
 
 
-def colorful_merge(parent_fam, child_fam, orient, out_adj, in_adj):
+def colorful_merge(parent_fam, child_fam, orient, out_adj, in_adj, disjoint):
     """Merge the finished subtree of one child into its parent's families.
 
-    ``parent_fam[u]`` is the set of color masks of colorful embeddings of
-    the parent's merged part with the parent at host u; ``child_fam[w]``
-    the same for the child's whole subtree at w.  ``orient`` is the edge
-    code of ``colorful_trial_yes``.  Each nonempty ``parent_fam[u]`` is
-    replaced by the disjoint unions over the hosts w the edge allows.
-    Entries are replaced, never mutated, so a shallow ``list(parent_fam)``
-    taken before the call still holds the earlier stage.  Returns whether
-    any entry stays nonempty.
+    ``parent_fam[u]`` is the bitset of the color masks of colorful
+    embeddings of the parent's merged part with the parent at host u (bit a
+    set when mask a is one); ``child_fam[w]`` the same for the child's whole
+    subtree at w.  ``orient`` is the edge code of ``colorful_trial_yes`` and
+    ``disjoint`` is ``color_disjoint(k)``.  Each nonzero ``parent_fam[u]``
+    is replaced by the unions a | b of its masks a with the masks b of
+    ``pool``, the union of the child's bitsets over the hosts w the edge
+    allows, that share no color with a.  Since such a and b share no bit,
+    a | b = a + b, so shifting the masks of ``pool`` disjoint from a left
+    by a maps each b to a | b; the loop runs over the smaller of the two
+    bitsets, as the merge is symmetric.  Entries are ints, replaced and
+    never mutated, so a shallow ``list(parent_fam)`` taken before the call
+    still holds the earlier stage.  Returns whether any entry stays nonzero.
     """
+    h, low_rows, high_rows = disjoint
+    low_mask = (1 << h) - 1
+    if orient == 1:
+        adj = out_adj
+    elif orient == 2:
+        adj = in_adj
+    else:
+        adj = [o | i for o, i in zip(out_adj, in_adj)]
     alive = False
-    for u in range(len(parent_fam)):
-        cur = parent_fam[u]
+    for u, cur in enumerate(parent_fam):
         if not cur:
             continue
-        if orient == 1:
-            ws = out_adj[u]
-        elif orient == 2:
-            ws = in_adj[u]
-        else:
-            ws = out_adj[u] | in_adj[u]
-        pool = set()
+        ws = adj[u]
+        pool = 0
         while ws:
-            w = (ws & -ws).bit_length() - 1
-            ws &= ws - 1
-            pool |= child_fam[w]
-        acc = set()
-        for b in pool:
-            for a in cur:
-                if a & b == 0:
-                    acc.add(a | b)
+            low = ws & -ws
+            ws ^= low
+            pool |= child_fam[low.bit_length() - 1]
+        acc = 0
+        if pool:
+            if cur.bit_count() > pool.bit_count():
+                cur, pool = pool, cur
+            while cur:
+                low = cur & -cur
+                cur ^= low
+                a = low.bit_length() - 1
+                acc |= (pool & low_rows[a & low_mask] & high_rows[a >> h]) << a
+            alive = alive or bool(acc)
         parent_fam[u] = acc
-        alive = alive or bool(acc)
     return alive

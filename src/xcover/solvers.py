@@ -267,7 +267,11 @@ def partialcover_dp(inst: SetCoverInstance) -> SolveResult:
 
 
 def heldkarp_ham(G: Digraph) -> SolveResult:
-    """Directed Hamiltonian cycle decision by subset DP over visited sets."""
+    """Directed Hamiltonian cycle decision by subset DP over visited sets.
+
+    ``stats.explored`` counts the visited sets the DP reached from node 0,
+    {0} included.
+    """
     n = G.num_nodes
     if n > DEFAULT_CAP_HAM:
         raise CapacityError(f"{n} nodes exceed the Hamiltonicity cap of {DEFAULT_CAP_HAM}")
@@ -277,10 +281,10 @@ def heldkarp_ham(G: Digraph) -> SolveResult:
     for u in range(n):
         for v in G.successors(u):
             succ[u] |= 1 << v
-    order = kernels.ham_cycle(succ, n)
+    order, states = kernels.ham_cycle(succ, n)
     if order is None:
-        return SolveResult("no", stats={"explored": 1 << n})
-    return SolveResult("yes", certificate=order, stats={"explored": 1 << n})
+        return SolveResult("no", stats={"explored": states})
+    return SolveResult("yes", certificate=order, stats={"explored": states})
 
 
 # ---------------------------------------------------------------------------
@@ -658,9 +662,9 @@ def ktree_colorcoding(G: Digraph, T: PatternTree, failure_prob: float = 0.01,
         for v in G.predecessors(u):
             in_adj[u] |= 1 << v
     parent = list(T.parent)
+    rng = random.Random()
     for t in range(trials):
-        rng = random.Random(seed * 1_000_003 + t)
-        colors = [rng.randrange(k) for _ in range(n)]
+        colors = trial_colors(rng, seed * 1_000_003 + t, k, n)
         root_host = kernels.colorful_trial_yes(k, post, parent, orient_code,
                                                out_adj, in_adj, colors)
         if root_host >= 0:
@@ -672,50 +676,69 @@ def ktree_colorcoding(G: Digraph, T: PatternTree, failure_prob: float = 0.01,
     return SolveResult("no", stats={"explored": trials, "trials": trials})
 
 
+def trial_colors(rng, seed, k, n):
+    """The colors of n hosts for one trial: ``rng`` re-seeded with ``seed``,
+    then n draws from range(k), drawn inline as CPython 3.11's
+    ``rng.randrange(k)`` draws them (``getrandbits(k.bit_length())`` until
+    the value is below k), so the colorings equal those of a fresh
+    ``random.Random(seed)`` calling ``randrange``.
+    """
+    rng.seed(seed)
+    getrandbits = rng.getrandbits
+    width = k.bit_length()
+    colors = []
+    for _ in range(n):
+        c = getrandbits(width)
+        while c >= k:
+            c = getrandbits(width)
+        colors.append(c)
+    return colors
+
+
 def _colorful_reconstruct(G, T, orient_code, out_adj, in_adj, colors, root_host):
     """Re-run one successful trial keeping every merge stage, then extract a map.
 
     ``stages[v][i]`` is v's family list after its first i child merges: a
     shallow copy suffices because ``kernels.colorful_merge`` replaces the
-    per-host sets and never mutates them.
+    per-host bitsets, which are ints.  The masks of a stage are tried in
+    ascending order.
     """
     k = T.k
-    n = len(colors)
     full = (1 << k) - 1
-    fam = [[{1 << colors[u]} for u in range(n)] for _ in range(k)]
+    disjoint = kernels.color_disjoint(k)
+    fam = [[1 << (1 << c) for c in colors] for _ in range(k)]
     stages = [[list(fam[v])] for v in range(k)]
     merged = [[] for _ in range(k)]
     root = T.post_order[-1]
     for v in T.post_order[:-1]:
         p = T.parent[v]
-        kernels.colorful_merge(fam[p], fam[v], orient_code[v], out_adj, in_adj)
+        kernels.colorful_merge(fam[p], fam[v], orient_code[v], out_adj, in_adj, disjoint)
         merged[p].append(v)
         stages[p].append(list(fam[p]))
-    if full not in fam[root][root_host]:
+    if not fam[root][root_host] >> full & 1:
         return None
 
     def extract(v, u, mask, stage):
         if stage == 0:
             return {v: u} if mask == 1 << colors[u] else None
         child = merged[v][stage - 1]
-        for a in sorted(stages[v][stage - 1][u]):
-            if a & mask != a:
-                continue
-            b = mask ^ a
-            if not b:
-                continue
-            for w in G.along(u, T.orientation[child]):
-                if b not in fam[child][w]:
-                    continue
-                sub = extract(child, w, b, len(merged[child]))
-                if sub is None:
-                    continue
-                rest = extract(v, u, a, stage - 1)
-                if rest is None:
-                    continue
-                rest.update(sub)
-                return rest
+        masks = stages[v][stage - 1][u]
+        a = 0
+        while a != mask:  # the proper submasks of mask, ascending
+            if masks >> a & 1:
+                b = mask ^ a
+                for w in G.along(u, T.orientation[child]):
+                    if not fam[child][w] >> b & 1:
+                        continue
+                    sub = extract(child, w, b, len(merged[child]))
+                    if sub is None:
+                        continue
+                    rest = extract(v, u, a, stage - 1)
+                    if rest is None:
+                        continue
+                    rest.update(sub)
+                    return rest
+            a = (a - mask) & mask
         return None
 
     return extract(root, root_host, full, len(merged[root]))
-

@@ -50,6 +50,12 @@ group as one slot of as many hosts as it has leaves: the records differ in
 became 794).  ``solve embed`` did not move: its two leaf groups hold one
 leaf each, and their fills and augmenting searches spent as many units as
 the single leaves' augmenting steps had.
+``solve ham`` yes and no were re-taken when Held-Karp began to search
+only the visited sets reachable from node 0 and to count them: the records
+differ in ``stats.explored`` alone (2^8 = 256 became 50 on the yes input
+and 11 on the no input).  The ``solve ktree`` digests did not move when the
+color-coding trials began to keep their families as bitsets and to draw
+their colors inline.
 ``reduce sc-to-ktree`` and
 ``ppc-to-ktree`` on the inputs with large sets exited 3 before they
 learned to remove those sets first, so their digests are of the first
@@ -210,8 +216,8 @@ GOLDEN = {
     "solve-embed": "165ee9c0e8b62cb9532496aaa33042ee2889ca02e7d569c337cd80d9956ece3e",
     "solve-exactcover": "22edcad9f8e2d648b0a01cf9341c57c679955f106536a5a0888f5ada388597f1",
     "solve-exactcover-delta3": "44512d83bdbbf838acf99d46945551f70a0a5c06b84b7b155fe9068409c6ed94",
-    "solve-ham-no": "12ba2dcfbd4e8fb95f0b896772ccc89a53309a716ee983c954b3da5f84e290df",
-    "solve-ham-yes": "0769b272f56ce5385cec5b77586c224360b9975812ff8ca63fb2fda9d793fe9a",
+    "solve-ham-no": "7c9d6221bed2aef7c580d34fcc2004687a3a14d82987c5db54f6c33a980e8b7f",
+    "solve-ham-yes": "db4f15980c6b499981236bba2a0bd6c2f48f414737b1d7380cdfd1c67b9b4e09",
     "solve-ktree-seed0": "3d910b2d07db427f46b9d5e644380d54ead19b56c0054d9566cc4321b1fd21d7",
     "solve-ktree-seed5": "aca0af99f18f92f2466def745d5d49deb3695e4daad2a21724cec7f9581cd29b",
     "solve-partialcover": "14433d7405c3b1b47d344ae4c576d2ebbaa8dbdfae2a3ab1c2cf7760c6f58a3e",

@@ -8,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xcover import kernels
-from xcover.instances import EXACT, PARTIAL, SetCoverInstance
+from xcover.instances import EXACT, PARTIAL, SetCoverInstance, gen_planted
 from xcover.solvers import (
     exactcover_solve,
     exactcover_with_large_sets,
+    heldkarp_ham,
     partialcover_dp,
     setcover_dp,
     verify_cover,
     verify_exact_cover,
+    verify_ham_cycle,
 )
 
 
@@ -342,13 +344,99 @@ def test_ham_cycle_matches_permutation_search():
         exists = any(
             all(succ[c[i]] >> c[(i + 1) % n] & 1 for i in range(n))
             for c in ((0,) + rest for rest in itertools.permutations(range(1, n))))
-        order = kernels.ham_cycle(succ, n)
+        order, _ = kernels.ham_cycle(succ, n)
         assert (order is not None) == exists, (n, succ)
         if order is not None:
             assert sorted(order) == list(range(n))
             assert order[0] == 0
             for i in range(n):
                 assert succ[order[i]] >> order[(i + 1) % n] & 1
+
+
+def _dense_ham_cycle(succ, n):
+    """Reference oracle: the dense Held-Karp DP over all 2^(n-1) visited
+    sets holding node 0 that the layered search replaced, kept here; the
+    layered search must return the same order."""
+    if n < 2:
+        return None
+    size = 1 << n
+    preds = [0] * n
+    for u in range(n):
+        s = succ[u]
+        while s:
+            v = (s & -s).bit_length() - 1
+            s &= s - 1
+            preds[v] |= 1 << u
+    dp = [0] * size
+    dp[1] = 1
+    for mask in range(1, size, 2):
+        ends = dp[mask]
+        if not ends:
+            continue
+        ext = 0
+        e = ends
+        while e:
+            u = (e & -e).bit_length() - 1
+            e &= e - 1
+            ext |= succ[u]
+        ext &= ~mask
+        while ext:
+            v = (ext & -ext).bit_length() - 1
+            ext &= ext - 1
+            dp[mask | (1 << v)] |= 1 << v
+    full = size - 1
+    cand = dp[full] & preds[0]
+    if not cand:
+        return None
+    cur = (cand & -cand).bit_length() - 1
+    order = [cur]
+    mask = full
+    while mask != 1:
+        pm = mask ^ (1 << cur)
+        prev = dp[pm] & preds[cur]
+        cur = (prev & -prev).bit_length() - 1
+        order.append(cur)
+        mask = pm
+    order.reverse()
+    return order
+
+
+def test_ham_cycle_returns_the_dense_oracles_order():
+    rng = random.Random(15)
+    reached = []
+    for t in range(2000):
+        n = 2 + t % 9
+        # every ninth graph of each size is empty or complete
+        p = (0.0, 1.0)[t // 9 % 2] if t // 9 % 9 == 0 else rng.choice((0.15, 0.3, 0.5, 0.8))
+        succ = [sum(1 << v for v in range(n) if v != u and rng.random() < p)
+                for u in range(n)]
+        order, states = kernels.ham_cycle(succ, n)
+        assert order == _dense_ham_cycle(succ, n), (n, succ)
+        # the reachable visited sets: {0}, and each set holding 0 that some
+        # path from 0 visits exactly
+        assert 1 <= states <= 1 << (n - 1)
+        if p == 0.0:
+            assert states == 1
+        if p == 1.0:
+            assert states == 1 << (n - 1) and order is not None
+        reached.append(order is not None)
+    assert 200 < sum(reached) < 1800
+
+
+def test_heldkarp_at_the_cap():
+    """n = 22, the Hamiltonicity cap: a planted cycle plus 22 random arcs.
+    The dense DP kept 2^22 list slots and their ints, over 32 MB; the
+    layered search keeps one 4-byte entry per visited set, 16 MB."""
+    g, _ = gen_planted("ham_cycle", seed=22, n=22, extra_edges=22)
+    tracemalloc.start()
+    try:
+        res = heldkarp_ham(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.is_yes and verify_ham_cycle(g, res.certificate)
+    assert 22 <= res.stats["explored"] < 1 << 21
+    assert peak < 20 << 20
 
 
 def _colorful_root_hosts(k, parent, orient, out_adj, colors):
@@ -373,6 +461,21 @@ def _colorful_root_hosts(k, parent, orient, out_adj, colors):
             for u in range(len(colors)))
 
     return {u for u in range(len(colors)) if extends([u])}
+
+
+def test_color_disjoint_tables_hold_the_disjoint_masks():
+    rng = random.Random(16)
+    for k in range(1, 17):
+        h, low, high = kernels.color_disjoint(k)
+        masks = range(1 << k) if k <= 7 else rng.sample(range(1 << k), 40)
+        for a in masks:
+            got = low[a & ((1 << h) - 1)] & high[a >> h]
+            if k <= 7:
+                assert got == sum(1 << b for b in range(1 << k) if a & b == 0), (k, a)
+            else:
+                for b in rng.sample(range(1 << k), 40) + [a, (1 << k) - 1 - a]:
+                    assert got >> b & 1 == (a & b == 0), (k, a, b)
+                assert got >> (1 << k) == 0
 
 
 def test_colorful_trial_matches_embedding_search():

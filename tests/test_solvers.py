@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -497,6 +499,43 @@ def test_colorcoding_extracts_a_valid_embedding_from_every_hit(monkeypatch):
         g = gen_random("digraph", seed=2000 + t, n=8, edge_probability=0.45)
         ktree_colorcoding(g, tree, seed=t)
     assert len(hits) > 20 and all(hits)
+
+
+def test_trial_colors_match_randrange():
+    rng = random.Random()
+    for k in range(1, 17):
+        for seed in range(200):
+            want = random.Random(seed)
+            assert solvers.trial_colors(rng, seed, k, 40) == [want.randrange(k)
+                                                              for _ in range(40)]
+
+
+def _colorcoding_cases():
+    rng = random.Random(1500)
+    for _ in range(400):
+        k = rng.randint(2, 6)
+        n = rng.randint(2, 10)
+        T = gen_random("tree", seed=rng.randrange(2 ** 31), k=k, oriented=rng.random() < 0.5)
+        G = gen_random("digraph", seed=rng.randrange(2 ** 31), n=n,
+                       edge_probability=rng.choice((0.15, 0.3, 0.5)))
+        yield G, T, rng.randrange(1000)
+
+
+def test_colorcoding_matches_the_pinned_digest():
+    """400 seeded cases, oriented and unoriented trees; the digest of every
+    (answer, certificate, stats) was taken at commit ad3e054, before the
+    trials kept their color-mask families as bitsets and drew their colors
+    inline."""
+    digest = hashlib.sha256()
+    answers = []
+    for G, T, seed in _colorcoding_cases():
+        res = ktree_colorcoding(G, T, failure_prob=0.2, seed=seed)
+        cert = None if res.certificate is None else sorted(res.certificate.items())
+        answers.append(res.answer)
+        digest.update(json.dumps([res.answer, cert, res.stats], sort_keys=True).encode())
+    assert (answers.count("yes"), answers.count("no")) == (256, 144)
+    assert digest.hexdigest() == (
+        "97f8712294fbcef7bba682de99dd8bcbb5f3103ad7d17b125a7d4f96d16226ee")
 
 
 def test_colorcoding_deterministic_for_seed():
