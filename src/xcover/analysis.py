@@ -364,7 +364,7 @@ def _family_ntree(cfg):
     bounds = []
     over_accepts = []
     disjoint_counts = {"disjoint": 0, "overlapping": 0}
-    counts = {"yes": 0, "no": 0, "instances_distinct": 0}
+    counts = {"yes": 0, "no": 0, "instances_distinct": 0, "instances_filtered": 0}
     cases = cfg.n_trials("ntree")
     variant = cfg.variant
     delta = 6
@@ -375,8 +375,9 @@ def _family_ntree(cfg):
                        edge_probability=rng.choice([0.25, 0.4, 0.55]))
         bt = tree_embed_backtrack(G, T).is_yes
         counts["yes" if bt else "no"] += 1
-        decision = decide_stream(ntree_to_setcover(G, T, delta, variant=variant))
+        decision = decide_stream(ntree_to_setcover(G, T, delta, variant, live_only=True))
         counts["instances_distinct"] += decision.distinct
+        counts["instances_filtered"] += decision.filtered
         red = decision.accepted is not None
         if variant == LITERAL:
             if bt and not red:

@@ -132,11 +132,13 @@ def _provenance_comment(prov) -> str:
 
 
 def _stream(args, live_only=False) -> reductions.ReductionBatch:
-    """The cover stream of an ntree or ham command; ``live_only`` is ham_to_setcover's."""
+    """The cover stream of an ntree or ham command.  ``live_only`` is the
+    decide-side form of either stream: only the instances that can accept
+    are built, and the others come as skip counts."""
     G = _parse_graph_file(args.files[0])
     if args.kind.startswith("ntree"):
         T = _read(args.files[1], "tree")
-        return reductions.ntree_to_setcover(G, T, args.delta, variant=args.variant)
+        return reductions.ntree_to_setcover(G, T, args.delta, args.variant, live_only)
     return reductions.ham_to_setcover(G, args.delta, live_only)
 
 
@@ -192,11 +194,10 @@ def _cmd_pipeline(args) -> int:
         params.update(delta=args.delta)
         if args.kind == "ntree":
             params.update(variant=args.variant)
-        decision = reductions.decide_stream(_stream(args, live_only=True))
+        decision = reductions.decide_stream(_stream(args, live_only=True), args.budget)
         stats = {"instances_examined": decision.examined,
-                 "instances_distinct": decision.distinct}
-        if args.kind == "ham":
-            stats["instances_filtered"] = decision.filtered
+                 "instances_distinct": decision.distinct,
+                 "instances_filtered": decision.filtered}
         res = solvers.SolveResult("no" if decision.accepted is None else "yes", stats=stats)
     else:
         inst = _read(args.files[0], "setcover" if args.kind == "sc-ktree" else "partialcover")

@@ -127,6 +127,16 @@ class Digraph:
                 adj[u].add(v)
         return tuple(tuple(sorted(a)) for a in adj)
 
+    @cached_property
+    def out_masks(self) -> tuple[int, ...]:
+        """Per node, the bitmask of its successors."""
+        return tuple(sum(1 << v for v in s) for s in self._succ)
+
+    @cached_property
+    def in_masks(self) -> tuple[int, ...]:
+        """Per node, the bitmask of its predecessors."""
+        return tuple(sum(1 << v for v in p) for p in self._pred)
+
     def successors(self, u: int) -> tuple[int, ...]:
         return self._succ[u]
 

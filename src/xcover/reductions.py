@@ -31,7 +31,7 @@ from math import comb
 from typing import Iterator
 
 from xcover import kernels
-from xcover.errors import CapacityError, PreconditionError
+from xcover.errors import BudgetExceededError, CapacityError, PreconditionError
 from xcover.instances import (
     FWD,
     PARTIAL,
@@ -112,7 +112,7 @@ class StreamDecision:
     filtered: int
 
 
-def decide_stream(batch: ReductionBatch) -> StreamDecision:
+def decide_stream(batch: ReductionBatch, budget: int = DEFAULT_BUDGET) -> StreamDecision:
     """Solve the produced instances with the cover DP until one accepts.
 
     A skip count the stream yields is added to ``examined`` and
@@ -120,7 +120,10 @@ def decide_stream(batch: ReductionBatch) -> StreamDecision:
     the same target and sets as an earlier one cannot accept, because the
     earlier one was rejected, so it is only counted as examined.  The memo
     of decided ``(target, sets)`` pairs holds one entry per distinct
-    instance solved and is released on return.
+    instance solved and is released on return.  Raises
+    BudgetExceededError when the stream yields a built instance beyond the
+    first ``budget``, before it is looked at; skip counts build nothing
+    and do not count.
     """
     seen = set()
     examined = filtered = 0
@@ -129,6 +132,9 @@ def decide_stream(batch: ReductionBatch) -> StreamDecision:
             examined += prod
             filtered += prod
             continue
+        if examined - filtered >= budget:
+            raise BudgetExceededError(
+                f"the stream builds more than the budget of {budget} instances")
         examined += 1
         key = (prod.target, prod.instance.sets)
         if key in seen:
@@ -267,7 +273,7 @@ _REVERSED = {FWD: REV, REV: FWD, UND: UND}
 
 
 def ntree_to_setcover(G: Digraph, T: PatternTree, delta: int,
-                      variant: str = ANCHORED) -> ReductionBatch:
+                      variant: str = ANCHORED, live_only: bool = False) -> ReductionBatch:
     """One cover instance per guessed placement of the subtree anchor nodes.
 
     The pattern is covered by subtrees of at most delta nodes (size
@@ -284,6 +290,12 @@ def ntree_to_setcover(G: Digraph, T: PatternTree, delta: int,
     the hosts of its later anchor, so a miss prunes every completion.
     The images of a subtree depend only on its own pins and are computed
     once per stream.
+
+    A placement's instance is full when its sets cover the ground set; one
+    that is not cannot accept.  With ``live_only`` (the decide-side form)
+    only the full instances are built, and each run of consecutive other
+    placements comes as one skip count in its place in the stream.  The
+    test costs a bitmask OR per image, with no set built.
     """
     variant = normalize_variant(variant)
     if G.num_nodes != T.k:
@@ -300,36 +312,56 @@ def ntree_to_setcover(G: Digraph, T: PatternTree, delta: int,
     else:
         anchors = roots
     slot = {v: i for i, v in enumerate(anchors)}
+    layout = _ReducedLayout(G, T, subtrees, slot, variant, delta)
     # each pinned tree edge restricts the later of its two anchors to the
-    # hosts the edge can reach from the earlier one's host: (slot, orientation)
+    # hosts the edge can reach from the earlier one's host: (slot, host masks)
     reach = [[] for _ in anchors]
     if variant == ANCHORED:
         for p, v, o in T.edge_list():
             if p in slot and v in slot:
                 if slot[p] < slot[v]:
-                    reach[slot[v]].append((slot[p], o))
+                    reach[slot[v]].append((slot[p], layout.along[o]))
                 else:
-                    reach[slot[p]].append((slot[v], _REVERSED[o]))
-    layout = _ReducedLayout(G, T, subtrees, slot, variant, delta)
+                    reach[slot[p]].append((slot[v], layout.along[_REVERSED[o]]))
 
-    def placements(i, hosts, used):
-        if i == len(anchors):
-            yield tuple(hosts)
-            return
-        cands = range(ntilde)
-        for j, o in reach[i]:
-            cands = [u for u in G.along(hosts[j], o) if u in cands]
-        for u in cands:
-            if not used[u]:
-                hosts[i] = u
-                used[u] = True
-                yield from placements(i + 1, hosts, used)
-                used[u] = False
+    def placements():
+        # free[i]: the hosts no earlier anchor took; cands[i]: those anchor i
+        # can still take, tried lowest first
+        last = len(anchors) - 1
+        hosts = [0] * len(anchors)
+        free = [(1 << ntilde) - 1] + [0] * last
+        cands = free[:]
+        i = 0
+        while i >= 0:
+            c = cands[i]
+            if not c:
+                i -= 1
+                continue
+            low = c & -c
+            cands[i] = c ^ low
+            hosts[i] = low.bit_length() - 1
+            if i == last:
+                yield tuple(hosts)
+                continue
+            i += 1
+            c = free[i] = free[i - 1] ^ low
+            for j, masks in reach[i]:
+                c &= masks[hosts[j]]
+            cands[i] = c
 
     def stream():
-        for hosts in placements(0, [0] * len(anchors), [False] * ntilde):
-            yield ProducedInstance(layout.instance(hosts), len(subtrees),
-                                   provenance=tuple(zip(anchors, hosts)))
+        skipped = 0
+        for hosts in placements():
+            inst = layout.instance(hosts, live_only)
+            if inst is None:
+                skipped += 1
+                continue
+            if skipped:
+                yield skipped
+                skipped = 0
+            yield ProducedInstance(inst, len(subtrees), provenance=tuple(zip(anchors, hosts)))
+        if skipped:
+            yield skipped
 
     return ReductionBatch(produced=stream(),
                           bound_declared_log2=count_bound_log2(ntilde, delta, variant),
@@ -361,35 +393,63 @@ class _ReducedLayout:
             self.bases.append(base)
             self.pinned_slots.append([(q, slot[q]) for q in sorted(nodes) if q in slot])
         self.n = next_id
+        self.hosts_mask = (1 << G.num_nodes) - 1
+        # orientation -> per host, the bitmask of the hosts a tree edge of
+        # that orientation can reach from it
+        self.along = {FWD: G.out_masks, REV: G.in_masks,
+                      UND: tuple(o | i for o, i in zip(G.out_masks, G.in_masks))}
+        # (subtree, its pins' hosts) -> [(free hosts, their bitmask)] per image
         self.images = {}
 
-    def instance(self, hosts):
-        pinned = set(hosts)
+    def instance(self, hosts, live_only=False):
+        """The placement's cover instance, or None under ``live_only`` when
+        its sets cannot cover the ground set.
+
+        An image's free hosts are those of the subtree's non-pinned nodes,
+        and it is kept when they avoid every pinned host.  The label and
+        incidence elements of a subtree lie in each of its kept images'
+        sets, so the sets cover the ground set exactly when every subtree
+        keeps an image and the kept images' free hosts together with the
+        pinned hosts are every host.
+        """
+        pinned = 0
+        for u in hosts:
+            pinned |= 1 << u
+        union = pinned
+        kept = []
+        for idx, pins in enumerate(self.pinned_slots):
+            local = tuple(hosts[s] for _, s in pins)
+            images = self.images.get((idx, local))
+            if images is None:
+                r, nodes = self.subtrees[idx]
+                images = self.images[idx, local] = _subtree_images(
+                    self.along, self.T, nodes, r, {q: hosts[s] for q, s in pins})
+            alive = []
+            for free, mask in images:
+                if not mask & pinned:
+                    alive.append(free)
+                    union |= mask
+            if live_only and not alive:
+                return None
+            kept.append(alive)
+        if live_only and union != self.hosts_mask:
+            return None
         elem = {}
         for u in range(self.G.num_nodes):
-            if u not in pinned:
+            if not pinned >> u & 1:
                 elem[u] = len(elem)
-        produced = []
-        for idx, (r, nodes) in enumerate(self.subtrees):
-            local = tuple(hosts[s] for _, s in self.pinned_slots[idx])
-            key = (idx, local)
-            images = self.images.get(key)
-            if images is None:
-                local_pins = {q: hosts[s] for q, s in self.pinned_slots[idx]}
-                images = self.images[key] = _subtree_images(self.G, self.T, nodes, r, local_pins)
-            avoid = pinned.difference(local)
-            base = self.bases[idx]
-            for image in images:
-                if avoid.isdisjoint(image):
-                    # host elements precede the label and incidence ones
-                    produced.append(tuple([elem[u] for u in image if u in elem] + base))
-        produced = list(dict.fromkeys(produced))
+        # host elements precede the label and incidence ones; the free hosts
+        # of one key's images are distinct and the labels tell subtrees apart,
+        # so no two sets are equal
+        produced = [tuple([elem[u] for u in free] + base)
+                    for alive, base in zip(kept, self.bases) for free in alive]
         return SetCoverInstance(n=self.n, sets=tuple(produced), delta=self.delta)
 
 
-def _subtree_images(G, T, nodes, root, local_pins):
-    """Distinct host-node sets, sorted, carrying an orientation-respecting
-    copy of the subtree with the given pins."""
+def _subtree_images(along, T, nodes, root, local_pins):
+    """Distinct host-node sets, sorted, of the non-pinned nodes of the
+    orientation-respecting copies of the subtree with the given pins, each
+    with its host bitmask.  ``along`` is _ReducedLayout's."""
     members = set(nodes)
     order = [root]
     stack = [root]
@@ -400,38 +460,33 @@ def _subtree_images(G, T, nodes, root, local_pins):
                 order.append(c)
                 stack.append(c)
     images = set()
-    assign = {}
-    used = set()
+    host = {root: local_pins[root]}
 
-    def rec(i):
+    def rec(i, used, free):
         if i == len(order):
-            images.add(tuple(sorted(assign.values())))
+            images.add(free)
             return
         v = order[i]
-        if v == root:
-            cands = (local_pins[root],)
-        else:
-            cands = G.along(assign[T.parent[v]], T.orientation[v])
+        cands = along[T.orientation[v]][host[T.parent[v]]] & ~used
         pin = local_pins.get(v)
-        for u in cands:
-            if pin is not None and u != pin:
-                continue
-            if u in used:
-                continue
-            assign[v] = u
-            used.add(u)
-            rec(i + 1)
-            del assign[v]
-            used.remove(u)
+        if pin is not None:
+            cands &= 1 << pin
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            host[v] = low.bit_length() - 1
+            rec(i + 1, used | low, free if pin is not None else free | low)
 
-    rec(0)
-    return sorted(images)
+    rec(1, 1 << local_pins[root], 0)
+    hosts = range(len(along[FWD]))
+    return sorted((tuple(u for u in hosts if mask >> u & 1), mask) for mask in images)
 
 
 def solve_ntree_via_setcover(G: Digraph, T: PatternTree, delta: int,
                              variant: str = ANCHORED) -> bool:
     """True iff some produced instance admits a cover of exactly the target size."""
-    return decide_stream(ntree_to_setcover(G, T, delta, variant)).accepted is not None
+    return decide_stream(ntree_to_setcover(G, T, delta, variant,
+                                           live_only=True)).accepted is not None
 
 
 # ---------------------------------------------------------------------------

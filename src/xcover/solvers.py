@@ -277,11 +277,7 @@ def heldkarp_ham(G: Digraph) -> SolveResult:
         raise CapacityError(f"{n} nodes exceed the Hamiltonicity cap of {DEFAULT_CAP_HAM}")
     if n < 2:
         return SolveResult("no", stats={"explored": 0})
-    succ = [0] * n
-    for u in range(n):
-        for v in G.successors(u):
-            succ[u] |= 1 << v
-    order, states = kernels.ham_cycle(succ, n)
+    order, states = kernels.ham_cycle(G.out_masks, n)
     if order is None:
         return SolveResult("no", stats={"explored": states})
     return SolveResult("yes", certificate=order, stats={"explored": states})
@@ -654,13 +650,7 @@ def ktree_colorcoding(G: Digraph, T: PatternTree, failure_prob: float = 0.01,
     for v in range(k):
         if v != T.root:
             orient_code[v] = {UND: 0, FWD: 1, REV: 2}[T.orientation[v]]
-    out_adj = [0] * n
-    in_adj = [0] * n
-    for u in range(n):
-        for v in G.successors(u):
-            out_adj[u] |= 1 << v
-        for v in G.predecessors(u):
-            in_adj[u] |= 1 << v
+    out_adj, in_adj = G.out_masks, G.in_masks
     parent = list(T.parent)
     rng = random.Random()
     for t in range(trials):

@@ -224,6 +224,30 @@ def test_pipeline_ntree_variants(run, tmp_path):
         assert json.loads(out)["answer"] == "yes"
 
 
+@pytest.mark.parametrize("kind", ["ntree", "ham"])
+def test_stream_pipeline_budget_bounds_the_built_instances(run, tmp_path, kind):
+    graph, tree = str(tmp_path / "g.digraph"), str(tmp_path / "t.tree")
+    if kind == "ntree":
+        g, t, _ = gen_planted("embedded_tree", seed=1, k=7, host_n=7,
+                              extra_edge_probability=0.3)
+        (tmp_path / "t.tree").write_text(serialize_instance(t))
+        argv = ["pipeline", "ntree", graph, tree, "--delta", "6"]
+    else:
+        g, _ = gen_planted("ham_cycle", seed=1, n=8, extra_edges=8)
+        argv = ["pipeline", "ham", graph, "--delta", "2"]
+    (tmp_path / "g.digraph").write_text(serialize_instance(g))
+    code, out, _ = run(*argv)
+    stats = json.loads(out)["stats"]
+    assert code == 0 and json.loads(out)["answer"] == "yes"
+    # skip counts build nothing, so only the built instances spend the budget
+    built = stats["instances_examined"] - stats["instances_filtered"]
+    assert 1 < built < stats["instances_examined"]
+    assert run(*argv, "--budget", str(built)) == (0, out, "")
+    code, out, err = run(*argv, "--budget", str(built - 1))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_pipeline_rejects_jobs_below_one_and_the_parser_survives(run, tmp_path):
     # there is no --jobs option: every value of it is a usage error
     g, _ = gen_planted("ham_cycle", seed=8, n=6, extra_edges=2)

@@ -56,6 +56,18 @@ differ in ``stats.explored`` alone (2^8 = 256 became 50 on the yes input
 and 11 on the no input).  The ``solve ktree`` digests did not move when the
 color-coding trials began to keep their families as bitsets and to draw
 their colors inline.
+The six ``pipeline ntree`` digests were re-taken when the ntree decide path
+began to build only the placements whose sets cover the ground set and to
+count the others as ``stats.instances_filtered``, a key new to those
+records: ``instances_distinct`` fell (anchored no 6 became 0, literal no
+37 became 1, anchored over 4 became 0, literal over 3 became 1, anchored
+yes 2 became 1, literal yes 4 became 1), while ``answer`` and
+``instances_examined`` did not move.  The ``verify`` digest was re-taken
+then too: the ``ntree`` family decides the same way, so its
+``notes.instances_distinct`` fell from 46 to 5 and it gained
+``notes.instances_filtered`` (73); nothing else moved.  The ``reduce
+ntree-to-sc`` digests did not move: that command still emits every
+placement.
 ``reduce sc-to-ktree`` and
 ``ppc-to-ktree`` on the inputs with large sets exited 3 before they
 learned to remove those sets first, so their digests are of the first
@@ -189,12 +201,12 @@ GOLDEN = {
     "bounds": "856427367579962b0810bdb7889aeeb17e2b1f7d90e3195f144a6551c677f039",
     "pipeline-ham-no": "b549b9c7f0a289ed7dd248d0dd4bb96509cd74036a9cf7ab9effbbc0d1579e64",
     "pipeline-ham-yes": "60441132225aa954ad1f29558d2ea48daefb0a1de632664a2f6b32197fb58fb2",
-    "pipeline-ntree-no-anchored": "737a0ccb79288efa931da56c6e5eebcfe35522f453e028043982ca11850c1297",
-    "pipeline-ntree-no-literal": "e9cc2819cfab158e4bda22a00ec29a939255044e42e72cab18d5e88576652b3e",
-    "pipeline-ntree-over-anchored": "603ae6034cb58d16fc9a166aeae910c997b0e0d0e88c1b6f015b28dae2f86bb8",
-    "pipeline-ntree-over-literal": "9d83913e55fcf6afdc250925389a090cac6bc63e0062eb11a2cd51d46a283eb6",
-    "pipeline-ntree-yes-anchored": "c247004fb67fd190564d632c374d28efc3df6cc01f3f9155378a261117b24042",
-    "pipeline-ntree-yes-literal": "a5f94d6398391b5ac03de16d7bbe69b9a86f3c02ed0a2f537654494f50daa524",
+    "pipeline-ntree-no-anchored": "14f51230091842cd10e7b261211ed797d91e9cddc8e4567ed048bf01c33f0a99",
+    "pipeline-ntree-no-literal": "f35501c7828eb0f8638f161e9a9a0c650c69e7fd280a2d6e21d29ad8925e591b",
+    "pipeline-ntree-over-anchored": "37189ede37de7fbdcb8938826ea8a7a5aac1e33a6af2516f99ae97e845a2df6e",
+    "pipeline-ntree-over-literal": "bb360582810a55e9d53f110efd87375e9ba5736781ac09a8a47ec3f598e199c5",
+    "pipeline-ntree-yes-anchored": "1c34d37cdc67d1589499526e1776254282fcfa546da37a6de147ba261dd6ecd4",
+    "pipeline-ntree-yes-literal": "29cb64e2294513dcfd1a47c91f3aae39c26e67b75630d37421fe9317be858b41",
     "pipeline-ppc-ktree-bound": "20932160aaadf6ce5a6770096dba22e4e74e0aa60298b269b1ff2a71f5605846",
     "pipeline-ppc-ktree-large": "fb11d65d9173c60a150a8e5a916dd90c9c7ee8605a4f4eb744d08c7a8d299552",
     "pipeline-ppc-ktree-p0": "197ddaf3ac6e42997371b7c08f1c3b18c2f053e75594ff4bb42d0004aac9e3d2",
@@ -212,7 +224,7 @@ GOLDEN = {
     "reduce-ppc-to-ktree-large": "f916fb2136cc911aa87efbbe0f496df1572bcfa67b2502194ba44facf4db344b",
     "reduce-sc-to-ktree": "ddb6b9039c0c95293cbd8c30a0196edbb486cc75bb6739c0d7d60d5ff33539b5",
     "reduce-sc-to-ktree-large": "b6f0334734de8476cb7119ca0596029b9973924bfd4670189432991d75675732",
-    "verify": "b8add61ac77fe1d852fb873f34ee306496ea56a95f591248decbdfa840089ce2",
+    "verify": "2a5ad01b7959a89800927342971558cbfc36ffe1b3911633ca2e746154408827",
     "solve-embed": "165ee9c0e8b62cb9532496aaa33042ee2889ca02e7d569c337cd80d9956ece3e",
     "solve-exactcover": "22edcad9f8e2d648b0a01cf9341c57c679955f106536a5a0888f5ada388597f1",
     "solve-exactcover-delta3": "44512d83bdbbf838acf99d46945551f70a0a5c06b84b7b155fe9068409c6ed94",

@@ -225,7 +225,7 @@ def _decide_without_memo(batch):
 
 def _seeded_streams():
     """(label, stream factory taking ``live_only``): planted and random
-    hosts, so both answers occur.  The ntree stream has no decide-side form."""
+    hosts, so both answers occur."""
     for n in (4, 6, 8):
         for delta in sorted({2, n // 2}):
             for seed in range(2):
@@ -243,7 +243,7 @@ def _seeded_streams():
             for name, G in (("planted", planted), ("random", rand)):
                 yield (f"ntree k={k} {variant} {name}",
                        lambda live_only, G=G, T=T, variant=variant:
-                       ntree_to_setcover(G, T, 6, variant))
+                       ntree_to_setcover(G, T, 6, variant, live_only))
 
 
 def _key(prod):
@@ -254,6 +254,18 @@ def _covers_representatives(prod):
     """A ham order's instance holds every representative in some set, which
     is the case exactly when the order is live."""
     return set(prod.provenance) <= set().union(*prod.instance.sets)
+
+
+def _is_full(inst):
+    """The instance's sets cover its ground set, which is the case exactly
+    when an ntree placement is built by the decide-side stream."""
+    return set().union(*inst.sets) == set(range(inst.n))
+
+
+def _live(label, prod):
+    if label.startswith("ham"):
+        return _covers_representatives(prod)
+    return _is_full(prod.instance)
 
 
 def test_decide_stream_solves_each_distinct_instance_once(monkeypatch):
@@ -285,7 +297,7 @@ def test_decide_stream_solves_each_distinct_instance_once(monkeypatch):
         # the DP saw exactly the distinct live instances of the examined
         # prefix, and the dead ones were counted as filtered
         prefix = list(itertools.islice(make(False).produced, examined))
-        live = [p for p in prefix if not label.startswith("ham") or _covers_representatives(p)]
+        live = [p for p in prefix if _live(label, p)]
         assert got.distinct == len({_key(p) for p in live}), label
         assert got.filtered == len(prefix) - len(live), label
         answers.add(prod is not None)
@@ -318,6 +330,59 @@ def test_decide_stream_builds_only_the_distinct_ham_instances(monkeypatch):
         assert len(built) < decision.examined
         answers.append(decision.accepted is not None)
     assert answers == [False, True]
+
+
+def test_reduced_layout_full_test_matches_the_union_of_the_sets():
+    """For every placement, the layout skips exactly the instances whose
+    sets leave an element uncovered."""
+    from xcover.reductions import _ReducedLayout
+
+    rng = random.Random(5)
+    fulls = set()
+    for case in range(40):
+        k = rng.choice([4, 5, 6, 7])
+        G = gen_random("digraph", seed=case, n=k, edge_probability=rng.choice([0.3, 0.5]))
+        T = gen_random("tree", seed=case, k=k, oriented=case % 2 == 0)
+        for variant in ("anchored", "literal"):
+            produced = list(ntree_to_setcover(G, T, 6, variant).produced)
+            assert not any(isinstance(prod, int) for prod in produced)
+            if not produced:
+                continue
+            anchors = [a for a, _ in produced[0].provenance]
+            layout = _ReducedLayout(G, T, tree_cover(T, 3).subtrees,
+                                    {v: i for i, v in enumerate(anchors)}, variant, 6)
+            for prod in produced:
+                hosts = tuple(h for _, h in prod.provenance)
+                assert layout.instance(hosts) == prod.instance
+                full = _is_full(prod.instance)
+                assert (layout.instance(hosts, live_only=True) is not None) == full
+                fulls.add(full)
+    assert fulls == {True, False}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(4, 8), delta=st.integers(6, 9),
+       variant=st.sampled_from(["anchored", "literal"]))
+def test_ntree_live_decide_matches_the_unfiltered_stream(data, k, delta, variant):
+    G = data.draw(_digraphs(k))
+    T = data.draw(_trees(k))
+    full = list(ntree_to_setcover(G, T, delta, variant).produced)
+    items = list(ntree_to_setcover(G, T, delta, variant, live_only=True).produced)
+    live = [item for item in items if not isinstance(item, int)]
+    # the built placements are the full ones, in stream order, and each run
+    # of the others is one skip count
+    assert [(p.provenance, p.instance) for p in live] == \
+        [(p.provenance, p.instance) for p in full if _is_full(p.instance)]
+    assert sum(item for item in items if isinstance(item, int)) + len(live) == len(full)
+    assert all(not isinstance(b, int) for a, b in zip(items, items[1:]) if isinstance(a, int))
+    prod, res, examined = _decide_without_memo(ntree_to_setcover(G, T, delta, variant))
+    got = decide_stream(ntree_to_setcover(G, T, delta, variant, live_only=True))
+    assert got.examined == examined
+    if prod is None:
+        assert got.accepted is None and got.result is None
+    else:
+        assert got.accepted.provenance == prod.provenance
+        assert got.result.certificate == res.certificate
 
 
 def test_ntree_rejects_small_delta():
