@@ -20,6 +20,7 @@ import time
 from xcover import __version__, analysis, reductions, solvers
 from xcover.errors import BudgetExceededError, CapacityError, FormatError, PreconditionError
 from xcover.instances import (
+    Digraph,
     gen_planted,
     gen_random,
     parse_instance,
@@ -38,9 +39,17 @@ def _digest(path: str) -> str:
         return sha256(fh.read()).hexdigest()[:16]
 
 
-def _read(path: str, kind: str):
+def _read_text(path: str) -> str:
+    """An instance file's text; a file that is not UTF-8 is a format error."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read(), kind)
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _read(path: str, kind: str):
+    return parse_instance(_read_text(path), kind)
 
 
 def _emit(record: dict) -> None:
@@ -114,12 +123,11 @@ def _cmd_solve(args) -> int:
 
 
 def _parse_graph_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return parse_instance(text, "digraph")
-    except FormatError:
-        return parse_instance(text, "graph")
+    """A ``digraph`` or ``graph`` record."""
+    G = parse_instance(_read_text(path))
+    if not isinstance(G, Digraph):
+        raise FormatError(f"{path}: expected a digraph or graph record")
+    return G
 
 
 # ---------------------------------------------------------------------------

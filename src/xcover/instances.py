@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
 
 from xcover.errors import FormatError, PreconditionError
 
@@ -128,14 +127,12 @@ class Digraph:
         return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
-    def out_masks(self) -> tuple[int, ...]:
-        """Per node, the bitmask of its successors."""
-        return tuple(sum(1 << v for v in s) for s in self._succ)
-
-    @cached_property
-    def in_masks(self) -> tuple[int, ...]:
-        """Per node, the bitmask of its predecessors."""
-        return tuple(sum(1 << v for v in p) for p in self._pred)
+    def masks_along(self) -> dict[str, tuple[int, ...]]:
+        """Orientation -> per node, the bitmask of the nodes that ``along``
+        lists for it: successors, predecessors, or either for ``und``."""
+        out = tuple(sum(1 << v for v in s) for s in self._succ)
+        inn = tuple(sum(1 << v for v in p) for p in self._pred)
+        return {FWD: out, REV: inn, UND: tuple(o | i for o, i in zip(out, inn))}
 
     def successors(self, u: int) -> tuple[int, ...]:
         return self._succ[u]
@@ -246,13 +243,6 @@ class PatternTree:
                 stack.append((c, False))
         return tuple(out)
 
-    @property
-    def oriented(self) -> bool:
-        return self.k > 1 and self.orientation[self._first_non_root()] != UND
-
-    def _first_non_root(self) -> int:
-        return 0 if self.root != 0 else 1
-
     def edge_list(self) -> list[tuple[int, int, str]]:
         """Edges as (parent, child, orientation), sorted by child id."""
         return [(self.parent[v], v, self.orientation[v]) for v in range(self.k) if v != self.root]
@@ -273,8 +263,6 @@ class SubtreeCover:
     """A family of (root, node-set) subtrees covering a pattern tree."""
 
     subtrees: tuple[tuple[int, frozenset[int]], ...]
-    source_k: int
-    l: int
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +445,7 @@ def gen_random(kind: str, seed: int = 0, **params):
     """Seeded random instance of the given kind.
 
     Kinds and their parameters:
-      setcover / exactcover / partialcover: n, m, max_set_size, [p], [distinct]
+      setcover / exactcover / partialcover: n, m, max_set_size, [p]
       digraph / graph: n, edge_probability
       tree: k, [oriented]
     """
@@ -471,28 +459,17 @@ def gen_random(kind: str, seed: int = 0, **params):
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def _random_setcover(rng, variant, n, m, max_set_size, p=None, distinct=False):
+def _random_setcover(rng, variant, n, m, max_set_size, p=None):
     if variant == PARTIAL and (p is None or not 0 <= p <= n):
         raise PreconditionError(f"a partial cover needs 0 <= p <= n = {n}, got p = {p}")
     if max_set_size > n:
         raise PreconditionError("max_set_size exceeds the ground set size")
     if max_set_size < 1 or m < 0:
         raise PreconditionError("need max_set_size >= 1 and m >= 0")
-    if distinct:
-        available = sum(comb(n, s) for s in range(1, max_set_size + 1))
-        if available < m:
-            raise PreconditionError(
-                f"only {available} distinct nonempty sets of size <= {max_set_size} exist")
     sets = []
-    seen = set()
-    while len(sets) < m:
+    for _ in range(m):
         size = rng.randint(1, max_set_size)
-        s = tuple(sorted(rng.sample(range(n), size)))
-        if distinct:
-            if s in seen:
-                continue
-            seen.add(s)
-        sets.append(s)
+        sets.append(tuple(sorted(rng.sample(range(n), size))))
     return SetCoverInstance(n=n, sets=tuple(sets), variant=variant, p=p)
 
 

@@ -202,20 +202,20 @@ def color_disjoint(k):
     return h, table(clear[:h]), table(clear[h:])
 
 
-def colorful_trial_yes(k, post_order, parent, orient, out_adj, in_adj, colors):
+def colorful_trial_yes(k, post_order, parent, edge_adj, colors):
     """One color-coding trial: does a colorful embedding of the tree exist?
 
     Tree nodes 0..k-1; ``post_order`` lists them children-first with the
-    root last; ``orient[v]`` is 0 undirected / 1 parent->child / 2
-    child->parent for the edge above v.  ``out_adj``/``in_adj`` are host
-    adjacency bitmasks and ``colors[u]`` in [0, k) the trial coloring.
-    Returns a host node for the root on success, else -1.
+    root last; ``edge_adj[v][u]`` is the bitmask of the hosts that the edge
+    above v allows for v when its parent is at host u, and ``colors[u]`` in
+    [0, k) the trial coloring.  Returns a host node for the root on success,
+    else -1.
     """
     full = (1 << k) - 1
     fam = [[1 << (1 << c) for c in colors] for _ in range(k)]
     disjoint = color_disjoint(k)
     for v in post_order[:-1]:
-        if not colorful_merge(fam[parent[v]], fam[v], orient[v], out_adj, in_adj, disjoint):
+        if not colorful_merge(fam[parent[v]], fam[v], edge_adj[v], disjoint):
             return -1
     for u, masks in enumerate(fam[post_order[-1]]):
         if masks >> full & 1:
@@ -223,31 +223,26 @@ def colorful_trial_yes(k, post_order, parent, orient, out_adj, in_adj, colors):
     return -1
 
 
-def colorful_merge(parent_fam, child_fam, orient, out_adj, in_adj, disjoint):
+def colorful_merge(parent_fam, child_fam, adj, disjoint):
     """Merge the finished subtree of one child into its parent's families.
 
     ``parent_fam[u]`` is the bitset of the color masks of colorful
     embeddings of the parent's merged part with the parent at host u (bit a
     set when mask a is one); ``child_fam[w]`` the same for the child's whole
-    subtree at w.  ``orient`` is the edge code of ``colorful_trial_yes`` and
-    ``disjoint`` is ``color_disjoint(k)``.  Each nonzero ``parent_fam[u]``
-    is replaced by the unions a | b of its masks a with the masks b of
-    ``pool``, the union of the child's bitsets over the hosts w the edge
-    allows, that share no color with a.  Since such a and b share no bit,
-    a | b = a + b, so shifting the masks of ``pool`` disjoint from a left
-    by a maps each b to a | b; the loop runs over the smaller of the two
-    bitsets, as the merge is symmetric.  Entries are ints, replaced and
-    never mutated, so a shallow ``list(parent_fam)`` taken before the call
-    still holds the earlier stage.  Returns whether any entry stays nonzero.
+    subtree at w.  ``adj`` is the child's ``edge_adj`` entry of
+    ``colorful_trial_yes`` and ``disjoint`` is ``color_disjoint(k)``.  Each
+    nonzero ``parent_fam[u]`` is replaced by the unions a | b of its masks a
+    with the masks b of ``pool``, the union of the child's bitsets over the
+    hosts w in ``adj[u]``, that share no color with a.  Since such a and b
+    share no bit, a | b = a + b, so shifting the masks of ``pool`` disjoint
+    from a left by a maps each b to a | b; the loop runs over the smaller of
+    the two bitsets, as the merge is symmetric.  Entries are ints, replaced
+    and never mutated, so a shallow ``list(parent_fam)`` taken before the
+    call still holds the earlier stage.  Returns whether any entry stays
+    nonzero.
     """
     h, low_rows, high_rows = disjoint
     low_mask = (1 << h) - 1
-    if orient == 1:
-        adj = out_adj
-    elif orient == 2:
-        adj = in_adj
-    else:
-        adj = [o | i for o, i in zip(out_adj, in_adj)]
     alive = False
     for u, cur in enumerate(parent_fam):
         if not cur:

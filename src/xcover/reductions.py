@@ -165,7 +165,7 @@ def tree_cover(T: PatternTree, l: int) -> SubtreeCover:
         raise PreconditionError("need l >= 2: subtrees of at most 2(l-1) = 0 nodes are empty")
     k = T.k
     if k == 1:
-        return SubtreeCover(((T.root, frozenset({T.root})),), source_k=1, l=l)
+        return SubtreeCover(((T.root, frozenset({T.root})),))
     children = T.children
     next_child = [0] * k
     pending = [{v} for v in range(k)]
@@ -194,7 +194,7 @@ def tree_cover(T: PatternTree, l: int) -> SubtreeCover:
         elif p == T.root and not unvisited:
             emitted.append((p, frozenset(pending[p])))
             rooted.add(p)
-    return SubtreeCover(tuple(emitted), source_k=k, l=l)
+    return SubtreeCover(tuple(emitted))
 
 
 def check_cover_properties(T: PatternTree, cover: SubtreeCover, l: int) -> dict:
@@ -320,9 +320,9 @@ def ntree_to_setcover(G: Digraph, T: PatternTree, delta: int,
         for p, v, o in T.edge_list():
             if p in slot and v in slot:
                 if slot[p] < slot[v]:
-                    reach[slot[v]].append((slot[p], layout.along[o]))
+                    reach[slot[v]].append((slot[p], G.masks_along[o]))
                 else:
-                    reach[slot[p]].append((slot[v], layout.along[_REVERSED[o]]))
+                    reach[slot[p]].append((slot[v], G.masks_along[_REVERSED[o]]))
 
     def placements():
         # free[i]: the hosts no earlier anchor took; cands[i]: those anchor i
@@ -394,10 +394,6 @@ class _ReducedLayout:
             self.pinned_slots.append([(q, slot[q]) for q in sorted(nodes) if q in slot])
         self.n = next_id
         self.hosts_mask = (1 << G.num_nodes) - 1
-        # orientation -> per host, the bitmask of the hosts a tree edge of
-        # that orientation can reach from it
-        self.along = {FWD: G.out_masks, REV: G.in_masks,
-                      UND: tuple(o | i for o, i in zip(G.out_masks, G.in_masks))}
         # (subtree, its pins' hosts) -> [(free hosts, their bitmask)] per image
         self.images = {}
 
@@ -423,7 +419,7 @@ class _ReducedLayout:
             if images is None:
                 r, nodes = self.subtrees[idx]
                 images = self.images[idx, local] = _subtree_images(
-                    self.along, self.T, nodes, r, {q: hosts[s] for q, s in pins})
+                    self.G.masks_along, self.T, nodes, r, {q: hosts[s] for q, s in pins})
             alive = []
             for free, mask in images:
                 if not mask & pinned:
@@ -449,7 +445,7 @@ class _ReducedLayout:
 def _subtree_images(along, T, nodes, root, local_pins):
     """Distinct host-node sets, sorted, of the non-pinned nodes of the
     orientation-respecting copies of the subtree with the given pins, each
-    with its host bitmask.  ``along`` is _ReducedLayout's."""
+    with its host bitmask.  ``along`` is the host's ``Digraph.masks_along``."""
     members = set(nodes)
     order = [root]
     stack = [root]

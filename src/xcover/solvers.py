@@ -277,7 +277,7 @@ def heldkarp_ham(G: Digraph) -> SolveResult:
         raise CapacityError(f"{n} nodes exceed the Hamiltonicity cap of {DEFAULT_CAP_HAM}")
     if n < 2:
         return SolveResult("no", stats={"explored": 0})
-    order, states = kernels.ham_cycle(G.out_masks, n)
+    order, states = kernels.ham_cycle(G.masks_along[FWD], n)
     if order is None:
         return SolveResult("no", stats={"explored": states})
     return SolveResult("yes", certificate=order, stats={"explored": states})
@@ -288,9 +288,9 @@ def heldkarp_ham(G: Digraph) -> SolveResult:
 # ---------------------------------------------------------------------------
 
 
-def tree_embed_backtrack(G: Digraph, T: PatternTree, pins=None, forbidden=None,
+def tree_embed_backtrack(G: Digraph, T: PatternTree,
                          budget: int = DEFAULT_BUDGET) -> SolveResult:
-    """Injective embedding of T into G extending ``pins``, avoiding ``forbidden``.
+    """Injective embedding of T into G.
 
     Tree edges must map to host arcs matching their orientation (any
     direction when T is undirected).  Internal nodes are placed by DFS with
@@ -309,18 +309,7 @@ def tree_embed_backtrack(G: Digraph, T: PatternTree, pins=None, forbidden=None,
     search, and one per leaf expanded by the final matching pass.  Raises
     BudgetExceededError once more than ``budget`` units would be spent.
     """
-    pins = dict(pins or {})
-    forbidden = set(forbidden or ())
-    if len(set(pins.values())) != len(pins):
-        raise PreconditionError("pins must be injective")
-    for v, u in pins.items():
-        if not 0 <= v < T.k:
-            raise PreconditionError(f"pinned tree node {v} out of range")
-        if not 0 <= u < G.num_nodes:
-            raise PreconditionError(f"pinned image {u} out of range")
-        if u in forbidden:
-            raise PreconditionError(f"pinned image {u} is forbidden")
-    searcher = _EmbedSearch(G, T, pins, forbidden, budget)
+    searcher = _EmbedSearch(G, T, budget)
     mapping = searcher.run()
     stats = {"explored": searcher.explored}
     if mapping is None:
@@ -329,34 +318,26 @@ def tree_embed_backtrack(G: Digraph, T: PatternTree, pins=None, forbidden=None,
 
 
 class _EmbedSearch:
-    def __init__(self, G, T, pins, forbidden, budget):
+    def __init__(self, G, T, budget):
         self.G = G
         self.T = T
-        self.pins = pins
-        self.pin_images = set(pins.values())
-        self.forbidden = forbidden
         self.budget = budget
         self.explored = 0
         self.k = T.k
         self.children = T.children
         self.sub_size = self._subtree_sizes()
-        self.has_pin_below = self._pins_below()
-        # free leaves are unpinned childless nodes; everything else is placed by DFS
-        self.is_free_leaf = [
-            v != T.root and not self.children[v] and v not in pins for v in range(self.k)
-        ]
+        # free leaves are childless non-root nodes; everything else is placed by DFS
+        self.is_free_leaf = [v != T.root and not self.children[v] for v in range(self.k)]
         self.groups, self.group_leaves = self._leaf_groups()
         self.order, self.twin_prev = self._internal_order()
         self.need = self._degree_needs()
         self.host_caps = self._host_caps()
         self.assign = {}
         self.used = set()
-        # group matching kept across placements (see _extend_matching)
-        self.blocked = forbidden | self.pin_images
+        # group matching kept across placements (see _extend_matching):
         # group -> hosts its leaves may take, set when its parent is placed;
         # ``used`` is checked on use
         self.group_pool = [()] * len(self.group_leaves)
-        self.pools = {}  # (host, orientation) -> unblocked hosts along it
         self.match = {}  # host -> leaf group holding it
         self.undo = []  # (host, previous group or None), replayed backwards on backtrack
 
@@ -366,13 +347,6 @@ class _EmbedSearch:
             for c in self.children[v]:
                 size[v] += size[c]
         return size
-
-    def _pins_below(self):
-        below = [v in self.pins for v in range(self.k)]
-        for v in self.T.post_order:
-            for c in self.children[v]:
-                below[v] = below[v] or below[c]
-        return below
 
     def _leaf_groups(self):
         """A leaf group is the free leaf children of one parent with one
@@ -390,11 +364,7 @@ class _EmbedSearch:
         return groups, group_leaves
 
     def _canon(self, v):
-        return (
-            self.T.orientation[v],
-            self.pins.get(v, -1),
-            tuple(sorted(self._canon(c) for c in self.children[v])),
-        )
+        return (self.T.orientation[v], tuple(sorted(self._canon(c) for c in self.children[v])))
 
     def _internal_order(self):
         order = []
@@ -405,16 +375,15 @@ class _EmbedSearch:
             order.append(v)
             kids = [c for c in self.children[v] if not self.is_free_leaf[c]]
             kids.sort(key=lambda c: (-self.sub_size[c], c))
-            # identical unpinned sibling subtrees are interchangeable: demand
-            # ascending host images to kill permutation symmetry
-            canon_of = {c: self._canon(c) for c in kids}
+            # identical sibling subtrees are interchangeable: demand ascending
+            # host images to kill permutation symmetry
             by_canon = {}
             for c in kids:
-                if not self.has_pin_below[c]:
-                    prev = by_canon.get(canon_of[c])
-                    if prev is not None:
-                        twin_prev[c] = prev
-                    by_canon[canon_of[c]] = c
+                canon = self._canon(c)
+                prev = by_canon.get(canon)
+                if prev is not None:
+                    twin_prev[c] = prev
+                by_canon[canon] = c
             for c in reversed(kids):
                 stack.append(c)
         return order, twin_prev
@@ -468,26 +437,18 @@ class _EmbedSearch:
             return self._match_leaves()
         v = self.order[idx]
         if v == self.T.root:
-            cands = [self.pins[v]] if v in self.pins else range(self.G.num_nodes)
+            cands = range(self.G.num_nodes)
         else:
-            up = self.assign[self.T.parent[v]]
-            cands = self.G.along(up, self.T.orientation[v])
-            if v in self.pins:
-                cands = [u for u in cands if u == self.pins[v]]
+            cands = self.G.along(self.assign[self.T.parent[v]], self.T.orientation[v])
         floor = -1
         if v in self.twin_prev:
             floor = self.assign[self.twin_prev[v]]
-        used, blocked, pinned = self.used, self.blocked, v in self.pins
+        used = self.used
         for u in cands:
             self.explored += 1  # _tick inlined: this loop spends most units
             if self.explored > self.budget:
                 raise self._over_budget()
             if u in used or u <= floor:
-                continue
-            if pinned:
-                if u != self.pins[v]:
-                    continue
-            elif u in blocked:
                 continue
             if not self._capacity_ok(v, u):
                 continue
@@ -510,10 +471,10 @@ class _EmbedSearch:
         pool as it has leaves.  Before the placement every group of a placed
         parent is full, so by Berge's theorem one failed augmenting search
         (for the group that lost host ``u``, or for one of v's new groups)
-        proves that no b-matching fills every group; pools only shrink deeper
-        in the search, so the branch is dead.  Hall's condition holds over the
-        groups exactly when it holds over their leaves, so this prunes what a
-        matching of single leaves would.
+        proves that no b-matching fills every group; a pool only loses hosts
+        deeper in the search, so the branch is dead.  Hall's condition holds
+        over the groups exactly when it holds over their leaves, so this
+        prunes what a matching of single leaves would.
         """
         match, used, undo = self.match, self.used, self.undo
         displaced = match.pop(u, None)
@@ -522,11 +483,7 @@ class _EmbedSearch:
             if not self._augment(displaced, {displaced}):
                 return False
         for g, o in self.groups.get(v, ()):
-            pool = self.pools.get((u, o))
-            if pool is None:
-                pool = self.pools[u, o] = tuple(
-                    w for w in self.G.along(u, o) if w not in self.blocked)
-            self.group_pool[g] = pool
+            pool = self.group_pool[g] = self.G.along(u, o)
             self._tick()
             missing = len(self.group_leaves[g])
             for w in pool:
@@ -579,13 +536,14 @@ class _EmbedSearch:
     def _match_leaves(self):
         """Final leaf assignment, independent of the search's matching.
 
-        Slots go smallest pool first (ties by leaf id) and augment over
-        sorted pools, so the mapping depends only on the placement of the
-        internal nodes.  The search guarantees that a perfect matching exists.
+        Slots go smallest pool first (ties by leaf id) and augment over their
+        pool in ascending host order, so the mapping depends only on the
+        placement of the internal nodes.  The search guarantees that a
+        perfect matching exists.
         """
         slots = []
         for g, leaves in enumerate(self.group_leaves):
-            pool = [w for w in sorted(self.group_pool[g]) if w not in self.used]
+            pool = [w for w in self.group_pool[g] if w not in self.used]
             slots.extend((leaf, pool) for leaf in leaves)
         slots.sort(key=lambda s: (len(s[1]), s[0]))
         matched = {}
@@ -646,20 +604,15 @@ def ktree_colorcoding(G: Digraph, T: PatternTree, failure_prob: float = 0.01,
         raise BudgetExceededError(
             f"color coding plans {trials} trials, more than the budget of {budget}")
     post = T.post_order
-    orient_code = [0] * k
-    for v in range(k):
-        if v != T.root:
-            orient_code[v] = {UND: 0, FWD: 1, REV: 2}[T.orientation[v]]
-    out_adj, in_adj = G.out_masks, G.in_masks
+    # per tree node, the host masks of the edge above it (the root's is unused)
+    edge_adj = [G.masks_along.get(o) for o in T.orientation]
     parent = list(T.parent)
     rng = random.Random()
     for t in range(trials):
         colors = trial_colors(rng, seed * 1_000_003 + t, k, n)
-        root_host = kernels.colorful_trial_yes(k, post, parent, orient_code,
-                                               out_adj, in_adj, colors)
+        root_host = kernels.colorful_trial_yes(k, post, parent, edge_adj, colors)
         if root_host >= 0:
-            mapping = _colorful_reconstruct(G, T, orient_code, out_adj, in_adj, colors,
-                                            root_host)
+            mapping = _colorful_reconstruct(G, T, edge_adj, colors, root_host)
             if mapping is not None and verify_embedding(G, T, mapping):
                 return SolveResult("yes", certificate=mapping,
                                    stats={"explored": t + 1, "trials": t + 1})
@@ -685,7 +638,7 @@ def trial_colors(rng, seed, k, n):
     return colors
 
 
-def _colorful_reconstruct(G, T, orient_code, out_adj, in_adj, colors, root_host):
+def _colorful_reconstruct(G, T, edge_adj, colors, root_host):
     """Re-run one successful trial keeping every merge stage, then extract a map.
 
     ``stages[v][i]`` is v's family list after its first i child merges: a
@@ -702,7 +655,7 @@ def _colorful_reconstruct(G, T, orient_code, out_adj, in_adj, colors, root_host)
     root = T.post_order[-1]
     for v in T.post_order[:-1]:
         p = T.parent[v]
-        kernels.colorful_merge(fam[p], fam[v], orient_code[v], out_adj, in_adj, disjoint)
+        kernels.colorful_merge(fam[p], fam[v], edge_adj[v], disjoint)
         merged[p].append(v)
         stages[p].append(list(fam[p]))
     if not fam[root][root_host] >> full & 1:

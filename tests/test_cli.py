@@ -52,6 +52,36 @@ def test_malformed_file_exits_2(run, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("argv", [("solve", "embed"), ("solve", "ktree"),
+                                  ("pipeline", "ntree"), ("pipeline", "ham")])
+def test_digraph_file_error_names_its_line(run, tmp_path, argv):
+    graph, tree = tmp_path / "g.digraph", tmp_path / "t.tree"
+    graph.write_text("p digraph 3 2\n0 1\n1 5\n")
+    tree.write_text("p tree 3\n0 1\n1 2\n")
+    files = [str(graph)] + ([str(tree)] if argv[1] != "ham" else [])
+    code, out, err = run(*argv, *files)
+    assert code == 2 and out == ""
+    assert err == "error: line 3: edge (1, 5) out of range [0, 3)\n"
+
+
+def test_graph_reader_rejects_other_records(run, tmp_path):
+    path = tmp_path / "t.tree"
+    path.write_text("p tree 2\n0 1\n")
+    code, _, err = run("solve", "embed", str(path), str(path))
+    assert code == 2
+    assert err == f"error: {path}: expected a digraph or graph record\n"
+
+
+@pytest.mark.parametrize("argv", [("solve", "setcover", "x"), ("solve", "embed", "x", "t")])
+def test_non_utf8_file_is_a_format_error(run, tmp_path, argv):
+    bad = tmp_path / "x"
+    bad.write_bytes(b"\xffp setcover 2 1\n0 1\n")
+    (tmp_path / "t").write_text("p tree 2\n0 1\n")
+    code, out, err = run(*argv[:2], *(str(tmp_path / f) for f in argv[2:]))
+    assert code == 2 and out == ""
+    assert err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
+
+
 def test_capacity_exits_3(run, tmp_path):
     path = tmp_path / "big.sc"
     n = 30

@@ -11,68 +11,9 @@ ntree and ham streams among them, and the cover kinds with large sets),
 ``bounds``, a small ``verify`` run and every ``solve`` kind, the only
 commands that reach the solvers without a reduction in front.
 
-The pipeline, reduce, bounds and verify digests were captured at commit
-2b3ddf6, before the set-cover and partial-cover drivers were merged into
-one; the solve digests at commit 2e259a8, before the compiled-kernel fork
-was deleted, except ``solve setcover``, ``solve exactcover`` and ``solve
-partialcover``, re-taken when ``stats.explored`` became the number of
-states the sparse cover kernels visit (the records differ from the earlier
-ones in that value alone); the whole-stream ntree and ham digests (the
-anchored ntree no-instance and the ``reduce`` runs without ``--limit``) at
-commit 23a41cb, before the two streams were generated by backtracking and
-per-representative-set path tables.  The ten ``pipeline ntree`` and
-``pipeline ham`` digests were re-taken when their records gained
-``stats.instances_distinct``, the number of distinct instances the cover
-DP solved (the records differ from the earlier ones in that key alone).
-All fifteen pipeline digests were re-taken when the ``--jobs`` option was
-removed: each record equals the one commit 8fea5dd printed for the same
-command (with ``--jobs 1`` for ham) less its ``parameters.jobs`` key, and
-the two cases that ran ham with two jobs were dropped.  The ``verify`` digest did not move when the report lost its
-``backend`` field, which the digest had always left out.  The two ``pipeline
-ham`` digests were re-taken when the ham decide path began to skip the
-orders that cannot accept: their records differ from the earlier ones in
-``stats.instances_distinct`` alone, plus the new
-``stats.instances_filtered``.  The ``verify`` digest was re-taken when the
-``ntree`` and ``ham`` families began to report their yes and no counts and
-``instances_distinct`` (new keys under ``notes``, nothing else moved).
-``solve setcover`` and ``solve exactcover`` were re-taken when one
-breadth-first union search took over both and a full cover began to grow
-only by the sets holding the lowest missing element: the records differ in
-``certificate`` and ``stats.explored`` alone (setcover ``[1, 6, 0, 7, 5,
-8]`` became ``[0, 1, 6, 5, 7, 8]`` and 158 unions became 18; exactcover
-``[6, 5, 3, 2]`` became ``[2, 3, 5, 6]`` at 15 unions, as many as the
-uncovered masks the earlier memo solved).
-The ``pipeline sc-ktree`` and ``pipeline ppc-ktree`` digests of the small
-and large inputs were re-taken when the embedder began to match each leaf
-group as one slot of as many hosts as it has leaves: the records differ in
-``stats.explored`` alone, the embedder's budget units (sc small 3901 became
-2955, sc large 8481 became 5569, ppc small 13400 became 8536, ppc large 986
-became 794).  ``solve embed`` did not move: its two leaf groups hold one
-leaf each, and their fills and augmenting searches spent as many units as
-the single leaves' augmenting steps had.
-``solve ham`` yes and no were re-taken when Held-Karp began to search
-only the visited sets reachable from node 0 and to count them: the records
-differ in ``stats.explored`` alone (2^8 = 256 became 50 on the yes input
-and 11 on the no input).  The ``solve ktree`` digests did not move when the
-color-coding trials began to keep their families as bitsets and to draw
-their colors inline.
-The six ``pipeline ntree`` digests were re-taken when the ntree decide path
-began to build only the placements whose sets cover the ground set and to
-count the others as ``stats.instances_filtered``, a key new to those
-records: ``instances_distinct`` fell (anchored no 6 became 0, literal no
-37 became 1, anchored over 4 became 0, literal over 3 became 1, anchored
-yes 2 became 1, literal yes 4 became 1), while ``answer`` and
-``instances_examined`` did not move.  The ``verify`` digest was re-taken
-then too: the ``ntree`` family decides the same way, so its
-``notes.instances_distinct`` fell from 46 to 5 and it gained
-``notes.instances_filtered`` (73); nothing else moved.  The ``reduce
-ntree-to-sc`` digests did not move: that command still emits every
-placement.
-``reduce sc-to-ktree`` and
-``ppc-to-ktree`` on the inputs with large sets exited 3 before they
-learned to remove those sets first, so their digests are of the first
-output they gave.  After a change that is meant to alter stdout, print the
-new digests with
+A digest is re-taken only by a change that is meant to alter stdout;
+CHANGES.md names each such change and what moved in its records.  Print
+the new digests with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """

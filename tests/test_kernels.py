@@ -507,5 +507,7 @@ def test_colorful_trial_matches_embedding_search():
                     in_adj[v] |= 1 << u
         colors = [rng.randrange(k) for _ in range(n)]
         roots = _colorful_root_hosts(k, parent, orient, out_adj, colors)
-        got = kernels.colorful_trial_yes(k, post, parent, orient, out_adj, in_adj, colors)
+        und_adj = [o | i for o, i in zip(out_adj, in_adj)]
+        edge_adj = [(und_adj, out_adj, in_adj)[o] for o in orient]
+        got = kernels.colorful_trial_yes(k, post, parent, edge_adj, colors)
         assert got == min(roots, default=-1), (k, n, parent, orient, colors)

@@ -94,11 +94,10 @@ def test_cover_properties_flags_violations():
     from xcover.instances import SubtreeCover
 
     path = PatternTree(4, 0, (-1, 0, 1, 2), UND4)
-    oversized = SubtreeCover(((0, frozenset({0, 1, 2})),), source_k=4, l=2)
+    oversized = SubtreeCover(((0, frozenset({0, 1, 2})),))
     report = check_cover_properties(path, oversized, 2)
     assert report["size"] and report["coverage"] and not report["ok"]
-    missing_leaf = SubtreeCover(
-        ((0, frozenset({0, 1})), (2, frozenset({2}))), source_k=4, l=2)
+    missing_leaf = SubtreeCover(((0, frozenset({0, 1})), (2, frozenset({2}))))
     report = check_cover_properties(path, missing_leaf, 2)
     assert report["coverage"] == [3]
 
