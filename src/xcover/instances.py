@@ -21,6 +21,8 @@ PARTIAL = "partial"
 UND = "und"
 FWD = "fwd"
 REV = "rev"
+# the orientation of a tree edge seen from its child's end
+REVERSED = {FWD: REV, REV: FWD, UND: UND}
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,11 @@ class Digraph:
     In directed mode ``edges`` are ordered pairs and anti-parallel pairs are
     allowed.  With ``undirected_mode`` every stored pair (normalized u < v)
     also implies the reverse.  Self-loops are rejected.
+
+    The solvers and reductions read adjacency only through ``along`` and
+    ``masks_along``, which map a tree edge's orientation onto host arcs.
+    ``has_arc`` reads ``edges`` instead, so the certificate checkers built
+    on it stay independent of the table the solvers search.
     """
 
     num_nodes: int
@@ -109,61 +116,34 @@ class Digraph:
         object.__setattr__(self, "edges", frozenset(norm))
 
     @cached_property
-    def _succ(self) -> tuple[tuple[int, ...], ...]:
-        adj = [set() for _ in range(self.num_nodes)]
+    def _along(self) -> dict[str, tuple[tuple[int, ...], ...]]:
+        out = [set() for _ in range(self.num_nodes)]
+        inn = [set() for _ in range(self.num_nodes)]
         for u, v in self.edges:
-            adj[u].add(v)
+            out[u].add(v)
+            inn[v].add(u)
             if self.undirected_mode:
-                adj[v].add(u)
-        return tuple(tuple(sorted(a)) for a in adj)
-
-    @cached_property
-    def _pred(self) -> tuple[tuple[int, ...], ...]:
-        adj = [set() for _ in range(self.num_nodes)]
-        for u, v in self.edges:
-            adj[v].add(u)
-            if self.undirected_mode:
-                adj[u].add(v)
-        return tuple(tuple(sorted(a)) for a in adj)
+                out[v].add(u)
+                inn[u].add(v)
+        adj = {FWD: out, REV: inn, UND: [o | i for o, i in zip(out, inn)]}
+        return {o: tuple(tuple(sorted(a)) for a in sets) for o, sets in adj.items()}
 
     @cached_property
     def masks_along(self) -> dict[str, tuple[int, ...]]:
-        """Orientation -> per node, the bitmask of the nodes that ``along``
-        lists for it: successors, predecessors, or either for ``und``."""
-        out = tuple(sum(1 << v for v in s) for s in self._succ)
-        inn = tuple(sum(1 << v for v in p) for p in self._pred)
-        return {FWD: out, REV: inn, UND: tuple(o | i for o, i in zip(out, inn))}
-
-    def successors(self, u: int) -> tuple[int, ...]:
-        return self._succ[u]
-
-    def predecessors(self, u: int) -> tuple[int, ...]:
-        return self._pred[u]
-
-    @cached_property
-    def _nbr(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(sorted(set(s) | set(p))) for s, p in zip(self._succ, self._pred))
-
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        return self._nbr[u]
+        """Orientation -> per node, the bitmask of the nodes ``along`` lists."""
+        return {o: tuple(sum(1 << v for v in a) for a in adj) for o, adj in self._along.items()}
 
     def along(self, u: int, orient: str) -> tuple[int, ...]:
         """Where a tree edge of orientation ``orient`` leaving a node placed
-        at ``u`` can end: successors, predecessors, or either for ``und``."""
-        if orient == FWD:
-            return self._succ[u]
-        if orient == REV:
-            return self._pred[u]
-        return self._nbr[u]
+        at ``u`` can end, ascending: successors for ``fwd``, predecessors
+        for ``rev``, either for ``und``."""
+        return self._along[orient][u]
 
     def has_arc(self, u: int, v: int) -> bool:
         """True when an edge usable in direction u -> v exists."""
         if (u, v) in self.edges:
             return True
         return self.undirected_mode and (v, u) in self.edges
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
 
 
 @dataclass(frozen=True)
@@ -275,7 +255,11 @@ _SET_KINDS = {"setcover": PLAIN, "exactcover": EXACT, "partialcover": PARTIAL}
 def _content_lines(text):
     """Yield (line_no, line) skipping comment lines and the final newline artifact."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = text[:exc.start].count(b"\n") + 1
+            raise FormatError(f"not UTF-8 text ({exc.reason})", line) from None
     raw_lines = text.split("\n")
     if raw_lines and raw_lines[-1] == "":
         raw_lines.pop()
@@ -426,7 +410,7 @@ def serialize_instance(value) -> str:
     if isinstance(value, Digraph):
         header = "graph" if value.undirected_mode else "digraph"
         lines = [f"p {header} {value.num_nodes} {len(value.edges)}"]
-        lines += [f"{u} {v}" for u, v in value.sorted_edges()]
+        lines += [f"{u} {v}" for u, v in sorted(value.edges)]
         return "\n".join(lines) + "\n"
     if isinstance(value, PatternTree):
         lines = [f"p tree {value.k}"]
@@ -587,8 +571,6 @@ def _planted_embedding(rng, k, host_n, oriented=True, extra_edge_probability=0.0
         for v in range(host_n):
             if u != v and rng.random() < extra_edge_probability:
                 edges.add((u, v))
-    if not oriented:
-        edges = {(min(u, v), max(u, v)) for u, v in edges}
     host = Digraph(num_nodes=host_n, edges=frozenset(edges), undirected_mode=not oriented)
     return host, tree, mapping
 

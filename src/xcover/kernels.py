@@ -111,10 +111,12 @@ def _union_search(masks, n, p, covered, disjoint):
     return len(chosen), chosen, sum(map(len, layers))
 
 
-def ham_cycle(succ, n):
+def ham_cycle(succ, pred, n):
     """Directed Hamiltonian cycle through all n nodes: (order or None, states).
 
-    ``succ[u]`` is the successor bitmask of node u.  Cycles are anchored at
+    ``succ[u]`` and ``pred[u]`` are the bitmasks of node u's successors and
+    predecessors; the search extends paths along ``succ`` and the walk back
+    from the full set steps along ``pred``.  Cycles are anchored at
     node 0; the returned order starts there.  Held-Karp over the visited
     sets reachable from node 0 only, layer by layer: layer c holds the sets
     of c + 1 nodes first reached in that layer, each expanded once, and the
@@ -127,13 +129,6 @@ def ham_cycle(succ, n):
     """
     if n < 2:
         return None, 0
-    preds = [0] * n
-    for u in range(n):
-        s = succ[u]
-        while s:
-            v = (s & -s).bit_length() - 1
-            s &= s - 1
-            preds[v] |= 1 << u
     ends = array("I", [0]) * (1 << n)
     ends[1] = 1
     layer = [1]
@@ -159,7 +154,7 @@ def ham_cycle(succ, n):
         states += len(nxt)
         layer = nxt
     full = (1 << n) - 1
-    cand = ends[full] & preds[0]
+    cand = ends[full] & pred[0]
     if not cand:
         return None, states
     cur = (cand & -cand).bit_length() - 1
@@ -167,7 +162,7 @@ def ham_cycle(succ, n):
     mask = full
     while mask != 1:
         pm = mask ^ (1 << cur)
-        prev = ends[pm] & preds[cur]
+        prev = ends[pm] & pred[cur]
         cur = (prev & -prev).bit_length() - 1
         order.append(cur)
         mask = pm

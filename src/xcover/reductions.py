@@ -35,7 +35,7 @@ from xcover.errors import BudgetExceededError, CapacityError, PreconditionError
 from xcover.instances import (
     FWD,
     PARTIAL,
-    REV,
+    REVERSED,
     UND,
     Digraph,
     PatternTree,
@@ -269,9 +269,6 @@ def element_bound(ntilde: int, delta: int) -> float:
     return ntilde + 9 * ntilde / delta
 
 
-_REVERSED = {FWD: REV, REV: FWD, UND: UND}
-
-
 def ntree_to_setcover(G: Digraph, T: PatternTree, delta: int,
                       variant: str = ANCHORED, live_only: bool = False) -> ReductionBatch:
     """One cover instance per guessed placement of the subtree anchor nodes.
@@ -322,7 +319,7 @@ def ntree_to_setcover(G: Digraph, T: PatternTree, delta: int,
                 if slot[p] < slot[v]:
                     reach[slot[v]].append((slot[p], G.masks_along[o]))
                 else:
-                    reach[slot[p]].append((slot[v], G.masks_along[_REVERSED[o]]))
+                    reach[slot[p]].append((slot[v], G.masks_along[REVERSED[o]]))
 
     def placements():
         # free[i]: the hosts no earlier anchor took; cands[i]: those anchor i
@@ -571,11 +568,11 @@ def _paths_by_end(G, a, length):
     def rec(u, depth, inner):
         if depth + 1 == length:
             nodes = tuple(sorted(path))
-            for w in G.successors(u):
+            for w in G.along(u, FWD):
                 if w == a or w not in path:
                     out.setdefault(w, {}).setdefault(nodes, inner)
             return
-        for w in G.successors(u):
+        for w in G.along(u, FWD):
             if w not in path:
                 path.append(w)
                 rec(w, depth + 1, inner | 1 << w)
@@ -661,17 +658,17 @@ def build_host_graph(inst: SetCoverInstance, g: int) -> HostGraphBundle:
             e = (union & -union).bit_length() - 1
             union &= union - 1
             edges.add((e, x))
-        edges.add((min(rg, x), max(rg, x)))
+        edges.add((rg, x))
     for j in range(q):
-        edges.add((min(rg, pend(4, j)), max(rg, pend(4, j))))
-        edges.add((min(r1, pend(1, j)), max(r1, pend(1, j))))
-        edges.add((min(r2, pend(2, j)), max(r2, pend(2, j))))
-        edges.add((min(r, pend(3, j)), max(r, pend(3, j))))
-    edges.add((min(r, rg), max(r, rg)))
-    edges.add((min(r, r1), max(r, r1)))
-    edges.add((min(r, r2), max(r, r2)))
+        edges.add((rg, pend(4, j)))
+        edges.add((r1, pend(1, j)))
+        edges.add((r2, pend(2, j)))
+        edges.add((r, pend(3, j)))
+    edges.add((r, rg))
+    edges.add((r, r1))
+    edges.add((r, r2))
     for i in range(m):
-        edges.add((min(r, n + i), max(r, n + i)))
+        edges.add((r, n + i))
     host = Digraph(num_nodes=base_s + 4, edges=frozenset(edges), undirected_mode=True)
     return HostGraphBundle(host=host, node_roles=roles)
 

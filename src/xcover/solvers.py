@@ -12,11 +12,21 @@ import itertools
 import math
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from xcover import kernels
 from xcover.errors import BudgetExceededError, CapacityError, PreconditionError
-from xcover.instances import EXACT, FWD, PARTIAL, REV, UND, Digraph, PatternTree, SetCoverInstance
+from xcover.instances import (
+    EXACT,
+    FWD,
+    PARTIAL,
+    REV,
+    REVERSED,
+    Digraph,
+    PatternTree,
+    SetCoverInstance,
+)
 
 DEFAULT_CAP_N = 24
 MAX_CAP_N = 32
@@ -277,7 +287,7 @@ def heldkarp_ham(G: Digraph) -> SolveResult:
         raise CapacityError(f"{n} nodes exceed the Hamiltonicity cap of {DEFAULT_CAP_HAM}")
     if n < 2:
         return SolveResult("no", stats={"explored": 0})
-    order, states = kernels.ham_cycle(G.masks_along[FWD], n)
+    order, states = kernels.ham_cycle(G.masks_along[FWD], G.masks_along[REV], n)
     if order is None:
         return SolveResult("no", stats={"explored": states})
     return SolveResult("yes", certificate=order, stats={"explored": states})
@@ -330,8 +340,7 @@ class _EmbedSearch:
         self.is_free_leaf = [v != T.root and not self.children[v] for v in range(self.k)]
         self.groups, self.group_leaves = self._leaf_groups()
         self.order, self.twin_prev = self._internal_order()
-        self.need = self._degree_needs()
-        self.host_caps = self._host_caps()
+        self.eligible = self._eligible()
         self.assign = {}
         self.used = set()
         # group matching kept across placements (see _extend_matching):
@@ -388,38 +397,32 @@ class _EmbedSearch:
                 stack.append(c)
         return order, twin_prev
 
-    def _degree_needs(self):
-        need = []
-        for v in range(self.k):
-            out_n = in_n = und_n = 0
-            edges = [(self.T.orientation[c], "child") for c in self.children[v]]
-            if v != self.T.root:
-                edges.append((self.T.orientation[v], "parent"))
-            for o, role in edges:
-                if o == UND:
-                    und_n += 1
-                elif (o == FWD and role == "child") or (o == REV and role == "parent"):
-                    out_n += 1
-                else:
-                    in_n += 1
-            need.append((out_n, in_n, und_n))
-        return need
-
-    def _host_caps(self):
-        caps = []
-        for u in range(self.G.num_nodes):
-            out_d = len(self.G.successors(u))
-            in_d = len(self.G.predecessors(u))
-            und_d = len(self.G.neighbors(u))
-            caps.append((out_d, in_d, und_d))
-        return caps
-
-    def _capacity_ok(self, v, u):
-        out_n, in_n, und_n = self.need[v]
-        out_d, in_d, und_d = self.host_caps[u]
-        if und_n and und_d < und_n:
-            return False
-        return out_d >= out_n and in_d >= in_n
+    def _eligible(self):
+        """Internal tree node -> the bitmask of the hosts with, along each
+        orientation, at least as many nodes as the node has tree edges of it
+        (its parent edge of orientation o counted as one of ``REVERSED[o]``)."""
+        n = self.G.num_nodes
+        needs = {v: Counter() for v in self.order}
+        for p, v, o in self.T.edge_list():
+            if p in needs:
+                needs[p][o] += 1
+            if v in needs:
+                needs[v][REVERSED[o]] += 1
+        # at_least[o][c]: the hosts with at least c nodes along o; a node may
+        # need up to k - 1, more than any host has
+        at_least = {}
+        for o in {o for need in needs.values() for o in need}:
+            masks = at_least[o] = [0] * (max(n, self.k) + 1)
+            for u in range(n):
+                masks[len(self.G.along(u, o))] |= 1 << u
+            for c in range(len(masks) - 2, -1, -1):
+                masks[c] |= masks[c + 1]
+        out = {}
+        for v, need in needs.items():
+            out[v] = (1 << n) - 1
+            for o, c in need.items():
+                out[v] &= at_least[o][c]
+        return out
 
     def _tick(self):
         self.explored += 1
@@ -443,14 +446,12 @@ class _EmbedSearch:
         floor = -1
         if v in self.twin_prev:
             floor = self.assign[self.twin_prev[v]]
-        used = self.used
+        used, eligible = self.used, self.eligible[v]
         for u in cands:
             self.explored += 1  # _tick inlined: this loop spends most units
             if self.explored > self.budget:
                 raise self._over_budget()
-            if u in used or u <= floor:
-                continue
-            if not self._capacity_ok(v, u):
+            if u in used or u <= floor or not eligible >> u & 1:
                 continue
             mark = len(self.undo)
             self.assign[v] = u

@@ -75,6 +75,8 @@ def test_comments_ignored():
     ("p digraph 2 2\n0 1\n0 1\n", 3),
     ("p tree 3\n0 1\n1 0\n", 1),
     ("p digraph 2 1\n1 1\n", 2),
+    (b"\xffp setcover 2 1\n0 1\n", 1),
+    (b"p setcover 2 1\n0 \xff1\n", 2),
 ])
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(FormatError) as err:
@@ -198,6 +200,25 @@ def _pattern_trees(draw):
         if oriented:
             orientation[label[i]] = draw(st.sampled_from([FWD, REV]))
     return PatternTree(k, label[0], tuple(parent), tuple(orientation))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graphs())
+def test_adjacency_table_matches_the_edges(G):
+    """``along`` and ``masks_along`` against neighbour sets read off
+    ``edges``; directed graphs from ordered pairs often hold both arcs of a
+    pair."""
+    arcs = set(G.edges)
+    if G.undirected_mode:
+        arcs |= {(v, u) for u, v in G.edges}
+    for u in range(G.num_nodes):
+        want = {FWD: {v for a, v in arcs if a == u}, REV: {a for a, v in arcs if v == u}}
+        want[UND] = want[FWD] | want[REV]
+        for o, nodes in want.items():
+            assert G.along(u, o) == tuple(sorted(nodes)), (u, o)
+            assert G.masks_along[o][u] == sum(1 << v for v in nodes), (u, o)
+        if G.undirected_mode:
+            assert G.along(u, FWD) == G.along(u, REV) == G.along(u, UND)
 
 
 @settings(max_examples=200, deadline=None)

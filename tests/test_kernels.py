@@ -332,6 +332,10 @@ def test_wide_instance_at_the_default_cap():
     assert peaks[2] < 64 << 20
 
 
+def _pred_masks(succ, n):
+    return [sum(1 << u for u in range(n) if succ[u] >> v & 1) for v in range(n)]
+
+
 def test_ham_cycle_matches_permutation_search():
     rng = random.Random(12)
     for _ in range(300):
@@ -344,7 +348,7 @@ def test_ham_cycle_matches_permutation_search():
         exists = any(
             all(succ[c[i]] >> c[(i + 1) % n] & 1 for i in range(n))
             for c in ((0,) + rest for rest in itertools.permutations(range(1, n))))
-        order, _ = kernels.ham_cycle(succ, n)
+        order, _ = kernels.ham_cycle(succ, _pred_masks(succ, n), n)
         assert (order is not None) == exists, (n, succ)
         if order is not None:
             assert sorted(order) == list(range(n))
@@ -410,7 +414,7 @@ def test_ham_cycle_returns_the_dense_oracles_order():
         p = (0.0, 1.0)[t // 9 % 2] if t // 9 % 9 == 0 else rng.choice((0.15, 0.3, 0.5, 0.8))
         succ = [sum(1 << v for v in range(n) if v != u and rng.random() < p)
                 for u in range(n)]
-        order, states = kernels.ham_cycle(succ, n)
+        order, states = kernels.ham_cycle(succ, _pred_masks(succ, n), n)
         assert order == _dense_ham_cycle(succ, n), (n, succ)
         # the reachable visited sets: {0}, and each set holding 0 that some
         # path from 0 visits exactly

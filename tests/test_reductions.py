@@ -10,6 +10,7 @@ from xcover.errors import CapacityError, PreconditionError
 from xcover.instances import (
     FWD,
     REV,
+    UND,
     Digraph,
     PatternTree,
     SetCoverInstance,
@@ -481,7 +482,7 @@ def test_host_graph_counts():
     # 4 + 4*ceil(n/(g/2)) + C(m,g) + m + n = 4 + 32 + 10 + 5 + 8
     assert bundle.host.num_nodes == 59
     r = next(v for v, role in bundle.node_roles.items() if role == ("r",))
-    assert len(bundle.host.neighbors(r)) == 3 + 5 + 8
+    assert len(bundle.host.along(r, UND)) == 3 + 5 + 8
 
 
 def test_host_graph_no_m_to_mg_edge():
@@ -498,14 +499,14 @@ def test_host_graph_edge_semantics():
     by_role = {role: v for v, role in roles.items()}
     for i, s in enumerate(inst.sets):
         node = by_role[("M", i)]
-        elems = {roles[w][1] for w in bundle.host.neighbors(node) if roles[w][0] == "N"}
+        elems = {roles[w][1] for w in bundle.host.along(node, UND) if roles[w][0] == "N"}
         assert elems == set(s)
     for v, role in roles.items():
         if role[0] == "Mg":
             union = set()
             for i in role[1]:
                 union.update(inst.sets[i])
-            elems = {roles[w][1] for w in bundle.host.neighbors(v) if roles[w][0] == "N"}
+            elems = {roles[w][1] for w in bundle.host.along(v, UND) if roles[w][0] == "N"}
             assert elems == union
 
 
@@ -781,7 +782,7 @@ def _ham_oracle(G, delta):
                             sets.append(tuple(sorted(path)))
                         continue
                     # reversed, so the pop order is ascending successor order
-                    for w in reversed(G.successors(path[-1])):
+                    for w in reversed(G.along(path[-1], FWD)):
                         if w not in order and w not in path:
                             stack.append(path + [w])
             inst = SetCoverInstance(n=n, sets=tuple(dict.fromkeys(sets)), delta=delta)

@@ -272,6 +272,19 @@ def test_embed_orientation_mismatch():
     assert tree_embed_backtrack(Digraph(3, frozenset({(0, 1), (0, 2)})), t).is_yes
 
 
+def test_embed_degree_need_beyond_the_host():
+    # the root needs 5 neighbours along one orientation; no host has more than 2
+    und_star = PatternTree(6, 0, (-1,) + (0,) * 5, ("und",) * 6)
+    path = Digraph(3, frozenset({(0, 1), (1, 2)}), undirected_mode=True)
+    res = tree_embed_backtrack(path, und_star)
+    assert (res.answer, res.stats) == ("no", {"explored": 3})
+    g = Digraph(3, frozenset({(0, 1), (0, 2), (1, 0), (2, 1)}))
+    for o in ("fwd", "rev"):
+        star = PatternTree(6, 0, (-1,) + (0,) * 5, ("und",) + (o,) * 5)
+        res = tree_embed_backtrack(g, star)
+        assert (res.answer, res.stats) == ("no", {"explored": 3}), o
+
+
 def test_embed_planted():
     for seed in range(25):
         g, t, _ = gen_planted("embedded_tree", seed=seed, k=3 + seed % 6,
@@ -510,6 +523,38 @@ def test_colorcoding_matches_the_pinned_digest():
     assert (answers.count("yes"), answers.count("no")) == (256, 144)
     assert digest.hexdigest() == (
         "97f8712294fbcef7bba682de99dd8bcbb5f3103ad7d17b125a7d4f96d16226ee")
+
+
+def _embed_cases():
+    rng = random.Random(1800)
+    for t in range(1000):
+        k = rng.randint(1, 9)
+        n = rng.randint(1, 9)
+        if t % 2 and k > 1:
+            T = _broom(rng, k)
+        else:
+            T = gen_random("tree", seed=rng.randrange(2 ** 31), k=k, oriented=rng.random() < 0.5)
+        G = gen_random(rng.choice(("digraph", "graph")), seed=rng.randrange(2 ** 31), n=n,
+                       edge_probability=rng.choice((0.2, 0.4, 0.7)))
+        yield G, T
+
+
+def test_embed_and_heldkarp_match_the_pinned_digest():
+    """1000 seeded (host, tree) pairs with k, n in 1..9, k > n included,
+    oriented and unoriented trees, directed and undirected hosts; the digest
+    of each embedding result and each Held-Karp result on the host was taken
+    at commit 4b3f5f1, before both read the host's one adjacency table."""
+    digest = hashlib.sha256()
+    answers = []
+    for G, T in _embed_cases():
+        res = tree_embed_backtrack(G, T)
+        ham = heldkarp_ham(G)
+        cert = None if res.certificate is None else sorted(res.certificate.items())
+        answers.append((res.answer, ham.answer))
+        digest.update(json.dumps([res.answer, cert, res.stats, ham.certificate,
+                                  ham.stats]).encode())
+    assert len(set(answers)) == 4
+    assert digest.hexdigest() == "be2d2cad17f236fead0d5bf6a0b0442df0a3b26948a576435194781fb940a572"
 
 
 def test_colorcoding_deterministic_for_seed():
