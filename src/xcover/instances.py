@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from xcover.errors import FormatError, PreconditionError
 
@@ -83,6 +83,43 @@ class SetCoverInstance:
         return (1 << self.n) - 1
 
 
+class _PerOrientation(dict):
+    """Orientation -> one per-node table of a host, made by ``build`` on
+    first use; an undirected host files its one table under every
+    orientation."""
+
+    def __init__(self, build, undirected):
+        super().__init__()
+        self.build, self.undirected = build, undirected
+
+    def __missing__(self, orient):
+        if orient not in REVERSED:
+            raise KeyError(orient)
+        table = self.build(orient)
+        for o in REVERSED if self.undirected else (orient,):
+            self[o] = table
+        return table
+
+
+def _adjacency(n, edges, undirected, orient):
+    """Per node, the ascending nodes an edge of ``orient`` leads to."""
+    adj = [[] for _ in range(n)]
+    if orient != REV or undirected:
+        for u, v in edges:
+            adj[u].append(v)
+    if orient != FWD or undirected:
+        for u, v in edges:
+            adj[v].append(u)
+    if orient == UND and not undirected:
+        # a pair of anti-parallel arcs lists each end twice
+        adj = map(set, adj)
+    return tuple(tuple(sorted(a)) for a in adj)
+
+
+def _masks(along, orient):
+    return tuple(sum(map((1).__lshift__, a)) for a in along[orient])
+
+
 @dataclass(frozen=True)
 class Digraph:
     """Node-indexed adjacency over nodes [0, num_nodes).
@@ -95,6 +132,10 @@ class Digraph:
     ``masks_along``, which map a tree edge's orientation onto host arcs.
     ``has_arc`` reads ``edges`` instead, so the certificate checkers built
     on it stay independent of the table the solvers search.
+
+    Each orientation's table is built on its first use.  An undirected
+    host's three orientations are one relation, so it builds one table and
+    shares it between them.
     """
 
     num_nodes: int
@@ -116,22 +157,15 @@ class Digraph:
         object.__setattr__(self, "edges", frozenset(norm))
 
     @cached_property
-    def _along(self) -> dict[str, tuple[tuple[int, ...], ...]]:
-        out = [set() for _ in range(self.num_nodes)]
-        inn = [set() for _ in range(self.num_nodes)]
-        for u, v in self.edges:
-            out[u].add(v)
-            inn[v].add(u)
-            if self.undirected_mode:
-                out[v].add(u)
-                inn[u].add(v)
-        adj = {FWD: out, REV: inn, UND: [o | i for o, i in zip(out, inn)]}
-        return {o: tuple(tuple(sorted(a)) for a in sets) for o, sets in adj.items()}
+    def _along(self) -> _PerOrientation:
+        return _PerOrientation(
+            partial(_adjacency, self.num_nodes, self.edges, self.undirected_mode),
+            self.undirected_mode)
 
     @cached_property
-    def masks_along(self) -> dict[str, tuple[int, ...]]:
+    def masks_along(self) -> _PerOrientation:
         """Orientation -> per node, the bitmask of the nodes ``along`` lists."""
-        return {o: tuple(sum(1 << v for v in a) for a in adj) for o, adj in self._along.items()}
+        return _PerOrientation(partial(_masks, self._along), self.undirected_mode)
 
     def along(self, u: int, orient: str) -> tuple[int, ...]:
         """Where a tree edge of orientation ``orient`` leaving a node placed

@@ -471,8 +471,8 @@ def _subtree_images(along, T, nodes, root, local_pins):
             rec(i + 1, used | low, free if pin is not None else free | low)
 
     rec(1, 1 << local_pins[root], 0)
-    hosts = range(len(along[FWD]))
-    return sorted((tuple(u for u in hosts if mask >> u & 1), mask) for mask in images)
+    return sorted((tuple(u for u in range(mask.bit_length()) if mask >> u & 1), mask)
+                  for mask in images)
 
 
 def solve_ntree_via_setcover(G: Digraph, T: PatternTree, delta: int,

@@ -309,15 +309,18 @@ def tree_embed_backtrack(G: Digraph, T: PatternTree,
     each group is one slot whose capacity is its leaf count, kept in a
     b-matching that each placement repairs with augmenting searches (a
     placement is pruned when no b-matching fills the groups of placed
-    parents).  The leaves are assigned at the end by one deterministic
-    leaf-by-leaf matching pass.  This keeps star-heavy patterns from
-    exploding.
+    parents).  Before the repair a Hall check drops a placement that leaves
+    some component of the placed groups with fewer free hosts than leaves.
+    The leaves are assigned at the end by one deterministic leaf-by-leaf
+    matching pass.  This keeps star-heavy patterns from exploding.
 
     ``stats["explored"]`` counts budget units: one per placement candidate
-    tried for an internal node, one per group fill (a newly placed group
-    taking free hosts of its pool), one per group expanded by an augmenting
-    search, and one per leaf expanded by the final matching pass.  Raises
-    BudgetExceededError once more than ``budget`` units would be spent.
+    tried for an internal node (all a candidate the Hall check drops
+    spends), one per group fill (a newly placed group taking free hosts of
+    its pool, counted only after the Hall check passes), one per group
+    expanded by an augmenting search, and one per leaf expanded by the final
+    matching pass.  Raises BudgetExceededError once more than ``budget``
+    units would be spent.
     """
     searcher = _EmbedSearch(G, T, budget)
     mapping = searcher.run()
@@ -341,8 +344,19 @@ class _EmbedSearch:
         self.groups, self.group_leaves = self._leaf_groups()
         self.order, self.twin_prev = self._internal_order()
         self.eligible = self._eligible()
+        # parent of leaf groups -> per group, (the host masks along its
+        # orientation, its leaf count), read by _hall
+        self.group_masks = {
+            v: [(G.masks_along[o], len(self.group_leaves[g])) for g, o in gs]
+            for v, gs in self.groups.items()}
         self.assign = {}
         self.used = set()
+        # ``used`` as a bitmask, for _hall; the matcher's scans test the set,
+        # which is faster than a bit test there
+        self.used_mask = 0
+        # (free hosts at merge time, leaf demand) per component of the placed
+        # groups, linked when their free pools meet (see _hall)
+        self.comps = ()
         # group matching kept across placements (see _extend_matching):
         # group -> hosts its leaves may take, set when its parent is placed;
         # ``used`` is checked on use
@@ -447,12 +461,18 @@ class _EmbedSearch:
         if v in self.twin_prev:
             floor = self.assign[self.twin_prev[v]]
         used, eligible = self.used, self.eligible[v]
+        used_mask, comps, new = self.used_mask, self.comps, self.group_masks.get(v, ())
         for u in cands:
             self.explored += 1  # _tick inlined: this loop spends most units
             if self.explored > self.budget:
                 raise self._over_budget()
             if u in used or u <= floor or not eligible >> u & 1:
                 continue
+            now_used = used_mask | 1 << u
+            placed = self._hall(comps, now_used, u, new)
+            if placed is None:
+                continue
+            self.used_mask, self.comps = now_used, placed
             mark = len(self.undo)
             self.assign[v] = u
             used.add(u)
@@ -463,7 +483,40 @@ class _EmbedSearch:
             self._rollback(mark)
             del self.assign[v]
             used.remove(u)
+        self.used_mask, self.comps = used_mask, comps
         return None
+
+    @staticmethod
+    def _hall(comps, used, u, new):
+        """The components of the placed leaf groups once the node whose
+        groups are ``new`` takes host ``u`` (``used`` holds u), or None when
+        one of them has fewer free hosts than leaves.
+
+        By Hall's theorem for b-matchings no matching then fills the groups,
+        so ``_extend_matching`` would fail; any union of groups proves this,
+        so the components need not be minimal.  Only the components holding
+        u lose a free host.  A new group's free pool merges the components
+        it meets: linking by free hosts only keeps the internal nodes'
+        hosts, which sit in most pools, from joining every group into one.
+        """
+        free, bit = ~used, 1 << u
+        for mask, demand in comps:
+            if mask & bit and (mask & free).bit_count() < demand:
+                return None
+        for along, demand in new:
+            pool = mask = along[u] & free
+            rest = []
+            for comp in comps:
+                if comp[0] & pool:
+                    mask |= comp[0]
+                    demand += comp[1]
+                else:
+                    rest.append(comp)
+            if (mask & free).bit_count() < demand:
+                return None
+            rest.append((mask, demand))
+            comps = rest
+        return comps
 
     def _extend_matching(self, v, u):
         """Repair the group matching after placing ``v`` at ``u``.
@@ -476,6 +529,11 @@ class _EmbedSearch:
         deeper in the search, so the branch is dead.  Hall's condition holds
         over the groups exactly when it holds over their leaves, so this
         prunes what a matching of single leaves would.
+
+        ``_place`` calls this only for a placement that passed ``_hall``, so
+        a group fill ticks only then; the augmenting searches stay the
+        decider, since the components' counts miss Hall violations of a
+        part of a component.
         """
         match, used, undo = self.match, self.used, self.undo
         displaced = match.pop(u, None)
@@ -606,7 +664,7 @@ def ktree_colorcoding(G: Digraph, T: PatternTree, failure_prob: float = 0.01,
             f"color coding plans {trials} trials, more than the budget of {budget}")
     post = T.post_order
     # per tree node, the host masks of the edge above it (the root's is unused)
-    edge_adj = [G.masks_along.get(o) for o in T.orientation]
+    edge_adj = [None if v == T.root else G.masks_along[o] for v, o in enumerate(T.orientation)]
     parent = list(T.parent)
     rng = random.Random()
     for t in range(trials):

@@ -149,12 +149,12 @@ GOLDEN = {
     "pipeline-ntree-yes-anchored": "1c34d37cdc67d1589499526e1776254282fcfa546da37a6de147ba261dd6ecd4",
     "pipeline-ntree-yes-literal": "29cb64e2294513dcfd1a47c91f3aae39c26e67b75630d37421fe9317be858b41",
     "pipeline-ppc-ktree-bound": "20932160aaadf6ce5a6770096dba22e4e74e0aa60298b269b1ff2a71f5605846",
-    "pipeline-ppc-ktree-large": "fb11d65d9173c60a150a8e5a916dd90c9c7ee8605a4f4eb744d08c7a8d299552",
+    "pipeline-ppc-ktree-large": "22385f19e16606ad1d1138c188cbbbd0f5778bed6ed03c6475793388f0817a37",
     "pipeline-ppc-ktree-p0": "197ddaf3ac6e42997371b7c08f1c3b18c2f053e75594ff4bb42d0004aac9e3d2",
-    "pipeline-ppc-ktree-small": "cb568a1729d07c022f080ebdc7b283f04548bbab38e578fa54f9c7084a1a9222",
+    "pipeline-ppc-ktree-small": "e3ef1683424daf3ea2bc6719b4bad82c87442775a26d2cf6c531c7c7c43ccd99",
     "pipeline-sc-ktree-infeasible": "8c1ea49480474838a9261358b78189d2edce59b81d7e580bc6a1721d9b51d6af",
-    "pipeline-sc-ktree-large": "1d868a114fc8db25dc0859de786ef7199a6bfeab814290755972bae696e2c7bf",
-    "pipeline-sc-ktree-small": "4d4b6b917f122a9ed0c3544f96a0559b46fac91fc50942436a7728e08f0a6789",
+    "pipeline-sc-ktree-large": "284add9957bce776417e7d4ad63c6109d81d0961a04ec1c2d2e5b58e53088430",
+    "pipeline-sc-ktree-small": "5e8ef7399706a2c2dabd851adad8b50957ffdb2420aad393ced0bd7342fdd0ad",
     "reduce-ham-to-sc": "9b8140d5d65db841f95fd15dada90b1b1e3de5c299eff9e4a1ecfc9b838b9a6a",
     "reduce-ham-to-sc-all-delta2": "fe987812bc1f6b832d7d8398135d5c62c175ea5d4be320159ed6804abbb046b0",
     "reduce-ham-to-sc-all-delta4": "718058a06bd0990da020135ee8dd8a69fa4c2961b883d80062efd90cafbe0f1d",

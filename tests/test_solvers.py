@@ -539,22 +539,93 @@ def _embed_cases():
         yield G, T
 
 
-def test_embed_and_heldkarp_match_the_pinned_digest():
+@pytest.fixture(scope="module")
+def embed_case_results():
+    return [(tree_embed_backtrack(G, T), heldkarp_ham(G)) for G, T in _embed_cases()]
+
+
+def test_embed_and_heldkarp_match_the_pinned_digest(embed_case_results):
     """1000 seeded (host, tree) pairs with k, n in 1..9, k > n included,
     oriented and unoriented trees, directed and undirected hosts; the digest
-    of each embedding result and each Held-Karp result on the host was taken
-    at commit 4b3f5f1, before both read the host's one adjacency table."""
+    of each embedding's answer and certificate and each Held-Karp result on
+    the host was taken at commit f6aca3c, before the embedder's Hall check,
+    which moved only the embedder's stats."""
     digest = hashlib.sha256()
     answers = []
-    for G, T in _embed_cases():
-        res = tree_embed_backtrack(G, T)
-        ham = heldkarp_ham(G)
+    for res, ham in embed_case_results:
         cert = None if res.certificate is None else sorted(res.certificate.items())
         answers.append((res.answer, ham.answer))
-        digest.update(json.dumps([res.answer, cert, res.stats, ham.certificate,
+        digest.update(json.dumps([res.answer, cert, ham.answer, ham.certificate,
                                   ham.stats]).encode())
     assert len(set(answers)) == 4
-    assert digest.hexdigest() == "be2d2cad17f236fead0d5bf6a0b0442df0a3b26948a576435194781fb940a572"
+    assert digest.hexdigest() == "9808d98abb0aae8e35af69539ce866fa17a6b14c5bce0798e784d5a2ad63efbd"
+
+
+def test_embed_stats_match_the_pinned_digest(embed_case_results):
+    """The embedder's stats on the same pairs, taken once the Hall check
+    dropped placements before their group fill."""
+    digest = hashlib.sha256()
+    for res, _ in embed_case_results:
+        digest.update(json.dumps(res.stats).encode())
+    assert digest.hexdigest() == "784f5ad84a09610d416c9977328b61c0d501cbfa5bc645eb41dee3c6c86af1ba"
+
+
+class _HallAgainstAugment(solvers._EmbedSearch):
+    """Runs the augmenting repair on every placement the Hall check drops."""
+
+    rejected = 0
+
+    def _hall(self, comps, used, u, new):
+        comps = super()._hall(comps, used, u, new)
+        if comps is None:
+            v = next((w for w, m in self.group_masks.items() if m is new), None)
+            mark = len(self.undo)
+            self.used.add(u)
+            assert not self._extend_matching(v, u)
+            self._rollback(mark)
+            self.used.remove(u)
+            self.rejected += 1
+        return comps
+
+
+def _pendant_shapes(rng):
+    """Seeded trees of the ``_pendant_case`` shape: 2-3 parents with 2-5
+    interleaved leaves each, 9 nodes at most, on a digraph of k..10 nodes
+    that holds each ordered pair at one density."""
+    for _ in range(300):
+        n_parents = rng.randint(2, 3)
+        parent = [-1] + [rng.randrange(p) for p in range(1, n_parents)]
+        leaf_parents = []
+        for p in range(n_parents):
+            room = 9 - n_parents - len(leaf_parents) - 2 * (n_parents - 1 - p)
+            leaf_parents += [p] * rng.randint(2, room)
+        rng.shuffle(leaf_parents)
+        parent += leaf_parents
+        k = len(parent)
+        if rng.random() < 0.5:
+            orient = ("und",) + tuple(rng.choice(["fwd", "rev"]) for _ in range(k - 1))
+        else:
+            orient = ("und",) * k
+        n = rng.randint(k, 10)
+        density = rng.choice([0.3, 0.5, 0.7])
+        G = Digraph(n, frozenset((u, v) for u in range(n) for v in range(n)
+                                 if u != v and rng.random() < density))
+        yield G, PatternTree(k, 0, tuple(parent), orient)
+
+
+def test_hall_check_drops_only_what_the_augmenting_search_drops():
+    """Every placement the Hall check drops is one that the augmenting
+    repair, run on the same matching, also fails, and the mappings are the
+    plain search's.  Each family must reach the check: a check that never
+    fires passes nothing."""
+    for cases in (_embed_cases(), _pendant_shapes(random.Random(19))):
+        rejected = reached = 0
+        for G, T in cases:
+            search = _HallAgainstAugment(G, T, solvers.DEFAULT_BUDGET)
+            assert search.run() == tree_embed_backtrack(G, T).certificate
+            rejected += search.rejected
+            reached += search.rejected > 0
+        assert rejected > 0 and reached > 0
 
 
 def test_colorcoding_deterministic_for_seed():
