@@ -531,16 +531,21 @@ def _family_partial_ktree(cfg):
 
 
 def _family_colorcoding(cfg):
+    """Color coding against the backtracking embedder: a yes must be one,
+    with a verified embedding, and a miss at failure_prob 1e-6 is a bug."""
     rng = random.Random(cfg.seed * 11 + 10)
     failures = []
-    missed = 0
+    counts = {"yes": 0, "no": 0, "missed_yes": 0}
     cases = cfg.n_trials("colorcoding")
     for t in range(cases):
         k = rng.randint(1, 6)
         n = rng.randint(k, 8)
         T = gen_random("tree", seed=cfg.seed + 23 * t, k=k, oriented=True)
-        G = gen_random("digraph", seed=cfg.seed + 23 * t + 1, n=n, edge_probability=0.4)
+        # sparse hosts every other case, so that both answers occur
+        G = gen_random("digraph", seed=cfg.seed + 23 * t + 1, n=n,
+                       edge_probability=0.1 if t % 2 else 0.4)
         bt = tree_embed_backtrack(G, T)
+        counts["yes" if bt.is_yes else "no"] += 1
         cc = ktree_colorcoding(G, T, failure_prob=1e-6, seed=cfg.seed + t)
         if cc.is_yes:
             if not bt.is_yes:
@@ -550,11 +555,11 @@ def _family_colorcoding(cfg):
                 failures.append({"check": "certificate", "graph": serialize_instance(G),
                                  "tree": serialize_instance(T)})
         elif bt.is_yes:
-            missed += 1
-    # failure_prob 1e-6 over a handful of cases: a miss indicates a bug
-    if missed:
-        failures.append({"check": "missed_yes", "count": missed})
-    return _family_result(cases, failures, {"missed_yes": missed})
+            counts["missed_yes"] += 1
+    if counts["missed_yes"]:
+        failures.append({"check": "missed_yes", "count": counts["missed_yes"]})
+    _require_both_answers(counts, failures)
+    return _family_result(cases, failures, counts)
 
 
 # name -> (runner, default trial count), in report order

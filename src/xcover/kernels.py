@@ -5,10 +5,12 @@ Held-Karp runs layer by layer over the visited sets reachable from node 0
 only, keeping each set's end nodes in one flat table of 4 bytes per
 possible set (16 MB at n = 22).  A color-coding trial keeps one bitset
 over the 2^k color masks per tree node and host, and merges a child into
-its parent with shifts of those bitsets.  All of them work on integer
-bitmasks and return plain ints, lists and tuples.  Callers reach them as
-attributes of this module (``kernels.cover_optimum(...)``), never through
-a local alias, so a profiler can wrap them in one place.
+its parent with shifts of those bitsets; a batch of trials runs at once,
+their bitsets side by side in one int of at most TRIAL_BITS bits.  All of
+them work on integer bitmasks and return plain ints, lists and tuples.
+Callers reach them as attributes of this module
+(``kernels.cover_optimum(...)``), never through a local alias, so a
+profiler can wrap them in one place.
 """
 
 from __future__ import annotations
@@ -197,46 +199,98 @@ def color_disjoint(k):
     return h, table(clear[:h]), table(clear[h:])
 
 
-def colorful_trial_yes(k, post_order, parent, edge_adj, colors):
-    """One color-coding trial: does a colorful embedding of the tree exist?
+# A batch of color-coding trials packs one 2^k-bit slot per trial into every
+# family int.  TRIAL_BITS bounds that int.  BATCH_WORK bounds B * 4^k, the
+# bit operations of one host's merge when all 2^k masks occur: past it the
+# trials of a batch share too few masks for the wider ints to pay.
+TRIAL_BITS = 4096
+BATCH_WORK = 1 << 18
+
+
+def trial_batch_cap(k):
+    """The most trials one batch holds at k colors: 128 at k = 5, 64 at
+    k = 6, 16 at k = 7, 4 at k = 8 and one trial from k = 9 on."""
+    return max(1, min(TRIAL_BITS >> k, BATCH_WORK >> 2 * k))
+
+
+@lru_cache(maxsize=None)
+def batch_rows(k, slots):
+    """(h, low, high, rep, ones, folds): ``color_disjoint(k)`` for ``slots``
+    trials side by side, ``slots`` a power of two.
+
+    Trial t's bitset over the 2^k color masks sits at bits [t * 2^k,
+    (t + 1) * 2^k) of one int.  ``rep`` has bit 0 of every slot set and
+    ``ones`` fills one slot, so ``x * ones`` widens each bit of ``x &
+    rep`` to its whole slot.  ``low`` and ``high`` repeat the rows of
+    ``color_disjoint(k)`` in every slot (the same lists at one slot).
+    Shifting an int right by each of ``folds`` in turn and ORing ORs its
+    slots into slot 0.  A batch of fewer trials reads the same rows: ANDing
+    with a row truncates it to the shorter int.
+    """
+    width = 1 << k
+    ones = (1 << width) - 1
+    rep = ((1 << width * slots) - 1) // ones
+    h, low, high = color_disjoint(k)
+    if slots > 1:
+        low = [row * rep for row in low]
+        high = [row * rep for row in high]
+    folds = [width * slots >> i for i in range(1, slots.bit_length())]
+    return h, low, high, rep, ones, folds
+
+
+def colorful_trial_yes(k, post_order, parent, edge_adj, colorings):
+    """A batch of color-coding trials: the first that admits a colorful
+    embedding of the tree.
 
     Tree nodes 0..k-1; ``post_order`` lists them children-first with the
     root last; ``edge_adj[v][u]`` is the bitmask of the hosts that the edge
-    above v allows for v when its parent is at host u, and ``colors[u]`` in
-    [0, k) the trial coloring.  Returns a host node for the root on success,
-    else -1.
+    above v allows for v when its parent is at host u, and
+    ``colorings[t][u]`` in [0, k) is host u's color in trial t.  All trials
+    run at once, trial t in slot t of every family int (see
+    ``batch_rows``).  Returns the index of the lowest such trial, else -1.
     """
-    full = (1 << k) - 1
-    fam = [[1 << (1 << c) for c in colors] for _ in range(k)]
-    disjoint = color_disjoint(k)
+    width = 1 << k
+    full = width - 1
+    rows = batch_rows(k, 1 << (len(colorings) - 1).bit_length())
+    # the one-node families, the last trial's first and shifted up a slot
+    # per earlier trial
+    start = [1 << (1 << c) for c in colorings[-1]]
+    for colors in reversed(colorings[:-1]):
+        start = [x << width | 1 << (1 << c) for x, c in zip(start, colors)]
+    fam = [list(start) for _ in range(k)]
     for v in post_order[:-1]:
-        if not colorful_merge(fam[parent[v]], fam[v], edge_adj[v], disjoint):
+        if not colorful_merge(fam[parent[v]], fam[v], edge_adj[v], rows):
             return -1
-    for u, masks in enumerate(fam[post_order[-1]]):
-        if masks >> full & 1:
-            return u
-    return -1
+    hits = 0
+    for masks in fam[post_order[-1]]:
+        hits |= masks >> full
+    hits &= rows[3]  # bit 0 of slot t: trial t holds the full mask somewhere
+    return ((hits & -hits).bit_length() - 1) // width if hits else -1
 
 
-def colorful_merge(parent_fam, child_fam, adj, disjoint):
-    """Merge the finished subtree of one child into its parent's families.
+def colorful_merge(parent_fam, child_fam, adj, rows):
+    """Merge the finished subtree of one child into its parent's families,
+    for a batch of trials at once.
 
-    ``parent_fam[u]`` is the bitset of the color masks of colorful
-    embeddings of the parent's merged part with the parent at host u (bit a
-    set when mask a is one); ``child_fam[w]`` the same for the child's whole
-    subtree at w.  ``adj`` is the child's ``edge_adj`` entry of
-    ``colorful_trial_yes`` and ``disjoint`` is ``color_disjoint(k)``.  Each
-    nonzero ``parent_fam[u]`` is replaced by the unions a | b of its masks a
-    with the masks b of ``pool``, the union of the child's bitsets over the
-    hosts w in ``adj[u]``, that share no color with a.  Since such a and b
-    share no bit, a | b = a + b, so shifting the masks of ``pool`` disjoint
-    from a left by a maps each b to a | b; the loop runs over the smaller of
-    the two bitsets, as the merge is symmetric.  Entries are ints, replaced
-    and never mutated, so a shallow ``list(parent_fam)`` taken before the
-    call still holds the earlier stage.  Returns whether any entry stays
-    nonzero.
+    ``parent_fam[u]`` holds, in slot t, the bitset of the color masks of
+    trial t's colorful embeddings of the parent's merged part with the
+    parent at host u (bit a set when mask a is one); ``child_fam[w]`` the
+    same for the child's whole subtree at w.  ``adj`` is the child's
+    ``edge_adj`` entry of ``colorful_trial_yes`` and ``rows`` is
+    ``batch_rows(k, slots)``.  Each nonzero ``parent_fam[u]`` is replaced,
+    slot by slot, by the unions a | b of its masks a with the masks b of
+    ``pool``, the union of the child's families over the hosts w in
+    ``adj[u]``, that share no color with a.  Since such a and b share no
+    bit, a | b = a + b, so shifting the masks of ``pool`` disjoint from a
+    left by a maps each b to a | b and stays in b's slot.  The loop runs
+    once per mask a held in any slot, and ``((cur >> a) & rep) * ones``
+    keeps the slots that hold it (one slot needs neither the folds nor this
+    selection); it runs over the side that holds fewer masks, as the merge
+    is symmetric.  Entries are ints, replaced and never mutated, so a
+    shallow ``list(parent_fam)`` taken before the call still holds the
+    earlier stage.  Returns whether any entry stays nonzero.
     """
-    h, low_rows, high_rows = disjoint
+    h, low_rows, high_rows, rep, ones, folds = rows
     low_mask = (1 << h) - 1
     alive = False
     for u, cur in enumerate(parent_fam):
@@ -250,13 +304,23 @@ def colorful_merge(parent_fam, child_fam, adj, disjoint):
             pool |= child_fam[low.bit_length() - 1]
         acc = 0
         if pool:
-            if cur.bit_count() > pool.bit_count():
-                cur, pool = pool, cur
-            while cur:
-                low = cur & -cur
-                cur ^= low
+            masks, other = cur, pool
+            if folds:  # the masks held in any slot, OR-ed into slot 0
+                for shift in folds:
+                    masks |= masks >> shift
+                    other |= other >> shift
+                masks &= ones
+                other &= ones
+            if masks.bit_count() > other.bit_count():
+                cur, pool, masks = pool, cur, other
+            while masks:
+                low = masks & -masks
+                masks ^= low
                 a = low.bit_length() - 1
-                acc |= (pool & low_rows[a & low_mask] & high_rows[a >> h]) << a
+                part = pool & low_rows[a & low_mask] & high_rows[a >> h]
+                if folds:  # keep the slots that hold a
+                    part &= ((cur >> a) & rep) * ones
+                acc |= part << a
             alive = alive or bool(acc)
         parent_fam[u] = acc
     return alive

@@ -644,10 +644,16 @@ def ktree_colorcoding(G: Digraph, T: PatternTree, failure_prob: float = 0.01,
     Each trial colors the host with k colors exactly; a trial succeeds when
     a colorful embedding exists (per-trial success probability at least
     k!/k^k >= e^-k for yes-instances), so ceil(e^k * ln(1/failure_prob))
-    trials bound the false-no probability by failure_prob.  Yes answers
-    carry an embedding verified by verify_embedding.  Raises
-    BudgetExceededError before the first trial when more than ``budget``
-    trials are planned.
+    trials bound the false-no probability by failure_prob.  Trial t draws
+    its colors with seed ``seed * 1_000_003 + t``.  The trials run in
+    batches of 1, 2, 4, ... trials, up to ``kernels.trial_batch_cap(k)``,
+    one kernel call per batch; on a hit the hitting trial alone is re-run
+    to extract an embedding, and if that fails the kernel goes on with the
+    batch's later trials.  So answer, certificate and stats are those of
+    running the trials one by one: yes answers carry the embedding of the
+    first trial whose extraction verify_embedding accepts, with ``trials``
+    counting the trials up to it.  Raises BudgetExceededError before the
+    first trial when more than ``budget`` trials are planned.
     """
     k = T.k
     if k > DEFAULT_CAP_K:
@@ -667,14 +673,26 @@ def ktree_colorcoding(G: Digraph, T: PatternTree, failure_prob: float = 0.01,
     edge_adj = [None if v == T.root else G.masks_along[o] for v, o in enumerate(T.orientation)]
     parent = list(T.parent)
     rng = random.Random()
-    for t in range(trials):
-        colors = trial_colors(rng, seed * 1_000_003 + t, k, n)
-        root_host = kernels.colorful_trial_yes(k, post, parent, edge_adj, colors)
-        if root_host >= 0:
-            mapping = _colorful_reconstruct(G, T, edge_adj, colors, root_host)
+    cap = kernels.trial_batch_cap(k)
+    done = 0
+    size = 1
+    while done < trials:
+        batch = [trial_colors(rng, seed * 1_000_003 + t, k, n)
+                 for t in range(done, min(done + size, trials))]
+        first = 0
+        while first < len(batch):
+            hit = kernels.colorful_trial_yes(k, post, parent, edge_adj, batch[first:])
+            if hit < 0:
+                break
+            t = first + hit
+            mapping = _colorful_reconstruct(G, T, edge_adj, batch[t])
             if mapping is not None and verify_embedding(G, T, mapping):
+                used = done + t + 1
                 return SolveResult("yes", certificate=mapping,
-                                   stats={"explored": t + 1, "trials": t + 1})
+                                   stats={"explored": used, "trials": used})
+            first = t + 1
+        done += len(batch)
+        size = min(2 * size, cap)
     return SolveResult("no", stats={"explored": trials, "trials": trials})
 
 
@@ -697,27 +715,30 @@ def trial_colors(rng, seed, k, n):
     return colors
 
 
-def _colorful_reconstruct(G, T, edge_adj, colors, root_host):
-    """Re-run one successful trial keeping every merge stage, then extract a map.
+def _colorful_reconstruct(G, T, edge_adj, colors):
+    """Re-run one trial, a batch of one, keeping every merge stage, then
+    extract a map with the root at its lowest host.
 
     ``stages[v][i]`` is v's family list after its first i child merges: a
     shallow copy suffices because ``kernels.colorful_merge`` replaces the
     per-host bitsets, which are ints.  The masks of a stage are tried in
-    ascending order.
+    ascending order.  Returns None when the trial admits no colorful
+    embedding.
     """
     k = T.k
     full = (1 << k) - 1
-    disjoint = kernels.color_disjoint(k)
+    rows = kernels.batch_rows(k, 1)
     fam = [[1 << (1 << c) for c in colors] for _ in range(k)]
     stages = [[list(fam[v])] for v in range(k)]
     merged = [[] for _ in range(k)]
     root = T.post_order[-1]
     for v in T.post_order[:-1]:
         p = T.parent[v]
-        kernels.colorful_merge(fam[p], fam[v], edge_adj[v], disjoint)
+        kernels.colorful_merge(fam[p], fam[v], edge_adj[v], rows)
         merged[p].append(v)
         stages[p].append(list(fam[p]))
-    if not fam[root][root_host] >> full & 1:
+    root_host = next((u for u, masks in enumerate(fam[root]) if masks >> full & 1), None)
+    if root_host is None:
         return None
 
     def extract(v, u, mask, stage):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from xcover import analysis
+from xcover import analysis, kernels
 from xcover.analysis import (
     large_delta_beats_barrier,
     VerifyConfig,
@@ -146,6 +146,28 @@ def test_suite_decision_families_count_both_answers():
     for fam in single["families"].values():
         notes = fam["notes"]
         assert fam["failures"] == [{"check": "coverage", "yes": notes["yes"], "no": notes["no"]}]
+
+
+def test_suite_colorcoding_counts_both_answers(monkeypatch):
+    report = run_verification_suite({"families": ["colorcoding"]})
+    assert report["passed"]
+    fam = report["families"]["colorcoding"]
+    notes = fam["notes"]
+    assert notes["yes"] > 0 and notes["no"] > 0 and notes["missed_yes"] == 0
+    assert notes["yes"] + notes["no"] == fam["cases"]
+    single = run_verification_suite({"families": ["colorcoding"],
+                                     "trials": {"colorcoding": 1}})
+    notes = single["families"]["colorcoding"]["notes"]
+    assert single["families"]["colorcoding"]["failures"] == [
+        {"check": "coverage", "yes": notes["yes"], "no": notes["no"]}]
+    # a batched kernel that reads only the first trial of each batch
+    trial = kernels.colorful_trial_yes
+    monkeypatch.setattr(kernels, "colorful_trial_yes",
+                        lambda k, post, parent, edge_adj, colorings:
+                        trial(k, post, parent, edge_adj, colorings[:1]))
+    broken = run_verification_suite({"families": ["colorcoding"]})["families"]["colorcoding"]
+    assert broken["notes"]["missed_yes"] > 0
+    assert {"check": "missed_yes", "count": broken["notes"]["missed_yes"]} in broken["failures"]
 
 
 def test_suite_exactcover_large_rejects_an_overlapping_certificate(monkeypatch):

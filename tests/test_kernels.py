@@ -3,11 +3,12 @@
 import itertools
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xcover import kernels
+from xcover import kernels, solvers
 from xcover.instances import EXACT, PARTIAL, SetCoverInstance, gen_planted
 from xcover.solvers import (
     exactcover_solve,
@@ -483,7 +484,11 @@ def test_color_disjoint_tables_hold_the_disjoint_masks():
 
 
 def test_colorful_trial_matches_embedding_search():
+    """Batches of 1-40 colorings: the kernel names the lowest coloring with a
+    colorful embedding, and extraction from that coloring puts the root at
+    its lowest host."""
     rng = random.Random(13)
+    hits = []
     for _ in range(300):
         k = rng.randint(1, 7)
         n = rng.randint(1, 10)
@@ -509,9 +514,26 @@ def test_colorful_trial_matches_embedding_search():
                 if u != v and rng.random() < 0.4:
                     out_adj[u] |= 1 << v
                     in_adj[v] |= 1 << u
-        colors = [rng.randrange(k) for _ in range(n)]
-        roots = _colorful_root_hosts(k, parent, orient, out_adj, colors)
+        colorings = [[rng.randrange(k) for _ in range(n)] for _ in range(rng.randint(1, 40))]
+        roots = [_colorful_root_hosts(k, parent, orient, out_adj, colors)
+                 for colors in colorings]
+        want = next((t for t, r in enumerate(roots) if r), -1)
         und_adj = [o | i for o, i in zip(out_adj, in_adj)]
-        edge_adj = [(und_adj, out_adj, in_adj)[o] for o in orient]
-        got = kernels.colorful_trial_yes(k, post, parent, edge_adj, colors)
-        assert got == min(roots, default=-1), (k, n, parent, orient, colors)
+        by_orient = (und_adj, out_adj, in_adj)
+        edge_adj = [by_orient[o] for o in orient]
+        got = kernels.colorful_trial_yes(k, post, parent, edge_adj, colorings)
+        assert got == want, (k, n, parent, orient, colorings)
+        if got < 0:
+            continue
+        hits.append(got)
+        colors = colorings[got]
+        host = SimpleNamespace(along=lambda u, o: [w for w in range(n)
+                                                   if by_orient[o][u] >> w & 1])
+        tree = SimpleNamespace(k=k, post_order=post, parent=parent, orientation=orient)
+        mapping = solvers._colorful_reconstruct(host, tree, edge_adj, colors)
+        assert mapping[0] == min(roots[got])
+        assert sorted(colors[mapping[v]] for v in range(k)) == list(range(k))
+        assert all(mapping[v] in host.along(mapping[parent[v]], orient[v])
+                   for v in range(1, k))
+    # 174 hits, 49 of them after the first coloring
+    assert len(hits) > 100 and sum(t > 0 for t in hits) > 20

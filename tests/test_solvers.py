@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xcover import solvers
+from xcover import kernels, solvers
 from xcover.errors import BudgetExceededError, CapacityError, PreconditionError
 from xcover.instances import (
     EXACT,
@@ -486,6 +486,122 @@ def test_colorcoding_extracts_a_valid_embedding_from_every_hit(monkeypatch):
         g = gen_random("digraph", seed=2000 + t, n=8, edge_probability=0.45)
         ktree_colorcoding(g, tree, seed=t)
     assert len(hits) > 20 and all(hits)
+
+
+def _colorcoding_per_trial(G, T, failure_prob, seed):
+    """ktree_colorcoding's trials one at a time, one coloring per kernel call."""
+    k, n = T.k, G.num_nodes
+    trials = solvers.colorcoding_trials(k, failure_prob)
+    edge_adj = [None if v == T.root else G.masks_along[o] for v, o in enumerate(T.orientation)]
+    rng = random.Random()
+    for t in range(trials):
+        colors = solvers.trial_colors(rng, seed * 1_000_003 + t, k, n)
+        if kernels.colorful_trial_yes(k, T.post_order, list(T.parent), edge_adj, [colors]) >= 0:
+            mapping = solvers._colorful_reconstruct(G, T, edge_adj, colors)
+            if mapping is not None and verify_embedding(G, T, mapping):
+                return "yes", mapping, {"explored": t + 1, "trials": t + 1}
+    return "no", None, {"explored": trials, "trials": trials}
+
+
+@pytest.mark.parametrize("hits, fail_first, want", [
+    ((0,), False, 1),
+    ((1,), False, 2),  # the second batch, trials 1-2
+    ((3,), False, 4),
+    ((7, 8), False, 8),
+    ((127,), False, 128),  # the first batch of 128 trials, 127-254
+    ((254,), False, 255),  # the last trial of that batch
+    ((255, 900), False, 256),
+    ((383,), False, 384),
+    ((1025,), False, 1026),  # the last trial
+    ((), False, 1026),
+    ((5, 6), True, 7),  # the next hit in the same batch, trials 3-6
+    ((6, 7), True, 8),  # the next hit in the next batch
+    ((130, 131, 640), True, 132),
+    ((300, 1025), True, 1026),
+    ((1025,), True, 1026),
+])
+def test_colorcoding_batches_match_the_trials_one_by_one(monkeypatch, hits, fail_first, want):
+    """k = 5 at failure_prob 0.001 plans 1,026 trials in batches starting at
+    trials 0, 1, 3, 7, ..., 127, 255, 383, ..., 895 and 1023.  Trial t is colorful on one of two copies of the tree
+    exactly when t is in ``hits``; with ``fail_first`` the first extraction
+    fails, so the answer comes from the next hit."""
+    T = gen_random("tree", seed=5, k=5, oriented=True)
+    arcs = {(p + s, v + s) if o == "fwd" else (v + s, p + s)
+            for s in (0, 5) for v, (p, o) in enumerate(zip(T.parent, T.orientation)) if p >= 0}
+    G = Digraph(10, frozenset(arcs))
+    seed = 3
+
+    def colors(rng, trial_seed, k, n):
+        t = trial_seed - seed * 1_000_003
+        if t not in hits:
+            return [0] * n
+        return [*range(5), *[0] * 5] if hits.index(t) % 2 else [*[0] * 5, *range(5)]
+
+    extract = solvers._colorful_reconstruct
+
+    def run(solve):
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            return None if fail_first and len(calls) == 1 else extract(*args)
+
+        monkeypatch.setattr(solvers, "_colorful_reconstruct", failing)
+        return solve(), len(calls)
+
+    monkeypatch.setattr(solvers, "trial_colors", colors)
+    got, got_calls = run(lambda: ktree_colorcoding(G, T, failure_prob=0.001, seed=seed))
+    (answer, mapping, stats), want_calls = run(
+        lambda: _colorcoding_per_trial(G, T, 0.001, seed))
+    assert (got.answer, got.certificate, got.stats, got_calls) == (
+        answer, mapping, stats, want_calls)
+    assert got.stats["trials"] == want
+    assert got.is_yes == (len(hits) > fail_first)
+    if got.is_yes:
+        assert verify_embedding(G, T, got.certificate)
+
+
+def test_colorcoding_batches_stay_within_trial_bits(monkeypatch):
+    """The batch cap depends on k alone, and no family int of a batch grows
+    past kernels.TRIAL_BITS = 4,096 bits: a memory bound known before the
+    first trial."""
+    assert kernels.TRIAL_BITS == 4096
+    assert [kernels.trial_batch_cap(k) for k in range(2, 17)] == [
+        1024, 512, 256, 128, 64, 16, 4, 1, 1, 1, 1, 1, 1, 1, 1]
+    for k in range(1, 17):
+        cap = kernels.trial_batch_cap(k)
+        assert cap << k <= kernels.TRIAL_BITS or cap == 1
+        assert cap << 2 * k <= kernels.BATCH_WORK or cap == 1
+    sizes, widths = [], []
+    trial, merge = kernels.colorful_trial_yes, kernels.colorful_merge
+
+    def recorded_trial(k, post, parent, edge_adj, colorings):
+        sizes.append(len(colorings))
+        return trial(k, post, parent, edge_adj, colorings)
+
+    def recorded_merge(parent_fam, child_fam, adj, rows):
+        alive = merge(parent_fam, child_fam, adj, rows)
+        widths.append(max(x.bit_length() for x in parent_fam + child_fam))
+        return alive
+
+    monkeypatch.setattr(kernels, "colorful_trial_yes", recorded_trial)
+    monkeypatch.setattr(kernels, "colorful_merge", recorded_merge)
+    for k, layers, failure_prob in ((5, 3, 0.01), (12, 4, 0.99)):
+        # a directed path of k nodes in a layered DAG whose paths hold
+        # ``layers`` nodes: a no-instance whose merges stay alive a while
+        path = PatternTree(k, 0, (-1, *range(k - 1)), ("und", *["fwd"] * (k - 1)))
+        G = Digraph(3 * layers, frozenset((3 * i + a, 3 * i + 3 + b) for i in range(layers - 1)
+                                          for a in range(3) for b in range(3)))
+        sizes.clear()
+        widths.clear()
+        res = ktree_colorcoding(G, path, failure_prob=failure_prob)
+        assert res.answer == "no"
+        assert sum(sizes) == res.stats["trials"] == solvers.colorcoding_trials(k, failure_prob)
+        cap = kernels.trial_batch_cap(k)
+        # batches of 1, 2, 4, ... trials up to the cap; the last one takes what is left
+        assert sizes[:-1] == [min(1 << i, cap) for i in range(len(sizes) - 1)]
+        assert max(sizes) == cap
+        assert 4096 - (1 << k) < max(widths) <= 4096
 
 
 def test_trial_colors_match_randrange():
