@@ -10,6 +10,7 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 
+from xcover import kernels
 from xcover.errors import PreconditionError
 from xcover.instances import (
     PARTIAL,
@@ -45,6 +46,7 @@ from xcover.solvers import (
     partialcover_dp,
     setcover_bruteforce,
     setcover_dp,
+    sieve_runs,
     tree_embed_backtrack,
     verify_cover,
     verify_embedding,
@@ -101,35 +103,6 @@ def pipeline_total_exponent(ntilde: int, eps: float) -> float:
         raise PreconditionError(f"eps must lie in (0, 1], got {eps}")
     delta = 81 / eps * math.log2(ntilde)
     return compose_runtime(ntilde, delta, lambda n, _d: (1 - eps) * n)
-
-
-def large_delta_beats_barrier(ntilde_log2: float, dprime: float, eps: float) -> dict:
-    """Pipeline deficit vs the 2^(n - sqrt(n/log n)) barrier, in relative units.
-
-    Regime: delta = ntilde^(1/2 - dprime) with a cover solver exponent of
-    (1 - (2+eps) log2(delta)/delta) n.  The node counts are far beyond
-    float resolution, so both deficits are computed relative to ntilde
-    rather than subtracting astronomically close exponents.
-    """
-    if not 0 < dprime < 0.5:
-        raise PreconditionError("dprime must lie in (0, 0.5)")
-    lg = ntilde_log2
-    delta_log2 = (0.5 - dprime) * lg
-    delta = 2.0 ** delta_log2
-    gain = (2 + eps) * delta_log2 / delta
-    # deficit of [lg/delta + (1-gain)(1 + 9/delta)] below 1, expanded so the
-    # tiny terms never cancel against the leading 1
-    pipeline_deficit = gain * (1 + 9 / delta) - (lg + 9) / delta
-    # the preprocessing term ntilde^delta is negligible when its log2 sits
-    # far below ntilde's
-    preprocessing_log2 = delta_log2 + math.log2(lg)
-    preprocessing_negligible = preprocessing_log2 < lg - 60
-    barrier_deficit = 2.0 ** (-(lg + math.log2(lg)) / 2)
-    return {
-        "pipeline_deficit": pipeline_deficit,
-        "barrier_deficit": barrier_deficit,
-        "beats": preprocessing_negligible and pipeline_deficit > barrier_deficit,
-    }
 
 
 @dataclass
@@ -531,11 +504,13 @@ def _family_partial_ktree(cfg):
 
 
 def _family_colorcoding(cfg):
-    """Color coding against the backtracking embedder: a yes must be one,
-    with a verified embedding, and a miss at failure_prob 1e-6 is a bug."""
+    """ktree_colorcoding, and the tree sieve alone, against the backtracking
+    embedder: a yes must be one, ktree_colorcoding's with a verified
+    embedding, and a miss at failure_prob 1e-6 is a bug.  ``sieve_answers``
+    counts ktree_colorcoding's answers that carry ``stats["sieve_runs"]``."""
     rng = random.Random(cfg.seed * 11 + 10)
     failures = []
-    counts = {"yes": 0, "no": 0, "missed_yes": 0}
+    counts = {"yes": 0, "no": 0, "missed_yes": 0, "sieve_answers": 0}
     cases = cfg.n_trials("colorcoding")
     for t in range(cases):
         k = rng.randint(1, 6)
@@ -547,15 +522,21 @@ def _family_colorcoding(cfg):
         bt = tree_embed_backtrack(G, T)
         counts["yes" if bt.is_yes else "no"] += 1
         cc = ktree_colorcoding(G, T, failure_prob=1e-6, seed=cfg.seed + t)
-        if cc.is_yes:
-            if not bt.is_yes:
-                failures.append({"check": "one_sided", "graph": serialize_instance(G),
-                                 "tree": serialize_instance(T)})
-            elif not verify_embedding(G, T, cc.certificate):
-                failures.append({"check": "certificate", "graph": serialize_instance(G),
-                                 "tree": serialize_instance(T)})
-        elif bt.is_yes:
-            counts["missed_yes"] += 1
+        counts["sieve_answers"] += "sieve_runs" in cc.stats
+        if cc.is_yes and not verify_embedding(G, T, cc.certificate):
+            failures.append({"check": "certificate", "graph": serialize_instance(G),
+                             "tree": serialize_instance(T)})
+        edge_adj = [None if v == T.root else G.masks_along[o]
+                    for v, o in enumerate(T.orientation)]
+        sieve = any(kernels.tree_sieve(k, T.post_order, T.parent, edge_adj, (1 << n) - 1,
+                                       f"verify {cfg.seed + t} {r}")
+                    for r in range(sieve_runs(k, 1e-6)))
+        for route, yes in (("colorcoding", cc.is_yes), ("sieve", sieve)):
+            if yes and not bt.is_yes:
+                failures.append({"check": "one_sided", "route": route,
+                                 "graph": serialize_instance(G), "tree": serialize_instance(T)})
+            elif bt.is_yes and not yes:
+                counts["missed_yes"] += 1
     if counts["missed_yes"]:
         failures.append({"check": "missed_yes", "count": counts["missed_yes"]})
     _require_both_answers(counts, failures)

@@ -5,16 +5,16 @@ Held-Karp runs layer by layer over the visited sets reachable from node 0
 only, keeping each set's end nodes in one flat table of 4 bytes per
 possible set (16 MB at n = 22).  A color-coding trial keeps one bitset
 over the 2^k color masks per tree node and host, and merges a child into
-its parent with shifts of those bitsets; a batch of trials runs at once,
-their bitsets side by side in one int of at most TRIAL_BITS bits.  All of
-them work on integer bitmasks and return plain ints, lists and tuples.
-Callers reach them as attributes of this module
-(``kernels.cover_optimum(...)``), never through a local alias, so a
-profiler can wrap them in one place.
+its parent with shifts of those bitsets.  The tree sieve takes one pass of
+GF(2^16) products per subset of the k labels.  All of them work on
+integer bitmasks and return plain ints, lists and tuples.  Callers reach
+them as attributes of this module (``kernels.cover_optimum(...)``), never
+through a local alias, so a profiler can wrap them in one place.
 """
 
 from __future__ import annotations
 
+import random
 from array import array
 from functools import lru_cache
 
@@ -199,98 +199,42 @@ def color_disjoint(k):
     return h, table(clear[:h]), table(clear[h:])
 
 
-# A batch of color-coding trials packs one 2^k-bit slot per trial into every
-# family int.  TRIAL_BITS bounds that int.  BATCH_WORK bounds B * 4^k, the
-# bit operations of one host's merge when all 2^k masks occur: past it the
-# trials of a batch share too few masks for the wider ints to pay.
-TRIAL_BITS = 4096
-BATCH_WORK = 1 << 18
-
-
-def trial_batch_cap(k):
-    """The most trials one batch holds at k colors: 128 at k = 5, 64 at
-    k = 6, 16 at k = 7, 4 at k = 8 and one trial from k = 9 on."""
-    return max(1, min(TRIAL_BITS >> k, BATCH_WORK >> 2 * k))
-
-
-@lru_cache(maxsize=None)
-def batch_rows(k, slots):
-    """(h, low, high, rep, ones, folds): ``color_disjoint(k)`` for ``slots``
-    trials side by side, ``slots`` a power of two.
-
-    Trial t's bitset over the 2^k color masks sits at bits [t * 2^k,
-    (t + 1) * 2^k) of one int.  ``rep`` has bit 0 of every slot set and
-    ``ones`` fills one slot, so ``x * ones`` widens each bit of ``x &
-    rep`` to its whole slot.  ``low`` and ``high`` repeat the rows of
-    ``color_disjoint(k)`` in every slot (the same lists at one slot).
-    Shifting an int right by each of ``folds`` in turn and ORing ORs its
-    slots into slot 0.  A batch of fewer trials reads the same rows: ANDing
-    with a row truncates it to the shorter int.
-    """
-    width = 1 << k
-    ones = (1 << width) - 1
-    rep = ((1 << width * slots) - 1) // ones
-    h, low, high = color_disjoint(k)
-    if slots > 1:
-        low = [row * rep for row in low]
-        high = [row * rep for row in high]
-    folds = [width * slots >> i for i in range(1, slots.bit_length())]
-    return h, low, high, rep, ones, folds
-
-
-def colorful_trial_yes(k, post_order, parent, edge_adj, colorings):
-    """A batch of color-coding trials: the first that admits a colorful
-    embedding of the tree.
+def colorful_trial_yes(k, post_order, parent, edge_adj, colors):
+    """One color-coding trial: does a colorful embedding of the tree exist?
 
     Tree nodes 0..k-1; ``post_order`` lists them children-first with the
     root last; ``edge_adj[v][u]`` is the bitmask of the hosts that the edge
-    above v allows for v when its parent is at host u, and
-    ``colorings[t][u]`` in [0, k) is host u's color in trial t.  All trials
-    run at once, trial t in slot t of every family int (see
-    ``batch_rows``).  Returns the index of the lowest such trial, else -1.
+    above v allows for v when its parent is at host u, and ``colors[u]`` in
+    [0, k) is host u's color.  Returns 0 when one exists, else -1.
     """
-    width = 1 << k
-    full = width - 1
-    rows = batch_rows(k, 1 << (len(colorings) - 1).bit_length())
-    # the one-node families, the last trial's first and shifted up a slot
-    # per earlier trial
-    start = [1 << (1 << c) for c in colorings[-1]]
-    for colors in reversed(colorings[:-1]):
-        start = [x << width | 1 << (1 << c) for x, c in zip(start, colors)]
-    fam = [list(start) for _ in range(k)]
+    full = (1 << k) - 1
+    fam = [[1 << (1 << c) for c in colors] for _ in range(k)]
+    disjoint = color_disjoint(k)
     for v in post_order[:-1]:
-        if not colorful_merge(fam[parent[v]], fam[v], edge_adj[v], rows):
+        if not colorful_merge(fam[parent[v]], fam[v], edge_adj[v], disjoint):
             return -1
-    hits = 0
-    for masks in fam[post_order[-1]]:
-        hits |= masks >> full
-    hits &= rows[3]  # bit 0 of slot t: trial t holds the full mask somewhere
-    return ((hits & -hits).bit_length() - 1) // width if hits else -1
+    return 0 if any(masks >> full & 1 for masks in fam[post_order[-1]]) else -1
 
 
-def colorful_merge(parent_fam, child_fam, adj, rows):
-    """Merge the finished subtree of one child into its parent's families,
-    for a batch of trials at once.
+def colorful_merge(parent_fam, child_fam, adj, disjoint):
+    """Merge the finished subtree of one child into its parent's families.
 
-    ``parent_fam[u]`` holds, in slot t, the bitset of the color masks of
-    trial t's colorful embeddings of the parent's merged part with the
-    parent at host u (bit a set when mask a is one); ``child_fam[w]`` the
-    same for the child's whole subtree at w.  ``adj`` is the child's
-    ``edge_adj`` entry of ``colorful_trial_yes`` and ``rows`` is
-    ``batch_rows(k, slots)``.  Each nonzero ``parent_fam[u]`` is replaced,
-    slot by slot, by the unions a | b of its masks a with the masks b of
-    ``pool``, the union of the child's families over the hosts w in
-    ``adj[u]``, that share no color with a.  Since such a and b share no
-    bit, a | b = a + b, so shifting the masks of ``pool`` disjoint from a
-    left by a maps each b to a | b and stays in b's slot.  The loop runs
-    once per mask a held in any slot, and ``((cur >> a) & rep) * ones``
-    keeps the slots that hold it (one slot needs neither the folds nor this
-    selection); it runs over the side that holds fewer masks, as the merge
-    is symmetric.  Entries are ints, replaced and never mutated, so a
-    shallow ``list(parent_fam)`` taken before the call still holds the
-    earlier stage.  Returns whether any entry stays nonzero.
+    ``parent_fam[u]`` is the bitset of the color masks of colorful
+    embeddings of the parent's merged part with the parent at host u (bit a
+    set when mask a is one); ``child_fam[w]`` the same for the child's whole
+    subtree at w.  ``adj`` is the child's ``edge_adj`` entry of
+    ``colorful_trial_yes`` and ``disjoint`` is ``color_disjoint(k)``.  Each
+    nonzero ``parent_fam[u]`` is replaced by the unions a | b of its masks a
+    with the masks b of ``pool``, the union of the child's bitsets over the
+    hosts w in ``adj[u]``, that share no color with a.  Since such a and b
+    share no bit, a | b = a + b, so shifting the masks of ``pool`` disjoint
+    from a left by a maps each b to a | b; the loop runs over the smaller of
+    the two bitsets, as the merge is symmetric.  Entries are ints, replaced
+    and never mutated, so a shallow ``list(parent_fam)`` taken before the
+    call still holds the earlier stage.  Returns whether any entry stays
+    nonzero.
     """
-    h, low_rows, high_rows, rep, ones, folds = rows
+    h, low_rows, high_rows = disjoint
     low_mask = (1 << h) - 1
     alive = False
     for u, cur in enumerate(parent_fam):
@@ -304,23 +248,79 @@ def colorful_merge(parent_fam, child_fam, adj, rows):
             pool |= child_fam[low.bit_length() - 1]
         acc = 0
         if pool:
-            masks, other = cur, pool
-            if folds:  # the masks held in any slot, OR-ed into slot 0
-                for shift in folds:
-                    masks |= masks >> shift
-                    other |= other >> shift
-                masks &= ones
-                other &= ones
-            if masks.bit_count() > other.bit_count():
-                cur, pool, masks = pool, cur, other
-            while masks:
-                low = masks & -masks
-                masks ^= low
+            if cur.bit_count() > pool.bit_count():
+                cur, pool = pool, cur
+            while cur:
+                low = cur & -cur
+                cur ^= low
                 a = low.bit_length() - 1
-                part = pool & low_rows[a & low_mask] & high_rows[a >> h]
-                if folds:  # keep the slots that hold a
-                    part &= ((cur >> a) & rep) * ones
-                acc |= part << a
+                acc |= (pool & low_rows[a & low_mask] & high_rows[a >> h]) << a
             alive = alive or bool(acc)
         parent_fam[u] = acc
     return alive
+
+
+# GF(2^16) as polynomials over GF(2) modulo x^16 + x^12 + x^3 + x + 1, which
+# is primitive: the powers of x run through all 65,535 nonzero elements.
+GF_POLY = 0x1100B
+GF_ORDER = 65535
+
+
+@lru_cache(maxsize=None)
+def gf_tables():
+    """(log, exp): ``exp[i]`` = x^i for i < 2 * GF_ORDER, so nonzero a * b is
+    ``exp[log[a] + log[b]]``.  Two ``array('H')``, 384 KB, built on first use."""
+    exp = array("H", bytes(4 * GF_ORDER))
+    log = array("H", bytes(2 << 16))
+    a = 1
+    for i in range(GF_ORDER):
+        exp[i] = exp[i + GF_ORDER] = a
+        log[a] = i
+        a = a << 1 ^ (GF_POLY if a >> 15 else 0)
+    return log, exp
+
+
+def tree_sieve(k, post_order, parent, edge_adj, hosts, seed):
+    """One run of the characteristic-2 sieve: F in GF(2^16), nonzero only if
+    the tree embeds into the hosts of the bitmask ``hosts``.
+
+    The tree is given as for ``colorful_trial_yes``.  With x[l][v] (label
+    l, host v) and y[c][u][w] (the edge above c, parent at u, c at w) drawn
+    by ``random.Random(seed)``, F sums prod_t w_X(phi(t)) * prod_c
+    y[c][phi(parent c)][phi(c)] over X subset of [k] and the homomorphisms
+    phi, where w_X(v) sums x[l][v] over l in X.  In characteristic 2 only
+    bijective labellings survive the sum over X; swapping the labels of the
+    first two tree nodes on one host cancels a non-injective phi's terms in
+    pairs; and each embedding keeps its own monomial of degree 2k - 1.  So
+    an embedding gives F = 0 with probability at most (2k - 1) / 2^16.
+    Each X, in Gray-code order, takes one post-order pass that pushes every
+    child's values along its arcs into its parent's: O(k * m) products.  A
+    host outside ``hosts`` gets x = 0, so all its values are 0.
+    """
+    log, exp = gf_tables()
+    draw = random.Random(seed).getrandbits
+    n = hosts.bit_length()
+    x = [[draw(16) if hosts >> v & 1 else 0 for v in range(n)] for _ in range(k)]
+    # into[c][w]: (u, log y) per arc the edge above c allows from u to w
+    into = [[[] for _ in range(n)] for _ in range(k)]
+    for c in post_order[:-1]:
+        for u in range(n):
+            for v in range(n):
+                if (edge_adj[c][u] & hosts) >> v & 1 and (y := draw(16)):
+                    into[c][v].append((u, log[y]))
+    total, w = 0, [0] * n
+    for i in range(1, 1 << k):
+        w = [a ^ b for a, b in zip(w, x[(i & -i).bit_length() - 1])]
+        val = [w] * k
+        for c in post_order[:-1]:
+            acc = [0] * n
+            for a, arcs in zip(val[c], into[c]):
+                if a:
+                    la = log[a]
+                    for u, ly in arcs:
+                        acc[u] ^= exp[la + ly]
+            p = parent[c]
+            val[p] = [exp[log[a] + log[b]] if a and b else 0 for a, b in zip(val[p], acc)]
+        for a in val[post_order[-1]]:
+            total ^= a
+    return total

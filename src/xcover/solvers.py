@@ -637,23 +637,28 @@ def colorcoding_trials(k: int, failure_prob: float) -> int:
     return math.ceil(math.exp(k) * math.log(1 / failure_prob))
 
 
+def sieve_runs(k: int, failure_prob: float) -> int:
+    """The fewest sieve runs r with ((2k - 1) / 2^16)^r <= failure_prob."""
+    return max(1, math.ceil(math.log(failure_prob) / math.log((2 * k - 1) / 65536)))
+
+
 def ktree_colorcoding(G: Digraph, T: PatternTree, failure_prob: float = 0.01,
                       seed: int = 0, budget: int = DEFAULT_BUDGET) -> SolveResult:
-    """Monte-Carlo tree embedding with one-sided error.
+    """Monte-Carlo tree embedding whose only possible error is a false no.
 
-    Each trial colors the host with k colors exactly; a trial succeeds when
-    a colorful embedding exists (per-trial success probability at least
-    k!/k^k >= e^-k for yes-instances), so ceil(e^k * ln(1/failure_prob))
-    trials bound the false-no probability by failure_prob.  Trial t draws
-    its colors with seed ``seed * 1_000_003 + t``.  The trials run in
-    batches of 1, 2, 4, ... trials, up to ``kernels.trial_batch_cap(k)``,
-    one kernel call per batch; on a hit the hitting trial alone is re-run
-    to extract an embedding, and if that fails the kernel goes on with the
-    batch's later trials.  So answer, certificate and stats are those of
-    running the trials one by one: yes answers carry the embedding of the
-    first trial whose extraction verify_embedding accepts, with ``trials``
-    counting the trials up to it.  Raises BudgetExceededError before the
-    first trial when more than ``budget`` trials are planned.
+    A color-coding trial colors the host with k colors exactly, trial t
+    with seed ``seed * 1_000_003 + t``, and hits when a colorful embedding
+    exists (probability at least k!/k^k >= e^-k on a yes-instance).  Of the
+    ceil(e^k * ln(1/failure_prob)) planned trials the first min(2^k,
+    planned) run, then ``sieve_runs(k, failure_prob)`` runs of
+    ``kernels.tree_sieve`` answer no if all give 0, then the others run.  A
+    trial's verified extraction answers yes, ``trials`` counting the trials
+    up to it.  If no trial hits after a nonzero sieve proved an embedding,
+    each host in turn is dropped while the sieve on the rest stays nonzero,
+    and ``tree_embed_backtrack`` finds one on the hosts left.  Such a yes,
+    and a no, add ``sieve_runs``.  Raises BudgetExceededError before the
+    first trial when the trials, or the 2^k passes of each sieve run,
+    exceed ``budget``.
     """
     k = T.k
     if k > DEFAULT_CAP_K:
@@ -661,39 +666,56 @@ def ktree_colorcoding(G: Digraph, T: PatternTree, failure_prob: float = 0.01,
             f"pattern of {k} nodes exceeds the color-coding cap of {DEFAULT_CAP_K}")
     n = G.num_nodes
     if k > n:
-        return SolveResult("no", stats={"explored": 0, "trials": 0})
+        return SolveResult("no", stats={"explored": 0, "trials": 0, "sieve_runs": 0})
     if k == 1:
         return SolveResult("yes", certificate={T.root: 0}, stats={"explored": 0, "trials": 0})
     trials = colorcoding_trials(k, failure_prob)
-    if trials > budget:
-        raise BudgetExceededError(
-            f"color coding plans {trials} trials, more than the budget of {budget}")
+    runs = sieve_runs(k, failure_prob)
+    for planned, what in ((trials, "color-coding trials"), (runs << k, "sieve passes")):
+        if planned > budget:
+            raise BudgetExceededError(
+                f"ktree plans {planned} {what}, more than the budget of {budget}")
     post = T.post_order
     # per tree node, the host masks of the edge above it (the root's is unused)
     edge_adj = [None if v == T.root else G.masks_along[o] for v, o in enumerate(T.orientation)]
-    parent = list(T.parent)
     rng = random.Random()
-    cap = kernels.trial_batch_cap(k)
-    done = 0
-    size = 1
-    while done < trials:
-        batch = [trial_colors(rng, seed * 1_000_003 + t, k, n)
-                 for t in range(done, min(done + size, trials))]
-        first = 0
-        while first < len(batch):
-            hit = kernels.colorful_trial_yes(k, post, parent, edge_adj, batch[first:])
-            if hit < 0:
-                break
-            t = first + hit
-            mapping = _colorful_reconstruct(G, T, edge_adj, batch[t])
-            if mapping is not None and verify_embedding(G, T, mapping):
-                used = done + t + 1
-                return SolveResult("yes", certificate=mapping,
-                                   stats={"explored": used, "trials": used})
-            first = t + 1
-        done += len(batch)
-        size = min(2 * size, cap)
-    return SolveResult("no", stats={"explored": trials, "trials": trials})
+
+    def first_hit(start, stop):
+        for t in range(start, stop):
+            colors = trial_colors(rng, seed * 1_000_003 + t, k, n)
+            if kernels.colorful_trial_yes(k, post, T.parent, edge_adj, colors) == 0:
+                mapping = _colorful_reconstruct(G, T, edge_adj, colors)
+                if mapping is not None and verify_embedding(G, T, mapping):
+                    return SolveResult("yes", certificate=mapping,
+                                       stats={"explored": t + 1, "trials": t + 1})
+        return None
+
+    def sieve(hosts, run):
+        return kernels.tree_sieve(k, post, T.parent, edge_adj, hosts, f"tree_sieve {seed} {run}")
+
+    prefix = min(1 << k, trials)
+    hit = first_hit(0, prefix)
+    if hit:
+        return hit
+    alive = (1 << n) - 1
+    sieved = next((r + 1 for r in range(runs) if sieve(alive, r)), 0)
+    if not sieved:
+        return SolveResult("no", stats={"explored": prefix, "trials": prefix, "sieve_runs": runs})
+    hit = first_hit(prefix, trials)
+    if hit:
+        return hit
+    for v in range(n):
+        if alive.bit_count() == k:
+            break
+        if sieve(alive ^ 1 << v, sieved):
+            alive ^= 1 << v
+        sieved += 1
+    # the dropped hosts keep no arcs, so no tree edge can reach them
+    found = tree_embed_backtrack(Digraph(n, frozenset(
+        (u, w) for u, w in G.edges if alive >> u & alive >> w & 1), G.undirected_mode), T, budget)
+    assert found.is_yes, "a nonzero sieve proves that an embedding exists"
+    return SolveResult("yes", certificate=found.certificate,
+                       stats={"explored": trials, "trials": trials, "sieve_runs": sieved})
 
 
 def trial_colors(rng, seed, k, n):
@@ -716,8 +738,8 @@ def trial_colors(rng, seed, k, n):
 
 
 def _colorful_reconstruct(G, T, edge_adj, colors):
-    """Re-run one trial, a batch of one, keeping every merge stage, then
-    extract a map with the root at its lowest host.
+    """Re-run one trial keeping every merge stage, then extract a map with
+    the root at its lowest host.
 
     ``stages[v][i]`` is v's family list after its first i child merges: a
     shallow copy suffices because ``kernels.colorful_merge`` replaces the
@@ -727,14 +749,14 @@ def _colorful_reconstruct(G, T, edge_adj, colors):
     """
     k = T.k
     full = (1 << k) - 1
-    rows = kernels.batch_rows(k, 1)
+    disjoint = kernels.color_disjoint(k)
     fam = [[1 << (1 << c) for c in colors] for _ in range(k)]
     stages = [[list(fam[v])] for v in range(k)]
     merged = [[] for _ in range(k)]
     root = T.post_order[-1]
     for v in T.post_order[:-1]:
         p = T.parent[v]
-        kernels.colorful_merge(fam[p], fam[v], edge_adj[v], rows)
+        kernels.colorful_merge(fam[p], fam[v], edge_adj[v], disjoint)
         merged[p].append(v)
         stages[p].append(list(fam[p]))
     root_host = next((u for u, masks in enumerate(fam[root]) if masks >> full & 1), None)
@@ -754,13 +776,10 @@ def _colorful_reconstruct(G, T, edge_adj, colors):
                     if not fam[child][w] >> b & 1:
                         continue
                     sub = extract(child, w, b, len(merged[child]))
-                    if sub is None:
-                        continue
-                    rest = extract(v, u, a, stage - 1)
-                    if rest is None:
-                        continue
-                    rest.update(sub)
-                    return rest
+                    rest = sub and extract(v, u, a, stage - 1)
+                    if rest:
+                        rest.update(sub)
+                        return rest
             a = (a - mask) & mask
         return None
 

@@ -5,7 +5,6 @@ import pytest
 
 from xcover import analysis, kernels
 from xcover.analysis import (
-    large_delta_beats_barrier,
     VerifyConfig,
     compose_runtime,
     count_bound_log2,
@@ -71,21 +70,6 @@ def test_pipeline_exponent_threshold():
     for e in (19, 20, 24, 30):
         nt = 2 ** e
         assert pipeline_total_exponent(nt, eps) <= nt * (1 - eps / 2)
-
-
-def test_large_delta_regime_beats_sqrt_barrier():
-    # valid constant range: the gain (2+eps)(1/2-dprime) log2(ntilde) must
-    # exceed log2(ntilde) + 9, i.e. dprime < eps/(2(2+eps)) - margin and
-    # log2(ntilde) > 9 / ((2+eps)(1/2-dprime) - 1); for eps=0.1,
-    # dprime=0.01 that is log2(ntilde) > ~310
-    eps, dprime = 0.1, 0.01
-    assert not large_delta_beats_barrier(300, dprime, eps)["beats"]
-    for lg in (320, 400, 800):
-        out = large_delta_beats_barrier(lg, dprime, eps)
-        assert out["beats"], (lg, out)
-        assert out["pipeline_deficit"] > out["barrier_deficit"]
-    # dprime outside the valid range never beats the barrier
-    assert not large_delta_beats_barrier(800, 0.1, eps)["beats"]
 
 
 def test_reduction_bound_report_within():
@@ -155,16 +139,15 @@ def test_suite_colorcoding_counts_both_answers(monkeypatch):
     notes = fam["notes"]
     assert notes["yes"] > 0 and notes["no"] > 0 and notes["missed_yes"] == 0
     assert notes["yes"] + notes["no"] == fam["cases"]
+    # every no came from the sieve
+    assert notes["sieve_answers"] >= notes["no"]
     single = run_verification_suite({"families": ["colorcoding"],
                                      "trials": {"colorcoding": 1}})
     notes = single["families"]["colorcoding"]["notes"]
     assert single["families"]["colorcoding"]["failures"] == [
         {"check": "coverage", "yes": notes["yes"], "no": notes["no"]}]
-    # a batched kernel that reads only the first trial of each batch
-    trial = kernels.colorful_trial_yes
-    monkeypatch.setattr(kernels, "colorful_trial_yes",
-                        lambda k, post, parent, edge_adj, colorings:
-                        trial(k, post, parent, edge_adj, colorings[:1]))
+    # a sieve that always returns zero
+    monkeypatch.setattr(kernels, "tree_sieve", lambda *args: 0)
     broken = run_verification_suite({"families": ["colorcoding"]})["families"]["colorcoding"]
     assert broken["notes"]["missed_yes"] > 0
     assert {"check": "missed_yes", "count": broken["notes"]["missed_yes"]} in broken["failures"]

@@ -106,17 +106,35 @@ def test_large_set_preprocessing_is_capped(run, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_ktree_budget_bounds_the_planned_trials(run, tmp_path):
-    # k = 5 at the default failure probability 0.01 plans 684 trials
+def _ktree_files(tmp_path):
     host, tree, _ = gen_planted("embedded_tree", seed=3, k=5, host_n=10)
     (tmp_path / "h.digraph").write_text(serialize_instance(host))
     (tmp_path / "t.tree").write_text(serialize_instance(tree))
-    files = [str(tmp_path / "h.digraph"), str(tmp_path / "t.tree")]
-    code, out, err = run("solve", "ktree", *files, "--budget", "10")
+    return [str(tmp_path / "h.digraph"), str(tmp_path / "t.tree")]
+
+
+def test_ktree_budget_bounds_the_planned_trials(run, tmp_path):
+    # k = 5 at the default failure probability 0.01 plans 684 trials and
+    # one sieve run of 2^5 passes
+    files = _ktree_files(tmp_path)
+    code, out, err = run("solve", "ktree", *files, "--budget", "683")
     assert code == 3 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == "error: ktree plans 684 color-coding trials, more than the budget of 683\n"
     code, out, _ = run("solve", "ktree", *files, "--budget", "684")
     assert code == 0 and json.loads(out)["answer"] == "yes"
+
+
+def test_ktree_budget_bounds_the_planned_sieve_passes(run, tmp_path):
+    # at failure probability 0.99, k = 5 plans 2 trials and 2^5 sieve passes
+    files = [*_ktree_files(tmp_path), "--failure-prob", "0.99"]
+    code, out, err = run("solve", "ktree", *files, "--budget", "31")
+    assert code == 3 and out == ""
+    assert err == "error: ktree plans 32 sieve passes, more than the budget of 31\n"
+    code, out, _ = run("solve", "ktree", *files, "--budget", "32")
+    # both trials miss, so the sieve's self-reduction finds the embedding
+    record = json.loads(out)
+    assert code == 0 and record["answer"] == "yes"
+    assert record["stats"]["trials"] == 2 and record["stats"]["sieve_runs"] > 1
 
 
 def test_unknown_subcommand_exits_2(run):

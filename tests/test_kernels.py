@@ -1,8 +1,13 @@
-"""The kernels and the color-coding trial against brute-force oracles."""
+"""The kernels, the color-coding trial and the tree sieve against brute-force
+oracles."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 from hypothesis import given, settings
@@ -484,9 +489,9 @@ def test_color_disjoint_tables_hold_the_disjoint_masks():
 
 
 def test_colorful_trial_matches_embedding_search():
-    """Batches of 1-40 colorings: the kernel names the lowest coloring with a
-    colorful embedding, and extraction from that coloring puts the root at
-    its lowest host."""
+    """1-40 colorings per tree and host, one per kernel call: the kernel hits
+    exactly on the colorings with a colorful embedding, and extraction from
+    each hit puts the root at its lowest host."""
     rng = random.Random(13)
     hits = []
     for _ in range(300):
@@ -514,26 +519,57 @@ def test_colorful_trial_matches_embedding_search():
                 if u != v and rng.random() < 0.4:
                     out_adj[u] |= 1 << v
                     in_adj[v] |= 1 << u
-        colorings = [[rng.randrange(k) for _ in range(n)] for _ in range(rng.randint(1, 40))]
-        roots = [_colorful_root_hosts(k, parent, orient, out_adj, colors)
-                 for colors in colorings]
-        want = next((t for t, r in enumerate(roots) if r), -1)
         und_adj = [o | i for o, i in zip(out_adj, in_adj)]
         by_orient = (und_adj, out_adj, in_adj)
         edge_adj = [by_orient[o] for o in orient]
-        got = kernels.colorful_trial_yes(k, post, parent, edge_adj, colorings)
-        assert got == want, (k, n, parent, orient, colorings)
-        if got < 0:
-            continue
-        hits.append(got)
-        colors = colorings[got]
         host = SimpleNamespace(along=lambda u, o: [w for w in range(n)
                                                    if by_orient[o][u] >> w & 1])
         tree = SimpleNamespace(k=k, post_order=post, parent=parent, orientation=orient)
-        mapping = solvers._colorful_reconstruct(host, tree, edge_adj, colors)
-        assert mapping[0] == min(roots[got])
-        assert sorted(colors[mapping[v]] for v in range(k)) == list(range(k))
-        assert all(mapping[v] in host.along(mapping[parent[v]], orient[v])
-                   for v in range(1, k))
-    # 174 hits, 49 of them after the first coloring
-    assert len(hits) > 100 and sum(t > 0 for t in hits) > 20
+        for _ in range(rng.randint(1, 40)):
+            colors = [rng.randrange(k) for _ in range(n)]
+            roots = _colorful_root_hosts(k, parent, orient, out_adj, colors)
+            got = kernels.colorful_trial_yes(k, post, parent, edge_adj, colors)
+            assert got == (0 if roots else -1), (k, n, parent, orient, colors)
+            if got < 0:
+                continue
+            hits.append(k)
+            mapping = solvers._colorful_reconstruct(host, tree, edge_adj, colors)
+            assert mapping[0] == min(roots)
+            assert sorted(colors[mapping[v]] for v in range(k)) == list(range(k))
+            assert all(mapping[v] in host.along(mapping[parent[v]], orient[v])
+                       for v in range(1, k))
+    # 2,102 hits, 195 of them at k >= 5
+    assert len(hits) > 1000 and sum(size >= 5 for size in hits) > 100
+
+
+def test_gf_tables_cycle_through_the_nonzero_elements():
+    """x generates GF(2^16)*: the antilog table runs through all 65,535
+    nonzero elements once, twice over, and log inverts it; the two tables
+    are array('H') of under 0.5 MB together."""
+    log, exp = kernels.gf_tables()
+    order = kernels.GF_ORDER
+    assert order == 65535 and len(exp) == 2 * order and len(log) == 1 << 16
+    assert sorted(exp[:order]) == list(range(1, 1 << 16))
+    assert exp[order:] == exp[:order]
+    assert all(log[exp[i]] == i for i in range(order))
+    # x^16 = x^12 + x^3 + x + 1
+    assert exp[16] == 0x100B and exp[1] == 2
+    assert {log.typecode, exp.typecode} == {"H"}
+    assert log.itemsize * len(log) + exp.itemsize * len(exp) < 500_000
+
+
+def test_gf_tables_are_built_on_the_first_sieve_call():
+    script = (
+        "from xcover import kernels, solvers\n"
+        "from xcover.instances import Digraph, PatternTree\n"
+        "assert kernels.gf_tables.cache_info().currsize == 0\n"
+        "path = PatternTree(2, 0, (-1, 0), ('und', 'fwd'))\n"
+        "G = Digraph(3, frozenset({(0, 1), (1, 2)}))\n"
+        "assert solvers.ktree_colorcoding(G, path).is_yes\n"
+        "assert kernels.gf_tables.cache_info().currsize == 0\n"
+        "edge_adj = [None, G.masks_along['fwd']]\n"
+        "assert kernels.tree_sieve(2, path.post_order, path.parent, edge_adj, 7, 0)\n"
+        "assert kernels.gf_tables.cache_info().currsize == 1\n")
+    src = str(Path(kernels.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", script], check=True,
+                   env=dict(os.environ, PYTHONPATH=src))

@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xcover import kernels, solvers
@@ -489,14 +489,15 @@ def test_colorcoding_extracts_a_valid_embedding_from_every_hit(monkeypatch):
 
 
 def _colorcoding_per_trial(G, T, failure_prob, seed):
-    """ktree_colorcoding's trials one at a time, one coloring per kernel call."""
+    """The planned color-coding trials one at a time, up to the first whose
+    extraction verifies, with no sieve."""
     k, n = T.k, G.num_nodes
     trials = solvers.colorcoding_trials(k, failure_prob)
     edge_adj = [None if v == T.root else G.masks_along[o] for v, o in enumerate(T.orientation)]
     rng = random.Random()
     for t in range(trials):
         colors = solvers.trial_colors(rng, seed * 1_000_003 + t, k, n)
-        if kernels.colorful_trial_yes(k, T.post_order, list(T.parent), edge_adj, [colors]) >= 0:
+        if kernels.colorful_trial_yes(k, T.post_order, list(T.parent), edge_adj, colors) >= 0:
             mapping = solvers._colorful_reconstruct(G, T, edge_adj, colors)
             if mapping is not None and verify_embedding(G, T, mapping):
                 return "yes", mapping, {"explored": t + 1, "trials": t + 1}
@@ -505,26 +506,29 @@ def _colorcoding_per_trial(G, T, failure_prob, seed):
 
 @pytest.mark.parametrize("hits, fail_first, want", [
     ((0,), False, 1),
-    ((1,), False, 2),  # the second batch, trials 1-2
+    ((1,), False, 2),
     ((3,), False, 4),
     ((7, 8), False, 8),
-    ((127,), False, 128),  # the first batch of 128 trials, 127-254
-    ((254,), False, 255),  # the last trial of that batch
+    ((127,), False, 128),  # after the 32-trial prefix and one sieve run
+    ((254,), False, 255),
     ((255, 900), False, 256),
     ((383,), False, 384),
     ((1025,), False, 1026),  # the last trial
-    ((), False, 1026),
-    ((5, 6), True, 7),  # the next hit in the same batch, trials 3-6
-    ((6, 7), True, 8),  # the next hit in the next batch
-    ((130, 131, 640), True, 132),
+    ((), False, 1026),  # no hit: the sieve self-reduces
+    ((5, 6), True, 7),  # the next hit in the prefix
+    ((6, 7), True, 8),
+    ((130, 131, 640), True, 132),  # the next hit after the sieve
     ((300, 1025), True, 1026),
-    ((1025,), True, 1026),
+    ((1025,), True, 1026),  # the only hit fails: the sieve self-reduces
 ])
 def test_colorcoding_batches_match_the_trials_one_by_one(monkeypatch, hits, fail_first, want):
-    """k = 5 at failure_prob 0.001 plans 1,026 trials in batches starting at
-    trials 0, 1, 3, 7, ..., 127, 255, 383, ..., 895 and 1023.  Trial t is colorful on one of two copies of the tree
-    exactly when t is in ``hits``; with ``fail_first`` the first extraction
-    fails, so the answer comes from the next hit."""
+    """k = 5 at failure_prob 0.001 plans 1,026 trials: a prefix of trials
+    0-31, then the sieve, then trials 32-1025.  Trial t is colorful on one
+    of two copies of the tree exactly when t is in ``hits``; with
+    ``fail_first`` the first extraction fails, so the answer comes from the
+    next hit.  A verified hit gives the answer, certificate and stats of
+    the trials run one by one without a sieve.  Without one, the
+    self-reduction drops hosts 0-4 and takes the other copy."""
     T = gen_random("tree", seed=5, k=5, oriented=True)
     arcs = {(p + s, v + s) if o == "fwd" else (v + s, p + s)
             for s in (0, 5) for v, (p, o) in enumerate(zip(T.parent, T.orientation)) if p >= 0}
@@ -538,6 +542,8 @@ def test_colorcoding_batches_match_the_trials_one_by_one(monkeypatch, hits, fail
         return [*range(5), *[0] * 5] if hits.index(t) % 2 else [*[0] * 5, *range(5)]
 
     extract = solvers._colorful_reconstruct
+    sieve = kernels.tree_sieve
+    sieved = []
 
     def run(solve):
         calls = []
@@ -549,59 +555,88 @@ def test_colorcoding_batches_match_the_trials_one_by_one(monkeypatch, hits, fail
         monkeypatch.setattr(solvers, "_colorful_reconstruct", failing)
         return solve(), len(calls)
 
+    def recorded(*args):
+        sieved.append(args[4])
+        return sieve(*args)
+
     monkeypatch.setattr(solvers, "trial_colors", colors)
+    monkeypatch.setattr(kernels, "tree_sieve", recorded)
     got, got_calls = run(lambda: ktree_colorcoding(G, T, failure_prob=0.001, seed=seed))
     (answer, mapping, stats), want_calls = run(
         lambda: _colorcoding_per_trial(G, T, 0.001, seed))
-    assert (got.answer, got.certificate, got.stats, got_calls) == (
-        answer, mapping, stats, want_calls)
-    assert got.stats["trials"] == want
-    assert got.is_yes == (len(hits) > fail_first)
-    if got.is_yes:
-        assert verify_embedding(G, T, got.certificate)
+    assert got.is_yes and verify_embedding(G, T, got.certificate)
+    assert got.stats["trials"] == want and got_calls == want_calls
+    if answer == "yes":
+        assert (got.certificate, got.stats) == (mapping, stats)
+        assert sieved == ([] if want <= 32 else [1023])
+    else:
+        assert len(hits) == fail_first
+        assert sieved == [1023, 1022, 1020, 1016, 1008, 992]
+        assert got.stats == {"explored": 1026, "trials": 1026, "sieve_runs": 6}
+        assert sorted(got.certificate.values()) == [5, 6, 7, 8, 9]
 
 
-def test_colorcoding_batches_stay_within_trial_bits(monkeypatch):
-    """The batch cap depends on k alone, and no family int of a batch grows
-    past kernels.TRIAL_BITS = 4,096 bits: a memory bound known before the
-    first trial."""
-    assert kernels.TRIAL_BITS == 4096
-    assert [kernels.trial_batch_cap(k) for k in range(2, 17)] == [
-        1024, 512, 256, 128, 64, 16, 4, 1, 1, 1, 1, 1, 1, 1, 1]
-    for k in range(1, 17):
-        cap = kernels.trial_batch_cap(k)
-        assert cap << k <= kernels.TRIAL_BITS or cap == 1
-        assert cap << 2 * k <= kernels.BATCH_WORK or cap == 1
-    sizes, widths = [], []
-    trial, merge = kernels.colorful_trial_yes, kernels.colorful_merge
+@st.composite
+def _sieve_case(draw):
+    """A tree of 1-7 nodes rooted at 0, all edges fwd or rev at random or
+    all und, on a host of 0-8 nodes: a digraph that holds each ordered pair
+    at one density, so anti-parallel arcs are common, or an undirected
+    graph."""
+    k = draw(st.integers(1, 7))
+    parent = (-1, *(draw(st.integers(0, v - 1)) for v in range(1, k)))
+    if draw(st.booleans()):
+        orient = ("und", *(draw(st.sampled_from(["fwd", "rev"])) for _ in range(k - 1)))
+    else:
+        orient = ("und",) * k
+    n = draw(st.integers(0, 8))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    density = draw(st.sampled_from([0.2, 0.35, 0.5]))
+    G = Digraph(n, frozenset((u, v) for u in range(n) for v in range(n)
+                             if u != v and rng.random() < density), draw(st.booleans()))
+    return G, PatternTree(k, 0, parent, orient)
 
-    def recorded_trial(k, post, parent, edge_adj, colorings):
-        sizes.append(len(colorings))
-        return trial(k, post, parent, edge_adj, colorings)
 
-    def recorded_merge(parent_fam, child_fam, adj, rows):
-        alive = merge(parent_fam, child_fam, adj, rows)
-        widths.append(max(x.bit_length() for x in parent_fam + child_fam))
-        return alive
+def _path(k, orient="fwd"):
+    return PatternTree(k, 0, (-1, *range(k - 1)), ("und", *[orient] * (k - 1)))
 
-    monkeypatch.setattr(kernels, "colorful_trial_yes", recorded_trial)
-    monkeypatch.setattr(kernels, "colorful_merge", recorded_merge)
-    for k, layers, failure_prob in ((5, 3, 0.01), (12, 4, 0.99)):
-        # a directed path of k nodes in a layered DAG whose paths hold
-        # ``layers`` nodes: a no-instance whose merges stay alive a while
-        path = PatternTree(k, 0, (-1, *range(k - 1)), ("und", *["fwd"] * (k - 1)))
-        G = Digraph(3 * layers, frozenset((3 * i + a, 3 * i + 3 + b) for i in range(layers - 1)
-                                          for a in range(3) for b in range(3)))
-        sizes.clear()
-        widths.clear()
-        res = ktree_colorcoding(G, path, failure_prob=failure_prob)
-        assert res.answer == "no"
-        assert sum(sizes) == res.stats["trials"] == solvers.colorcoding_trials(k, failure_prob)
-        cap = kernels.trial_batch_cap(k)
-        # batches of 1, 2, 4, ... trials up to the cap; the last one takes what is left
-        assert sizes[:-1] == [min(1 << i, cap) for i in range(len(sizes) - 1)]
-        assert max(sizes) == cap
-        assert 4096 - (1 << k) < max(widths) <= 4096
+
+def _sieve(G, T, seed, hosts=None):
+    edge_adj = [None if v == T.root else G.masks_along[o] for v, o in enumerate(T.orientation)]
+    if hosts is None:
+        hosts = (1 << G.num_nodes) - 1
+    return kernels.tree_sieve(T.k, T.post_order, list(T.parent), edge_adj, hosts, seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sieve_case())
+@example((Digraph(2, frozenset({(0, 1), (1, 0)})), _path(3)))  # k > n, a walk exists
+@example((Digraph(0, frozenset()), _path(1)))  # k > n = 0
+@example((Digraph(1, frozenset()), _path(1)))
+@example((Digraph(3, frozenset()), _path(1)))
+@example((Digraph(2, frozenset({(1, 0)})), _path(2)))
+@example((Digraph(2, frozenset({(1, 0)})), _path(2, "rev")))
+@example((Digraph(3, frozenset({(0, 1), (1, 0)}), True), _path(2, "und")))
+# a star of three leaves on a path: homomorphisms but no embedding
+@example((Digraph(4, frozenset({(0, 1), (1, 2), (2, 3)}), True),
+          PatternTree(4, 0, (-1, 0, 0, 0), ("und",) * 4)))
+def test_tree_sieve_matches_the_oracles(case):
+    """A nonzero sieve is an embedding that the backtracker and the
+    injective-map brute force both find.  When they find one, a sieve run
+    misses it with probability at most 13/2^16, so one of two runs finds
+    it."""
+    G, T = case
+    want = oracle_embeds(G, T)
+    assert tree_embed_backtrack(G, T).is_yes == want
+    assert bool(_sieve(G, T, 0) or _sieve(G, T, 1)) == want
+
+
+def test_tree_sieve_is_seeded_and_keeps_to_its_hosts():
+    G, T, planted = gen_planted("embedded_tree", seed=4, k=6, host_n=9)
+    values = [_sieve(G, T, seed) for seed in (0, 0, 1, "tree_sieve 0 0")]
+    assert values[0] == values[1] and len(set(values)) == 3 and all(values)
+    hosts = sum(1 << u for u in planted.values())
+    assert _sieve(G, T, 0, hosts)
+    assert not _sieve(G, T, 0, hosts & hosts - 1)  # five hosts hold no six-node tree
 
 
 def test_trial_colors_match_randrange():
@@ -625,20 +660,33 @@ def _colorcoding_cases():
 
 
 def test_colorcoding_matches_the_pinned_digest():
-    """400 seeded cases, oriented and unoriented trees; the digest of every
-    (answer, certificate, stats) was taken at commit ad3e054, before the
-    trials kept their color-mask families as bitsets and drew their colors
-    inline."""
-    digest = hashlib.sha256()
+    """400 seeded cases, oriented and unoriented trees.  The digest of the
+    yes records (answer, certificate, stats) was taken at commit ad3e054,
+    before the trials kept their color-mask families as bitsets and drew
+    their colors inline; 10 of them hit after the 2^k-trial prefix.  The
+    digest of all records was re-taken when the sieve took over the no
+    answers: each no on k <= n hosts now counts the prefix and one sieve
+    run."""
+    yes_digest, digest = hashlib.sha256(), hashlib.sha256()
     answers = []
+    late = 0
     for G, T, seed in _colorcoding_cases():
         res = ktree_colorcoding(G, T, failure_prob=0.2, seed=seed)
         cert = None if res.certificate is None else sorted(res.certificate.items())
         answers.append(res.answer)
-        digest.update(json.dumps([res.answer, cert, res.stats], sort_keys=True).encode())
-    assert (answers.count("yes"), answers.count("no")) == (256, 144)
+        record = json.dumps([res.answer, cert, res.stats], sort_keys=True).encode()
+        digest.update(record)
+        if res.is_yes:
+            yes_digest.update(record)
+            late += res.stats["trials"] > 1 << T.k
+        elif T.k <= G.num_nodes:
+            prefix = min(1 << T.k, solvers.colorcoding_trials(T.k, 0.2))
+            assert res.stats == {"explored": prefix, "trials": prefix, "sieve_runs": 1}
+    assert (answers.count("yes"), answers.count("no"), late) == (256, 144, 10)
+    assert yes_digest.hexdigest() == (
+        "fcc7f525d1835789df697c7bffb369401d1162a31fac795f4ed7fffcfbb2544f")
     assert digest.hexdigest() == (
-        "97f8712294fbcef7bba682de99dd8bcbb5f3103ad7d17b125a7d4f96d16226ee")
+        "4be829dd9bb5ad80c55590e0ef27b1b73b5a99426033d8403d0b6ba9fb7474a5")
 
 
 def _embed_cases():
