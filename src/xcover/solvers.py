@@ -12,7 +12,6 @@ import itertools
 import math
 import os
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 
 from xcover import kernels
@@ -303,16 +302,20 @@ def tree_embed_backtrack(G: Digraph, T: PatternTree,
     """Injective embedding of T into G.
 
     Tree edges must map to host arcs matching their orientation (any
-    direction when T is undirected).  Internal nodes are placed by DFS with
-    degree pruning and symmetric-sibling ordering.  The interchangeable leaf
-    children form leaf groups (one parent, one orientation, one host pool);
-    each group is one slot whose capacity is its leaf count, kept in a
-    b-matching that each placement repairs with augmenting searches (a
-    placement is pruned when no b-matching fills the groups of placed
-    parents).  Before the repair a Hall check drops a placement that leaves
-    some component of the placed groups with fewer free hosts than leaves.
-    The leaves are assigned at the end by one deterministic leaf-by-leaf
-    matching pass.  This keeps star-heavy patterns from exploding.
+    direction when T is undirected).  Internal nodes are placed by DFS in
+    pre-order, the larger subtrees of a node first (ties by node id).
+    Identical sibling subtrees (shape and orientations) take ascending
+    hosts, and a node is tried only on hosts with, along each orientation,
+    at least as many nodes as it has tree edges along it; ``stats`` and
+    ``budget`` count in this order.  The interchangeable leaf children form
+    leaf groups (one parent, one orientation, one host pool); each group is
+    one slot whose capacity is its leaf count, kept in a b-matching that
+    each placement repairs with augmenting searches (a placement is pruned
+    when no b-matching fills the groups of placed parents).  Before the
+    repair a Hall check drops a placement that leaves some component of the
+    placed groups with fewer free hosts than leaves.  The leaves are
+    assigned at the end by one deterministic leaf-by-leaf matching pass.
+    This keeps star-heavy patterns from exploding.
 
     ``stats["explored"]`` counts budget units: one per placement candidate
     tried for an internal node (all a candidate the Hall check drops
@@ -336,19 +339,7 @@ class _EmbedSearch:
         self.T = T
         self.budget = budget
         self.explored = 0
-        self.k = T.k
-        self.children = T.children
-        self.sub_size = self._subtree_sizes()
-        # free leaves are childless non-root nodes; everything else is placed by DFS
-        self.is_free_leaf = [v != T.root and not self.children[v] for v in range(self.k)]
-        self.groups, self.group_leaves = self._leaf_groups()
-        self.order, self.twin_prev = self._internal_order()
-        self.eligible = self._eligible()
-        # parent of leaf groups -> per group, (the host masks along its
-        # orientation, its leaf count), read by _hall
-        self.group_masks = {
-            v: [(G.masks_along[o], len(self.group_leaves[g])) for g, o in gs]
-            for v, gs in self.groups.items()}
+        self._plan()
         self.assign = {}
         self.used = set()
         # ``used`` as a bitmask, for _hall; the matcher's scans test the set,
@@ -364,79 +355,70 @@ class _EmbedSearch:
         self.match = {}  # host -> leaf group holding it
         self.undo = []  # (host, previous group or None), replayed backwards on backtrack
 
-    def _subtree_sizes(self):
-        size = [1] * self.k
-        for v in self.T.post_order:
-            for c in self.children[v]:
+    def _plan(self):
+        """Read the tree in one post-order and one pre-order pass.
+
+        Free leaves are childless non-root nodes; the other, internal nodes
+        are placed by DFS in ``order``.  A leaf group is the free leaf
+        children of one parent with one orientation, so they share one host
+        pool.  ``groups`` maps a parent to its [(group, orientation)],
+        ``group_leaves`` a group to its leaves, and ``group_masks`` a parent
+        to (the host masks along the orientation, the leaf count) per group,
+        read by _hall.
+        """
+        G, T = self.G, self.T
+        k, root, children, orientation = T.k, T.root, T.children, T.orientation
+        self.groups, self.group_leaves, self.group_masks = {}, [], {}
+        # shape[v]: one id per subtree shape, orientations at every node
+        # included; equal ids mean interchangeable subtrees
+        size, shape, shapes = [1] * k, [0] * k, {}
+        # internal node -> orientation -> its tree edges leaving it along it,
+        # its parent edge of orientation o counted as one of ``REVERSED[o]``
+        needs = {}
+        for v in T.post_order:
+            kids = children[v]
+            shape[v] = shapes.setdefault(
+                (orientation[v], tuple(sorted(shape[c] for c in kids))), len(shapes))
+            if not kids and v != root:
+                continue
+            need = needs[v] = {} if v == root else {REVERSED[orientation[v]]: 1}
+            leaves = {}
+            for c in kids:
                 size[v] += size[c]
-        return size
-
-    def _leaf_groups(self):
-        """A leaf group is the free leaf children of one parent with one
-        orientation, so they share one host pool.  Returns parent ->
-        [(group, orientation)] and group -> its leaves."""
-        groups, group_leaves = {}, []
-        for v in range(self.k):
-            by_orient = {}
-            for c in self.children[v]:
-                if self.is_free_leaf[c]:
-                    by_orient.setdefault(self.T.orientation[c], []).append(c)
-            for o, leaves in by_orient.items():
-                groups.setdefault(v, []).append((len(group_leaves), o))
-                group_leaves.append(leaves)
-        return groups, group_leaves
-
-    def _canon(self, v):
-        return (self.T.orientation[v], tuple(sorted(self._canon(c) for c in self.children[v])))
-
-    def _internal_order(self):
-        order = []
-        twin_prev = {}
-        stack = [self.T.root]
+                o = orientation[c]
+                need[o] = need.get(o, 0) + 1
+                if not children[c]:
+                    leaves.setdefault(o, []).append(c)
+            for o, group in leaves.items():
+                self.groups.setdefault(v, []).append((len(self.group_leaves), o))
+                self.group_masks.setdefault(v, []).append((G.masks_along[o], len(group)))
+                self.group_leaves.append(group)
+        # placement order; a twin takes a higher host than its earlier twin
+        self.order, self.twin_prev = [], {}
+        stack = [root]
         while stack:
             v = stack.pop()
-            order.append(v)
-            kids = [c for c in self.children[v] if not self.is_free_leaf[c]]
-            kids.sort(key=lambda c: (-self.sub_size[c], c))
-            # identical sibling subtrees are interchangeable: demand ascending
-            # host images to kill permutation symmetry
-            by_canon = {}
+            self.order.append(v)
+            kids = sorted((c for c in children[v] if children[c]), key=lambda c: (-size[c], c))
+            last = {}
             for c in kids:
-                canon = self._canon(c)
-                prev = by_canon.get(canon)
-                if prev is not None:
-                    twin_prev[c] = prev
-                by_canon[canon] = c
-            for c in reversed(kids):
-                stack.append(c)
-        return order, twin_prev
-
-    def _eligible(self):
-        """Internal tree node -> the bitmask of the hosts with, along each
-        orientation, at least as many nodes as the node has tree edges of it
-        (its parent edge of orientation o counted as one of ``REVERSED[o]``)."""
-        n = self.G.num_nodes
-        needs = {v: Counter() for v in self.order}
-        for p, v, o in self.T.edge_list():
-            if p in needs:
-                needs[p][o] += 1
-            if v in needs:
-                needs[v][REVERSED[o]] += 1
+                if shape[c] in last:
+                    self.twin_prev[c] = last[shape[c]]
+                last[shape[c]] = c
+            stack.extend(reversed(kids))
         # at_least[o][c]: the hosts with at least c nodes along o; a node may
         # need up to k - 1, more than any host has
-        at_least = {}
+        n, at_least = G.num_nodes, {}
         for o in {o for need in needs.values() for o in need}:
-            masks = at_least[o] = [0] * (max(n, self.k) + 1)
+            masks = at_least[o] = [0] * (max(n, k) + 1)
             for u in range(n):
-                masks[len(self.G.along(u, o))] |= 1 << u
+                masks[len(G.along(u, o))] |= 1 << u
             for c in range(len(masks) - 2, -1, -1):
                 masks[c] |= masks[c + 1]
-        out = {}
+        self.eligible = {v: (1 << n) - 1 for v in needs}
         for v, need in needs.items():
-            out[v] = (1 << n) - 1
             for o, c in need.items():
-                out[v] &= at_least[o][c]
-        return out
+                self.eligible[v] &= at_least[o][c]
 
     def _tick(self):
         self.explored += 1
@@ -457,9 +439,7 @@ class _EmbedSearch:
             cands = range(self.G.num_nodes)
         else:
             cands = self.G.along(self.assign[self.T.parent[v]], self.T.orientation[v])
-        floor = -1
-        if v in self.twin_prev:
-            floor = self.assign[self.twin_prev[v]]
+        floor = self.assign[self.twin_prev[v]] if v in self.twin_prev else -1
         used, eligible = self.used, self.eligible[v]
         used_mask, comps, new = self.used_mask, self.comps, self.group_masks.get(v, ())
         for u in cands:
@@ -658,18 +638,18 @@ def ktree_colorcoding(G: Digraph, T: PatternTree, failure_prob: float = 0.01,
     and ``tree_embed_backtrack`` finds one on the hosts left.  Such a yes,
     and a no, add ``sieve_runs``.  Raises BudgetExceededError before the
     first trial when the trials, or the 2^k passes of each sieve run,
-    exceed ``budget``.
+    exceed ``budget``, and PreconditionError unless 0 < failure_prob < 1.
     """
     k = T.k
     if k > DEFAULT_CAP_K:
         raise CapacityError(
             f"pattern of {k} nodes exceeds the color-coding cap of {DEFAULT_CAP_K}")
+    trials = colorcoding_trials(k, failure_prob)
     n = G.num_nodes
     if k > n:
         return SolveResult("no", stats={"explored": 0, "trials": 0, "sieve_runs": 0})
     if k == 1:
         return SolveResult("yes", certificate={T.root: 0}, stats={"explored": 0, "trials": 0})
-    trials = colorcoding_trials(k, failure_prob)
     runs = sieve_runs(k, failure_prob)
     for planned, what in ((trials, "color-coding trials"), (runs << k, "sieve passes")):
         if planned > budget:

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from xcover.cli import main
-from xcover.instances import gen_planted, parse_instance, serialize_instance
+from xcover.instances import Digraph, PatternTree, gen_planted, parse_instance, serialize_instance
 
 
 @pytest.fixture()
@@ -135,6 +135,22 @@ def test_ktree_budget_bounds_the_planned_sieve_passes(run, tmp_path):
     record = json.loads(out)
     assert code == 0 and record["answer"] == "yes"
     assert record["stats"]["trials"] == 2 and record["stats"]["sieve_runs"] > 1
+
+
+@pytest.mark.parametrize("tree, bad, answer", [
+    (PatternTree(3, 0, (-1, 0, 1), ("und",) * 3), "5", "no"),  # more tree nodes than hosts
+    (PatternTree(1, 0, (-1,), ("und",)), "-1", "yes"),
+])
+def test_ktree_rejects_a_bad_failure_prob_before_its_early_answers(run, tmp_path, tree, bad,
+                                                                   answer):
+    (tmp_path / "h.digraph").write_text(serialize_instance(Digraph(2, frozenset({(0, 1)}))))
+    (tmp_path / "t.tree").write_text(serialize_instance(tree))
+    files = [str(tmp_path / "h.digraph"), str(tmp_path / "t.tree")]
+    code, out, err = run("solve", "ktree", *files, "--failure-prob", bad)
+    assert code == 3 and out == ""
+    assert err == "error: failure_prob must lie in (0, 1)\n"
+    code, out, _ = run("solve", "ktree", *files)
+    assert code == 0 and json.loads(out)["answer"] == answer
 
 
 def test_unknown_subcommand_exits_2(run):

@@ -390,6 +390,25 @@ def test_embed_leaf_host_displaced_by_parent():
     assert not oracle_embeds(g3, t)
 
 
+def test_embed_twins_need_equal_orientations_below_them():
+    # children 1 and 2 of the root have equal sizes and edges, but 1's child
+    # hangs on a fwd edge and 2's on a rev one; the only embedding puts 2 on
+    # a lower host than 1, which twins would forbid
+    t = PatternTree(5, 0, (-1, 0, 0, 1, 2), ("und", "fwd", "fwd", "fwd", "rev"))
+    g = Digraph(5, frozenset({(0, 1), (0, 2), (2, 3), (4, 1)}))
+    res = tree_embed_backtrack(g, t)
+    assert res.is_yes and verify_embedding(g, t, res.certificate)
+    assert res.certificate == {0: 0, 1: 2, 2: 1, 3: 3, 4: 4}
+
+
+def test_hall_drops_a_component_that_loses_its_last_free_host():
+    # no new groups: only the first loop runs, on a component of hosts 1 and
+    # 2 that needs both once host 1 is taken
+    assert solvers._EmbedSearch._hall(((0b110, 2),), 0b010, 1, ()) is None
+    comps = ((0b1110, 2),)
+    assert solvers._EmbedSearch._hall(comps, 0b0010, 1, ()) == comps
+
+
 @st.composite
 def _pendant_case(draw):
     """2-3 parents (node ids first, so the oracle checks each leaf as it is
