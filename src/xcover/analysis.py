@@ -450,12 +450,19 @@ def _family_ham(cfg):
 
 def _ktree_family(instances, oracle):
     """The partition-tree pipeline (g = 2) against a DP oracle on each
-    instance; a family that handed no tree to the embedder certified
-    nothing about it and fails."""
+    instance, and the DP oracle against the kernel-free brute force (the
+    pipeline's large-set preprocessing runs the DP's kernel); a family
+    that handed no tree to the embedder certified nothing about it and
+    fails."""
     failures = []
     trees_embedded = 0
     for inst in instances:
         dp = oracle(inst)
+        bf = setcover_bruteforce(inst)
+        if (dp.answer, dp.optimum) != (bf.answer, bf.optimum):
+            failures.append({"check": "dp_vs_bruteforce",
+                             "instance": serialize_instance(inst),
+                             "dp": dp.optimum, "bruteforce": bf.optimum})
         kt = solve_setcover_via_ktree(inst, 2)
         trees_embedded += kt.stats["trees_tried"]
         if (dp.answer, dp.optimum) != (kt.answer, kt.optimum):

@@ -76,24 +76,49 @@ def enumerate_partitions(a: int) -> Iterator[Partition]:
             parts.append(rem % v)
 
 
-def partitions_with_length(a: int, length: int) -> Iterator[Partition]:
-    """Partitions of ``a`` into exactly ``length`` parts, descending-lex."""
-    if a < 0 or length < 0:
-        raise PreconditionError("need a >= 0 and length >= 0")
+def partitions_with_length(a: int, length: int, g: int = 1,
+                           max_size: int | None = None) -> Iterator[Partition]:
+    """Partitions of ``a`` into exactly ``length`` parts, descending-lex.
 
-    def rec(total, count, cap):
-        if count == 0:
-            if total == 0:
-                yield ()
+    Only the partitions alpha whose ``shrink_partition(alpha, g)`` fits
+    ``max_size`` are built: every grouped sum is at most ``g * max_size``
+    and every remainder part at most ``max_size``.  The defaults (g = 1,
+    max_size = a) keep every partition.
+    """
+    if max_size is None:
+        max_size = a
+    if a < 0 or length < 0 or g < 1 or max_size < 0:
+        raise PreconditionError("need a >= 0, length >= 0, g >= 1 and max_size >= 0")
+    if length == 0:
+        if a == 0:
+            yield Partition(())
+        return
+    blocked = length - length % g  # the positions below this fall in blocks of g
+    parts = [0] * length
+
+    def rec(pos, total, cap, room):
+        if pos == length:
+            yield Partition(tuple(parts))
             return
-        lo = -(-total // count)  # ceil: first part must leave room for the rest
-        hi = min(cap, total - (count - 1))
+        count = length - pos
+        if pos >= blocked:
+            room, in_block = max_size, 0
+        else:
+            if pos % g == 0:
+                room = g * max_size
+            in_block = g - 1 - pos % g  # later positions of this block
+        later = count - 1 - in_block
+        lo = max(1, -(-total // count))  # no later part is larger, so at least the mean
+        hi = min(cap, total - (count - 1), room - in_block)
         for first in range(hi, lo - 1, -1):
-            for rest in rec(total - first, count - 1, first):
-                yield (first,) + rest
+            # the most the later parts can hold, none above ``first``; it
+            # shrinks with ``first``, so no smaller first part fits either
+            if min(in_block * first, room - first) + later * min(first, max_size) < total - first:
+                break
+            parts[pos] = first
+            yield from rec(pos + 1, total - first, first, room - first)
 
-    for parts in rec(a, length, a):
-        yield Partition(parts)
+    yield from rec(0, a, a, 0)
 
 
 _COUNT_CACHE = [1]

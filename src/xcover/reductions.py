@@ -711,12 +711,19 @@ def pattern_tree_size(alpha: Partition, g: int, n: int) -> int:
     return 4 + 4 * _pendant_count(n, g) + len(shrunk.entries()) + alpha.total
 
 
-def leaf_partitions(inst: SetCoverInstance) -> Iterator[Partition]:
+def leaf_partitions(inst: SetCoverInstance, g: int = 1,
+                    max_size: int | None = None) -> Iterator[Partition]:
     """Partitions of the leaf total (n, or p for a partial cover) in
-    ascending part count: the order setcover_to_ktree tries them in."""
+    ascending part count, each count in descending-lex order.
+
+    With the defaults every partition comes out; ``reduce`` emits them
+    all.  setcover_to_ktree passes its g and its largest set size and gets
+    only the partitions whose stars fit (see partitions_with_length), in
+    the same order.
+    """
     total = _leaf_total(inst)
     for length in range(1, total + 1):
-        yield from partitions_with_length(total, length)
+        yield from partitions_with_length(total, length, g, max_size)
 
 
 def _leaf_total(inst: SetCoverInstance) -> int:
@@ -782,8 +789,12 @@ def setcover_to_ktree(inst: SetCoverInstance, g: int,
     p for a partial one; leaves map injectively into element nodes, so an
     embedding covers at least that many elements.  Partitions are tried in
     ascending part count; the first accepted partition length is the
-    optimum.  Requires the preprocessed size bound and the numeric forcing
-    margins; both are checked, never assumed.
+    optimum.  Only the partitions whose stars can embed are generated: a
+    grouped star (g parts) has at most g * max_size leaves and a remainder
+    star at most max_size, max_size being the largest set's size; a larger
+    star outgrows every element neighborhood its center can map to.
+    Requires the preprocessed size bound and the numeric forcing margins;
+    both are checked, never assumed.
     """
     n, total = inst.n, _leaf_total(inst)
     if total == 0:
@@ -803,13 +814,7 @@ def setcover_to_ktree(inst: SetCoverInstance, g: int,
         return SolveResult("infeasible", stats=_ktree_stats())
     max_size = max((len(s) for s in inst.sets), default=0)
     trees_tried = explored = 0
-    for alpha in leaf_partitions(inst):
-        shrunk = shrink_partition(alpha, g)
-        # stars larger than any achievable neighborhood cannot embed
-        if any(v > max_size for v in shrunk.remainder):
-            continue
-        if any(v > g * max_size for v in shrunk.grouped):
-            continue
+    for alpha in leaf_partitions(inst, g, max_size):
         tree = build_pattern_tree(alpha, g, n)
         trees_tried += 1
         res = tree_embed_backtrack(bundle.host, tree, budget=budget)

@@ -161,8 +161,11 @@ def setcover_dp(inst: SetCoverInstance) -> SolveResult:
 def setcover_bruteforce(inst: SetCoverInstance) -> SolveResult:
     """Oracle: enumerate sub-collections by increasing cardinality.
 
-    Independent of the DP kernels.  Duplicate sets are collapsed before
-    enumeration (the representative's original index is reported).
+    Honours the variant: the union must hold all n elements, at least p
+    for a partial cover (p = 0 takes no set), and an exact cover's sets
+    must also be pairwise disjoint.  Independent of the DP kernels.
+    Duplicate sets are collapsed before enumeration (the representative's
+    original index is reported); an exact cover cannot use both copies.
     """
     seen = {}
     for j, s in enumerate(inst.sets):
@@ -171,11 +174,12 @@ def setcover_bruteforce(inst: SetCoverInstance) -> SolveResult:
     if len(reps) > DEFAULT_CAP_M_BRUTE:
         raise CapacityError(
             f"{len(reps)} distinct sets exceed the brute-force cap of {DEFAULT_CAP_M_BRUTE}")
-    universe = set(range(inst.n))
+    target = inst.p if inst.variant == PARTIAL else inst.n
+    exact = inst.variant == EXACT
     union = set()
     for j in reps:
         union.update(inst.sets[j])
-    if union != universe:
+    if len(union) < target:
         return SolveResult("infeasible", stats={"explored": 0})
     explored = 0
     for c in range(0, len(reps) + 1):
@@ -184,9 +188,12 @@ def setcover_bruteforce(inst: SetCoverInstance) -> SolveResult:
             got = set()
             for j in combo:
                 got.update(inst.sets[j])
-            if got == universe:
-                return SolveResult("optimum", optimum=c, certificate=list(combo),
-                                   stats={"explored": explored})
+            if len(got) < target:
+                continue
+            if exact and sum(len(inst.sets[j]) for j in combo) != len(got):
+                continue
+            return SolveResult("optimum", optimum=c, certificate=list(combo),
+                               stats={"explored": explored})
     return SolveResult("infeasible", stats={"explored": explored})
 
 

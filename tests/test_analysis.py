@@ -19,7 +19,13 @@ from xcover.analysis import (
 from xcover.errors import PreconditionError
 from xcover.instances import Digraph, SetCoverInstance, gen_random, parse_instance
 from xcover.reductions import ntree_to_setcover
-from xcover.solvers import exactcover_with_large_sets, setcover_dp, verify_exact_cover
+from xcover.solvers import (
+    exactcover_with_large_sets,
+    partialcover_dp,
+    setcover_bruteforce,
+    setcover_dp,
+    verify_exact_cover,
+)
 
 
 def test_lambda_value_at_two():
@@ -113,6 +119,25 @@ def test_suite_ktree_families_count_embedded_trees():
     assert not idle["passed"]
     assert idle["families"]["partial_ktree"]["failures"] == [
         {"check": "coverage", "trees_embedded": 0}]
+
+
+def test_suite_ktree_families_check_the_dp_against_brute_force(monkeypatch):
+    def off_by_one(inst):
+        res = partialcover_dp(inst)
+        if res.answer == "optimum":
+            res.optimum += 1
+        return res
+
+    monkeypatch.setattr(analysis, "partialcover_dp", off_by_one)
+    report = run_verification_suite({"families": ["partial_ktree"]})
+    assert not report["passed"]
+    flagged = [f for f in report["families"]["partial_ktree"]["failures"]
+               if f["check"] == "dp_vs_bruteforce"]
+    assert flagged
+    for failure in flagged:
+        inst = parse_instance(failure["instance"])
+        assert failure["bruteforce"] == setcover_bruteforce(inst).optimum
+        assert failure["dp"] == failure["bruteforce"] + 1
 
 
 def test_suite_decision_families_count_both_answers():

@@ -74,6 +74,27 @@ def test_partitions_with_length():
             assert got == sorted(got, reverse=True)
 
 
+def test_partitions_with_length_bounds_the_shrunk_stars():
+    # blocks of g consecutive parts sum to at most g * max_size, and each of
+    # the last len mod g parts is at most max_size
+    for a in range(0, 11):
+        for length in range(0, a + 2):
+            for g in (1, 2, 3):
+                for max_size in range(0, 4):
+                    got = [p.parts for p in partitions_with_length(a, length, g, max_size)]
+                    blocked = length - length % g
+                    want = [t for t in brute_partitions(a) if len(t) == length
+                            and all(sum(t[i:i + g]) <= g * max_size
+                                    for i in range(0, blocked, g))
+                            and all(v <= max_size for v in t[blocked:])]
+                    assert got == want, (a, length, g, max_size)
+    assert [p.parts for p in partitions_with_length(0, 1)] == []
+    with pytest.raises(PreconditionError):
+        list(partitions_with_length(4, 2, g=0))
+    with pytest.raises(PreconditionError):
+        list(partitions_with_length(4, 2, max_size=-1))
+
+
 def coin_dp_count(a):
     """Second independent oracle: classic parts-as-coins DP."""
     dp = [1] + [0] * a

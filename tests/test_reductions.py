@@ -17,13 +17,14 @@ from xcover.instances import (
     gen_planted,
     gen_random,
 )
-from xcover.partitions import Partition, enumerate_partitions
+from xcover.partitions import Partition, enumerate_partitions, shrink_partition
 from xcover.reductions import (
     build_host_graph,
     build_pattern_tree,
     check_cover_properties,
     decide_stream,
     ham_to_setcover,
+    leaf_partitions,
     ntree_to_setcover,
     pattern_tree_size,
     ppc_preprocess_large,
@@ -569,6 +570,42 @@ def test_sck_yes_direction_upper_bound():
     inst = _crafted_inst()
     res = setcover_to_ktree(inst, 2)
     assert res.optimum <= 4
+
+
+def test_leaf_partitions_enumerate_exactly_the_partitions_whose_stars_fit():
+    # the filter setcover_to_ktree applied to every partition before it
+    # generated only these, in the same order
+    def fits(alpha, g, max_size):
+        shrunk = shrink_partition(alpha, g)
+        return (all(v <= max_size for v in shrunk.remainder)
+                and all(v <= g * max_size for v in shrunk.grouped))
+
+    for total in range(0, 15):
+        inst = SetCoverInstance(total, ())
+        every = list(leaf_partitions(inst))
+        for g in range(1, 5):
+            for max_size in range(0, total + 2):
+                want = [a for a in every if fits(a, g, max_size)]
+                assert list(leaf_partitions(inst, g, max_size)) == want, (total, g, max_size)
+    # g = 2, sets of 2: blocks of two parts sum to at most 4, a lone last part is at most 2
+    assert [a.parts for a in leaf_partitions(SetCoverInstance(8, ()), 2, 2)] == [
+        (2, 2, 2, 2), (2, 2, 2, 1, 1), (3, 1, 1, 1, 1, 1), (2, 2, 1, 1, 1, 1),
+        (2, 1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1, 1, 1)]
+
+
+def test_sck_builds_one_partition_per_tree_tried(monkeypatch):
+    built = []
+    init = Partition.__post_init__
+
+    def counted(self):
+        built.append(self.parts)
+        init(self)
+
+    monkeypatch.setattr(Partition, "__post_init__", counted)
+    inst = SetCoverInstance(8, ((0, 1), (2, 3), (4, 5), (6,), (7,)))
+    res = setcover_to_ktree(inst, 2)
+    assert (res.optimum, res.stats["trees_tried"]) == (5, 2)
+    assert built == [(2, 2, 2, 2), (2, 2, 2, 1, 1)]
 
 
 def test_sck_infeasible_instance():

@@ -96,6 +96,45 @@ def test_setcover_bruteforce_example():
     assert setcover_bruteforce(SetCoverInstance(0, ())).optimum == 0
 
 
+def test_setcover_bruteforce_honours_the_partial_variant():
+    inst = SetCoverInstance(4, ((0, 1), (2,), (3,)), variant=PARTIAL, p=2)
+    res = setcover_bruteforce(inst)
+    assert (res.optimum, res.certificate) == (1, [0])
+    assert res.optimum == partialcover_dp(inst).optimum
+    none = setcover_bruteforce(SetCoverInstance(4, inst.sets, variant=PARTIAL, p=0))
+    assert (none.optimum, none.certificate) == (0, [])
+    short = SetCoverInstance(4, ((0, 1), (2,)), variant=PARTIAL, p=4)
+    assert setcover_bruteforce(short).answer == "infeasible"
+
+
+def test_setcover_bruteforce_honours_the_exact_variant():
+    # {0,1} and {1,2} cover everything but overlap
+    inst = SetCoverInstance(3, ((0, 1), (1, 2), (2,)), variant=EXACT)
+    res = setcover_bruteforce(inst)
+    assert (res.optimum, res.certificate) == (2, [0, 2])
+    assert verify_exact_cover(inst, res.certificate)
+    overlapping = SetCoverInstance(3, ((0, 1), (1, 2)), variant=EXACT)
+    assert setcover_bruteforce(overlapping).answer == "infeasible"
+
+
+def test_bruteforce_equals_partial_and_exact_dp_fuzz():
+    rng = random.Random(23)
+    for t in range(150):
+        n = rng.randint(1, 8)
+        base = gen_random("setcover", seed=t, n=n, m=rng.randint(0, 8),
+                          max_set_size=rng.randint(1, n))
+        for inst, dp in (
+                (SetCoverInstance(n, base.sets, variant=PARTIAL, p=rng.randint(0, n)),
+                 partialcover_dp),
+                (SetCoverInstance(n, base.sets, variant=EXACT), exactcover_solve)):
+            want, got = dp(inst), setcover_bruteforce(inst)
+            assert (got.answer, got.optimum) == (want.answer, want.optimum), inst
+            if got.answer == "optimum":
+                assert len(got.certificate) == got.optimum
+                check = verify_exact_cover if inst.variant == EXACT else verify_cover
+                assert check(inst, got.certificate)
+
+
 def test_dp_equals_bruteforce_fuzz():
     rng = random.Random(3)
     for t in range(120):
