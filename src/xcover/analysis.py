@@ -50,7 +50,6 @@ from xcover.solvers import (
     tree_embed_backtrack,
     verify_cover,
     verify_embedding,
-    verify_exact_cover,
     verify_ham_cycle,
 )
 
@@ -313,7 +312,7 @@ def _exactcover_disagrees(inst, delta):
     if (a.answer, a.optimum) != (b.answer, b.optimum):
         return True
     return a.answer == "optimum" and not all(
-        verify_exact_cover(inst, r.certificate) and len(r.certificate) == r.optimum
+        verify_cover(inst, r.certificate) and len(r.certificate) == r.optimum
         for r in (a, b))
 
 
@@ -346,7 +345,7 @@ def _family_ntree(cfg):
         T = gen_random("tree", seed=cfg.seed + 2 * t + 1, k=nt, oriented=True)
         G = gen_random("digraph", seed=cfg.seed + 2 * t, n=nt,
                        edge_probability=rng.choice([0.25, 0.4, 0.55]))
-        bt = tree_embed_backtrack(G, T).is_yes
+        bt = _embed_oracle(G, T, failures)
         counts["yes" if bt else "no"] += 1
         decision = decide_stream(ntree_to_setcover(G, T, delta, variant, live_only=True))
         counts["instances_distinct"] += decision.distinct
@@ -390,6 +389,16 @@ def _family_ntree(cfg):
     if variant == LITERAL:
         notes["over_accepts"] = over_accepts
     return _family_result(cases, failures, notes, bounds)
+
+
+def _embed_oracle(G, T, failures):
+    """Whether the backtracking embedder embeds T into G; a yes whose
+    mapping is not an embedding adds an ``oracle_certificate`` failure."""
+    res = tree_embed_backtrack(G, T)
+    if res.is_yes and not verify_embedding(G, T, res.certificate):
+        failures.append({"check": "oracle_certificate", "graph": serialize_instance(G),
+                         "tree": serialize_instance(T)})
+    return res.is_yes
 
 
 def _graph_pair_failure(G, T, delta, variant, check):
@@ -512,9 +521,10 @@ def _family_partial_ktree(cfg):
 
 def _family_colorcoding(cfg):
     """ktree_colorcoding, and the tree sieve alone, against the backtracking
-    embedder: a yes must be one, ktree_colorcoding's with a verified
-    embedding, and a miss at failure_prob 1e-6 is a bug.  ``sieve_answers``
-    counts ktree_colorcoding's answers that carry ``stats["sieve_runs"]``."""
+    embedder: a yes must be one, ktree_colorcoding's and the embedder's
+    with a verified embedding, and a miss at failure_prob 1e-6 is a bug.
+    ``sieve_answers`` counts ktree_colorcoding's answers that carry
+    ``stats["sieve_runs"]``."""
     rng = random.Random(cfg.seed * 11 + 10)
     failures = []
     counts = {"yes": 0, "no": 0, "missed_yes": 0, "sieve_answers": 0}
@@ -526,8 +536,8 @@ def _family_colorcoding(cfg):
         # sparse hosts every other case, so that both answers occur
         G = gen_random("digraph", seed=cfg.seed + 23 * t + 1, n=n,
                        edge_probability=0.1 if t % 2 else 0.4)
-        bt = tree_embed_backtrack(G, T)
-        counts["yes" if bt.is_yes else "no"] += 1
+        bt = _embed_oracle(G, T, failures)
+        counts["yes" if bt else "no"] += 1
         cc = ktree_colorcoding(G, T, failure_prob=1e-6, seed=cfg.seed + t)
         counts["sieve_answers"] += "sieve_runs" in cc.stats
         if cc.is_yes and not verify_embedding(G, T, cc.certificate):
@@ -539,10 +549,10 @@ def _family_colorcoding(cfg):
                                        f"verify {cfg.seed + t} {r}")
                     for r in range(sieve_runs(k, 1e-6)))
         for route, yes in (("colorcoding", cc.is_yes), ("sieve", sieve)):
-            if yes and not bt.is_yes:
+            if yes and not bt:
                 failures.append({"check": "one_sided", "route": route,
                                  "graph": serialize_instance(G), "tree": serialize_instance(T)})
-            elif bt.is_yes and not yes:
+            elif bt and not yes:
                 counts["missed_yes"] += 1
     if counts["missed_yes"]:
         failures.append({"check": "missed_yes", "count": counts["missed_yes"]})

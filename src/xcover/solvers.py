@@ -82,26 +82,17 @@ def _check_cap_n(n):
 
 def verify_cover(inst: SetCoverInstance, indices) -> bool:
     """The named sets cover every element, or at least p of them for a
-    partial-variant instance."""
-    got = set()
+    partial-variant instance; on an exact-variant instance no two of them
+    share an element."""
+    got, exact = set(), inst.variant == EXACT
     for j in indices:
         if not 0 <= j < inst.m:
+            return False
+        if exact and not got.isdisjoint(inst.sets[j]):
             return False
         got.update(inst.sets[j])
     if inst.variant == PARTIAL:
         return len(got) >= inst.p
-    return got == set(range(inst.n))
-
-
-def verify_exact_cover(inst: SetCoverInstance, indices) -> bool:
-    got = set()
-    for j in indices:
-        if not 0 <= j < inst.m:
-            return False
-        s = set(inst.sets[j])
-        if got & s:
-            return False
-        got |= s
     return got == set(range(inst.n))
 
 
@@ -320,17 +311,16 @@ def tree_embed_backtrack(G: Digraph, T: PatternTree,
     each placement repairs with augmenting searches (a placement is pruned
     when no b-matching fills the groups of placed parents).  Before the
     repair a Hall check drops a placement that leaves some component of the
-    placed groups with fewer free hosts than leaves.  The leaves are
-    assigned at the end by one deterministic leaf-by-leaf matching pass.
-    This keeps star-heavy patterns from exploding.
+    placed groups with fewer free hosts than leaves.  Once every internal
+    node is placed, each group's matched hosts, ascending, go to its leaves
+    in ascending id order.  This keeps star-heavy patterns from exploding.
 
     ``stats["explored"]`` counts budget units: one per placement candidate
     tried for an internal node (all a candidate the Hall check drops
     spends), one per group fill (a newly placed group taking free hosts of
-    its pool, counted only after the Hall check passes), one per group
-    expanded by an augmenting search, and one per leaf expanded by the final
-    matching pass.  Raises BudgetExceededError once more than ``budget``
-    units would be spent.
+    its pool, counted only after the Hall check passes) and one per group
+    expanded by an augmenting search.  Raises BudgetExceededError once more
+    than ``budget`` units would be spent.
     """
     searcher = _EmbedSearch(G, T, budget)
     mapping = searcher.run()
@@ -355,7 +345,8 @@ class _EmbedSearch:
         # (free hosts at merge time, leaf demand) per component of the placed
         # groups, linked when their free pools meet (see _hall)
         self.comps = ()
-        # group matching kept across placements (see _extend_matching):
+        # group matching kept across placements (see _extend_matching), the
+        # leaves' hosts once the search ends (see _leaf_mapping):
         # group -> hosts its leaves may take, set when its parent is placed;
         # ``used`` is checked on use
         self.group_pool = [()] * len(self.group_leaves)
@@ -440,7 +431,7 @@ class _EmbedSearch:
 
     def _place(self, idx):
         if idx == len(self.order):
-            return self._match_leaves()
+            return self._leaf_mapping()
         v = self.order[idx]
         if v == self.T.root:
             cands = range(self.G.num_nodes)
@@ -579,36 +570,20 @@ class _EmbedSearch:
             else:
                 match[w] = g
 
-    def _match_leaves(self):
-        """Final leaf assignment, independent of the search's matching.
+    def _leaf_mapping(self):
+        """The embedding once every internal node is placed: each group's
+        matched hosts, ascending, go to its leaves, in ascending id order.
 
-        Slots go smallest pool first (ties by leaf id) and augment over their
-        pool in ascending host order, so the mapping depends only on the
-        placement of the internal nodes.  The search guarantees that a
-        perfect matching exists.
+        Every group is full then (see _extend_matching), and no matched host
+        is used: a placement pops its host from the matching first, and the
+        augmenting searches skip used hosts.
         """
-        slots = []
-        for g, leaves in enumerate(self.group_leaves):
-            pool = [w for w in self.group_pool[g] if w not in self.used]
-            slots.extend((leaf, pool) for leaf in leaves)
-        slots.sort(key=lambda s: (len(s[1]), s[0]))
-        matched = {}
-
-        def augment(i, visited):
-            self._tick()
-            for w in slots[i][1]:
-                if w in visited:
-                    continue
-                visited.add(w)
-                if w not in matched or augment(matched[w], visited):
-                    matched[w] = i
-                    return True
-            return False
-
-        for i in range(len(slots)):
-            augment(i, set())
+        hosts = [[] for _ in self.group_leaves]
+        for w, g in self.match.items():
+            hosts[g].append(w)
         mapping = dict(self.assign)
-        mapping.update((slots[i][0], w) for w, i in matched.items())
+        for leaves, pool in zip(self.group_leaves, hosts):
+            mapping.update(zip(leaves, sorted(pool)))
         return mapping
 
 

@@ -24,7 +24,9 @@ from xcover.solvers import (
     partialcover_dp,
     setcover_bruteforce,
     setcover_dp,
-    verify_exact_cover,
+    tree_embed_backtrack,
+    verify_cover,
+    verify_embedding,
 )
 
 
@@ -193,7 +195,28 @@ def test_suite_exactcover_large_rejects_an_overlapping_certificate(monkeypatch):
     for failure in failures:
         inst = parse_instance(failure["instance"])
         res = overlapping(inst, failure["delta"])
-        assert not verify_exact_cover(inst, res.certificate)
+        assert not verify_cover(inst, res.certificate)
+
+
+def test_suite_embed_families_reject_a_non_injective_oracle_certificate(monkeypatch):
+    def corrupted(G, T):
+        # same answer, but a leaf (the first node in post-order) shares the
+        # root's host
+        res = tree_embed_backtrack(G, T)
+        if res.is_yes and T.k > 1:
+            res.certificate[T.post_order[0]] = res.certificate[T.root]
+        return res
+
+    monkeypatch.setattr(analysis, "tree_embed_backtrack", corrupted)
+    report = run_verification_suite({"families": ["ntree", "colorcoding"]})
+    for name in ("ntree", "colorcoding"):
+        failures = [f for f in report["families"][name]["failures"]
+                    if f["check"] == "oracle_certificate"]
+        assert failures, name
+        for failure in failures:
+            G, T = parse_instance(failure["graph"]), parse_instance(failure["tree"])
+            assert verify_embedding(G, T, tree_embed_backtrack(G, T).certificate)
+            assert not verify_embedding(G, T, corrupted(G, T).certificate)
 
 
 def test_suite_literal_variant_reports_over_accepts():

@@ -219,21 +219,22 @@ def test_generate_planted_with_witness(run, tmp_path):
     assert sorted(witness["order"]) == list(range(6))
 
 
-# (seed, k, host n, oriented) -> certificate of `solve embed`, captured
-# before the leaf matching became incremental
+# (seed, k, host n, oriented) -> certificate of `solve embed`, re-taken when
+# the leaves came to be read off the search's b-matching (seed 2's leaves 4
+# and 5 swapped hosts)
 EMBED_GOLDEN_PLANTED = {
     (1, 6, 9, False): {"0": 0, "1": 3, "2": 2, "3": 7, "4": 1, "5": 4},
-    (2, 7, 10, True): {"0": 6, "1": 5, "2": 1, "3": 4, "4": 8, "5": 3, "6": 2},
+    (2, 7, 10, True): {"0": 6, "1": 5, "2": 1, "3": 4, "4": 3, "5": 8, "6": 2},
     (3, 8, 12, False): {"0": 4, "1": 6, "2": 3, "3": 5, "4": 1, "5": 2, "6": 7, "7": 0},
     (4, 8, 11, True): {"0": 8, "1": 0, "2": 3, "3": 4, "4": 7, "5": 6, "6": 1, "7": 5},
 }
 # cover seed -> {pattern tree of `reduce sc-to-ktree` (n=8, m=6, g=2):
 # sha256 prefix of the certificate's JSON, or None for a no}
 EMBED_GOLDEN_REDUCED = {
-    5: {"produced_000000.tree": None, "produced_000017.tree": "6e0ac4202be388a4",
-        "produced_000018.tree": "a1c475b462fa810e"},
-    6: {"produced_000000.tree": None, "produced_000017.tree": "1329a616c90c47cd",
-        "produced_000018.tree": "9a00ad48e4605b86"},
+    5: {"produced_000000.tree": None, "produced_000017.tree": "feb8877f47cb6ad8",
+        "produced_000018.tree": "b1db9de57cfd4f81"},
+    6: {"produced_000000.tree": None, "produced_000017.tree": "5a7e88c615212ed2",
+        "produced_000018.tree": "97acb4cd150aeba5"},
 }
 
 

@@ -149,12 +149,12 @@ GOLDEN = {
     "pipeline-ntree-yes-anchored": "1c34d37cdc67d1589499526e1776254282fcfa546da37a6de147ba261dd6ecd4",
     "pipeline-ntree-yes-literal": "29cb64e2294513dcfd1a47c91f3aae39c26e67b75630d37421fe9317be858b41",
     "pipeline-ppc-ktree-bound": "20932160aaadf6ce5a6770096dba22e4e74e0aa60298b269b1ff2a71f5605846",
-    "pipeline-ppc-ktree-large": "22385f19e16606ad1d1138c188cbbbd0f5778bed6ed03c6475793388f0817a37",
+    "pipeline-ppc-ktree-large": "8fad4501fadb3ab9140291d0ec6b9cd7718985bc8b2b8c94a77b76ef0147047b",
     "pipeline-ppc-ktree-p0": "197ddaf3ac6e42997371b7c08f1c3b18c2f053e75594ff4bb42d0004aac9e3d2",
-    "pipeline-ppc-ktree-small": "e3ef1683424daf3ea2bc6719b4bad82c87442775a26d2cf6c531c7c7c43ccd99",
+    "pipeline-ppc-ktree-small": "b10ee8307bb3dd59548bf2cd32f87433384bcaad5a208771d8323382e4cd1af2",
     "pipeline-sc-ktree-infeasible": "8c1ea49480474838a9261358b78189d2edce59b81d7e580bc6a1721d9b51d6af",
-    "pipeline-sc-ktree-large": "284add9957bce776417e7d4ad63c6109d81d0961a04ec1c2d2e5b58e53088430",
-    "pipeline-sc-ktree-small": "5e8ef7399706a2c2dabd851adad8b50957ffdb2420aad393ced0bd7342fdd0ad",
+    "pipeline-sc-ktree-large": "892de90f899a4475c1a3ce4efe13369b0d2c77640828dcec5ff93750d33d41cd",
+    "pipeline-sc-ktree-small": "1ab465f978a095df8b621f04f78e612bd60e8cec43e296476f8f7ca953f38f04",
     "reduce-ham-to-sc": "9b8140d5d65db841f95fd15dada90b1b1e3de5c299eff9e4a1ecfc9b838b9a6a",
     "reduce-ham-to-sc-all-delta2": "fe987812bc1f6b832d7d8398135d5c62c175ea5d4be320159ed6804abbb046b0",
     "reduce-ham-to-sc-all-delta4": "718058a06bd0990da020135ee8dd8a69fa4c2961b883d80062efd90cafbe0f1d",
@@ -166,7 +166,7 @@ GOLDEN = {
     "reduce-sc-to-ktree": "ddb6b9039c0c95293cbd8c30a0196edbb486cc75bb6739c0d7d60d5ff33539b5",
     "reduce-sc-to-ktree-large": "b6f0334734de8476cb7119ca0596029b9973924bfd4670189432991d75675732",
     "verify": "2a5ad01b7959a89800927342971558cbfc36ffe1b3911633ca2e746154408827",
-    "solve-embed": "165ee9c0e8b62cb9532496aaa33042ee2889ca02e7d569c337cd80d9956ece3e",
+    "solve-embed": "fb9c41531c715a0867937b59dac225dbabed801ae00cd8fcbbaf8b590946f9ea",
     "solve-exactcover": "22edcad9f8e2d648b0a01cf9341c57c679955f106536a5a0888f5ada388597f1",
     "solve-exactcover-delta3": "44512d83bdbbf838acf99d46945551f70a0a5c06b84b7b155fe9068409c6ed94",
     "solve-ham-no": "7c9d6221bed2aef7c580d34fcc2004687a3a14d82987c5db54f6c33a980e8b7f",

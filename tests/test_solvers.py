@@ -30,7 +30,6 @@ from xcover.solvers import (
     tree_embed_backtrack,
     verify_cover,
     verify_embedding,
-    verify_exact_cover,
     verify_ham_cycle,
 )
 
@@ -112,7 +111,7 @@ def test_setcover_bruteforce_honours_the_exact_variant():
     inst = SetCoverInstance(3, ((0, 1), (1, 2), (2,)), variant=EXACT)
     res = setcover_bruteforce(inst)
     assert (res.optimum, res.certificate) == (2, [0, 2])
-    assert verify_exact_cover(inst, res.certificate)
+    assert verify_cover(inst, res.certificate)
     overlapping = SetCoverInstance(3, ((0, 1), (1, 2)), variant=EXACT)
     assert setcover_bruteforce(overlapping).answer == "infeasible"
 
@@ -131,8 +130,7 @@ def test_bruteforce_equals_partial_and_exact_dp_fuzz():
             assert (got.answer, got.optimum) == (want.answer, want.optimum), inst
             if got.answer == "optimum":
                 assert len(got.certificate) == got.optimum
-                check = verify_exact_cover if inst.variant == EXACT else verify_cover
-                assert check(inst, got.certificate)
+                assert verify_cover(inst, got.certificate)
 
 
 def test_dp_equals_bruteforce_fuzz():
@@ -170,6 +168,15 @@ def test_verify_cover_partial_target():
     assert not verify_cover(inst, [0, 3])
     plain = SetCoverInstance(6, inst.sets)
     assert not verify_cover(plain, [0, 1])
+
+
+def test_verify_cover_honours_the_exact_variant():
+    # {0,1} and {1,2} cover everything but share element 1
+    inst = SetCoverInstance(3, ((0, 1), (1, 2), (2,)), variant=EXACT)
+    assert not verify_cover(inst, [0, 1])
+    assert verify_cover(inst, [0, 2])
+    assert not verify_cover(inst, [0, 2, 2])
+    assert verify_cover(SetCoverInstance(3, inst.sets), [0, 1])
 
 
 def test_capacity_cap_and_env_override(monkeypatch):
@@ -220,7 +227,7 @@ def test_exactcover_large_sets_differential():
             assert (a.answer, a.optimum) == (b.answer, b.optimum)
             if b.answer == "optimum":
                 for res in (a, b):
-                    assert verify_exact_cover(inst, res.certificate)
+                    assert verify_cover(inst, res.certificate)
                     assert len(res.certificate) == res.optimum
 
 
@@ -418,11 +425,13 @@ def test_embed_matches_bruteforce_oracle():
 
 def test_embed_leaf_host_displaced_by_parent():
     # root 0 with leaves 1, 2 and child 3 with leaves 4, 5: the root's leaves
-    # first take hosts 1 and 2, then child 3 is placed at host 1
+    # first take hosts 1 and 2, then child 3 is placed at host 1 and an
+    # augmenting search moves the root's group to host 3
     t = PatternTree(6, 0, (-1, 0, 0, 0, 3, 3), ("und",) * 6)
     g = Digraph(6, frozenset({(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)}), undirected_mode=True)
     res = tree_embed_backtrack(g, t)
-    assert res.certificate == {0: 0, 1: 3, 2: 2, 3: 1, 4: 5, 5: 4}
+    assert res.certificate == {0: 0, 1: 2, 2: 3, 3: 1, 4: 4, 5: 5}
+    assert res.stats == {"explored": 5}
     # without host 3's arc: every node of the tree needs one, so host 3 is unusable
     g3 = Digraph(6, g.edges - {(0, 3)}, undirected_mode=True)
     assert not tree_embed_backtrack(g3, t).is_yes
@@ -770,8 +779,8 @@ def test_embed_and_heldkarp_match_the_pinned_digest(embed_case_results):
     """1000 seeded (host, tree) pairs with k, n in 1..9, k > n included,
     oriented and unoriented trees, directed and undirected hosts; the digest
     of each embedding's answer and certificate and each Held-Karp result on
-    the host was taken at commit f6aca3c, before the embedder's Hall check,
-    which moved only the embedder's stats."""
+    the host was re-taken when the leaves came to be read off the search's
+    b-matching, which moved the leaf hosts of 134 of the 481 yes-answers."""
     digest = hashlib.sha256()
     answers = []
     for res, ham in embed_case_results:
@@ -780,16 +789,39 @@ def test_embed_and_heldkarp_match_the_pinned_digest(embed_case_results):
         digest.update(json.dumps([res.answer, cert, ham.answer, ham.certificate,
                                   ham.stats]).encode())
     assert len(set(answers)) == 4
-    assert digest.hexdigest() == "9808d98abb0aae8e35af69539ce866fa17a6b14c5bce0798e784d5a2ad63efbd"
+    assert digest.hexdigest() == "d2ed6ca51fd40e8bbb2bbddf873c44c3175a719b77a6a79c7a53c1b5f43f02f3"
 
 
 def test_embed_stats_match_the_pinned_digest(embed_case_results):
-    """The embedder's stats on the same pairs, taken once the Hall check
-    dropped placements before their group fill."""
+    """The embedder's stats on the same pairs, re-taken once the leaves were
+    read off the search's b-matching: ``explored`` fell in total and rose in
+    no case."""
     digest = hashlib.sha256()
     for res, _ in embed_case_results:
         digest.update(json.dumps(res.stats).encode())
-    assert digest.hexdigest() == "784f5ad84a09610d416c9977328b61c0d501cbfa5bc645eb41dee3c6c86af1ba"
+    assert digest.hexdigest() == "7d94208a741d50e663ac15d3a4bc011f7054ffa7726f35f14f114f5931071a33"
+
+
+def test_embed_internal_hosts_match_the_pinned_digest(embed_case_results):
+    """Each answer and the hosts of each embedding's internal nodes (the
+    root and every node with children) on the same pairs, taken before the
+    leaves were read off the search's b-matching, which moved leaf hosts
+    only."""
+    digest = hashlib.sha256()
+    for (_, T), (res, _) in zip(_embed_cases(), embed_case_results):
+        internal = None if res.certificate is None else sorted(
+            (v, u) for v, u in res.certificate.items() if v == T.root or T.children[v])
+        digest.update(json.dumps([res.answer, internal]).encode())
+    assert digest.hexdigest() == "7f7f401e233654720680d191529586260092deda9225c24bafa4be6664249177"
+
+
+def test_embed_yes_certificates_are_embeddings(embed_case_results):
+    yes = 0
+    for (G, T), (res, _) in zip(_embed_cases(), embed_case_results):
+        if res.is_yes:
+            yes += 1
+            assert verify_embedding(G, T, res.certificate)
+    assert yes > 0
 
 
 class _HallAgainstAugment(solvers._EmbedSearch):
