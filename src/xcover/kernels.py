@@ -1,6 +1,10 @@
 """Kernels for the hot inner loops.
 
-One breadth-first union search serves plain, partial and exact cover.
+One breadth-first union search serves plain, partial and exact cover.  A
+partial cover keeps a union only while the largest remaining sets could
+still lift it to p bits within a bound on the optimum: first the fewest
+sets whose sizes could reach p, then, when that pass finds no cover, the
+size of a greedy cover; both passes share one visited byte per union.
 Held-Karp runs layer by layer over the visited sets reachable from node 0
 only, keeping each set's end nodes in one flat table of 4 bytes per
 possible set (16 MB at n = 22).  A color-coding trial keeps one bitset
@@ -25,8 +29,10 @@ def cover_optimum(masks, n, p, covered=0):
     """Smallest sub-collection whose union with ``covered`` has at least p bits.
 
     Returns (size, chosen indices, states), with size and chosen None when
-    no such union exists; ``states`` counts the distinct unions reached,
-    the ``covered`` one included.  See ``_union_search``.
+    no such union exists; ``states`` counts the distinct unions the search
+    kept, the ``covered`` one included.  A partial cover (p < n) that the
+    sets cannot reach is decided before the search, at 1 state.  See
+    ``_union_search``.
     """
     return _union_search(masks, n, p, covered, False)
 
@@ -52,8 +58,8 @@ def _union_search(masks, n, p, covered, disjoint):
     lowest missing element ``~u & (u + 1)``, as every cover of u's
     complement has one of them; with ``disjoint`` the set must also miss u.
     The few unions reached are kept in a ``set``.  A partial cover lets
-    every set extend every union and keeps one visited byte per possible
-    union, 2^n bytes.
+    every set extend every union, in at most two passes bounded by what the
+    remaining sets can add; see ``_bounded_layers``.
 
     The certificate walks back one layer at a time to the smallest union of
     the layer before and then the smallest index j that reaches the current
@@ -66,8 +72,9 @@ def _union_search(masks, n, p, covered, disjoint):
         return 0, [], 1
     distinct = list(dict.fromkeys(masks))
     if p < n:
-        seen = bytearray(1 << n)
-        seen[covered] = 1
+        layers, goal = _bounded_layers(distinct, n, p, covered)
+        if goal < 0:
+            return None, None, 1
     else:
         # by_low[e]: the sets holding e, or with ``disjoint`` the sets whose
         # lowest element is e (a set missing u has no element below u's
@@ -80,28 +87,20 @@ def _union_search(masks, n, p, covered, disjoint):
                 by_low[low.bit_length() - 1].append(s)
                 rest = 0 if disjoint else rest ^ low
         seen = {covered}
-    layers = [[covered]]
-    goal = -1
-    while goal < 0:
-        layer = []
-        if p < n:
-            for u in layers[-1]:
-                for s in distinct:
-                    v = u | s
-                    if not seen[v]:
-                        seen[v] = 1
-                        layer.append(v)
-        else:
+        layers = [[covered]]
+        goal = -1
+        while goal < 0:
+            layer = []
             for u in layers[-1]:
                 for s in by_low[(~u & (u + 1)).bit_length() - 1]:
                     v = u | s
                     if v not in seen and not (disjoint and u & s):
                         seen.add(v)
                         layer.append(v)
-        if not layer:
-            return None, None, sum(map(len, layers))
-        layers.append(layer)
-        goal = min((v for v in layer if v.bit_count() >= p), default=-1)
+            if not layer:
+                return None, None, sum(map(len, layers))
+            layers.append(layer)
+            goal = min((v for v in layer if v.bit_count() >= p), default=-1)
     chosen = []
     cur = goal
     for layer in reversed(layers[:-1]):
@@ -111,6 +110,77 @@ def _union_search(masks, n, p, covered, disjoint):
         chosen.append(j)
     chosen.reverse()
     return len(chosen), chosen, sum(map(len, layers))
+
+
+def _partial_bounds(distinct, p, covered):
+    """(top, low, high) for a partial cover of p bits from ``covered``.
+
+    ``top[r]`` is the most that r of the sets ``distinct`` can add to
+    ``covered``: the sum of their r largest counts of bits outside it.
+    ``low``, the least r with ``covered`` plus ``top[r]`` reaching p, is at
+    most the optimum; ``high``, the size of a greedy cover that takes at
+    each step the first set in ``distinct`` adding the most bits, is at
+    least it.  The sets must reach p bits together.
+    """
+    have = covered.bit_count()
+    top = [0]
+    for gain in sorted(((s & ~covered).bit_count() for s in distinct), reverse=True):
+        top.append(top[-1] + gain)
+    low = next(r for r, add in enumerate(top) if have + add >= p)
+    high, u = 0, covered
+    while u.bit_count() < p:
+        u |= max(distinct, key=lambda s: (u | s).bit_count())
+        high += 1
+    return top, low, high
+
+
+def _bounded_layers(distinct, n, p, covered):
+    """The layers of a partial cover search (p < n) and its goal, -1 when
+    the sets and ``covered`` hold fewer than p bits together, which is
+    decided before any search.
+
+    A pass with bound B lets every set extend every union of the layer
+    before; a union v first reached in layer c is marked seen, but joins
+    the layer only when its bits plus ``top[B - c]`` of ``_partial_bounds``
+    reach p.  With B at least the optimum, every union on a path to an
+    optimal goal passes, in the layer the unbounded search first reaches it
+    in, and a union of another layer cannot lead to the goal layer.  So the
+    goal and the walk-back's candidates in every layer are the unbounded
+    search's.
+
+    The first pass takes B = ``low``; when it finds no goal, a second takes
+    B = ``high``.  Both share one byte per possible union, 2^n bytes,
+    tagged with the pass number.  The second pass keeps every union the
+    first kept, no later than the first did, so the layers returned hold
+    every union either pass kept, and never more than the unbounded search
+    reaches.
+    """
+    reach = covered
+    for s in distinct:
+        reach |= s
+    if reach.bit_count() < p:
+        return None, -1
+    distinct = [s for s in distinct if s & ~covered]
+    top, low, high = _partial_bounds(distinct, p, covered)
+    seen = bytearray(1 << n)
+    for tag, bound in ((1, low), (2, high)):
+        seen[covered] = tag
+        layers = [[covered]]
+        goal = -1
+        while goal < 0 and layers[-1]:
+            need = p - top[bound - len(layers)]
+            layer = []
+            for u in layers[-1]:
+                for s in distinct:
+                    v = u | s
+                    if seen[v] != tag:
+                        seen[v] = tag
+                        if v.bit_count() >= need:
+                            layer.append(v)
+            layers.append(layer)
+            goal = min((v for v in layer if v.bit_count() >= p), default=-1)
+        if goal >= 0:
+            return layers, goal
 
 
 def ham_cycle(succ, pred, n):

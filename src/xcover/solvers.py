@@ -42,8 +42,8 @@ def cap_n() -> int:
     The override must be an integer of at most MAX_CAP_N and is rejected
     up front otherwise: the partial cover search keeps one visited byte
     per possible union, 2^n bytes (16 MB at n = 24, 4 GB at n = 32),
-    however few unions it reaches.  Plain and exact cover keep only the
-    unions they reach.
+    shared by its two passes, however few unions it reaches.  Plain and
+    exact cover keep only the unions they reach.
     """
     raw = os.environ.get("XCOVER_CAP_N")
     if raw is None:
@@ -253,7 +253,9 @@ def exactcover_with_large_sets(inst: SetCoverInstance, delta: int) -> SolveResul
 def partialcover_dp(inst: SetCoverInstance) -> SolveResult:
     """Minimum number of sets covering at least p elements.
 
-    ``stats["explored"]`` is the number of unions the kernel reached.
+    ``stats["explored"]`` is the number of unions the kernel kept.  An
+    instance whose sets hold fewer than p elements together is decided
+    before the search, at 1 (the empty union); p = 0 takes no set, at 0.
     """
     if inst.variant != PARTIAL:
         raise PreconditionError("partialcover_dp expects a partial-variant instance")

@@ -173,7 +173,7 @@ GOLDEN = {
     "solve-ham-yes": "db4f15980c6b499981236bba2a0bd6c2f48f414737b1d7380cdfd1c67b9b4e09",
     "solve-ktree-seed0": "3d910b2d07db427f46b9d5e644380d54ead19b56c0054d9566cc4321b1fd21d7",
     "solve-ktree-seed5": "aca0af99f18f92f2466def745d5d49deb3695e4daad2a21724cec7f9581cd29b",
-    "solve-partialcover": "14433d7405c3b1b47d344ae4c576d2ebbaa8dbdfae2a3ab1c2cf7760c6f58a3e",
+    "solve-partialcover": "bdacf7d23bb3806523ca050e3e42b4db548c7efa12158ecc106ffd94cd5d9649",
     "solve-setcover": "dfd8593cbfb1229fa504efcf480adea531f013a12358696d682c3f4bb1998fc4",
 }
 

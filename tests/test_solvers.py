@@ -80,9 +80,9 @@ def test_setcover_dp_examples():
 def test_cover_solvers_count_the_states_visited():
     # unions {}, then {0,1} (the only set holding 0), then the ground set
     assert setcover_dp(SetCoverInstance(3, ((0, 1), (1, 2), (2,)))).stats["explored"] == 3
-    # unions {} and {0}; no second set adds an element
+    # the sets hold one element of the two asked for: only {} is reached
     res = partialcover_dp(SetCoverInstance(3, ((0,),), variant="partial", p=2))
-    assert (res.answer, res.stats["explored"]) == ("infeasible", 2)
+    assert (res.answer, res.stats["explored"]) == ("infeasible", 1)
     # unions {} and {0,1}; the only set holding 2 meets {0,1}
     res = exactcover_solve(SetCoverInstance(3, ((0, 1), (1, 2)), variant="exact"))
     assert (res.answer, res.stats["explored"]) == ("infeasible", 2)
