@@ -460,9 +460,10 @@ def _family_ham(cfg):
 def _ktree_family(instances, oracle):
     """The partition-tree pipeline (g = 2) against a DP oracle on each
     instance, and the DP oracle against the kernel-free brute force (the
-    pipeline's large-set preprocessing runs the DP's kernel); a family
-    that handed no tree to the embedder certified nothing about it and
-    fails."""
+    pipeline's large-set preprocessing runs the DP's kernel).  A pipeline
+    optimum must carry a certificate of exactly ``optimum`` sets that
+    ``verify_cover`` accepts.  A family that handed no tree to the embedder
+    certified nothing about it and fails."""
     failures = []
     trees_embedded = 0
     for inst in instances:
@@ -478,6 +479,12 @@ def _ktree_family(instances, oracle):
             failures.append({"check": "equivalence",
                              "instance": serialize_instance(inst),
                              "dp": dp.optimum, "pipeline": kt.optimum})
+        cert = kt.certificate
+        if kt.answer == "optimum" and (
+                cert is None or len(cert) != kt.optimum or not verify_cover(inst, cert)):
+            failures.append({"check": "certificate",
+                             "instance": serialize_instance(inst),
+                             "pipeline": kt.optimum, "certificate": cert})
     if not trees_embedded:
         failures.append({"check": "coverage", "trees_embedded": 0})
     return _family_result(len(instances), failures, {"trees_embedded": trees_embedded})

@@ -84,9 +84,8 @@ class SetCoverInstance:
 
 
 class _PerOrientation(dict):
-    """Orientation -> one per-node table of a host, made by ``build`` on
-    first use; an undirected host files its one table under every
-    orientation."""
+    """Orientation -> one table of a host, made by ``build`` on first use;
+    an undirected host files its one table under every orientation."""
 
     def __init__(self, build, undirected):
         super().__init__()
@@ -120,6 +119,15 @@ def _masks(along, orient):
     return tuple(sum(map((1).__lshift__, a)) for a in along[orient])
 
 
+def _at_least(along, n, orient):
+    masks = [0] * (n + 1)
+    for u, a in enumerate(along[orient]):
+        masks[len(a)] |= 1 << u
+    for c in range(n - 1, -1, -1):
+        masks[c] |= masks[c + 1]
+    return tuple(masks)
+
+
 @dataclass(frozen=True)
 class Digraph:
     """Node-indexed adjacency over nodes [0, num_nodes).
@@ -129,7 +137,8 @@ class Digraph:
     also implies the reverse.  Self-loops are rejected.
 
     The solvers and reductions read adjacency only through ``along`` and
-    ``masks_along``, which map a tree edge's orientation onto host arcs.
+    ``masks_along``, which map a tree edge's orientation onto host arcs,
+    and ``at_least``, which counts those arcs per node.
     ``has_arc`` reads ``edges`` instead, so the certificate checkers built
     on it stay independent of the table the solvers search.
 
@@ -166,6 +175,14 @@ class Digraph:
     def masks_along(self) -> _PerOrientation:
         """Orientation -> per node, the bitmask of the nodes ``along`` lists."""
         return _PerOrientation(partial(_masks, self._along), self.undirected_mode)
+
+    @cached_property
+    def at_least(self) -> _PerOrientation:
+        """Orientation -> per count c in [0, num_nodes], the bitmask of the
+        nodes with at least c nodes ``along`` it.  No node has num_nodes,
+        so a larger count reads entry num_nodes."""
+        return _PerOrientation(partial(_at_least, self._along, self.num_nodes),
+                               self.undirected_mode)
 
     def along(self, u: int, orient: str) -> tuple[int, ...]:
         """Where a tree edge of orientation ``orient`` leaving a node placed
@@ -206,55 +223,54 @@ class PatternTree:
         if self.parent[self.root] != -1:
             raise ValueError("parent[root] must be -1")
         kinds = set()
+        # ids given parent-first from root 0 make a tree by construction:
+        # every node's parent chain descends to 0
+        parent_first = self.root == 0
         for v in range(k):
             if v == self.root:
                 continue
             p = self.parent[v]
             if not 0 <= p < k:
                 raise ValueError(f"parent of node {v} out of range")
+            parent_first = parent_first and p < v
             o = self.orientation[v]
             if o not in (UND, FWD, REV):
                 raise ValueError(f"bad orientation {o!r} at node {v}")
             kinds.add(o)
         if UND in kinds and len(kinds) > 1:
             raise ValueError("orientation must be uniform: all und or all oriented")
-        # reachability from the root certifies a single connected tree
-        seen = [False] * k
-        seen[self.root] = True
-        stack = [self.root]
-        kids = self.children
+        if parent_first:
+            return
+        # every node has one parent, so the root reaches each node at most
+        # once; a node on a cycle, or below one, is never reached
+        reached, stack, kids = 1, [self.root], self.children
         while stack:
-            u = stack.pop()
-            for c in kids[u]:
-                if seen[c]:
-                    raise ValueError("parent array contains a cycle")
-                seen[c] = True
-                stack.append(c)
-        if not all(seen):
+            below = kids[stack.pop()]
+            reached += len(below)
+            stack.extend(below)
+        if reached < k:
             raise ValueError("parent array does not connect all nodes to the root")
 
     @cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
+        # v ascends, so each node's children come out sorted
         kids = [[] for _ in range(self.k)]
         for v in range(self.k):
             if v != self.root:
                 kids[self.parent[v]].append(v)
-        return tuple(tuple(sorted(c)) for c in kids)
+        return tuple(map(tuple, kids))
 
     @cached_property
     def post_order(self) -> tuple[int, ...]:
         """Every node after its children, the root last; the children of a
         node are finished in descending id."""
-        out = []
-        stack = [(self.root, False)]
+        # the reverse of the pre-order that visits children in ascending id
+        out, stack, kids = [], [self.root], self.children
         while stack:
-            v, done = stack.pop()
-            if done:
-                out.append(v)
-                continue
-            stack.append((v, True))
-            for c in self.children[v]:
-                stack.append((c, False))
+            v = stack.pop()
+            out.append(v)
+            stack.extend(reversed(kids[v]))
+        out.reverse()
         return tuple(out)
 
     def edge_list(self) -> list[tuple[int, int, str]]:

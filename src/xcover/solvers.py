@@ -317,12 +317,14 @@ def tree_embed_backtrack(G: Digraph, T: PatternTree,
     node is placed, each group's matched hosts, ascending, go to its leaves
     in ascending id order.  This keeps star-heavy patterns from exploding.
 
-    ``stats["explored"]`` counts budget units: one per placement candidate
-    tried for an internal node (all a candidate the Hall check drops
-    spends), one per group fill (a newly placed group taking free hosts of
-    its pool, counted only after the Hall check passes) and one per group
-    expanded by an augmenting search.  Raises BudgetExceededError once more
-    than ``budget`` units would be spent.
+    ``stats["explored"]`` counts budget units: one per host along the edge
+    from an internal node's placed parent (every host for the root), in
+    ascending order, hosts that the used, twin and degree filters skip
+    included (one unit is all a candidate the Hall check drops spends), one
+    per group fill (a newly placed group taking free hosts of its pool,
+    counted only after the Hall check passes) and one per group expanded by
+    an augmenting search.  Raises BudgetExceededError once more than
+    ``budget`` units would be spent.
     """
     searcher = _EmbedSearch(G, T, budget)
     mapping = searcher.run()
@@ -369,30 +371,36 @@ class _EmbedSearch:
         G, T = self.G, self.T
         k, root, children, orientation = T.k, T.root, T.children, T.orientation
         self.groups, self.group_leaves, self.group_masks = {}, [], {}
-        # shape[v]: one id per subtree shape, orientations at every node
-        # included; equal ids mean interchangeable subtrees
+        # shape[v]: one id per shape of an internal node's subtree,
+        # orientations at every node included; equal ids mean
+        # interchangeable subtrees.  A leaf child enters its parent's shape
+        # as its group's (orientation, leaf count).
         size, shape, shapes = [1] * k, [0] * k, {}
         # internal node -> orientation -> its tree edges leaving it along it,
         # its parent edge of orientation o counted as one of ``REVERSED[o]``
         needs = {}
         for v in T.post_order:
             kids = children[v]
-            shape[v] = shapes.setdefault(
-                (orientation[v], tuple(sorted(shape[c] for c in kids))), len(shapes))
             if not kids and v != root:
                 continue
             need = needs[v] = {} if v == root else {REVERSED[orientation[v]]: 1}
-            leaves = {}
+            inner, leaves = [], {}
             for c in kids:
-                size[v] += size[c]
                 o = orientation[c]
                 need[o] = need.get(o, 0) + 1
-                if not children[c]:
+                if children[c]:
+                    inner.append(shape[c])
+                    size[v] += size[c]
+                else:
                     leaves.setdefault(o, []).append(c)
+            inner.sort()
             for o, group in leaves.items():
+                size[v] += len(group)
                 self.groups.setdefault(v, []).append((len(self.group_leaves), o))
                 self.group_masks.setdefault(v, []).append((G.masks_along[o], len(group)))
                 self.group_leaves.append(group)
+            inner += sorted((o, len(group)) for o, group in leaves.items())
+            shape[v] = shapes.setdefault((orientation[v], tuple(inner)), len(shapes))
         # placement order; a twin takes a higher host than its earlier twin
         self.order, self.twin_prev = [], {}
         stack = [root]
@@ -406,19 +414,15 @@ class _EmbedSearch:
                     self.twin_prev[c] = last[shape[c]]
                 last[shape[c]] = c
             stack.extend(reversed(kids))
-        # at_least[o][c]: the hosts with at least c nodes along o; a node may
-        # need up to k - 1, more than any host has
-        n, at_least = G.num_nodes, {}
-        for o in {o for need in needs.values() for o in need}:
-            masks = at_least[o] = [0] * (max(n, k) + 1)
-            for u in range(n):
-                masks[len(G.along(u, o))] |= 1 << u
-            for c in range(len(masks) - 2, -1, -1):
-                masks[c] |= masks[c + 1]
-        self.eligible = {v: (1 << n) - 1 for v in needs}
+        # the host's degree tables; a node may need up to k - 1 nodes along
+        # an orientation, and entry n (no host) stands for every need >= n
+        n, at_least = G.num_nodes, G.at_least
+        self.eligible = {}
         for v, need in needs.items():
+            mask = (1 << n) - 1
             for o, c in need.items():
-                self.eligible[v] &= at_least[o][c]
+                mask &= at_least[o][min(c, n)]
+            self.eligible[v] = mask
 
     def _tick(self):
         self.explored += 1
@@ -435,20 +439,29 @@ class _EmbedSearch:
         if idx == len(self.order):
             return self._leaf_mapping()
         v = self.order[idx]
-        if v == self.T.root:
-            cands = range(self.G.num_nodes)
+        G, T = self.G, self.T
+        if v == T.root:
+            adj = (1 << G.num_nodes) - 1
         else:
-            cands = self.G.along(self.assign[self.T.parent[v]], self.T.orientation[v])
+            adj = G.masks_along[T.orientation[v]][self.assign[T.parent[v]]]
         floor = self.assign[self.twin_prev[v]] if v in self.twin_prev else -1
-        used, eligible = self.used, self.eligible[v]
+        used, budget = self.used, self.budget
         used_mask, comps, new = self.used_mask, self.comps, self.group_masks.get(v, ())
-        for u in cands:
-            self.explored += 1  # _tick inlined: this loop spends most units
-            if self.explored > self.budget:
+        # a unit per host of ``adj``, ascending, skipped ones (used, at most
+        # the twin's host, or short of v's degree needs) included: ``charged``
+        # counts the hosts paid for, each candidate paying up to its own
+        cands = adj & self.eligible[v] & ~used_mask & (-1 << (floor + 1))
+        charged = 0
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            at = (adj & (low - 1)).bit_count() + 1
+            self.explored += at - charged
+            charged = at
+            if self.explored > budget:
                 raise self._over_budget()
-            if u in used or u <= floor or not eligible >> u & 1:
-                continue
-            now_used = used_mask | 1 << u
+            u = low.bit_length() - 1
+            now_used = used_mask | low
             placed = self._hall(comps, now_used, u, new)
             if placed is None:
                 continue
@@ -464,6 +477,9 @@ class _EmbedSearch:
             del self.assign[v]
             used.remove(u)
         self.used_mask, self.comps = used_mask, comps
+        self.explored += adj.bit_count() - charged
+        if self.explored > budget:
+            raise self._over_budget()
         return None
 
     @staticmethod
@@ -478,6 +494,8 @@ class _EmbedSearch:
         u lose a free host.  A new group's free pool merges the components
         it meets: linking by free hosts only keeps the internal nodes'
         hosts, which sit in most pools, from joining every group into one.
+        The merged component is counted before the list is rebuilt, so a
+        rejection allocates nothing.
         """
         free, bit = ~used, 1 << u
         for mask, demand in comps:
@@ -485,17 +503,14 @@ class _EmbedSearch:
                 return None
         for along, demand in new:
             pool = mask = along[u] & free
-            rest = []
-            for comp in comps:
-                if comp[0] & pool:
-                    mask |= comp[0]
-                    demand += comp[1]
-                else:
-                    rest.append(comp)
+            for m, d in comps:
+                if m & pool:
+                    mask |= m
+                    demand += d
             if (mask & free).bit_count() < demand:
                 return None
-            rest.append((mask, demand))
-            comps = rest
+            comps = [c for c in comps if not c[0] & pool]
+            comps.append((mask, demand))
         return comps
 
     def _extend_matching(self, v, u):

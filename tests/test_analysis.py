@@ -18,7 +18,7 @@ from xcover.analysis import (
 )
 from xcover.errors import PreconditionError
 from xcover.instances import Digraph, SetCoverInstance, gen_random, parse_instance
-from xcover.reductions import ntree_to_setcover
+from xcover.reductions import ntree_to_setcover, solve_setcover_via_ktree
 from xcover.solvers import (
     exactcover_with_large_sets,
     partialcover_dp,
@@ -140,6 +140,25 @@ def test_suite_ktree_families_check_the_dp_against_brute_force(monkeypatch):
         inst = parse_instance(failure["instance"])
         assert failure["bruteforce"] == setcover_bruteforce(inst).optimum
         assert failure["dp"] == failure["bruteforce"] + 1
+
+
+@pytest.mark.parametrize("family", ["setcover_ktree", "partial_ktree"])
+def test_suite_ktree_families_check_the_pipeline_certificate(monkeypatch, family):
+    def uncertified(inst, g):
+        res = solve_setcover_via_ktree(inst, g)
+        res.certificate = None
+        return res
+
+    monkeypatch.setattr(analysis, "solve_setcover_via_ktree", uncertified)
+    report = run_verification_suite({"families": [family]})
+    assert not report["passed"]
+    fam = report["families"][family]
+    flagged = [f for f in fam["failures"] if f["check"] == "certificate"]
+    assert flagged and len(flagged) == len(fam["failures"])
+    for failure in flagged:
+        assert failure["certificate"] is None
+        inst = parse_instance(failure["instance"])
+        assert failure["pipeline"] == solve_setcover_via_ktree(inst, 2).optimum
 
 
 def test_suite_decision_families_count_both_answers():

@@ -205,9 +205,9 @@ def _pattern_trees(draw):
 @settings(max_examples=200, deadline=None)
 @given(_graphs())
 def test_adjacency_table_matches_the_edges(G):
-    """``along`` and ``masks_along`` against neighbour sets read off
-    ``edges``; directed graphs from ordered pairs often hold both arcs of a
-    pair."""
+    """``along``, ``masks_along`` and ``at_least`` against neighbour sets
+    read off ``edges``; directed graphs from ordered pairs often hold both
+    arcs of a pair."""
     arcs = set(G.edges)
     if G.undirected_mode:
         arcs |= {(v, u) for u, v in G.edges}
@@ -217,6 +217,8 @@ def test_adjacency_table_matches_the_edges(G):
         for o, nodes in want.items():
             assert G.along(u, o) == tuple(sorted(nodes)), (u, o)
             assert G.masks_along[o][u] == sum(1 << v for v in nodes), (u, o)
+            for c in range(G.num_nodes + 1):
+                assert (G.at_least[o][c] >> u & 1) == (len(nodes) >= c), (u, o, c)
         if G.undirected_mode:
             assert G.along(u, FWD) == G.along(u, REV) == G.along(u, UND)
 
@@ -288,3 +290,18 @@ def test_post_order_puts_children_first_and_the_root_last():
         assert sorted(post) == list(range(T.k)) and post[-1] == T.root
         where = {v: i for i, v in enumerate(post)}
         assert all(where[c] < where[v] for v in range(T.k) for c in T.children[v])
+
+
+def test_trees_whose_ids_are_not_parent_first():
+    # a parent after its child, and a root other than 0: the reachability
+    # check decides these
+    T = PatternTree(5, 2, (3, 2, -1, 2, 3), ("und",) * 5)
+    assert T.children == ((), (), (1, 3), (0, 4), ())
+    assert T.post_order == (4, 0, 3, 1, 2)
+    assert PatternTree(3, 0, (-1, 2, 0), ("fwd",) * 3).post_order == (1, 2, 0)
+    # nodes 1 and 2 are each other's parent; node 3 hangs below the cycle
+    for parent in ((-1, 2, 1), (-1, 2, 1, 1), (-1, 0, 3, 3), (-1, 1, 0)):
+        with pytest.raises(ValueError, match="does not connect all nodes to the root"):
+            PatternTree(len(parent), 0, parent, ("und",) * len(parent))
+    with pytest.raises(FormatError, match="does not connect all nodes to the root"):
+        parse_instance("p tree 4\n0 1\n3 2\n2 3\n")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xcover import instances
 from xcover.errors import CapacityError, PreconditionError
 from xcover.instances import (
     FWD,
@@ -606,6 +607,23 @@ def test_sck_builds_one_partition_per_tree_tried(monkeypatch):
     res = setcover_to_ktree(inst, 2)
     assert (res.optimum, res.stats["trees_tried"]) == (5, 2)
     assert built == [(2, 2, 2, 2), (2, 2, 2, 1, 1)]
+
+
+def test_sck_builds_the_degree_table_once_per_host(monkeypatch):
+    # the trees tried on one host share its table; the undirected host
+    # files its one table under every orientation
+    built = []
+    at_least = instances._at_least
+
+    def counted(along, n, orient):
+        built.append(orient)
+        return at_least(along, n, orient)
+
+    monkeypatch.setattr(instances, "_at_least", counted)
+    inst = SetCoverInstance(8, ((0, 1), (2, 3), (4, 5), (6,), (7,)))
+    res = setcover_to_ktree(inst, 2)
+    assert (res.optimum, res.stats["trees_tried"]) == (5, 2)
+    assert built == [UND]
 
 
 def test_sck_infeasible_instance():

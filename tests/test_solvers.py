@@ -18,7 +18,13 @@ from xcover.instances import (
     gen_planted,
     gen_random,
 )
-from xcover.reductions import setcover_to_ktree, solve_setcover_via_ktree
+from xcover.partitions import Partition
+from xcover.reductions import (
+    build_host_graph,
+    build_pattern_tree,
+    setcover_to_ktree,
+    solve_setcover_via_ktree,
+)
 from xcover.solvers import (
     exactcover_solve,
     exactcover_with_large_sets,
@@ -822,6 +828,32 @@ def test_embed_yes_certificates_are_embeddings(embed_case_results):
             yes += 1
             assert verify_embedding(G, T, res.certificate)
     assert yes > 0
+
+
+def _three_twin_stars():
+    """A ppc-ktree refutation: three grouped 4-leaf stars (twins, all on
+    anchor 1) over the C(10, 2) g-subset nodes of ten 2-sets on 16
+    elements, which no embedding fills."""
+    rng = random.Random(26)
+    sets = tuple(tuple(sorted(rng.sample(range(16), 2))) for _ in range(10))
+    inst = SetCoverInstance(16, sets, variant=PARTIAL, p=12)
+    return build_host_graph(inst, 2).host, build_pattern_tree(Partition((2,) * 6), 2, 16)
+
+
+def test_embed_budget_boundary(embed_case_results):
+    """A search that spends E units runs to the same result at budget E and
+    raises at budget E - 1: the budget is checked wherever units are spent,
+    skipped candidates included."""
+    G, T = _three_twin_stars()
+    twins = tree_embed_backtrack(G, T)
+    assert twins.answer == "no" and twins.stats["explored"] > 1000
+    cases = list(zip(_embed_cases(), (res for res, _ in embed_case_results)))
+    for (G, T), res in cases + [((G, T), twins)]:
+        spent = res.stats["explored"]
+        assert tree_embed_backtrack(G, T, budget=spent) == res
+        if spent:
+            with pytest.raises(BudgetExceededError):
+                tree_embed_backtrack(G, T, budget=spent - 1)
 
 
 class _HallAgainstAugment(solvers._EmbedSearch):
