@@ -10,7 +10,6 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 
-from xcover import kernels
 from xcover.errors import PreconditionError
 from xcover.instances import (
     PARTIAL,
@@ -46,7 +45,6 @@ from xcover.solvers import (
     partialcover_dp,
     setcover_bruteforce,
     setcover_dp,
-    sieve_runs,
     tree_embed_backtrack,
     verify_cover,
     verify_embedding,
@@ -345,7 +343,7 @@ def _family_ntree(cfg):
         T = gen_random("tree", seed=cfg.seed + 2 * t + 1, k=nt, oriented=True)
         G = gen_random("digraph", seed=cfg.seed + 2 * t, n=nt,
                        edge_probability=rng.choice([0.25, 0.4, 0.55]))
-        bt = _embed_oracle(G, T, failures)
+        bt = _embed_oracle(G, T, failures).is_yes
         counts["yes" if bt else "no"] += 1
         decision = decide_stream(ntree_to_setcover(G, T, delta, variant, live_only=True))
         counts["instances_distinct"] += decision.distinct
@@ -392,13 +390,13 @@ def _family_ntree(cfg):
 
 
 def _embed_oracle(G, T, failures):
-    """Whether the backtracking embedder embeds T into G; a yes whose
-    mapping is not an embedding adds an ``oracle_certificate`` failure."""
+    """The backtracking embedder's result for T in G; a yes whose mapping
+    is not an embedding adds an ``oracle_certificate`` failure."""
     res = tree_embed_backtrack(G, T)
     if res.is_yes and not verify_embedding(G, T, res.certificate):
         failures.append({"check": "oracle_certificate", "graph": serialize_instance(G),
                          "tree": serialize_instance(T)})
-    return res.is_yes
+    return res
 
 
 def _graph_pair_failure(G, T, delta, variant, check):
@@ -526,16 +524,16 @@ def _family_partial_ktree(cfg):
     return _ktree_family(instances, partialcover_dp)
 
 
-def _family_colorcoding(cfg):
-    """ktree_colorcoding, and the tree sieve alone, against the backtracking
-    embedder: a yes must be one, ktree_colorcoding's and the embedder's
-    with a verified embedding, and a miss at failure_prob 1e-6 is a bug.
-    ``sieve_answers`` counts ktree_colorcoding's answers that carry
-    ``stats["sieve_runs"]``."""
+def _family_ktree(cfg):
+    """ktree_colorcoding against the backtracking embedder: a yes must be
+    one, with a verified embedding, and a miss at failure_prob 1e-6 is a
+    bug.  ``self_reduced`` counts the yes answers whose embedder run on the
+    whole host spends more than n << k units, so that the solver's sieve
+    shrank the host before its embedder gave the certificate."""
     rng = random.Random(cfg.seed * 11 + 10)
     failures = []
-    counts = {"yes": 0, "no": 0, "missed_yes": 0, "sieve_answers": 0}
-    cases = cfg.n_trials("colorcoding")
+    counts = {"yes": 0, "no": 0, "missed_yes": 0, "self_reduced": 0}
+    cases = cfg.n_trials("ktree")
     for t in range(cases):
         k = rng.randint(1, 6)
         n = rng.randint(k, 8)
@@ -544,23 +542,18 @@ def _family_colorcoding(cfg):
         G = gen_random("digraph", seed=cfg.seed + 23 * t + 1, n=n,
                        edge_probability=0.1 if t % 2 else 0.4)
         bt = _embed_oracle(G, T, failures)
-        counts["yes" if bt else "no"] += 1
-        cc = ktree_colorcoding(G, T, failure_prob=1e-6, seed=cfg.seed + t)
-        counts["sieve_answers"] += "sieve_runs" in cc.stats
-        if cc.is_yes and not verify_embedding(G, T, cc.certificate):
-            failures.append({"check": "certificate", "graph": serialize_instance(G),
-                             "tree": serialize_instance(T)})
-        edge_adj = [None if v == T.root else G.masks_along[o]
-                    for v, o in enumerate(T.orientation)]
-        sieve = any(kernels.tree_sieve(k, T.post_order, T.parent, edge_adj, (1 << n) - 1,
-                                       f"verify {cfg.seed + t} {r}")
-                    for r in range(sieve_runs(k, 1e-6)))
-        for route, yes in (("colorcoding", cc.is_yes), ("sieve", sieve)):
-            if yes and not bt:
-                failures.append({"check": "one_sided", "route": route,
-                                 "graph": serialize_instance(G), "tree": serialize_instance(T)})
-            elif bt and not yes:
-                counts["missed_yes"] += 1
+        counts["yes" if bt.is_yes else "no"] += 1
+        res = ktree_colorcoding(G, T, failure_prob=1e-6, seed=cfg.seed + t)
+        if res.is_yes:
+            counts["self_reduced"] += bt.stats["explored"] > n << k
+            if not verify_embedding(G, T, res.certificate):
+                failures.append({"check": "certificate", "graph": serialize_instance(G),
+                                 "tree": serialize_instance(T)})
+            if not bt.is_yes:
+                failures.append({"check": "one_sided", "graph": serialize_instance(G),
+                                 "tree": serialize_instance(T)})
+        elif bt.is_yes:
+            counts["missed_yes"] += 1
     if counts["missed_yes"]:
         failures.append({"check": "missed_yes", "count": counts["missed_yes"]})
     _require_both_answers(counts, failures)
@@ -579,7 +572,7 @@ _FAMILIES = {
     "ham": (_family_ham, 20),
     "setcover_ktree": (_family_setcover_ktree, 8),
     "partial_ktree": (_family_partial_ktree, 15),
-    "colorcoding": (_family_colorcoding, 12),
+    "ktree": (_family_ktree, 12),
 }
 ALL_FAMILIES = tuple(_FAMILIES)
 

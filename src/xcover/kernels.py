@@ -7,13 +7,11 @@ sets whose sizes could reach p, then, when that pass finds no cover, the
 size of a greedy cover; both passes share one visited byte per union.
 Held-Karp runs layer by layer over the visited sets reachable from node 0
 only, keeping each set's end nodes in one flat table of 4 bytes per
-possible set (16 MB at n = 22).  A color-coding trial keeps one bitset
-over the 2^k color masks per tree node and host, and merges a child into
-its parent with shifts of those bitsets.  The tree sieve takes one pass of
-GF(2^16) products per subset of the k labels.  All of them work on
-integer bitmasks and return plain ints, lists and tuples.  Callers reach
-them as attributes of this module (``kernels.cover_optimum(...)``), never
-through a local alias, so a profiler can wrap them in one place.
+possible set (16 MB at n = 22).  The tree sieve, the kTree decider, takes
+one pass of GF(2^16) products per subset of the k labels.  All of them
+work on integer bitmasks and return plain ints, lists and tuples.  Callers
+reach them as attributes of this module (``kernels.cover_optimum(...)``),
+never through a local alias, so a profiler can wrap them in one place.
 """
 
 from __future__ import annotations
@@ -242,94 +240,6 @@ def ham_cycle(succ, pred, n):
     return order, states
 
 
-@lru_cache(maxsize=None)
-def color_disjoint(k):
-    """(h, low, high): the masks disjoint from a color mask a, in two halves.
-
-    Color masks are bit positions 0..2^k - 1 of a bitset.  ``clear[i]``,
-    the bitset of the masks without color i, repeats a block of 2^i ones
-    then 2^i zeros, so it is that block times the repunit of period
-    2^(i+1).  The bitset of the masks disjoint from a is the AND of
-    ``clear[i]`` over the colors i of a; it is split at color h = k // 2
-    into ``low[a & (2^h - 1)] & high[a >> h]``, two tables of 2^h and
-    2^(k-h) bitsets (4 MB at k = 16) built once per k.
-    """
-    width = 1 << k
-    clear = [((1 << width) - 1) // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1)
-             for i in range(k)]
-    h = k // 2
-
-    def table(colors):
-        rows = [(1 << width) - 1]
-        for j in range(1, 1 << len(colors)):
-            low = j & -j
-            rows.append(rows[j ^ low] & colors[low.bit_length() - 1])
-        return rows
-
-    return h, table(clear[:h]), table(clear[h:])
-
-
-def colorful_trial_yes(k, post_order, parent, edge_adj, colors):
-    """One color-coding trial: does a colorful embedding of the tree exist?
-
-    Tree nodes 0..k-1; ``post_order`` lists them children-first with the
-    root last; ``edge_adj[v][u]`` is the bitmask of the hosts that the edge
-    above v allows for v when its parent is at host u, and ``colors[u]`` in
-    [0, k) is host u's color.  Returns 0 when one exists, else -1.
-    """
-    full = (1 << k) - 1
-    fam = [[1 << (1 << c) for c in colors] for _ in range(k)]
-    disjoint = color_disjoint(k)
-    for v in post_order[:-1]:
-        if not colorful_merge(fam[parent[v]], fam[v], edge_adj[v], disjoint):
-            return -1
-    return 0 if any(masks >> full & 1 for masks in fam[post_order[-1]]) else -1
-
-
-def colorful_merge(parent_fam, child_fam, adj, disjoint):
-    """Merge the finished subtree of one child into its parent's families.
-
-    ``parent_fam[u]`` is the bitset of the color masks of colorful
-    embeddings of the parent's merged part with the parent at host u (bit a
-    set when mask a is one); ``child_fam[w]`` the same for the child's whole
-    subtree at w.  ``adj`` is the child's ``edge_adj`` entry of
-    ``colorful_trial_yes`` and ``disjoint`` is ``color_disjoint(k)``.  Each
-    nonzero ``parent_fam[u]`` is replaced by the unions a | b of its masks a
-    with the masks b of ``pool``, the union of the child's bitsets over the
-    hosts w in ``adj[u]``, that share no color with a.  Since such a and b
-    share no bit, a | b = a + b, so shifting the masks of ``pool`` disjoint
-    from a left by a maps each b to a | b; the loop runs over the smaller of
-    the two bitsets, as the merge is symmetric.  Entries are ints, replaced
-    and never mutated, so a shallow ``list(parent_fam)`` taken before the
-    call still holds the earlier stage.  Returns whether any entry stays
-    nonzero.
-    """
-    h, low_rows, high_rows = disjoint
-    low_mask = (1 << h) - 1
-    alive = False
-    for u, cur in enumerate(parent_fam):
-        if not cur:
-            continue
-        ws = adj[u]
-        pool = 0
-        while ws:
-            low = ws & -ws
-            ws ^= low
-            pool |= child_fam[low.bit_length() - 1]
-        acc = 0
-        if pool:
-            if cur.bit_count() > pool.bit_count():
-                cur, pool = pool, cur
-            while cur:
-                low = cur & -cur
-                cur ^= low
-                a = low.bit_length() - 1
-                acc |= (pool & low_rows[a & low_mask] & high_rows[a >> h]) << a
-            alive = alive or bool(acc)
-        parent_fam[u] = acc
-    return alive
-
-
 # GF(2^16) as polynomials over GF(2) modulo x^16 + x^12 + x^3 + x + 1, which
 # is primitive: the powers of x run through all 65,535 nonzero elements.
 GF_POLY = 0x1100B
@@ -354,7 +264,9 @@ def tree_sieve(k, post_order, parent, edge_adj, hosts, seed):
     """One run of the characteristic-2 sieve: F in GF(2^16), nonzero only if
     the tree embeds into the hosts of the bitmask ``hosts``.
 
-    The tree is given as for ``colorful_trial_yes``.  With x[l][v] (label
+    Tree nodes 0..k-1; ``post_order`` lists them children-first with the
+    root last; ``edge_adj[c][u]`` is the bitmask of the hosts that the edge
+    above c allows for c when its parent is at host u.  With x[l][v] (label
     l, host v) and y[c][u][w] (the edge above c, parent at u, c at w) drawn
     by ``random.Random(seed)``, F sums prod_t w_X(phi(t)) * prod_c
     y[c][phi(parent c)][phi(c)] over X subset of [k] and the homomorphisms
@@ -394,3 +306,10 @@ def tree_sieve(k, post_order, parent, edge_adj, hosts, seed):
         for a in val[post_order[-1]]:
             total ^= a
     return total
+
+
+def colorful_trial_yes(*args):
+    """Retired with colour coding, which no solver runs any more.  The name
+    stays only as a hook target of ``perfbench/tracing.py``, whose smoke test
+    needs every traced metric to be a number; drop both together."""
+    raise NotImplementedError("colour coding is retired; kTree runs kernels.tree_sieve")

@@ -1,7 +1,8 @@
 """Exact solvers and brute-force oracles used as pipeline endpoints.
 
-The cover and Hamiltonicity solvers and color coding run on
-``xcover.kernels``; the brute-force oracles are deliberately independent
+The cover and Hamiltonicity solvers and the kTree decider's tree sieve run
+on ``xcover.kernels``; a kTree "yes" is certified by the backtracking tree
+embedder.  The brute-force oracles are deliberately independent
 implementations so differential tests never compare a kernel against
 itself.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import random
 from dataclasses import dataclass, field
 
 from xcover import kernels
@@ -605,19 +605,14 @@ class _EmbedSearch:
 
 
 # ---------------------------------------------------------------------------
-# color coding
+# kTree: the tree sieve decides, the embedder certifies
 # ---------------------------------------------------------------------------
-
-
-def colorcoding_trials(k: int, failure_prob: float) -> int:
-    """Trial count so that missing an existing embedding has prob <= failure_prob."""
-    if not 0 < failure_prob < 1:
-        raise PreconditionError("failure_prob must lie in (0, 1)")
-    return math.ceil(math.exp(k) * math.log(1 / failure_prob))
 
 
 def sieve_runs(k: int, failure_prob: float) -> int:
     """The fewest sieve runs r with ((2k - 1) / 2^16)^r <= failure_prob."""
+    if not 0 < failure_prob < 1:
+        raise PreconditionError("failure_prob must lie in (0, 1)")
     return max(1, math.ceil(math.log(failure_prob) / math.log((2 * k - 1) / 65536)))
 
 
@@ -625,141 +620,57 @@ def ktree_colorcoding(G: Digraph, T: PatternTree, failure_prob: float = 0.01,
                       seed: int = 0, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Monte-Carlo tree embedding whose only possible error is a false no.
 
-    A color-coding trial colors the host with k colors exactly, trial t
-    with seed ``seed * 1_000_003 + t``, and hits when a colorful embedding
-    exists (probability at least k!/k^k >= e^-k on a yes-instance).  Of the
-    ceil(e^k * ln(1/failure_prob)) planned trials the first min(2^k,
-    planned) run, then ``sieve_runs(k, failure_prob)`` runs of
-    ``kernels.tree_sieve`` answer no if all give 0, then the others run.  A
-    trial's verified extraction answers yes, ``trials`` counting the trials
-    up to it.  If no trial hits after a nonzero sieve proved an embedding,
-    each host in turn is dropped while the sieve on the rest stays nonzero,
-    and ``tree_embed_backtrack`` finds one on the hosts left.  Such a yes,
-    and a no, add ``sieve_runs``.  Raises BudgetExceededError before the
-    first trial when the trials, or the 2^k passes of each sieve run,
-    exceed ``budget``, and PreconditionError unless 0 < failure_prob < 1.
+    ``sieve_runs(k, failure_prob)`` runs of ``kernels.tree_sieve``, run i
+    seeded with ``f"tree_sieve {seed} {i}"``, answer no if all give 0.  A
+    nonzero run proves that an embedding exists, so the runs stop there and
+    ``tree_embed_backtrack`` on the whole host, capped at min(budget,
+    n << k) units, gives the certificate.  Only when that cap runs out does
+    the sieve self-reduce first: each host in turn is dropped while the
+    sieve on the rest stays nonzero, and the embedder runs on the hosts
+    left under ``budget``.  ``stats`` hold ``explored``, the units of the
+    embedder run that gave the certificate (0 on a no), and ``sieve_runs``,
+    the sieve runs made, those of the self-reduction included.  Raises
+    PreconditionError unless 0 < failure_prob < 1, and BudgetExceededError
+    before the first sieve pass when the 2^k passes of each run exceed
+    ``budget``.
     """
     k = T.k
     if k > DEFAULT_CAP_K:
         raise CapacityError(
-            f"pattern of {k} nodes exceeds the color-coding cap of {DEFAULT_CAP_K}")
-    trials = colorcoding_trials(k, failure_prob)
+            f"pattern of {k} nodes exceeds the tree sieve cap of {DEFAULT_CAP_K}")
+    runs = sieve_runs(k, failure_prob)
     n = G.num_nodes
     if k > n:
-        return SolveResult("no", stats={"explored": 0, "trials": 0, "sieve_runs": 0})
+        return SolveResult("no", stats={"explored": 0, "sieve_runs": 0})
     if k == 1:
-        return SolveResult("yes", certificate={T.root: 0}, stats={"explored": 0, "trials": 0})
-    runs = sieve_runs(k, failure_prob)
-    for planned, what in ((trials, "color-coding trials"), (runs << k, "sieve passes")):
-        if planned > budget:
-            raise BudgetExceededError(
-                f"ktree plans {planned} {what}, more than the budget of {budget}")
-    post = T.post_order
+        return SolveResult("yes", certificate={T.root: 0}, stats={"explored": 0, "sieve_runs": 0})
+    if runs << k > budget:
+        raise BudgetExceededError(
+            f"ktree plans {runs << k} sieve passes, more than the budget of {budget}")
     # per tree node, the host masks of the edge above it (the root's is unused)
     edge_adj = [None if v == T.root else G.masks_along[o] for v, o in enumerate(T.orientation)]
-    rng = random.Random()
-
-    def first_hit(start, stop):
-        for t in range(start, stop):
-            colors = trial_colors(rng, seed * 1_000_003 + t, k, n)
-            if kernels.colorful_trial_yes(k, post, T.parent, edge_adj, colors) == 0:
-                mapping = _colorful_reconstruct(G, T, edge_adj, colors)
-                if mapping is not None and verify_embedding(G, T, mapping):
-                    return SolveResult("yes", certificate=mapping,
-                                       stats={"explored": t + 1, "trials": t + 1})
-        return None
 
     def sieve(hosts, run):
-        return kernels.tree_sieve(k, post, T.parent, edge_adj, hosts, f"tree_sieve {seed} {run}")
+        return kernels.tree_sieve(k, T.post_order, T.parent, edge_adj, hosts,
+                                  f"tree_sieve {seed} {run}")
 
-    prefix = min(1 << k, trials)
-    hit = first_hit(0, prefix)
-    if hit:
-        return hit
     alive = (1 << n) - 1
     sieved = next((r + 1 for r in range(runs) if sieve(alive, r)), 0)
     if not sieved:
-        return SolveResult("no", stats={"explored": prefix, "trials": prefix, "sieve_runs": runs})
-    hit = first_hit(prefix, trials)
-    if hit:
-        return hit
-    for v in range(n):
-        if alive.bit_count() == k:
-            break
-        if sieve(alive ^ 1 << v, sieved):
-            alive ^= 1 << v
-        sieved += 1
-    # the dropped hosts keep no arcs, so no tree edge can reach them
-    found = tree_embed_backtrack(Digraph(n, frozenset(
-        (u, w) for u, w in G.edges if alive >> u & alive >> w & 1), G.undirected_mode), T, budget)
+        return SolveResult("no", stats={"explored": 0, "sieve_runs": runs})
+    try:
+        found = tree_embed_backtrack(G, T, min(budget, n << k))
+    except BudgetExceededError:
+        for v in range(n):
+            if alive.bit_count() == k:
+                break
+            if sieve(alive ^ 1 << v, sieved):
+                alive ^= 1 << v
+            sieved += 1
+        # the dropped hosts keep no arcs, so no tree edge can reach them
+        found = tree_embed_backtrack(Digraph(n, frozenset(
+            (u, w) for u, w in G.edges if alive >> u & alive >> w & 1), G.undirected_mode),
+            T, budget)
     assert found.is_yes, "a nonzero sieve proves that an embedding exists"
     return SolveResult("yes", certificate=found.certificate,
-                       stats={"explored": trials, "trials": trials, "sieve_runs": sieved})
-
-
-def trial_colors(rng, seed, k, n):
-    """The colors of n hosts for one trial: ``rng`` re-seeded with ``seed``,
-    then n draws from range(k), drawn inline as CPython 3.11's
-    ``rng.randrange(k)`` draws them (``getrandbits(k.bit_length())`` until
-    the value is below k), so the colorings equal those of a fresh
-    ``random.Random(seed)`` calling ``randrange``.
-    """
-    rng.seed(seed)
-    getrandbits = rng.getrandbits
-    width = k.bit_length()
-    colors = []
-    for _ in range(n):
-        c = getrandbits(width)
-        while c >= k:
-            c = getrandbits(width)
-        colors.append(c)
-    return colors
-
-
-def _colorful_reconstruct(G, T, edge_adj, colors):
-    """Re-run one trial keeping every merge stage, then extract a map with
-    the root at its lowest host.
-
-    ``stages[v][i]`` is v's family list after its first i child merges: a
-    shallow copy suffices because ``kernels.colorful_merge`` replaces the
-    per-host bitsets, which are ints.  The masks of a stage are tried in
-    ascending order.  Returns None when the trial admits no colorful
-    embedding.
-    """
-    k = T.k
-    full = (1 << k) - 1
-    disjoint = kernels.color_disjoint(k)
-    fam = [[1 << (1 << c) for c in colors] for _ in range(k)]
-    stages = [[list(fam[v])] for v in range(k)]
-    merged = [[] for _ in range(k)]
-    root = T.post_order[-1]
-    for v in T.post_order[:-1]:
-        p = T.parent[v]
-        kernels.colorful_merge(fam[p], fam[v], edge_adj[v], disjoint)
-        merged[p].append(v)
-        stages[p].append(list(fam[p]))
-    root_host = next((u for u, masks in enumerate(fam[root]) if masks >> full & 1), None)
-    if root_host is None:
-        return None
-
-    def extract(v, u, mask, stage):
-        if stage == 0:
-            return {v: u} if mask == 1 << colors[u] else None
-        child = merged[v][stage - 1]
-        masks = stages[v][stage - 1][u]
-        a = 0
-        while a != mask:  # the proper submasks of mask, ascending
-            if masks >> a & 1:
-                b = mask ^ a
-                for w in G.along(u, T.orientation[child]):
-                    if not fam[child][w] >> b & 1:
-                        continue
-                    sub = extract(child, w, b, len(merged[child]))
-                    rest = sub and extract(v, u, a, stage - 1)
-                    if rest:
-                        rest.update(sub)
-                        return rest
-            a = (a - mask) & mask
-        return None
-
-    return extract(root, root_host, full, len(merged[root]))
+                       stats={"explored": found.stats["explored"], "sieve_runs": sieved})

@@ -262,7 +262,7 @@ def test_criterion_8_bound_calculators():
             f"lambda up to 1e4; exponent threshold 2^19")
 
 
-def test_criterion_9_colorcoding_contract():
+def test_criterion_9_ktree_contract():
     start = time.perf_counter()
     yes_count = 0
     bad_certificates = 0
@@ -276,5 +276,5 @@ def test_criterion_9_colorcoding_contract():
             if not verify_embedding(G, T, res.certificate):
                 bad_certificates += 1
     elapsed = time.perf_counter() - start
-    _report(9, "color-coding contract", yes_count >= 49 and bad_certificates == 0,
+    _report(9, "ktree contract", yes_count >= 49 and bad_certificates == 0,
             elapsed, 600, f"{yes_count}/{cases} yes, {bad_certificates} bad certificates")

@@ -20,6 +20,7 @@ from xcover.errors import PreconditionError
 from xcover.instances import Digraph, SetCoverInstance, gen_random, parse_instance
 from xcover.reductions import ntree_to_setcover, solve_setcover_via_ktree
 from xcover.solvers import (
+    SolveResult,
     exactcover_with_large_sets,
     partialcover_dp,
     setcover_bruteforce,
@@ -179,24 +180,30 @@ def test_suite_decision_families_count_both_answers():
 
 
 def test_suite_colorcoding_counts_both_answers(monkeypatch):
-    report = run_verification_suite({"families": ["colorcoding"]})
+    report = run_verification_suite({"families": ["ktree"]})
     assert report["passed"]
-    fam = report["families"]["colorcoding"]
+    fam = report["families"]["ktree"]
     notes = fam["notes"]
     assert notes["yes"] > 0 and notes["no"] > 0 and notes["missed_yes"] == 0
     assert notes["yes"] + notes["no"] == fam["cases"]
-    # every no came from the sieve
-    assert notes["sieve_answers"] >= notes["no"]
-    single = run_verification_suite({"families": ["colorcoding"],
-                                     "trials": {"colorcoding": 1}})
-    notes = single["families"]["colorcoding"]["notes"]
-    assert single["families"]["colorcoding"]["failures"] == [
+    # on these small hosts the embedder always certifies within n << k units
+    assert notes["self_reduced"] == 0
+    single = run_verification_suite({"families": ["ktree"], "trials": {"ktree": 1}})
+    notes = single["families"]["ktree"]["notes"]
+    assert single["families"]["ktree"]["failures"] == [
         {"check": "coverage", "yes": notes["yes"], "no": notes["no"]}]
     # a sieve that always returns zero
     monkeypatch.setattr(kernels, "tree_sieve", lambda *args: 0)
-    broken = run_verification_suite({"families": ["colorcoding"]})["families"]["colorcoding"]
+    broken = run_verification_suite({"families": ["ktree"]})["families"]["ktree"]
     assert broken["notes"]["missed_yes"] > 0
     assert {"check": "missed_yes", "count": broken["notes"]["missed_yes"]} in broken["failures"]
+    # a solver that says yes to every case, with every tree node on host 0
+    monkeypatch.setattr(analysis, "ktree_colorcoding", lambda G, T, **kw: SolveResult(
+        "yes", certificate=dict.fromkeys(range(T.k), 0)))
+    lying = run_verification_suite({"families": ["ktree"]})["families"]["ktree"]
+    checks = [f["check"] for f in lying["failures"]]
+    assert checks.count("one_sided") == lying["notes"]["no"]
+    assert checks.count("certificate") > 0  # every case with k > 1
 
 
 def test_suite_exactcover_large_rejects_an_overlapping_certificate(monkeypatch):
@@ -227,8 +234,8 @@ def test_suite_embed_families_reject_a_non_injective_oracle_certificate(monkeypa
         return res
 
     monkeypatch.setattr(analysis, "tree_embed_backtrack", corrupted)
-    report = run_verification_suite({"families": ["ntree", "colorcoding"]})
-    for name in ("ntree", "colorcoding"):
+    report = run_verification_suite({"families": ["ntree", "ktree"]})
+    for name in ("ntree", "ktree"):
         failures = [f for f in report["families"][name]["failures"]
                     if f["check"] == "oracle_certificate"]
         assert failures, name

@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
+from xcover import kernels
 from xcover.cli import main
 from xcover.instances import Digraph, PatternTree, gen_planted, parse_instance, serialize_instance
+from xcover.solvers import verify_embedding
 
 
 @pytest.fixture()
@@ -113,28 +115,48 @@ def _ktree_files(tmp_path):
     return [str(tmp_path / "h.digraph"), str(tmp_path / "t.tree")]
 
 
-def test_ktree_budget_bounds_the_planned_trials(run, tmp_path):
-    # k = 5 at the default failure probability 0.01 plans 684 trials and
-    # one sieve run of 2^5 passes
-    files = _ktree_files(tmp_path)
-    code, out, err = run("solve", "ktree", *files, "--budget", "683")
+def test_ktree_budget_bounds_the_planned_trials(run, tmp_path, monkeypatch):
+    # the planned trials are the sieve runs: k = 5 at failure probability
+    # 1e-9 plans three, of 2^5 passes each
+    files = [*_ktree_files(tmp_path), "--failure-prob", "1e-9"]
+    sieve = kernels.tree_sieve
+    monkeypatch.setattr(kernels, "tree_sieve", None)  # the exit comes before any sieve run
+    code, out, err = run("solve", "ktree", *files, "--budget", "95")
     assert code == 3 and out == ""
-    assert err == "error: ktree plans 684 color-coding trials, more than the budget of 683\n"
-    code, out, _ = run("solve", "ktree", *files, "--budget", "684")
-    assert code == 0 and json.loads(out)["answer"] == "yes"
+    assert err == "error: ktree plans 96 sieve passes, more than the budget of 95\n"
+    monkeypatch.setattr(kernels, "tree_sieve", sieve)
+    code, out, _ = run("solve", "ktree", *files, "--budget", "96")
+    record = json.loads(out)
+    assert code == 0 and record["answer"] == "yes"
+    # the first run is nonzero, and the embedder takes 9 units on the whole host
+    assert record["stats"] == {"explored": 9, "sieve_runs": 1}
 
 
 def test_ktree_budget_bounds_the_planned_sieve_passes(run, tmp_path):
-    # at failure probability 0.99, k = 5 plans 2 trials and 2^5 sieve passes
-    files = [*_ktree_files(tmp_path), "--failure-prob", "0.99"]
+    # three complete layers of five decoy nodes, where a 5-node path runs
+    # out of arcs, then the path itself on hosts 15-19: the embedder spends
+    # 195 units on the whole host
+    arcs = [(a, b) for a in range(10) for b in range(5 * (a // 5 + 1), 5 * (a // 5 + 2))]
+    host = Digraph(20, frozenset(arcs + [(15 + i, 16 + i) for i in range(4)]))
+    path = PatternTree(5, 0, (-1, 0, 1, 2, 3), ("und", "fwd", "fwd", "fwd", "fwd"))
+    (tmp_path / "h.digraph").write_text(serialize_instance(host))
+    (tmp_path / "t.tree").write_text(serialize_instance(path))
+    files = [str(tmp_path / "h.digraph"), str(tmp_path / "t.tree"), "--failure-prob", "0.99"]
+    code, out, _ = run("solve", "ktree", *files)
+    assert code == 0 and json.loads(out)["stats"] == {"explored": 195, "sieve_runs": 1}
+    # at failure probability 0.99, k = 5 plans one sieve run of 2^5 passes
     code, out, err = run("solve", "ktree", *files, "--budget", "31")
     assert code == 3 and out == ""
     assert err == "error: ktree plans 32 sieve passes, more than the budget of 31\n"
+    # 32 units do not reach the path on the whole host, so the sieve drops
+    # the 15 decoys, one run each, and the embedder takes the hosts left
     code, out, _ = run("solve", "ktree", *files, "--budget", "32")
-    # both trials miss, so the sieve's self-reduction finds the embedding
     record = json.loads(out)
     assert code == 0 and record["answer"] == "yes"
-    assert record["stats"]["trials"] == 2 and record["stats"]["sieve_runs"] > 1
+    assert record["stats"] == {"explored": 20, "sieve_runs": 16}
+    mapping = {int(v): u for v, u in record["certificate"].items()}
+    assert verify_embedding(host, path, mapping)
+    assert sorted(mapping.values()) == [15, 16, 17, 18, 19]
 
 
 @pytest.mark.parametrize("tree, bad, answer", [

@@ -171,8 +171,8 @@ GOLDEN = {
     "solve-exactcover-delta3": "44512d83bdbbf838acf99d46945551f70a0a5c06b84b7b155fe9068409c6ed94",
     "solve-ham-no": "7c9d6221bed2aef7c580d34fcc2004687a3a14d82987c5db54f6c33a980e8b7f",
     "solve-ham-yes": "db4f15980c6b499981236bba2a0bd6c2f48f414737b1d7380cdfd1c67b9b4e09",
-    "solve-ktree-seed0": "3d910b2d07db427f46b9d5e644380d54ead19b56c0054d9566cc4321b1fd21d7",
-    "solve-ktree-seed5": "aca0af99f18f92f2466def745d5d49deb3695e4daad2a21724cec7f9581cd29b",
+    "solve-ktree-seed0": "15a2803cf73d465f0be5a76cb9d860cefa3d69f2f06cce5c1ff66d0da8912707",
+    "solve-ktree-seed5": "2da04f80f803e93e4c3cc7cc2af3786eb10a345f74d382612187ef3c311d3c53",
     "solve-partialcover": "bdacf7d23bb3806523ca050e3e42b4db548c7efa12158ecc106ffd94cd5d9649",
     "solve-setcover": "dfd8593cbfb1229fa504efcf480adea531f013a12358696d682c3f4bb1998fc4",
 }

@@ -1,5 +1,4 @@
-"""The kernels, the color-coding trial and the tree sieve against brute-force
-oracles."""
+"""The kernels and the tree sieve against brute-force oracles."""
 
 import hashlib
 import itertools
@@ -9,12 +8,11 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xcover import kernels, solvers
+from xcover import kernels
 from xcover.instances import EXACT, PARTIAL, SetCoverInstance, gen_planted
 from xcover.solvers import (
     exactcover_solve,
@@ -517,99 +515,6 @@ def test_heldkarp_at_the_cap():
     assert peak < 20 << 20
 
 
-def _colorful_root_hosts(k, parent, orient, out_adj, colors):
-    """Hosts of the root over all colorful, orientation-respecting embeddings.
-
-    Backtracks over the tree nodes in id order (every parent precedes its
-    children); distinct colors make the image injective.
-    """
-    def arc(a, b):
-        return out_adj[a] >> b & 1
-
-    def extends(image):
-        v = len(image)
-        if v == k:
-            return True
-        hp, o = image[parent[v]], orient[v]
-        used = {colors[x] for x in image}
-        return any(
-            colors[u] not in used
-            and (arc(hp, u) if o == 1 else arc(u, hp) if o == 2 else arc(hp, u) or arc(u, hp))
-            and extends(image + [u])
-            for u in range(len(colors)))
-
-    return {u for u in range(len(colors)) if extends([u])}
-
-
-def test_color_disjoint_tables_hold_the_disjoint_masks():
-    rng = random.Random(16)
-    for k in range(1, 17):
-        h, low, high = kernels.color_disjoint(k)
-        masks = range(1 << k) if k <= 7 else rng.sample(range(1 << k), 40)
-        for a in masks:
-            got = low[a & ((1 << h) - 1)] & high[a >> h]
-            if k <= 7:
-                assert got == sum(1 << b for b in range(1 << k) if a & b == 0), (k, a)
-            else:
-                for b in rng.sample(range(1 << k), 40) + [a, (1 << k) - 1 - a]:
-                    assert got >> b & 1 == (a & b == 0), (k, a, b)
-                assert got >> (1 << k) == 0
-
-
-def test_colorful_trial_matches_embedding_search():
-    """1-40 colorings per tree and host, one per kernel call: the kernel hits
-    exactly on the colorings with a colorful embedding, and extraction from
-    each hit puts the root at its lowest host."""
-    rng = random.Random(13)
-    hits = []
-    for _ in range(300):
-        k = rng.randint(1, 7)
-        n = rng.randint(1, 10)
-        # random tree over 0..k-1 rooted at 0, random orientations
-        parent = [-1] + [rng.randrange(v) for v in range(1, k)]
-        orient = [0] + [rng.choice([0, 1, 2]) for _ in range(k - 1)]
-        children = [[] for _ in range(k)]
-        for v in range(1, k):
-            children[parent[v]].append(v)
-        post = []
-        stack = [(0, False)]
-        while stack:
-            v, done = stack.pop()
-            if done:
-                post.append(v)
-            else:
-                stack.append((v, True))
-                stack.extend((c, False) for c in children[v])
-        out_adj = [0] * n
-        in_adj = [0] * n
-        for u in range(n):
-            for v in range(n):
-                if u != v and rng.random() < 0.4:
-                    out_adj[u] |= 1 << v
-                    in_adj[v] |= 1 << u
-        und_adj = [o | i for o, i in zip(out_adj, in_adj)]
-        by_orient = (und_adj, out_adj, in_adj)
-        edge_adj = [by_orient[o] for o in orient]
-        host = SimpleNamespace(along=lambda u, o: [w for w in range(n)
-                                                   if by_orient[o][u] >> w & 1])
-        tree = SimpleNamespace(k=k, post_order=post, parent=parent, orientation=orient)
-        for _ in range(rng.randint(1, 40)):
-            colors = [rng.randrange(k) for _ in range(n)]
-            roots = _colorful_root_hosts(k, parent, orient, out_adj, colors)
-            got = kernels.colorful_trial_yes(k, post, parent, edge_adj, colors)
-            assert got == (0 if roots else -1), (k, n, parent, orient, colors)
-            if got < 0:
-                continue
-            hits.append(k)
-            mapping = solvers._colorful_reconstruct(host, tree, edge_adj, colors)
-            assert mapping[0] == min(roots)
-            assert sorted(colors[mapping[v]] for v in range(k)) == list(range(k))
-            assert all(mapping[v] in host.along(mapping[parent[v]], orient[v])
-                       for v in range(1, k))
-    # 2,102 hits, 195 of them at k >= 5
-    assert len(hits) > 1000 and sum(size >= 5 for size in hits) > 100
-
-
 def test_gf_tables_cycle_through_the_nonzero_elements():
     """x generates GF(2^16)*: the antilog table runs through all 65,535
     nonzero elements once, twice over, and log inverts it; the two tables
@@ -627,16 +532,19 @@ def test_gf_tables_cycle_through_the_nonzero_elements():
 
 
 def test_gf_tables_are_built_on_the_first_sieve_call():
+    # the k = 1 and k > n early answers run no sieve, so they leave the
+    # tables unbuilt; every other query builds them
     script = (
         "from xcover import kernels, solvers\n"
         "from xcover.instances import Digraph, PatternTree\n"
         "assert kernels.gf_tables.cache_info().currsize == 0\n"
-        "path = PatternTree(2, 0, (-1, 0), ('und', 'fwd'))\n"
         "G = Digraph(3, frozenset({(0, 1), (1, 2)}))\n"
-        "assert solvers.ktree_colorcoding(G, path).is_yes\n"
+        "path = PatternTree(2, 0, (-1, 0), ('und', 'fwd'))\n"
+        "assert solvers.ktree_colorcoding(G, PatternTree(1, 0, (-1,), ('und',))).is_yes\n"
+        "long = PatternTree(4, 0, (-1, 0, 1, 2), ('und', 'fwd', 'fwd', 'fwd'))\n"
+        "assert not solvers.ktree_colorcoding(G, long).is_yes\n"
         "assert kernels.gf_tables.cache_info().currsize == 0\n"
-        "edge_adj = [None, G.masks_along['fwd']]\n"
-        "assert kernels.tree_sieve(2, path.post_order, path.parent, edge_adj, 7, 0)\n"
+        "assert solvers.ktree_colorcoding(G, path).is_yes\n"
         "assert kernels.gf_tables.cache_info().currsize == 1\n")
     src = str(Path(kernels.__file__).parents[1])
     subprocess.run([sys.executable, "-c", script], check=True,

@@ -505,7 +505,7 @@ def test_embed_leaf_groups_match_the_oracle(case):
 
 
 # ---------------------------------------------------------------------------
-# color coding
+# kTree: the tree sieve decides, the embedder certifies
 # ---------------------------------------------------------------------------
 
 
@@ -542,111 +542,45 @@ def test_colorcoding_differential():
     assert missed <= 1
 
 
-def test_colorcoding_extracts_a_valid_embedding_from_every_hit(monkeypatch):
-    # a failed extraction only costs ktree_colorcoding another trial, so
-    # check every extraction rather than the final answer
-    extract = solvers._colorful_reconstruct
-    hits = []
-
-    def checked(G, T, *rest):
-        mapping = extract(G, T, *rest)
-        hits.append(mapping is not None and verify_embedding(G, T, mapping))
-        return mapping
-
-    monkeypatch.setattr(solvers, "_colorful_reconstruct", checked)
-    for t in range(40):
-        tree = gen_random("tree", seed=1000 + t, k=2 + t % 5, oriented=True)
-        g = gen_random("digraph", seed=2000 + t, n=8, edge_probability=0.45)
-        ktree_colorcoding(g, tree, seed=t)
-    assert len(hits) > 20 and all(hits)
+def _decoy_path_host(w, k):
+    """Three complete layers of w decoy nodes, where a k-node fwd path with
+    k > 3 runs out of arcs, then the path itself on the last k hosts, which
+    the embedder tries last: it spends about w^3 units on the decoys."""
+    arcs = {(a, b) for a in range(2 * w) for b in range(w * (a // w + 1), w * (a // w + 2))}
+    arcs |= {(3 * w + i, 3 * w + i + 1) for i in range(k - 1)}
+    return Digraph(3 * w + k, frozenset(arcs))
 
 
-def _colorcoding_per_trial(G, T, failure_prob, seed):
-    """The planned color-coding trials one at a time, up to the first whose
-    extraction verifies, with no sieve."""
-    k, n = T.k, G.num_nodes
-    trials = solvers.colorcoding_trials(k, failure_prob)
-    edge_adj = [None if v == T.root else G.masks_along[o] for v, o in enumerate(T.orientation)]
-    rng = random.Random()
-    for t in range(trials):
-        colors = solvers.trial_colors(rng, seed * 1_000_003 + t, k, n)
-        if kernels.colorful_trial_yes(k, T.post_order, list(T.parent), edge_adj, colors) >= 0:
-            mapping = solvers._colorful_reconstruct(G, T, edge_adj, colors)
-            if mapping is not None and verify_embedding(G, T, mapping):
-                return "yes", mapping, {"explored": t + 1, "trials": t + 1}
-    return "no", None, {"explored": trials, "trials": trials}
-
-
-@pytest.mark.parametrize("hits, fail_first, want", [
-    ((0,), False, 1),
-    ((1,), False, 2),
-    ((3,), False, 4),
-    ((7, 8), False, 8),
-    ((127,), False, 128),  # after the 32-trial prefix and one sieve run
-    ((254,), False, 255),
-    ((255, 900), False, 256),
-    ((383,), False, 384),
-    ((1025,), False, 1026),  # the last trial
-    ((), False, 1026),  # no hit: the sieve self-reduces
-    ((5, 6), True, 7),  # the next hit in the prefix
-    ((6, 7), True, 8),
-    ((130, 131, 640), True, 132),  # the next hit after the sieve
-    ((300, 1025), True, 1026),
-    ((1025,), True, 1026),  # the only hit fails: the sieve self-reduces
+@pytest.mark.parametrize("w, budget, want", [
+    (3, solvers.DEFAULT_BUDGET, {"explored": 59, "sieve_runs": 1}),
+    (3, 32, {"explored": 14, "sieve_runs": 10}),  # the budget caps the embedder
+    (9, solvers.DEFAULT_BUDGET, {"explored": 923, "sieve_runs": 1}),  # 923 <= 32 << 5
+    (10, solvers.DEFAULT_BUDGET, {"explored": 35, "sieve_runs": 31}),  # 1,235 > 35 << 5
 ])
-def test_colorcoding_batches_match_the_trials_one_by_one(monkeypatch, hits, fail_first, want):
-    """k = 5 at failure_prob 0.001 plans 1,026 trials: a prefix of trials
-    0-31, then the sieve, then trials 32-1025.  Trial t is colorful on one
-    of two copies of the tree exactly when t is in ``hits``; with
-    ``fail_first`` the first extraction fails, so the answer comes from the
-    next hit.  A verified hit gives the answer, certificate and stats of
-    the trials run one by one without a sieve.  Without one, the
-    self-reduction drops hosts 0-4 and takes the other copy."""
-    T = gen_random("tree", seed=5, k=5, oriented=True)
-    arcs = {(p + s, v + s) if o == "fwd" else (v + s, p + s)
-            for s in (0, 5) for v, (p, o) in enumerate(zip(T.parent, T.orientation)) if p >= 0}
-    G = Digraph(10, frozenset(arcs))
-    seed = 3
-
-    def colors(rng, trial_seed, k, n):
-        t = trial_seed - seed * 1_000_003
-        if t not in hits:
-            return [0] * n
-        return [*range(5), *[0] * 5] if hits.index(t) % 2 else [*[0] * 5, *range(5)]
-
-    extract = solvers._colorful_reconstruct
+def test_ktree_self_reduces_only_when_the_embedder_cap_runs_out(monkeypatch, w, budget, want):
+    """After the first nonzero sieve run, the embedder on the whole host
+    gives the certificate within min(budget, n << k) units.  Past that cap
+    the sieve drops each decoy host in turn, one run each, and the embedder
+    takes the k hosts left."""
+    T = _path(5)
+    G = _decoy_path_host(w, T.k)
+    n = G.num_nodes
     sieve = kernels.tree_sieve
     sieved = []
-
-    def run(solve):
-        calls = []
-
-        def failing(*args):
-            calls.append(args)
-            return None if fail_first and len(calls) == 1 else extract(*args)
-
-        monkeypatch.setattr(solvers, "_colorful_reconstruct", failing)
-        return solve(), len(calls)
 
     def recorded(*args):
         sieved.append(args[4])
         return sieve(*args)
 
-    monkeypatch.setattr(solvers, "trial_colors", colors)
     monkeypatch.setattr(kernels, "tree_sieve", recorded)
-    got, got_calls = run(lambda: ktree_colorcoding(G, T, failure_prob=0.001, seed=seed))
-    (answer, mapping, stats), want_calls = run(
-        lambda: _colorcoding_per_trial(G, T, 0.001, seed))
-    assert got.is_yes and verify_embedding(G, T, got.certificate)
-    assert got.stats["trials"] == want and got_calls == want_calls
-    if answer == "yes":
-        assert (got.certificate, got.stats) == (mapping, stats)
-        assert sieved == ([] if want <= 32 else [1023])
+    res = ktree_colorcoding(G, T, failure_prob=0.99, budget=budget)
+    assert res.stats == want and verify_embedding(G, T, res.certificate)
+    if want["sieve_runs"] == 1:
+        assert res.certificate == tree_embed_backtrack(G, T).certificate
+        assert sieved == [(1 << n) - 1]
     else:
-        assert len(hits) == fail_first
-        assert sieved == [1023, 1022, 1020, 1016, 1008, 992]
-        assert got.stats == {"explored": 1026, "trials": 1026, "sieve_runs": 6}
-        assert sorted(got.certificate.values()) == [5, 6, 7, 8, 9]
+        assert sorted(res.certificate.values()) == list(range(3 * w, n))
+        assert sieved == [(1 << n) - (1 << v) for v in range(3 * w + 1)]
 
 
 @st.composite
@@ -712,15 +646,6 @@ def test_tree_sieve_is_seeded_and_keeps_to_its_hosts():
     assert not _sieve(G, T, 0, hosts & hosts - 1)  # five hosts hold no six-node tree
 
 
-def test_trial_colors_match_randrange():
-    rng = random.Random()
-    for k in range(1, 17):
-        for seed in range(200):
-            want = random.Random(seed)
-            assert solvers.trial_colors(rng, seed, k, 40) == [want.randrange(k)
-                                                              for _ in range(40)]
-
-
 def _colorcoding_cases():
     rng = random.Random(1500)
     for _ in range(400):
@@ -732,34 +657,36 @@ def _colorcoding_cases():
         yield G, T, rng.randrange(1000)
 
 
+def test_ktree_answers_match_the_pinned_digest():
+    """The answers alone on the 400 cases below, taken at commit b2769da,
+    while a colour-coding trial prefix still ran in front of the sieve:
+    dropping the prefix changed no answer."""
+    answers = [ktree_colorcoding(G, T, failure_prob=0.2, seed=seed).answer
+               for G, T, seed in _colorcoding_cases()]
+    assert (answers.count("yes"), answers.count("no")) == (256, 144)
+    assert hashlib.sha256(" ".join(answers).encode()).hexdigest() == (
+        "2116c1afb5f8592e1f129f670189dd87478f986a0a413404c3030d7c3f8cd649")
+
+
 def test_colorcoding_matches_the_pinned_digest():
     """400 seeded cases, oriented and unoriented trees.  The digest of the
-    yes records (answer, certificate, stats) was taken at commit ad3e054,
-    before the trials kept their color-mask families as bitsets and drew
-    their colors inline; 10 of them hit after the 2^k-trial prefix.  The
-    digest of all records was re-taken when the sieve took over the no
-    answers: each no on k <= n hosts now counts the prefix and one sieve
+    records (answer, certificate, stats) was re-taken when the colour-coding
+    trial prefix went: every yes now carries the certificate and units of
+    the embedder on the whole host, and every no on k <= n hosts one sieve
     run."""
-    yes_digest, digest = hashlib.sha256(), hashlib.sha256()
-    answers = []
-    late = 0
+    digest = hashlib.sha256()
     for G, T, seed in _colorcoding_cases():
         res = ktree_colorcoding(G, T, failure_prob=0.2, seed=seed)
         cert = None if res.certificate is None else sorted(res.certificate.items())
-        answers.append(res.answer)
-        record = json.dumps([res.answer, cert, res.stats], sort_keys=True).encode()
-        digest.update(record)
-        if res.is_yes:
-            yes_digest.update(record)
-            late += res.stats["trials"] > 1 << T.k
-        elif T.k <= G.num_nodes:
-            prefix = min(1 << T.k, solvers.colorcoding_trials(T.k, 0.2))
-            assert res.stats == {"explored": prefix, "trials": prefix, "sieve_runs": 1}
-    assert (answers.count("yes"), answers.count("no"), late) == (256, 144, 10)
-    assert yes_digest.hexdigest() == (
-        "fcc7f525d1835789df697c7bffb369401d1162a31fac795f4ed7fffcfbb2544f")
+        digest.update(json.dumps([res.answer, cert, res.stats], sort_keys=True).encode())
+        if res.is_yes and T.k > 1:
+            embedded = tree_embed_backtrack(G, T)
+            assert (res.certificate, res.stats["explored"]) == (
+                embedded.certificate, embedded.stats["explored"])
+        elif not res.is_yes and T.k <= G.num_nodes:
+            assert res.stats == {"explored": 0, "sieve_runs": 1}
     assert digest.hexdigest() == (
-        "4be829dd9bb5ad80c55590e0ef27b1b73b5a99426033d8403d0b6ba9fb7474a5")
+        "e6dcd0128fca2aaa324aa88493a0d0e9a6c3bbbbbadda1efb090972a6d2bad17")
 
 
 def _embed_cases():
