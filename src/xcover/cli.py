@@ -272,9 +272,10 @@ def _cmd_bounds(args) -> int:
 def _cmd_partitions(args) -> int:
     a = args.count
     record = _record("partitions", [], {"a": a})
-    record["count"] = count_partitions(a)
     if args.asymptotic and a >= 1:
+        # before the slow count: past the float range the estimate raises
         record["asymptotic"] = partition_asymptotic(a)
+    record["count"] = count_partitions(a)
     if args.list:
         if a > 40:
             raise CapacityError("refusing to list partitions beyond a = 40")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 from xcover.errors import FormatError, PreconditionError
 
@@ -83,51 +83,6 @@ class SetCoverInstance:
         return (1 << self.n) - 1
 
 
-class _PerOrientation(dict):
-    """Orientation -> one table of a host, made by ``build`` on first use;
-    an undirected host files its one table under every orientation."""
-
-    def __init__(self, build, undirected):
-        super().__init__()
-        self.build, self.undirected = build, undirected
-
-    def __missing__(self, orient):
-        if orient not in REVERSED:
-            raise KeyError(orient)
-        table = self.build(orient)
-        for o in REVERSED if self.undirected else (orient,):
-            self[o] = table
-        return table
-
-
-def _adjacency(n, edges, undirected, orient):
-    """Per node, the ascending nodes an edge of ``orient`` leads to."""
-    adj = [[] for _ in range(n)]
-    if orient != REV or undirected:
-        for u, v in edges:
-            adj[u].append(v)
-    if orient != FWD or undirected:
-        for u, v in edges:
-            adj[v].append(u)
-    if orient == UND and not undirected:
-        # a pair of anti-parallel arcs lists each end twice
-        adj = map(set, adj)
-    return tuple(tuple(sorted(a)) for a in adj)
-
-
-def _masks(along, orient):
-    return tuple(sum(map((1).__lshift__, a)) for a in along[orient])
-
-
-def _at_least(along, n, orient):
-    masks = [0] * (n + 1)
-    for u, a in enumerate(along[orient]):
-        masks[len(a)] |= 1 << u
-    for c in range(n - 1, -1, -1):
-        masks[c] |= masks[c + 1]
-    return tuple(masks)
-
-
 @dataclass(frozen=True)
 class Digraph:
     """Node-indexed adjacency over nodes [0, num_nodes).
@@ -136,15 +91,14 @@ class Digraph:
     allowed.  With ``undirected_mode`` every stored pair (normalized u < v)
     also implies the reverse.  Self-loops are rejected.
 
-    The solvers and reductions read adjacency only through ``along`` and
-    ``masks_along``, which map a tree edge's orientation onto host arcs,
-    and ``at_least``, which counts those arcs per node.
-    ``has_arc`` reads ``edges`` instead, so the certificate checkers built
-    on it stay independent of the table the solvers search.
-
-    Each orientation's table is built on its first use.  An undirected
-    host's three orientations are one relation, so it builds one table and
-    shares it between them.
+    The solvers and reductions read adjacency only through ``masks_along``,
+    per orientation a tuple of per-node bitmasks that maps a tree edge's
+    orientation onto host arcs, and ``at_least``, which counts those arcs
+    per node.  Both are built from ``edges`` on first use, all orientations
+    at once; an undirected host's three orientations are one relation, so
+    it files one tuple under all three.  ``has_arc`` reads ``edges``
+    instead, so the certificate checkers built on it stay independent of
+    the table the solvers search.
     """
 
     num_nodes: int
@@ -166,29 +120,36 @@ class Digraph:
         object.__setattr__(self, "edges", frozenset(norm))
 
     @cached_property
-    def _along(self) -> _PerOrientation:
-        return _PerOrientation(
-            partial(_adjacency, self.num_nodes, self.edges, self.undirected_mode),
-            self.undirected_mode)
+    def masks_along(self) -> dict[str, tuple[int, ...]]:
+        """Orientation -> per node u, the bitmask of the nodes where a tree
+        edge of that orientation leaving a node placed at u can end:
+        successors for ``fwd``, predecessors for ``rev``, either for ``und``."""
+        fwd = [0] * self.num_nodes
+        # an undirected edge files both of its ends in one list
+        rev = fwd if self.undirected_mode else [0] * self.num_nodes
+        for u, v in self.edges:
+            fwd[u] |= 1 << v
+            rev[v] |= 1 << u
+        if self.undirected_mode:
+            return dict.fromkeys(REVERSED, tuple(fwd))
+        return {FWD: tuple(fwd), REV: tuple(rev), UND: tuple(map(int.__or__, fwd, rev))}
 
     @cached_property
-    def masks_along(self) -> _PerOrientation:
-        """Orientation -> per node, the bitmask of the nodes ``along`` lists."""
-        return _PerOrientation(partial(_masks, self._along), self.undirected_mode)
-
-    @cached_property
-    def at_least(self) -> _PerOrientation:
+    def at_least(self) -> dict[str, tuple[int, ...]]:
         """Orientation -> per count c in [0, num_nodes], the bitmask of the
-        nodes with at least c nodes ``along`` it.  No node has num_nodes,
-        so a larger count reads entry num_nodes."""
-        return _PerOrientation(partial(_at_least, self._along, self.num_nodes),
-                               self.undirected_mode)
-
-    def along(self, u: int, orient: str) -> tuple[int, ...]:
-        """Where a tree edge of orientation ``orient`` leaving a node placed
-        at ``u`` can end, ascending: successors for ``fwd``, predecessors
-        for ``rev``, either for ``und``."""
-        return self._along[orient][u]
+        nodes with at least c nodes along it.  No node has num_nodes, so a
+        larger count reads entry num_nodes."""
+        # an undirected host's orientations share one tuple, so one table
+        n, built = self.num_nodes, {}
+        for masks in self.masks_along.values():
+            if id(masks) not in built:
+                table = [0] * (n + 1)
+                for u, mask in enumerate(masks):
+                    table[mask.bit_count()] |= 1 << u
+                for c in range(n - 1, -1, -1):
+                    table[c] |= table[c + 1]
+                built[id(masks)] = tuple(table)
+        return {o: built[id(masks)] for o, masks in self.masks_along.items()}
 
     def has_arc(self, u: int, v: int) -> bool:
         """True when an edge usable in direction u -> v exists."""

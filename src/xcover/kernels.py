@@ -287,9 +287,12 @@ def tree_sieve(k, post_order, parent, edge_adj, hosts, seed):
     into = [[[] for _ in range(n)] for _ in range(k)]
     for c in post_order[:-1]:
         for u in range(n):
-            for v in range(n):
-                if (edge_adj[c][u] & hosts) >> v & 1 and (y := draw(16)):
-                    into[c][v].append((u, log[y]))
+            ends = edge_adj[c][u] & hosts
+            while ends:
+                low = ends & -ends
+                ends ^= low
+                if y := draw(16):
+                    into[c][low.bit_length() - 1].append((u, log[y]))
     total, w = 0, [0] * n
     for i in range(1, 1 << k):
         w = [a ^ b for a, b in zip(w, x[(i & -i).bit_length() - 1])]

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
-from xcover.errors import PreconditionError
+from xcover.errors import CapacityError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -147,10 +148,14 @@ def count_partitions(a: int) -> int:
 
 
 def partition_asymptotic(a: int) -> float:
-    """Closed-form growth estimate exp(pi*sqrt(2a/3)) / (4a*sqrt(3))."""
+    """Closed-form growth estimate exp(pi*sqrt(2a/3)) / (4a*sqrt(3)); raises
+    CapacityError where it leaves the float range, from a = 76,568 on."""
     if a < 1:
         raise PreconditionError("a must be positive")
-    return math.exp(math.pi * math.sqrt(2 * a / 3)) / (4 * a * math.sqrt(3))
+    exponent = math.pi * math.sqrt(2 * a / 3)
+    if exponent > math.log(sys.float_info.max):
+        raise CapacityError(f"the asymptotic estimate at a = {a} exceeds the float range")
+    return math.exp(exponent) / (4 * a * math.sqrt(3))
 
 
 def shrink_partition(alpha: Partition, g: int) -> ShrunkPartition:

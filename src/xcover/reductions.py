@@ -66,10 +66,9 @@ MG_MAX_NODES = 10 ** 6
 
 
 def normalize_variant(name: str) -> str:
-    try:
+    if isinstance(name, str) and name in _VARIANT_ALIASES:
         return _VARIANT_ALIASES[name]
-    except KeyError:
-        raise PreconditionError(f"unknown variant {name!r}") from None
+    raise PreconditionError(f"unknown variant {name!r}")
 
 
 @dataclass
@@ -563,19 +562,22 @@ def _paths_by_end(G, a, length):
     the distinct simple directed paths from a with exactly ``length`` edges,
     each in DFS order.  The end may be a itself, never an interior node."""
     out = {}
-    path = [a]
+    path, succ = [a], G.masks_along[FWD]
 
     def rec(u, depth, inner):
-        if depth + 1 == length:
-            nodes = tuple(sorted(path))
-            for w in G.along(u, FWD):
-                if w == a or w not in path:
-                    out.setdefault(w, {}).setdefault(nodes, inner)
-            return
-        for w in G.along(u, FWD):
-            if w not in path:
+        # ``inner`` is the path without a; only the last edge may end at a
+        last = depth + 1 == length
+        ends = succ[u] & ~(inner if last else inner | 1 << a)
+        nodes = tuple(sorted(path)) if last else None
+        while ends:
+            low = ends & -ends
+            ends ^= low
+            w = low.bit_length() - 1
+            if last:
+                out.setdefault(w, {}).setdefault(nodes, inner)
+            else:
                 path.append(w)
-                rec(w, depth + 1, inner | 1 << w)
+                rec(w, depth + 1, inner | low)
                 path.pop()
 
     rec(a, 0, 0)

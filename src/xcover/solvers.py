@@ -342,19 +342,17 @@ class _EmbedSearch:
         self.explored = 0
         self._plan()
         self.assign = {}
-        self.used = set()
-        # ``used`` as a bitmask, for _hall; the matcher's scans test the set,
-        # which is faster than a bit test there
-        self.used_mask = 0
+        self.used_mask = 0  # the hosts of the placed internal nodes
         # (free hosts at merge time, leaf demand) per component of the placed
         # groups, linked when their free pools meet (see _hall)
         self.comps = ()
         # group matching kept across placements (see _extend_matching), the
         # leaves' hosts once the search ends (see _leaf_mapping):
-        # group -> hosts its leaves may take, set when its parent is placed;
-        # ``used`` is checked on use
-        self.group_pool = [()] * len(self.group_leaves)
+        # group -> mask of the hosts its leaves may take, set when its parent
+        # is placed; ``used_mask`` is checked on use
+        self.group_pool = [0] * len(self.group_leaves)
         self.match = {}  # host -> leaf group holding it
+        self.matched = 0  # the hosts of ``match`` as a bitmask
         self.undo = []  # (host, previous group or None), replayed backwards on backtrack
 
     def _plan(self):
@@ -363,14 +361,13 @@ class _EmbedSearch:
         Free leaves are childless non-root nodes; the other, internal nodes
         are placed by DFS in ``order``.  A leaf group is the free leaf
         children of one parent with one orientation, so they share one host
-        pool.  ``groups`` maps a parent to its [(group, orientation)],
-        ``group_leaves`` a group to its leaves, and ``group_masks`` a parent
-        to (the host masks along the orientation, the leaf count) per group,
-        read by _hall.
+        pool.  ``groups`` maps a parent to its [(group, the host masks along
+        the group's orientation, its leaf count)], and ``group_leaves`` a
+        group to its leaves.
         """
         G, T = self.G, self.T
         k, root, children, orientation = T.k, T.root, T.children, T.orientation
-        self.groups, self.group_leaves, self.group_masks = {}, [], {}
+        self.groups, self.group_leaves = {}, []
         # shape[v]: one id per shape of an internal node's subtree,
         # orientations at every node included; equal ids mean
         # interchangeable subtrees.  A leaf child enters its parent's shape
@@ -396,8 +393,8 @@ class _EmbedSearch:
             inner.sort()
             for o, group in leaves.items():
                 size[v] += len(group)
-                self.groups.setdefault(v, []).append((len(self.group_leaves), o))
-                self.group_masks.setdefault(v, []).append((G.masks_along[o], len(group)))
+                self.groups.setdefault(v, []).append(
+                    (len(self.group_leaves), G.masks_along[o], len(group)))
                 self.group_leaves.append(group)
             inner += sorted((o, len(group)) for o, group in leaves.items())
             shape[v] = shapes.setdefault((orientation[v], tuple(inner)), len(shapes))
@@ -445,8 +442,8 @@ class _EmbedSearch:
         else:
             adj = G.masks_along[T.orientation[v]][self.assign[T.parent[v]]]
         floor = self.assign[self.twin_prev[v]] if v in self.twin_prev else -1
-        used, budget = self.used, self.budget
-        used_mask, comps, new = self.used_mask, self.comps, self.group_masks.get(v, ())
+        budget = self.budget
+        used_mask, comps, new = self.used_mask, self.comps, self.groups.get(v, ())
         # a unit per host of ``adj``, ascending, skipped ones (used, at most
         # the twin's host, or short of v's degree needs) included: ``charged``
         # counts the hosts paid for, each candidate paying up to its own
@@ -466,16 +463,14 @@ class _EmbedSearch:
             if placed is None:
                 continue
             self.used_mask, self.comps = now_used, placed
-            mark = len(self.undo)
+            mark = len(self.undo), self.matched
             self.assign[v] = u
-            used.add(u)
             if self._extend_matching(v, u):
                 result = self._place(idx + 1)
                 if result is not None:
                     return result
             self._rollback(mark)
             del self.assign[v]
-            used.remove(u)
         self.used_mask, self.comps = used_mask, comps
         self.explored += adj.bit_count() - charged
         if self.explored > budget:
@@ -501,7 +496,7 @@ class _EmbedSearch:
         for mask, demand in comps:
             if mask & bit and (mask & free).bit_count() < demand:
                 return None
-        for along, demand in new:
+        for _, along, demand in new:
             pool = mask = along[u] & free
             for m, d in comps:
                 if m & pool:
@@ -530,23 +525,25 @@ class _EmbedSearch:
         decider, since the components' counts miss Hall violations of a
         part of a component.
         """
-        match, used, undo = self.match, self.used, self.undo
+        match, undo = self.match, self.undo
         displaced = match.pop(u, None)
         if displaced is not None:
             undo.append((u, displaced))
+            self.matched ^= 1 << u
             if not self._augment(displaced, {displaced}):
                 return False
-        for g, o in self.groups.get(v, ()):
-            pool = self.group_pool[g] = self.G.along(u, o)
+        for g, along, missing in self.groups.get(v, ()):
+            pool = self.group_pool[g] = along[u]
             self._tick()
-            missing = len(self.group_leaves[g])
-            for w in pool:
-                if w not in match and w not in used:
-                    undo.append((w, None))
-                    match[w] = g
-                    missing -= 1
-                    if not missing:
-                        break
+            free = pool & ~(self.used_mask | self.matched)
+            while missing and free:
+                low = free & -free
+                free ^= low
+                w = low.bit_length() - 1
+                undo.append((w, None))
+                match[w] = g
+                self.matched |= low
+                missing -= 1
             for _ in range(missing):
                 if not self._augment(g, {g}):
                     return False
@@ -559,16 +556,20 @@ class _EmbedSearch:
         them, so each pool is scanned at most once per search.
         """
         self._tick()
-        pool, match, used = self.group_pool[g], self.match, self.used
-        for w in pool:
-            if w not in match and w not in used:
-                self.undo.append((w, None))
-                match[w] = g
-                return True
-        for w in pool:
-            if w in used:
-                continue
-            holder = match[w]
+        pool, match = self.group_pool[g], self.match
+        free = pool & ~(self.used_mask | self.matched)
+        if free:
+            low = free & -free
+            w = low.bit_length() - 1
+            self.undo.append((w, None))
+            match[w] = g
+            self.matched |= low
+            return True
+        held = pool & ~self.used_mask
+        while held:
+            low = held & -held
+            held ^= low
+            holder = match[w := low.bit_length() - 1]
             if holder in visited:
                 continue
             visited.add(holder)
@@ -579,8 +580,10 @@ class _EmbedSearch:
         return False
 
     def _rollback(self, mark):
+        """Undo the matching back to ``mark``, (undo length, ``matched``)."""
         undo, match = self.undo, self.match
-        while len(undo) > mark:
+        end, self.matched = mark
+        while len(undo) > end:
             w, g = undo.pop()
             if g is None:
                 del match[w]

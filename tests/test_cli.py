@@ -215,6 +215,12 @@ def test_partitions_count(run):
     assert code == 0 and record["count"] == 42
 
 
+def test_partitions_asymptotic_past_the_float_range_exits_3(run):
+    code, out, err = run("partitions", "--count", "76568", "--asymptotic")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_partitions_list(run):
     code, out, _ = run("partitions", "--count", "5", "--list")
     record = json.loads(out)
@@ -535,6 +541,8 @@ def test_verify_rejects_trial_counts_below_one(run, tmp_path):
     ('{"seed": "abc"}', 3),
     ('{"seed": 1.5}', 3),
     ('{"variant": "nope"}', 3),
+    ('{"variant": ["x"]}', 3),
+    ('{"variant": {}}', 3),
     ('["roundtrip"]', 3),
     ('{"seed": ', 2),
 ])

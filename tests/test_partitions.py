@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from xcover.errors import PreconditionError
+from xcover.errors import CapacityError, PreconditionError
 from xcover.partitions import (
     Partition,
     count_partitions,
@@ -119,6 +119,12 @@ def test_asymptotic_converges_upward():
     r60 = count_partitions(60) / partition_asymptotic(60)
     r160 = count_partitions(160) / partition_asymptotic(160)
     assert abs(1 - r160) < abs(1 - r60)
+
+
+def test_asymptotic_stops_at_the_float_range():
+    assert isinstance(partition_asymptotic(76567), float)
+    with pytest.raises(CapacityError):
+        partition_asymptotic(76568)
 
 
 def test_shrink_examples():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -6,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xcover import instances
 from xcover.errors import CapacityError, PreconditionError
 from xcover.instances import (
     FWD,
@@ -484,7 +484,7 @@ def test_host_graph_counts():
     # 4 + 4*ceil(n/(g/2)) + C(m,g) + m + n = 4 + 32 + 10 + 5 + 8
     assert bundle.host.num_nodes == 59
     r = next(v for v, role in bundle.node_roles.items() if role == ("r",))
-    assert len(bundle.host.along(r, UND)) == 3 + 5 + 8
+    assert bundle.host.masks_along[UND][r].bit_count() == 3 + 5 + 8
 
 
 def test_host_graph_no_m_to_mg_edge():
@@ -494,6 +494,10 @@ def test_host_graph_no_m_to_mg_edge():
         assert kinds != {"M", "Mg"}
 
 
+def _neighbours(G, u):
+    return [w for w in range(G.num_nodes) if G.has_arc(u, w)]
+
+
 def test_host_graph_edge_semantics():
     inst = _crafted_inst()
     bundle = build_host_graph(inst, 2)
@@ -501,14 +505,14 @@ def test_host_graph_edge_semantics():
     by_role = {role: v for v, role in roles.items()}
     for i, s in enumerate(inst.sets):
         node = by_role[("M", i)]
-        elems = {roles[w][1] for w in bundle.host.along(node, UND) if roles[w][0] == "N"}
+        elems = {roles[w][1] for w in _neighbours(bundle.host, node) if roles[w][0] == "N"}
         assert elems == set(s)
     for v, role in roles.items():
         if role[0] == "Mg":
             union = set()
             for i in role[1]:
                 union.update(inst.sets[i])
-            elems = {roles[w][1] for w in bundle.host.along(v, UND) if roles[w][0] == "N"}
+            elems = {roles[w][1] for w in _neighbours(bundle.host, v) if roles[w][0] == "N"}
             assert elems == union
 
 
@@ -613,17 +617,19 @@ def test_sck_builds_the_degree_table_once_per_host(monkeypatch):
     # the trees tried on one host share its table; the undirected host
     # files its one table under every orientation
     built = []
-    at_least = instances._at_least
+    at_least = Digraph.at_least.func
 
-    def counted(along, n, orient):
-        built.append(orient)
-        return at_least(along, n, orient)
+    def counted(G):
+        built.append(G)
+        return at_least(G)
 
-    monkeypatch.setattr(instances, "_at_least", counted)
+    monkeypatch.setattr(Digraph, "at_least", functools.cached_property(counted))
+    Digraph.at_least.__set_name__(Digraph, "at_least")
     inst = SetCoverInstance(8, ((0, 1), (2, 3), (4, 5), (6,), (7,)))
     res = setcover_to_ktree(inst, 2)
     assert (res.optimum, res.stats["trees_tried"]) == (5, 2)
-    assert built == [UND]
+    [G] = built
+    assert G.at_least[FWD] is G.at_least[REV] is G.at_least[UND]
 
 
 def test_sck_infeasible_instance():
@@ -837,8 +843,8 @@ def _ham_oracle(G, delta):
                             sets.append(tuple(sorted(path)))
                         continue
                     # reversed, so the pop order is ascending successor order
-                    for w in reversed(G.along(path[-1], FWD)):
-                        if w not in order and w not in path:
+                    for w in reversed(range(n)):
+                        if G.has_arc(path[-1], w) and w not in order and w not in path:
                             stack.append(path + [w])
             inst = SetCoverInstance(n=n, sets=tuple(dict.fromkeys(sets)), delta=delta)
             out.append((inst, t, order))

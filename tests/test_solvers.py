@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -646,6 +647,20 @@ def test_tree_sieve_is_seeded_and_keeps_to_its_hosts():
     assert not _sieve(G, T, 0, hosts & hosts - 1)  # five hosts hold no six-node tree
 
 
+def test_ktree_on_a_large_sparse_host_walks_only_its_arcs():
+    """The sieve's setup draws one value per arc, not per pair of hosts, so
+    a 20,000-node ring (yes) and perfect matching (no) decide in seconds
+    where testing all n^2 pairs takes minutes."""
+    n, T = 20_000, _path(3, "und")
+    ring = Digraph(n, frozenset((u, (u + 1) % n) for u in range(n)), True)
+    pairs = Digraph(n, frozenset((u, u + 1) for u in range(0, n, 2)), True)
+    start = time.perf_counter()
+    res = ktree_colorcoding(ring, T)
+    assert res.is_yes and verify_embedding(ring, T, res.certificate)
+    assert not ktree_colorcoding(pairs, T).is_yes
+    assert time.perf_counter() - start < 10
+
+
 def _colorcoding_cases():
     rng = random.Random(1500)
     for _ in range(400):
@@ -791,12 +806,12 @@ class _HallAgainstAugment(solvers._EmbedSearch):
     def _hall(self, comps, used, u, new):
         comps = super()._hall(comps, used, u, new)
         if comps is None:
-            v = next((w for w, m in self.group_masks.items() if m is new), None)
-            mark = len(self.undo)
-            self.used.add(u)
+            v = next((w for w, m in self.groups.items() if m is new), None)
+            mark, used_mask = (len(self.undo), self.matched), self.used_mask
+            self.used_mask = used
             assert not self._extend_matching(v, u)
             self._rollback(mark)
-            self.used.remove(u)
+            self.used_mask = used_mask
             self.rejected += 1
         return comps
 
