@@ -2,13 +2,21 @@
 
 All bound arithmetic lives in log2 space (the raw counts are astronomically
 large); comparisons use an absolute tolerance of 1e-9.
+
+A verification family states only its cases and checks: it draws its
+cases from the generator it is given, appends a record per failed check,
+with a disagreement's graph or instance shrunk by ``_minimize``, and
+returns its notes and bounds reports.  The runner,
+``run_verification_suite``, seeds each family's generator, sets its trial
+count, builds its record and fails it on ``coverage`` when a note that
+``_FAMILIES`` requires is 0.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from xcover.errors import PreconditionError
 from xcover.instances import (
@@ -148,51 +156,28 @@ def reduction_bound_report(batch: ReductionBatch, inputs: dict,
 # ---------------------------------------------------------------------------
 
 
-def _minimize_edges(G: Digraph, predicate) -> Digraph:
-    """Greedy edge deletion while the discrepancy predicate persists."""
-    cur = G
-    improved = True
-    while improved:
-        improved = False
-        for e in sorted(cur.edges):
-            cand = Digraph(cur.num_nodes, frozenset(cur.edges - {e}), cur.undirected_mode)
-            if predicate(cand):
-                cur = cand
-                improved = True
-                break
-    return cur
-
-
-def _minimize_sets(inst: SetCoverInstance, predicate) -> SetCoverInstance:
-    cur = inst
-    improved = True
-    while improved:
-        improved = False
-        for j in range(cur.m):
-            sets = cur.sets[:j] + cur.sets[j + 1:]
-            cand = SetCoverInstance(cur.n, sets, cur.variant, cur.p, cur.delta)
-            if predicate(cand):
-                cur = cand
-                improved = True
-                break
-    return cur
+def _minimize(value, still_bad):
+    """Greedy deletion while ``still_bad`` holds: drop the first edge, in
+    sorted order, of a Digraph, or the first set, by index, of a
+    SetCoverInstance whose removal keeps it, and start over."""
+    while True:
+        if isinstance(value, Digraph):
+            smaller = (replace(value, edges=value.edges - {e}) for e in sorted(value.edges))
+        else:
+            smaller = (replace(value, sets=value.sets[:j] + value.sets[j + 1:])
+                       for j in range(value.m))
+        cand = next(filter(still_bad, smaller), None)
+        if cand is None:
+            return value
+        value = cand
 
 
 # ---------------------------------------------------------------------------
 # verification suite
 # ---------------------------------------------------------------------------
 
-def _family_result(cases, failures, notes=None, bounds=None):
-    out = {"cases": cases, "failures": failures, "notes": notes or {}}
-    if bounds is not None:
-        out["bounds"] = bounds
-    return out
 
-
-def _family_roundtrip(cfg):
-    rng = random.Random(cfg.seed * 11 + 1)
-    failures = []
-    cases = cfg.n_trials("roundtrip")
+def _family_roundtrip(cfg, rng, cases, failures):
     for t in range(cases):
         kind = rng.choice(["setcover", "exactcover", "partialcover", "digraph", "graph", "tree"])
         if kind in ("setcover", "exactcover", "partialcover"):
@@ -211,13 +196,9 @@ def _family_roundtrip(cfg):
         back = parse_instance(text)
         if back != value or serialize_instance(back) != text:
             failures.append({"kind": kind, "text": text})
-    return _family_result(cases, failures)
 
 
-def _family_planted(cfg):
-    rng = random.Random(cfg.seed * 11 + 2)
-    failures = []
-    cases = cfg.n_trials("planted")
+def _family_planted(cfg, rng, cases, failures):
     for t in range(cases):
         G, order = gen_planted("ham_cycle", seed=cfg.seed + t, n=rng.randint(2, 9),
                                extra_edges=rng.randint(0, 6))
@@ -235,13 +216,9 @@ def _family_planted(cfg):
                                     m=rng.randint(1, 6))
         if not verify_cover(inst, witness):
             failures.append({"kind": "covered_universe", "instance": serialize_instance(inst)})
-    return _family_result(cases, failures)
 
 
-def _family_cover_guarantees(cfg):
-    rng = random.Random(cfg.seed * 11 + 3)
-    failures = []
-    cases = cfg.n_trials("cover_guarantees")
+def _family_cover_guarantees(cfg, rng, cases, failures):
     for t in range(cases):
         k = rng.randint(2, 120)
         T = gen_random("tree", seed=cfg.seed * 1000 + t, k=k)
@@ -252,25 +229,18 @@ def _family_cover_guarantees(cfg):
                              "violations": {key: rep[key] for key in
                                             ("size", "coverage", "intersection",
                                              "count", "connectivity", "root")}})
-    return _family_result(cases, failures)
 
 
-def _family_solver_agreement(cfg):
-    rng = random.Random(cfg.seed * 11 + 4)
-    failures = []
-    cases = cfg.n_trials("solver_agreement")
+def _family_solver_agreement(cfg, rng, cases, failures):
     for t in range(cases):
         n = rng.randint(1, 9)
         inst = gen_random("setcover", seed=cfg.seed + 31 * t, n=n,
                           m=rng.randint(0, 9), max_set_size=rng.randint(1, n))
-        dp = setcover_dp(inst)
-        bf = setcover_bruteforce(inst)
-        if (dp.answer, dp.optimum) != (bf.answer, bf.optimum):
-            mini = _minimize_sets(inst, lambda c: (
-                (setcover_dp(c).answer, setcover_dp(c).optimum)
-                != (setcover_bruteforce(c).answer, setcover_bruteforce(c).optimum)))
+        if _dp_disagrees(inst):
+            mini = _minimize(inst, _dp_disagrees)
             failures.append({"check": "dp_vs_bruteforce", "instance": serialize_instance(mini)})
             continue
+        dp = setcover_dp(inst)
         if dp.answer == "optimum" and not verify_cover(inst, dp.certificate):
             failures.append({"check": "certificate", "instance": serialize_instance(inst)})
         partial = SetCoverInstance(inst.n, inst.sets, variant=PARTIAL, p=inst.n)
@@ -283,22 +253,23 @@ def _family_solver_agreement(cfg):
             grown = SetCoverInstance(inst.n, inst.sets + (extra,))
             if setcover_dp(grown).optimum > dp.optimum:
                 failures.append({"check": "monotone", "instance": serialize_instance(grown)})
-    return _family_result(cases, failures)
 
 
-def _family_exactcover_large(cfg):
-    rng = random.Random(cfg.seed * 11 + 5)
-    failures = []
-    cases = cfg.n_trials("exactcover_large")
+def _dp_disagrees(inst):
+    """The cover DP and the brute force differ in answer or optimum."""
+    dp, bf = setcover_dp(inst), setcover_bruteforce(inst)
+    return (dp.answer, dp.optimum) != (bf.answer, bf.optimum)
+
+
+def _family_exactcover_large(cfg, rng, cases, failures):
     for t in range(cases):
         n = rng.randint(1, 10)
         inst = gen_random("exactcover", seed=cfg.seed + 77 * t, n=n,
                           m=rng.randint(0, 8), max_set_size=rng.randint(1, n))
         delta = rng.choice([2, 3])
         if _exactcover_disagrees(inst, delta):
-            mini = _minimize_sets(inst, lambda c: _exactcover_disagrees(c, delta))
+            mini = _minimize(inst, lambda c: _exactcover_disagrees(c, delta))
             failures.append({"delta": delta, "instance": serialize_instance(mini)})
-    return _family_result(cases, failures)
 
 
 def _exactcover_disagrees(inst, delta):
@@ -314,9 +285,7 @@ def _exactcover_disagrees(inst, delta):
         for r in (a, b))
 
 
-def _family_partition_facts(cfg):
-    failures = []
-    cases = cfg.n_trials("partition_facts")
+def _family_partition_facts(cfg, rng, cases, failures):
     for a in range(cases + 1):
         stream = list(enumerate_partitions(a))
         ok = (len(stream) == count_partitions(a)
@@ -325,17 +294,13 @@ def _family_partition_facts(cfg):
         if not ok:
             failures.append({"a": a, "enumerated": len(stream),
                              "counted": count_partitions(a)})
-    return _family_result(cases, failures)
 
 
-def _family_ntree(cfg):
-    rng = random.Random(cfg.seed * 11 + 6)
-    failures = []
+def _family_ntree(cfg, rng, cases, failures):
     bounds = []
     over_accepts = []
     disjoint_counts = {"disjoint": 0, "overlapping": 0}
     counts = {"yes": 0, "no": 0, "instances_distinct": 0, "instances_filtered": 0}
-    cases = cfg.n_trials("ntree")
     variant = cfg.variant
     delta = 6
     for t in range(cases):
@@ -349,16 +314,18 @@ def _family_ntree(cfg):
         counts["instances_distinct"] += decision.distinct
         counts["instances_filtered"] += decision.filtered
         red = decision.accepted is not None
-        if variant == LITERAL:
-            if bt and not red:
-                failures.append(_graph_pair_failure(G, T, delta, variant, "completeness"))
-            elif red and not bt:
-                mini = _minimize_edges(G, lambda c: solve_ntree_via_setcover(
-                    c, T, delta, variant=LITERAL) and not tree_embed_backtrack(c, T).is_yes)
-                over_accepts.append({"graph": serialize_instance(mini),
-                                     "tree": serialize_instance(T)})
+        if red and not bt and variant == LITERAL:
+            # the literal variant may over-accept: recorded, not failed
+            mini = _minimize(G, lambda c: solve_ntree_via_setcover(
+                c, T, delta, variant=LITERAL) and not tree_embed_backtrack(c, T).is_yes)
+            over_accepts.append({"graph": serialize_instance(mini),
+                                 "tree": serialize_instance(T)})
         elif bt != red:
-            failures.append(_graph_pair_failure(G, T, delta, variant, "equivalence"))
+            mini = _minimize(G, lambda c: tree_embed_backtrack(c, T).is_yes
+                             != solve_ntree_via_setcover(c, T, delta, variant=variant))
+            failures.append({"check": "completeness" if variant == LITERAL else "equivalence",
+                             "graph": serialize_instance(mini),
+                             "tree": serialize_instance(T), "backtrack": bt})
         if t % 5 == 0:
             batch = ntree_to_setcover(G, T, delta, variant=variant)
             # composed-runtime estimate with a plain 2^n-time cover solver,
@@ -382,11 +349,10 @@ def _family_ntree(cfg):
                     overlap = True
                 seen |= s
             disjoint_counts["overlapping" if overlap else "disjoint"] += 1
-    _require_both_answers(counts, failures)
     notes = {"disjoint_accepting_covers": disjoint_counts, **counts}
     if variant == LITERAL:
         notes["over_accepts"] = over_accepts
-    return _family_result(cases, failures, notes, bounds)
+    return {"notes": notes, "bounds": bounds}
 
 
 def _embed_oracle(G, T, failures):
@@ -399,33 +365,11 @@ def _embed_oracle(G, T, failures):
     return res
 
 
-def _graph_pair_failure(G, T, delta, variant, check):
-    bt0 = tree_embed_backtrack(G, T).is_yes
-
-    def still_bad(c):
-        return tree_embed_backtrack(c, T).is_yes != solve_ntree_via_setcover(
-            c, T, delta, variant=variant)
-
-    mini = _minimize_edges(G, still_bad) if still_bad(G) else G
-    return {"check": check, "graph": serialize_instance(mini),
-            "tree": serialize_instance(T), "backtrack": bt0}
-
-
-def _require_both_answers(counts, failures):
-    """A decision family whose oracle gave only one answer certified
-    nothing about the other, and fails."""
-    if not counts["yes"] or not counts["no"]:
-        failures.append({"check": "coverage", "yes": counts["yes"], "no": counts["no"]})
-
-
-def _family_ham(cfg):
+def _family_ham(cfg, rng, cases, failures):
     """The ham stream's decide path against Held-Karp, on random digraphs
     and, every other case, a planted Hamiltonian cycle."""
-    rng = random.Random(cfg.seed * 11 + 7)
-    failures = []
     bounds = []
     counts = {"yes": 0, "no": 0, "instances_distinct": 0}
-    cases = cfg.n_trials("ham")
     for t in range(cases):
         n = rng.choice([4, 6, 8])
         if t % 2:
@@ -439,8 +383,8 @@ def _family_ham(cfg):
             decision = decide_stream(ham_to_setcover(G, delta, live_only=True))
             counts["instances_distinct"] += decision.distinct
             if (decision.accepted is not None) != hk:
-                mini = _minimize_edges(G, lambda c: heldkarp_ham(c).is_yes
-                                       != solve_ham_via_setcover(c, delta))
+                mini = _minimize(G, lambda c: heldkarp_ham(c).is_yes
+                                 != solve_ham_via_setcover(c, delta))
                 failures.append({"check": "equivalence", "delta": delta,
                                  "graph": serialize_instance(mini)})
         if t % 5 == 0:
@@ -451,18 +395,15 @@ def _family_ham(cfg):
             bounds.append(asdict(report))
             if not report.within:
                 failures.append({"check": "bounds", "report": bounds[-1]})
-    _require_both_answers(counts, failures)
-    return _family_result(cases, failures, counts, bounds=bounds)
+    return {"notes": counts, "bounds": bounds}
 
 
-def _ktree_family(instances, oracle):
+def _ktree_family(instances, oracle, failures):
     """The partition-tree pipeline (g = 2) against a DP oracle on each
     instance, and the DP oracle against the kernel-free brute force (the
     pipeline's large-set preprocessing runs the DP's kernel).  A pipeline
     optimum must carry a certificate of exactly ``optimum`` sets that
-    ``verify_cover`` accepts.  A family that handed no tree to the embedder
-    certified nothing about it and fails."""
-    failures = []
+    ``verify_cover`` accepts."""
     trees_embedded = 0
     for inst in instances:
         dp = oracle(inst)
@@ -483,15 +424,12 @@ def _ktree_family(instances, oracle):
             failures.append({"check": "certificate",
                              "instance": serialize_instance(inst),
                              "pipeline": kt.optimum, "certificate": cert})
-    if not trees_embedded:
-        failures.append({"check": "coverage", "trees_embedded": 0})
-    return _family_result(len(instances), failures, {"trees_embedded": trees_embedded})
+    return {"notes": {"trees_embedded": trees_embedded}}
 
 
-def _family_setcover_ktree(cfg):
-    rng = random.Random(cfg.seed * 11 + 8)
+def _family_setcover_ktree(cfg, rng, cases, failures):
     instances = []
-    for t in range(cfg.n_trials("setcover_ktree")):
+    for t in range(cases):
         n = rng.choice([8, 10, 12])
         m = rng.randint(5, 8)
         if rng.random() < 0.75:
@@ -502,13 +440,12 @@ def _family_setcover_ktree(cfg):
             inst = gen_random("setcover", seed=cfg.seed + 17 * t, n=n, m=m,
                               max_set_size=max(1, n // 2))
         instances.append(inst)
-    return _ktree_family(instances, setcover_dp)
+    return _ktree_family(instances, setcover_dp, failures)
 
 
-def _family_partial_ktree(cfg):
-    rng = random.Random(cfg.seed * 11 + 9)
+def _family_partial_ktree(cfg, rng, cases, failures):
     instances = []
-    for t in range(cfg.n_trials("partial_ktree")):
+    for t in range(cases):
         # with g=2 a set is large once 4|S| >= p: sets of at most 3 elements
         # and p in n-5..n send some cases through the embedder and some
         # through large-set preprocessing
@@ -521,19 +458,16 @@ def _family_partial_ktree(cfg):
         else:
             base = gen_random("setcover", seed=cfg.seed + 19 * t, n=n, m=m, max_set_size=3)
         instances.append(SetCoverInstance(n, base.sets, variant=PARTIAL, p=p))
-    return _ktree_family(instances, partialcover_dp)
+    return _ktree_family(instances, partialcover_dp, failures)
 
 
-def _family_ktree(cfg):
+def _family_ktree(cfg, rng, cases, failures):
     """ktree_colorcoding against the backtracking embedder: a yes must be
     one, with a verified embedding, and a miss at failure_prob 1e-6 is a
     bug.  ``self_reduced`` counts the yes answers whose embedder run on the
     whole host spends more than n << k units, so that the solver's sieve
     shrank the host before its embedder gave the certificate."""
-    rng = random.Random(cfg.seed * 11 + 10)
-    failures = []
     counts = {"yes": 0, "no": 0, "missed_yes": 0, "self_reduced": 0}
-    cases = cfg.n_trials("ktree")
     for t in range(cases):
         k = rng.randint(1, 6)
         n = rng.randint(k, 8)
@@ -556,23 +490,26 @@ def _family_ktree(cfg):
             counts["missed_yes"] += 1
     if counts["missed_yes"]:
         failures.append({"check": "missed_yes", "count": counts["missed_yes"]})
-    _require_both_answers(counts, failures)
-    return _family_result(cases, failures, counts)
+    return {"notes": counts}
 
 
-# name -> (runner, default trial count), in report order
+# name -> (family, default trial count, seed offset of its generator or None
+# when it draws nothing, notes that must be nonzero), in report order.  A
+# family whose oracle gave only one answer certified nothing about the
+# other, and one that handed no tree to the embedder certified nothing
+# about it: either fails with a ``coverage`` record.
 _FAMILIES = {
-    "roundtrip": (_family_roundtrip, 40),
-    "planted": (_family_planted, 15),
-    "cover_guarantees": (_family_cover_guarantees, 120),
-    "solver_agreement": (_family_solver_agreement, 30),
-    "exactcover_large": (_family_exactcover_large, 30),
-    "partition_facts": (_family_partition_facts, 20),
-    "ntree": (_family_ntree, 25),
-    "ham": (_family_ham, 20),
-    "setcover_ktree": (_family_setcover_ktree, 8),
-    "partial_ktree": (_family_partial_ktree, 15),
-    "ktree": (_family_ktree, 12),
+    "roundtrip": (_family_roundtrip, 40, 1, ()),
+    "planted": (_family_planted, 15, 2, ()),
+    "cover_guarantees": (_family_cover_guarantees, 120, 3, ()),
+    "solver_agreement": (_family_solver_agreement, 30, 4, ()),
+    "exactcover_large": (_family_exactcover_large, 30, 5, ()),
+    "partition_facts": (_family_partition_facts, 20, None, ()),
+    "ntree": (_family_ntree, 25, 6, ("yes", "no")),
+    "ham": (_family_ham, 20, 7, ("yes", "no")),
+    "setcover_ktree": (_family_setcover_ktree, 8, 8, ("trees_embedded",)),
+    "partial_ktree": (_family_partial_ktree, 15, 9, ("trees_embedded",)),
+    "ktree": (_family_ktree, 12, 10, ("yes", "no")),
 }
 ALL_FAMILIES = tuple(_FAMILIES)
 
@@ -614,7 +551,9 @@ def _is_int(value) -> bool:
 
 def run_verification_suite(config: VerifyConfig | dict | None = None) -> dict:
     """Run every configured differential family; failures are recorded with
-    minimized counterexamples, never aborting the suite."""
+    minimized counterexamples, never aborting the suite.  Each family gets
+    its own seeded generator, its trial count and its failures list; the
+    record gets a ``coverage`` failure last when a required note is 0."""
     if config is None:
         config = VerifyConfig()
     elif isinstance(config, dict):
@@ -629,6 +568,15 @@ def run_verification_suite(config: VerifyConfig | dict | None = None) -> dict:
         "families": {},
     }
     for name in config.families:
-        report["families"][name] = _FAMILIES[name][0](config)
+        family, _, offset, required = _FAMILIES[name]
+        rng = None if offset is None else random.Random(config.seed * 11 + offset)
+        cases, failures = config.n_trials(name), []
+        record = {"cases": cases, "failures": failures, "notes": {}}
+        record.update(family(config, rng, cases, failures) or {})
+        coverage = {note: record["notes"][note] for note in required}
+        if not all(coverage.values()):
+            failures.append({"check": "coverage", **coverage})
+        report["families"][name] = record
     report["passed"] = all(not fam["failures"] for fam in report["families"].values())
     return report
+

@@ -8,11 +8,12 @@ byte-identically.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from xcover.errors import FormatError, PreconditionError
+from xcover.errors import CapacityError, FormatError, PreconditionError
 
 PLAIN = "plain"
 EXACT = "exact"
@@ -23,6 +24,8 @@ FWD = "fwd"
 REV = "rev"
 # the orientation of a tree edge seen from its child's end
 REVERSED = {FWD: REV, REV: FWD, UND: UND}
+# a host's adjacency tables take O(n^2) bits; masks_along refuses larger hosts
+MAX_HOST_NODES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,12 @@ class Digraph:
     def masks_along(self) -> dict[str, tuple[int, ...]]:
         """Orientation -> per node u, the bitmask of the nodes where a tree
         edge of that orientation leaving a node placed at u can end:
-        successors for ``fwd``, predecessors for ``rev``, either for ``und``."""
+        successors for ``fwd``, predecessors for ``rev``, either for ``und``.
+        Raises CapacityError, before building anything, on a host of more
+        than MAX_HOST_NODES nodes."""
+        if self.num_nodes > MAX_HOST_NODES:
+            raise CapacityError(f"host of {self.num_nodes} nodes exceeds the adjacency "
+                                f"table cap of {MAX_HOST_NODES}")
         fwd = [0] * self.num_nodes
         # an undirected edge files both of its ends in one list
         rev = fwd if self.undirected_mode else [0] * self.num_nodes
@@ -493,29 +501,24 @@ def _random_tree(rng, k, oriented=False):
         raise PreconditionError(f"a tree has at least one node, got k = {k}")
     if k == 1:
         return PatternTree(k=1, root=0, parent=(-1,), orientation=(UND,))
-    if k == 2:
-        adj = {0: [1], 1: [0]}
-    else:
-        code = [rng.randrange(k) for _ in range(k - 2)]
-        degree = [1] * k
-        for x in code:
-            degree[x] += 1
-        adj = {v: [] for v in range(k)}
-        import heapq
-
-        leaves = [v for v in range(k) if degree[v] == 1]
-        heapq.heapify(leaves)
-        for x in code:
-            leaf = heapq.heappop(leaves)
-            adj[leaf].append(x)
-            adj[x].append(leaf)
-            degree[x] -= 1
-            if degree[x] == 1:
-                heapq.heappush(leaves, x)
-        u = heapq.heappop(leaves)
-        v = heapq.heappop(leaves)
-        adj[u].append(v)
-        adj[v].append(u)
+    code = [rng.randrange(k) for _ in range(k - 2)]
+    degree = [1] * k
+    for x in code:
+        degree[x] += 1
+    adj = {v: [] for v in range(k)}
+    leaves = [v for v in range(k) if degree[v] == 1]
+    heapq.heapify(leaves)
+    for x in code:
+        leaf = heapq.heappop(leaves)
+        adj[leaf].append(x)
+        adj[x].append(leaf)
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    u = heapq.heappop(leaves)
+    v = heapq.heappop(leaves)
+    adj[u].append(v)
+    adj[v].append(u)
     root = rng.randrange(k)
     parent = [-2] * k
     parent[root] = -1

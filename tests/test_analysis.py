@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -13,12 +14,11 @@ from xcover.analysis import (
     pipeline_total_exponent,
     reduction_bound_report,
     run_verification_suite,
-    _minimize_edges,
-    _minimize_sets,
+    _minimize,
 )
 from xcover.errors import PreconditionError
 from xcover.instances import Digraph, SetCoverInstance, gen_random, parse_instance
-from xcover.reductions import ntree_to_setcover, solve_setcover_via_ktree
+from xcover.reductions import ntree_to_setcover, solve_ntree_via_setcover, solve_setcover_via_ktree
 from xcover.solvers import (
     SolveResult,
     exactcover_with_large_sets,
@@ -93,10 +93,10 @@ def test_reduction_bound_report_within():
 
 def test_minimizers_shrink_witnesses():
     g = Digraph(4, frozenset({(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)}))
-    smaller = _minimize_edges(g, lambda c: (0, 1) in c.edges)
+    smaller = _minimize(g, lambda c: (0, 1) in c.edges)
     assert smaller.edges == frozenset({(0, 1)})
     inst = SetCoverInstance(3, ((0,), (1,), (2,), (0, 1)))
-    mini = _minimize_sets(inst, lambda c: setcover_dp(c).answer == "optimum")
+    mini = _minimize(inst, lambda c: setcover_dp(c).answer == "optimum")
     assert setcover_dp(mini).answer == "optimum"
     assert mini.m <= 2
 
@@ -266,3 +266,78 @@ def test_suite_config_from_dict_and_unknown_family():
     # rejected while the config is read, before any family runs
     with pytest.raises(PreconditionError, match="unknown variant"):
         VerifyConfig.from_dict({"variant": "nope"})
+
+
+def _is_one_ham_cycle(G):
+    succ = dict(G.edges)
+    if len(G.edges) != G.num_nodes or len(succ) != G.num_nodes:
+        return False
+    u, seen = 0, set()
+    while u not in seen:
+        seen.add(u)
+        u = succ[u]
+    return u == 0 and len(seen) == G.num_nodes
+
+
+def test_suite_ham_minimizes_an_equivalence_failure(monkeypatch):
+    monkeypatch.setattr(analysis, "heldkarp_ham", lambda G: SolveResult("no"))
+    report = run_verification_suite({"families": ["ham"]})
+    *flagged, coverage = report["families"]["ham"]["failures"]
+    assert coverage == {"check": "coverage", "yes": 0, "no": 20}
+    assert flagged
+    for failure in flagged:
+        assert failure["check"] == "equivalence" and "delta" in failure
+        assert _is_one_ham_cycle(parse_instance(failure["graph"]))
+
+
+def test_suite_ntree_minimizes_an_equivalence_failure(monkeypatch):
+    def never_yes(G, T):
+        res = tree_embed_backtrack(G, T)
+        return SolveResult("no", stats=res.stats)
+
+    monkeypatch.setattr(analysis, "tree_embed_backtrack", never_yes)
+    report = run_verification_suite({"families": ["ntree"]})
+    *flagged, coverage = report["families"]["ntree"]["failures"]
+    assert coverage["check"] == "coverage" and coverage["yes"] == 0
+    assert flagged
+    for failure in flagged:
+        assert set(failure) == {"check", "graph", "tree", "backtrack"}
+        assert failure["check"] == "equivalence" and failure["backtrack"] is False
+        G, T = parse_instance(failure["graph"]), parse_instance(failure["tree"])
+        assert solve_ntree_via_setcover(G, T, 6)
+        for e in G.edges:
+            assert not solve_ntree_via_setcover(Digraph(G.num_nodes, G.edges - {e}), T, 6)
+
+
+def test_suite_solver_agreement_minimizes_a_dp_disagreement(monkeypatch):
+    def off_by_one(inst):
+        res = setcover_dp(inst)
+        if res.answer == "optimum":
+            res.optimum += 1
+        return res
+
+    monkeypatch.setattr(analysis, "setcover_dp", off_by_one)
+    report = run_verification_suite({"families": ["solver_agreement"]})
+    failures = report["families"]["solver_agreement"]["failures"]
+    assert failures and {f["check"] for f in failures} == {"dp_vs_bruteforce"}
+    for failure in failures:
+        inst = parse_instance(failure["instance"])
+        assert setcover_bruteforce(inst).answer == "optimum"
+        for j in range(inst.m):
+            fewer = SetCoverInstance(inst.n, inst.sets[:j] + inst.sets[j + 1:])
+            assert setcover_bruteforce(fewer).answer == "infeasible"
+
+
+# sha256 of the report's JSON (sort_keys=True), taken at commit 8e056de
+_REPORT_DIGESTS = [
+    ({"seed": 0}, "5994cfbefb5aafdc487f99ddb2c2673d042a277916ba8b93b65baab1e2166ccb"),
+    ({"seed": 1}, "e077fbcaaef18e68d4f8cb19a89584acc67cd72086b96eddd808b289e98f15b2"),
+    ({"variant": "literal"},
+     "758dbc90052eb1988189e314ab440aec078afef75ca4b91abc3b2f34da793d2e"),
+]
+
+
+@pytest.mark.parametrize("config, digest", _REPORT_DIGESTS, ids=["seed0", "seed1", "literal"])
+def test_suite_full_report_matches_the_pinned_digest(config, digest):
+    report = json.dumps(run_verification_suite(config), sort_keys=True)
+    assert hashlib.sha256(report.encode()).hexdigest() == digest

@@ -108,6 +108,17 @@ def test_large_set_preprocessing_is_capped(run, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("kind", ["ktree", "embed"])
+def test_host_over_the_node_cap_exits_3(run, tmp_path, kind):
+    n = 40_000
+    ring = Digraph(n, frozenset((u, (u + 1) % n) for u in range(n)))
+    (tmp_path / "ring.digraph").write_text(serialize_instance(ring))
+    (tmp_path / "t.tree").write_text("p tree 3\n0 1\n1 2\n")
+    code, out, err = run("solve", kind, str(tmp_path / "ring.digraph"), str(tmp_path / "t.tree"))
+    assert code == 3 and out == ""
+    assert err == "error: host of 40000 nodes exceeds the adjacency table cap of 32768\n"
+
+
 def _ktree_files(tmp_path):
     host, tree, _ = gen_planted("embedded_tree", seed=3, k=5, host_n=10)
     (tmp_path / "h.digraph").write_text(serialize_instance(host))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -125,6 +126,15 @@ def test_random_tree_shape():
     tree = gen_random("tree", seed=1, k=5)
     assert tree.k == 5
     assert sum(1 for v in range(5) if tree.parent[v] != -1) == 4
+
+
+def test_random_two_node_trees_match_the_pinned_digest():
+    """Seeds 0-99, unoriented and oriented, taken at commit 8e056de, when
+    k = 2 still skipped the Pruefer path."""
+    text = "".join(serialize_instance(gen_random("tree", seed=s, k=2, oriented=o))
+                   for s in range(100) for o in (False, True))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "aa1348bcb7d922b6bb9fc496f7acc0f885e11007113ac32af1c3bac35910bad3")
 
 
 def test_random_digraph_edge_bound():
