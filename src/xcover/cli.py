@@ -84,14 +84,18 @@ def _result_fields(res: solvers.SolveResult) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _check_file_count(args) -> None:
+    """A graph and a tree file for the tree kinds of solve, reduce and
+    pipeline; exactly one file for every other kind."""
+    trees = args.kind in ("ktree", "embed", "ntree", "ntree-to-sc")
+    if len(args.files) != 1 + trees:
+        wanted = "a graph file and a tree file" if trees else "exactly one file"
+        raise PreconditionError(f"{args.command} {args.kind} takes {wanted}")
+
+
 def _cmd_solve(args) -> int:
+    _check_file_count(args)
     kind = args.kind
-    if kind in ("setcover", "exactcover", "partialcover", "ham"):
-        if len(args.files) != 1:
-            raise PreconditionError(f"solve {kind} takes exactly one file")
-    elif kind in ("ktree", "embed"):
-        if len(args.files) != 2:
-            raise PreconditionError(f"solve {kind} takes a graph file and a tree file")
     if kind == "setcover":
         res = solvers.setcover_dp(_read(args.files[0], "setcover"))
     elif kind == "exactcover":
@@ -151,6 +155,7 @@ def _stream(args, live_only=False) -> reductions.ReductionBatch:
 
 
 def _cmd_reduce(args) -> int:
+    _check_file_count(args)
     if args.limit < 0:
         raise PreconditionError("--limit must be non-negative")
     emit_dir = args.emit_dir
@@ -197,6 +202,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    _check_file_count(args)
     params = {"kind": args.kind}
     if args.kind in ("ntree", "ham"):
         params.update(delta=args.delta)
@@ -271,14 +277,15 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_partitions(args) -> int:
     a = args.count
+    # both refusals come before the slow count
+    if args.list and a > 40:
+        raise CapacityError("refusing to list partitions beyond a = 40")
     record = _record("partitions", [], {"a": a})
     if args.asymptotic and a >= 1:
-        # before the slow count: past the float range the estimate raises
+        # past the float range the estimate raises
         record["asymptotic"] = partition_asymptotic(a)
     record["count"] = count_partitions(a)
     if args.list:
-        if a > 40:
-            raise CapacityError("refusing to list partitions beyond a = 40")
         record["partitions"] = [list(p.parts) for p in enumerate_partitions(a)]
     _emit(record)
     return 0

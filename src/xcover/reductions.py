@@ -34,6 +34,7 @@ from xcover import kernels
 from xcover.errors import BudgetExceededError, CapacityError, PreconditionError
 from xcover.instances import (
     FWD,
+    MAX_HOST_NODES,
     PARTIAL,
     REVERSED,
     UND,
@@ -62,7 +63,6 @@ _VARIANT_ALIASES = {
 }
 
 MG_MAX_G = 4
-MG_MAX_NODES = 10 ** 6
 
 
 def normalize_variant(name: str) -> str:
@@ -610,67 +610,49 @@ def build_host_graph(inst: SetCoverInstance, g: int) -> HostGraphBundle:
 
     Node layout: element nodes, one node per set, one node per g-subset of
     sets, four pendant groups of ceil(n/(g/2)) nodes, and the four anchors.
-    Requires every set size at most n/g^2.
+    The host is admitted here and nowhere else, from its layout and before
+    anything is built: no large set (see _large_indices), the forcing
+    margins, g <= MG_MAX_G and at most MAX_HOST_NODES nodes.
     """
     n, m = inst.n, inst.m
-    if g < 2:
-        raise PreconditionError("g >= 2 required")
-    for s in inst.sets:
-        if len(s) * g * g > n:
-            raise PreconditionError(
-                f"set of size {len(s)} exceeds n/g^2 = {n}/{g * g}; "
-                "run setcover_preprocess_large first")
-    if g > MG_MAX_G or comb(m, g) > MG_MAX_NODES:
-        raise CapacityError(f"materializing C({m}, {g}) g-subset nodes is over the cap")
+    large = _large_indices(inst, g)  # refuses the g < 2 the layout cannot divide by
     q = _pendant_count(n, g)
-    roles = {}
-    for j in range(n):
-        roles[j] = ("N", j)
-    for i in range(m):
-        roles[n + i] = ("M", i)
-    combos = list(itertools.combinations(range(m), g))
     base_mg = n + m
-    for c, combo in enumerate(combos):
-        roles[base_mg + c] = ("Mg", combo)
-    base_r = base_mg + len(combos)
-    for i in range(1, 5):
-        for j in range(q):
-            roles[base_r + (i - 1) * q + j] = ("R", i, j)
+    base_r = base_mg + comb(m, g)
     base_s = base_r + 4 * q
-    rg, r1, r2, r = base_s, base_s + 1, base_s + 2, base_s + 3
-    roles[rg] = ("rg",)
-    roles[r1] = ("r1",)
-    roles[r2] = ("r2",)
-    roles[r] = ("r",)
-
-    def pend(i, j):
-        return base_r + (i - 1) * q + j
-
-    edges = set()
+    if large:
+        raise PreconditionError(
+            f"set of size {len(inst.sets[large[0]])} is over the size bound for g={g}; "
+            "run setcover_preprocess_large first")
+    _check_forcing_margins(n, g)
+    if g > MG_MAX_G:
+        raise CapacityError(f"materializing C({m}, {g}) g-subset nodes is over the cap")
+    if base_s + 4 > MAX_HOST_NODES:
+        raise CapacityError(f"host of {base_s + 4} nodes exceeds the adjacency "
+                            f"table cap of {MAX_HOST_NODES}")
+    combos = list(itertools.combinations(range(m), g))
+    roles = dict(enumerate(itertools.chain(
+        (("N", j) for j in range(n)),
+        (("M", i) for i in range(m)),
+        (("Mg", combo) for combo in combos),
+        (("R", i, j) for i in range(1, 5) for j in range(q)),
+        [("rg",), ("r1",), ("r2",), ("r",)])))
+    rg, r1, r2, r = range(base_s, base_s + 4)
+    edges = {(e, n + i) for i, s in enumerate(inst.sets) for e in s}
     masks = inst.masks()
-    for i in range(m):
-        for e in inst.sets[i]:
-            edges.add((e, n + i))
-    for c, combo in enumerate(combos):
+    for x, combo in enumerate(combos, base_mg):
         union = 0
         for i in combo:
             union |= masks[i]
-        x = base_mg + c
         while union:
             e = (union & -union).bit_length() - 1
             union &= union - 1
             edges.add((e, x))
         edges.add((rg, x))
-    for j in range(q):
-        edges.add((rg, pend(4, j)))
-        edges.add((r1, pend(1, j)))
-        edges.add((r2, pend(2, j)))
-        edges.add((r, pend(3, j)))
-    edges.add((r, rg))
-    edges.add((r, r1))
-    edges.add((r, r2))
-    for i in range(m):
-        edges.add((r, n + i))
+    # pendant groups R1, R2, R3 and R4 hang from r1, r2, r and rg
+    for i, anchor in enumerate((r1, r2, r, rg)):
+        edges.update((anchor, base_r + i * q + j) for j in range(q))
+    edges.update((r, v) for v in (rg, r1, r2, *range(n, base_mg)))
     host = Digraph(num_nodes=base_s + 4, edges=frozenset(edges), undirected_mode=True)
     return HostGraphBundle(host=host, node_roles=roles)
 
@@ -795,18 +777,12 @@ def setcover_to_ktree(inst: SetCoverInstance, g: int,
     grouped star (g parts) has at most g * max_size leaves and a remainder
     star at most max_size, max_size being the largest set's size; a larger
     star outgrows every element neighborhood its center can map to.
-    Requires the preprocessed size bound and the numeric forcing margins;
-    both are checked, never assumed.
+    build_host_graph checks the size bound, the forcing margins and the
+    host's caps before it builds anything.
     """
     n, total = inst.n, _leaf_total(inst)
     if total == 0:
         return SolveResult("optimum", optimum=0, certificate=[], stats=_ktree_stats())
-    large = _large_indices(inst, g)
-    if large:
-        raise PreconditionError(
-            f"set of size {len(inst.sets[large[0]])} is over the size bound for g={g}; "
-            "run setcover_preprocess_large first")
-    _check_forcing_margins(n, g)
     bundle = build_host_graph(inst, g)
     coverable = set()
     for s in inst.sets:

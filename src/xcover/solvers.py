@@ -284,8 +284,6 @@ def heldkarp_ham(G: Digraph) -> SolveResult:
     n = G.num_nodes
     if n > DEFAULT_CAP_HAM:
         raise CapacityError(f"{n} nodes exceed the Hamiltonicity cap of {DEFAULT_CAP_HAM}")
-    if n < 2:
-        return SolveResult("no", stats={"explored": 0})
     order, states = kernels.ham_cycle(G.masks_along[FWD], G.masks_along[REV], n)
     if order is None:
         return SolveResult("no", stats={"explored": states})

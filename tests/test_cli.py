@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -117,6 +118,45 @@ def test_host_over_the_node_cap_exits_3(run, tmp_path, kind):
     code, out, err = run("solve", kind, str(tmp_path / "ring.digraph"), str(tmp_path / "t.tree"))
     assert code == 3 and out == ""
     assert err == "error: host of 40000 nodes exceeds the adjacency table cap of 32768\n"
+
+
+# n = 24 and m = 260 at g = 2: 24 + 260 + C(260, 2) + 4 * 24 + 4 = 34,054 host nodes
+_OVER_CAP_SC = "p setcover 24 260\n" + "".join(f"{j % 24}\n" for j in range(260))
+
+
+@pytest.mark.parametrize("argv", [("pipeline", "sc-ktree"), ("reduce", "sc-to-ktree")])
+@pytest.mark.parametrize("text, message", [
+    (_OVER_CAP_SC, "host of 34054 nodes exceeds the adjacency table cap of 32768"),
+    # n = 5 singletons: ceil(2n/g) = 5 < n/g + 3
+    ("p setcover 5 5\n0\n1\n2\n3\n4\n", "forcing margin fails"),
+], ids=["over-cap", "margins"])
+def test_sc_ktree_host_refusals_agree(run, tmp_path, argv, text, message):
+    # reduce emits only the hosts the pipeline accepts
+    path = tmp_path / "i.sc"
+    path.write_text(text)
+    code, out, err = run(*argv, str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    (("pipeline", "ntree"), ["g.graph"], "pipeline ntree takes a graph file and a tree file"),
+    (("reduce", "ntree-to-sc"), ["g.graph"],
+     "reduce ntree-to-sc takes a graph file and a tree file"),
+    (("pipeline", "ham"), ["g.graph"] * 2, "pipeline ham takes exactly one file"),
+    (("pipeline", "sc-ktree"), ["i.sc"] * 2, "pipeline sc-ktree takes exactly one file"),
+    (("pipeline", "ppc-ktree"), ["i.sc"] * 2, "pipeline ppc-ktree takes exactly one file"),
+    (("reduce", "ham-to-sc"), ["g.graph"] * 2, "reduce ham-to-sc takes exactly one file"),
+    (("reduce", "sc-to-ktree"), ["i.sc"] * 2, "reduce sc-to-ktree takes exactly one file"),
+    (("reduce", "ppc-to-ktree"), ["i.sc"] * 2, "reduce ppc-to-ktree takes exactly one file"),
+    (("solve", "ham"), ["g.graph"] * 2, "solve ham takes exactly one file"),
+    (("solve", "embed"), ["g.graph"], "solve embed takes a graph file and a tree file"),
+])
+def test_file_counts_are_checked(run, tmp_path, argv, files, message):
+    (tmp_path / "g.graph").write_text("p graph 3 2\n0 1\n1 2\n")
+    (tmp_path / "i.sc").write_text("p setcover 8 4\n0 1\n2 3\n4 5\n6 7\n")
+    code, out, err = run(*argv, *(str(tmp_path / f) for f in files))
+    assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
 def _ktree_files(tmp_path):
@@ -239,6 +279,13 @@ def test_partitions_list(run):
     assert record["partitions"][0] == [5]
 
 
+def test_partitions_list_refuses_a_large_count_before_counting(run):
+    start = time.perf_counter()
+    code, out, err = run("partitions", "--count", "100000", "--list")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (3, "", "error: refusing to list partitions beyond a = 40\n")
+
+
 def test_generate_round_trips(run, tmp_path):
     out_path = tmp_path / "g.digraph"
     code, _, _ = run("generate", "digraph", "--n", "6", "--edge-probability", "0.4",
@@ -312,6 +359,19 @@ def test_solve_ham_pipeline_agree(run, tmp_path):
     assert code == 0 and json.loads(out)["answer"] == "yes"
     code, out, _ = run("pipeline", "ham", str(path), "--delta", "2")
     assert code == 0 and json.loads(out)["answer"] == "yes"
+
+
+@pytest.mark.parametrize("n, digest", [(0, "c077ac65262d812e"), (1, "b0c012d99e2fd4db")])
+def test_solve_ham_below_two_nodes(run, tmp_path, n, digest):
+    path = tmp_path / "g.digraph"
+    path.write_text(f"p digraph {n} 0\n")
+    code, out, _ = run("solve", "ham", str(path))
+    assert code == 0
+    assert json.loads(out) == {
+        "answer": "no", "certificate": None, "command": "solve", "inputs": {str(path): digest},
+        "kind": "ham", "optimum": None,
+        "parameters": {"failure_prob": 0.01, "kind": "ham", "seed": 0},
+        "stats": {"explored": 0}, "tool": "xcover", "version": "0.1.0"}
 
 
 def test_pipeline_ntree_variants(run, tmp_path):

@@ -1,7 +1,11 @@
 import functools
+import hashlib
 import itertools
+import json
 import math
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,7 @@ from xcover.instances import (
     SetCoverInstance,
     gen_planted,
     gen_random,
+    serialize_instance,
 )
 from xcover.partitions import Partition, enumerate_partitions, shrink_partition
 from xcover.reductions import (
@@ -526,6 +531,61 @@ def test_host_graph_capacity():
     inst = SetCoverInstance(25, ((0,),) * 6)
     with pytest.raises(CapacityError):
         build_host_graph(inst, 5)
+
+
+def test_host_graph_over_the_node_cap_is_refused_before_it_is_built():
+    # n = 24 and m = 260 at g = 2: 24 + 260 + C(260, 2) + 4 * 24 + 4 = 34,054 nodes
+    inst = SetCoverInstance(24, tuple((j % 24,) for j in range(260)))
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="host of 34054 nodes exceeds"):
+        build_host_graph(inst, 2)
+    assert time.perf_counter() - start < 0.05
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            build_host_graph(inst, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _pinned_host_cases():
+    """60 seeded instances: planted plain covers with sets of at most n/4
+    elements, random plain covers (some with large sets), partial covers
+    at n = 13..16 and p = n-5..n, and planted singleton covers at g = 3."""
+    for seed in range(24):
+        n = (8, 10, 12)[seed % 3]
+        inst, _ = gen_planted("covered_universe", seed=seed, n=n, m=5 + seed % 4,
+                              max_set_size=n // 4)
+        yield inst, 2
+    for seed in range(16):
+        n = 8 + seed % 5
+        yield gen_random("setcover", seed=seed, n=n, m=5 + seed % 3, max_set_size=n // 2), 2
+    for seed in range(8):
+        n = 13 + seed % 4
+        yield gen_random("partialcover", seed=seed, n=n, m=6 + seed % 3, max_set_size=4,
+                         p=n - seed % 6), 2
+    for seed in range(8):
+        n = 13 + seed % 4
+        inst, _ = gen_planted("covered_universe", seed=seed, n=n, m=n // 2 + 3, max_set_size=2)
+        yield SetCoverInstance(n, inst.sets, variant="partial", p=n - 5 + seed % 6), 2
+    for seed in range(4):
+        n = 9 + seed
+        inst, _ = gen_planted("covered_universe", seed=seed, n=n, m=n + 1, max_set_size=1)
+        yield inst, 3
+
+
+def test_host_graphs_and_pipeline_results_are_pinned():
+    # residual host, its node roles and the pipeline's record, digested
+    digest = hashlib.sha256()
+    for inst, g in _pinned_host_cases():
+        bundle = build_host_graph(setcover_preprocess_large(inst, g).residual, g)
+        res = solve_setcover_via_ktree(inst, g)
+        record = [serialize_instance(bundle.host), sorted(bundle.node_roles.items()),
+                  res.answer, res.optimum, res.certificate, res.stats]
+        digest.update(json.dumps(record).encode() + b"\n")
+    assert digest.hexdigest()[:16] == "02d11b14dba7d7e1"
 
 
 def test_pattern_tree_examples():
