@@ -184,6 +184,11 @@ def _cmd_reduce(args) -> int:
         # the host and trees are those of the residual instance, the one the
         # pipeline embeds into once the large sets are guessed separately
         pre = reductions.setcover_preprocess_large(inst, g)
+        if reductions.leaf_total(inst) == 0:
+            # the pipelines' answer, optimum 0, needs no host: preprocessing
+            # has only refused a g below 2, as it does for them
+            sys.stderr.write("leaf total is 0: the optimum is 0, no host or trees emitted\n")
+            return 0
         host_prov = {"role": "host", "g": g}
         if pre.large_indices:
             host_prov["removed_large"] = pre.large_indices

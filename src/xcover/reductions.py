@@ -705,12 +705,14 @@ def leaf_partitions(inst: SetCoverInstance, g: int = 1,
     only the partitions whose stars fit (see partitions_with_length), in
     the same order.
     """
-    total = _leaf_total(inst)
+    total = leaf_total(inst)
     for length in range(1, total + 1):
         yield from partitions_with_length(total, length, g, max_size)
 
 
-def _leaf_total(inst: SetCoverInstance) -> int:
+def leaf_total(inst: SetCoverInstance) -> int:
+    """Leaves of every pattern tree: n for a plain cover, p for a partial
+    one.  At 0 the optimum is 0 and no host or tree is needed."""
     return inst.p if inst.variant == PARTIAL else inst.n
 
 
@@ -780,7 +782,7 @@ def setcover_to_ktree(inst: SetCoverInstance, g: int,
     build_host_graph checks the size bound, the forcing margins and the
     host's caps before it builds anything.
     """
-    n, total = inst.n, _leaf_total(inst)
+    n, total = inst.n, leaf_total(inst)
     if total == 0:
         return SolveResult("optimum", optimum=0, certificate=[], stats=_ktree_stats())
     bundle = build_host_graph(inst, g)
@@ -827,7 +829,7 @@ def setcover_preprocess_large(inst: SetCoverInstance, g: int) -> PreprocessOutco
     CapacityError when a large set is present and n exceeds the cover
     solvers' cap.
     """
-    total = _leaf_total(inst)
+    total = leaf_total(inst)
     large = _large_indices(inst, g)
     large_set = set(large)
     # inst.sets is sorted, so the residual keeps the small sets in this order

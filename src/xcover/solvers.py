@@ -309,20 +309,24 @@ def tree_embed_backtrack(G: Digraph, T: PatternTree,
     leaf groups (one parent, one orientation, one host pool); each group is
     one slot whose capacity is its leaf count, kept in a b-matching that
     each placement repairs with augmenting searches (a placement is pruned
-    when no b-matching fills the groups of placed parents).  Before the
-    repair a Hall check drops a placement that leaves some component of the
-    placed groups with fewer free hosts than leaves.  Once every internal
-    node is placed, each group's matched hosts, ascending, go to its leaves
-    in ascending id order.  This keeps star-heavy patterns from exploding.
+    when no b-matching fills the groups of placed parents).  Two Hall tests
+    run before the repair: once per node, the hosts of every component of
+    the placed groups with no free host to spare leave its candidates; per
+    candidate, a placement whose new groups' merged component has fewer
+    free hosts than leaves is dropped.  Once every internal node is placed,
+    each group's matched hosts, ascending, go to its leaves in ascending id
+    order.  This keeps star-heavy patterns from exploding.
 
     ``stats["explored"]`` counts budget units: one per host along the edge
     from an internal node's placed parent (every host for the root), in
-    ascending order, hosts that the used, twin and degree filters skip
-    included (one unit is all a candidate the Hall check drops spends), one
-    per group fill (a newly placed group taking free hosts of its pool,
-    counted only after the Hall check passes) and one per group expanded by
-    an augmenting search.  Raises BudgetExceededError once more than
-    ``budget`` units would be spent.
+    ascending order, hosts that the used, twin, degree and tight-component
+    filters skip included, one per group fill (a newly placed group taking
+    free hosts of its pool, counted only after the Hall check passes) and
+    one per group expanded by an augmenting search.  A candidate the Hall
+    check drops spends nothing itself; its host's unit is charged in bulk
+    by the next candidate that passes or at the end of the node's
+    candidates, so the count is that of one charge per host.  Raises
+    BudgetExceededError once more than ``budget`` units would be spent.
     """
     searcher = _EmbedSearch(G, T, budget)
     mapping = searcher.run()
@@ -342,7 +346,9 @@ class _EmbedSearch:
         self.assign = {}
         self.used_mask = 0  # the hosts of the placed internal nodes
         # (free hosts at merge time, leaf demand) per component of the placed
-        # groups, linked when their free pools meet (see _hall)
+        # groups, linked when their free pools meet (see _hall); a component
+        # with no free host to spare is tested once per placement, by
+        # _tight_hosts, and the new groups' merge once per candidate
         self.comps = ()
         # group matching kept across placements (see _extend_matching), the
         # leaves' hosts once the search ends (see _leaf_mapping):
@@ -443,23 +449,25 @@ class _EmbedSearch:
         budget = self.budget
         used_mask, comps, new = self.used_mask, self.comps, self.groups.get(v, ())
         # a unit per host of ``adj``, ascending, skipped ones (used, at most
-        # the twin's host, or short of v's degree needs) included: ``charged``
-        # counts the hosts paid for, each candidate paying up to its own
-        cands = adj & self.eligible[v] & ~used_mask & (-1 << (floor + 1))
-        charged = 0
+        # the twin's host, short of v's degree needs, or in a tight
+        # component) included: ``charged`` counts the hosts paid for, each
+        # candidate that passes the Hall check paying up to its own
+        cands = (adj & self.eligible[v] & ~used_mask & (-1 << (floor + 1))
+                 & ~self._tight_hosts(comps, used_mask))
+        charged, hall = 0, self._hall
         while cands:
             low = cands & -cands
             cands ^= low
+            u = low.bit_length() - 1
+            now_used = used_mask | low
+            placed = hall(comps, now_used, u, new)
+            if placed is None:
+                continue
             at = (adj & (low - 1)).bit_count() + 1
             self.explored += at - charged
             charged = at
             if self.explored > budget:
                 raise self._over_budget()
-            u = low.bit_length() - 1
-            now_used = used_mask | low
-            placed = self._hall(comps, now_used, u, new)
-            if placed is None:
-                continue
             self.used_mask, self.comps = now_used, placed
             mark = len(self.undo), self.matched
             self.assign[v] = u
@@ -476,24 +484,39 @@ class _EmbedSearch:
         return None
 
     @staticmethod
+    def _tight_hosts(comps, used_mask):
+        """The hosts of the components with no free host to spare.
+
+        A component of the placed groups keeps at least as many free hosts
+        as leaves (see _hall); when it keeps exactly as many, a node placed
+        on one of its hosts leaves it one short, so by Hall's theorem no
+        b-matching fills its groups.  ``_place`` drops these hosts from its
+        candidates once per frame, before any candidate is tried.
+        """
+        tight, free = 0, ~used_mask
+        for mask, demand in comps:
+            if (mask & free).bit_count() <= demand:
+                tight |= mask
+        return tight
+
+    @staticmethod
     def _hall(comps, used, u, new):
         """The components of the placed leaf groups once the node whose
         groups are ``new`` takes host ``u`` (``used`` holds u), or None when
-        one of them has fewer free hosts than leaves.
+        a new group's merged component has fewer free hosts than leaves.
 
         By Hall's theorem for b-matchings no matching then fills the groups,
         so ``_extend_matching`` would fail; any union of groups proves this,
-        so the components need not be minimal.  Only the components holding
-        u lose a free host.  A new group's free pool merges the components
-        it meets: linking by free hosts only keeps the internal nodes'
-        hosts, which sit in most pools, from joining every group into one.
-        The merged component is counted before the list is rebuilt, so a
+        so the components need not be minimal.  The placed components that
+        hold u are not tested here: ``_tight_hosts`` has already taken the
+        hosts of every component that u would leave short out of the
+        candidates.  A new group's free pool merges the components it
+        meets: linking by free hosts only keeps the internal nodes' hosts,
+        which sit in most pools, from joining every group into one.  The
+        merged component is counted before the list is rebuilt, so a
         rejection allocates nothing.
         """
-        free, bit = ~used, 1 << u
-        for mask, demand in comps:
-            if mask & bit and (mask & free).bit_count() < demand:
-                return None
+        free = ~used
         for _, along, demand in new:
             pool = mask = along[u] & free
             for m, d in comps:

@@ -562,13 +562,27 @@ def test_reduce_sc_to_ktree_removes_large_sets_first(run, tmp_path):
     assert code == 0 and json.loads(out)["optimum"] == 3
 
 
-def test_reduce_ppc_to_ktree_p_zero_emits_only_the_host(run, tmp_path):
-    path = tmp_path / "i.pc"
-    path.write_text("p partialcover 8 2 0\n0 1\n2 3\n")
-    code, out, err = run("reduce", "ppc-to-ktree", str(path))
-    assert code == 0
-    assert out.count("c provenance") == 1 and "p tree" not in out
-    assert "0 trees" in err
+@pytest.mark.parametrize("reduce, pipeline, text", [
+    ("ppc-to-ktree", "ppc-ktree", "p partialcover 5 1 0\n0\n"),
+    ("sc-to-ktree", "sc-ktree", "p setcover 0 0\n"),
+], ids=["p0", "n0"])
+def test_ktree_leaf_total_zero_needs_no_host(run, tmp_path, reduce, pipeline, text):
+    # both hosts would fail the forcing margin; the leaf total of 0 is
+    # decided before the host is admitted
+    path = tmp_path / "i.sc"
+    path.write_text(text)
+    code, out, err = run("reduce", reduce, str(path), "--emit-dir", str(tmp_path / "out"))
+    assert (code, out, os.listdir(tmp_path / "out")) == (0, "", [])
+    assert err == "leaf total is 0: the optimum is 0, no host or trees emitted\n"
+    code, out, err = run("reduce", reduce, str(path))
+    assert (code, out) == (0, "")
+    code, out, _ = run("pipeline", pipeline, str(path))
+    record = json.loads(out)
+    assert (code, record["optimum"], record["certificate"]) == (0, 0, [])
+    # both refuse a g below 2 first
+    for argv in (("reduce", reduce), ("pipeline", pipeline)):
+        code, out, err = run(*argv, str(path), "--g", "1")
+        assert (code, out, err) == (3, "", "error: g >= 2 required, got 1\n")
 
 
 def test_reduce_rejects_negative_limit(run, tmp_path):

@@ -23,6 +23,7 @@ from xcover.partitions import Partition
 from xcover.reductions import (
     build_host_graph,
     build_pattern_tree,
+    leaf_partitions,
     setcover_to_ktree,
     solve_setcover_via_ktree,
 )
@@ -456,11 +457,18 @@ def test_embed_twins_need_equal_orientations_below_them():
     assert res.certificate == {0: 0, 1: 2, 2: 1, 3: 3, 4: 4}
 
 
-def test_hall_drops_a_component_that_loses_its_last_free_host():
-    # no new groups: only the first loop runs, on a component of hosts 1 and
-    # 2 that needs both once host 1 is taken
-    assert solvers._EmbedSearch._hall(((0b110, 2),), 0b010, 1, ()) is None
-    comps = ((0b1110, 2),)
+def test_tight_hosts_take_only_the_components_without_slack():
+    tight_hosts = solvers._EmbedSearch._tight_hosts
+    # hosts 1 and 2 for two leaves: no slack, both leave the candidates
+    assert tight_hosts(((0b110, 2),), 0) == 0b110
+    # hosts 1-3 with host 1 used: its free hosts 2 and 3 are all it has
+    assert 0b1110 & ~tight_hosts(((0b1110, 2),), 0b0010) == 0
+    # one free host to spare: none leaves
+    assert tight_hosts(((0b1110, 2),), 0) == 0
+    # only the component without slack gives up its hosts
+    assert tight_hosts(((0b0011, 2), (0b11100, 2)), 0) == 0b0011
+    # with no new groups, _hall keeps the components as they are
+    comps = [(0b1110, 2)]
     assert solvers._EmbedSearch._hall(comps, 0b0010, 1, ()) == comps
 
 
@@ -782,15 +790,46 @@ def _three_twin_stars():
     return build_host_graph(inst, 2).host, build_pattern_tree(Partition((2,) * 6), 2, 16)
 
 
+def _reduction_shapes():
+    """The first two pattern trees of seeded instances shaped like the
+    perfbench ``embed`` corpus, on their set-cover -> kTree hosts at g = 2:
+    plain covers of six 4-sets on 16 elements with optimum 5, and partial
+    covers of ten 2-sets on 16 elements with p = 12 and optimum 7.  The
+    first tree has one star fewer than the optimum and is refuted; the
+    second has as many stars as the optimum and embeds."""
+    rng = random.Random(31)
+    shapes = ((setcover_dp, 6, 4, 5, {}),
+              (partialcover_dp, 10, 2, 7, {"variant": PARTIAL, "p": 12}))
+    for solve, m, size, optimum, variant in shapes:
+        for _ in range(3):
+            while True:
+                sets = tuple(tuple(sorted(rng.sample(range(16), size))) for _ in range(m))
+                inst = SetCoverInstance(16, sets, **variant)
+                if solve(inst).optimum == optimum:
+                    break
+            host = build_host_graph(inst, 2).host
+            for alpha in itertools.islice(leaf_partitions(inst, 2, size), 2):
+                yield host, build_pattern_tree(alpha, 2, 16)
+
+
+# the summed ``explored`` of the ``_reduction_shapes`` searches: charging a
+# dropped candidate's unit with the next charge must not move it
+REDUCTION_SHAPES_EXPLORED = 36082
+
+
 def test_embed_budget_boundary(embed_case_results):
     """A search that spends E units runs to the same result at budget E and
     raises at budget E - 1: the budget is checked wherever units are spent,
-    skipped candidates included."""
+    skipped candidates included, and the units of candidates that tight
+    components or the Hall check drop are paid by the next charge."""
     G, T = _three_twin_stars()
     twins = tree_embed_backtrack(G, T)
     assert twins.answer == "no" and twins.stats["explored"] > 1000
     cases = list(zip(_embed_cases(), (res for res, _ in embed_case_results)))
-    for (G, T), res in cases + [((G, T), twins)]:
+    reduced = [((G, T), tree_embed_backtrack(G, T)) for G, T in _reduction_shapes()]
+    assert [res.answer for _, res in reduced] == ["no", "yes"] * 6
+    assert sum(res.stats["explored"] for _, res in reduced) == REDUCTION_SHAPES_EXPLORED
+    for (G, T), res in cases + [((G, T), twins)] + reduced:
         spent = res.stats["explored"]
         assert tree_embed_backtrack(G, T, budget=spent) == res
         if spent:
@@ -799,19 +838,37 @@ def test_embed_budget_boundary(embed_case_results):
 
 
 class _HallAgainstAugment(solvers._EmbedSearch):
-    """Runs the augmenting repair on every placement the Hall check drops."""
+    """Runs the augmenting repair on every placement that the tight filter
+    or the Hall check drops, and counts the two kinds of drop apart: frames
+    whose filter takes free hosts out, and candidates the merge rejects.
+    The repair's units are given back, so ``explored`` stays the plain
+    search's."""
 
-    rejected = 0
+    tight_frames = rejected = 0
+
+    def _repair_fails(self, v, u, used):
+        mark, used_mask, explored = (len(self.undo), self.matched), self.used_mask, self.explored
+        self.used_mask = used
+        assert not self._extend_matching(v, u)
+        self._rollback(mark)
+        self.used_mask, self.explored = used_mask, explored
+
+    def _tight_hosts(self, comps, used_mask):
+        tight = super()._tight_hosts(comps, used_mask)
+        # every free host of a tight component, whether or not it is a
+        # candidate of this frame: the repair must fail on each
+        v, hosts = self.order[len(self.assign)], tight & ~used_mask
+        self.tight_frames += hosts != 0
+        while hosts:
+            low = hosts & -hosts
+            hosts ^= low
+            self._repair_fails(v, low.bit_length() - 1, used_mask | low)
+        return tight
 
     def _hall(self, comps, used, u, new):
         comps = super()._hall(comps, used, u, new)
         if comps is None:
-            v = next((w for w, m in self.groups.items() if m is new), None)
-            mark, used_mask = (len(self.undo), self.matched), self.used_mask
-            self.used_mask = used
-            assert not self._extend_matching(v, u)
-            self._rollback(mark)
-            self.used_mask = used_mask
+            self._repair_fails(self.order[len(self.assign)], u, used)
             self.rejected += 1
         return comps
 
@@ -842,18 +899,20 @@ def _pendant_shapes(rng):
 
 
 def test_hall_check_drops_only_what_the_augmenting_search_drops():
-    """Every placement the Hall check drops is one that the augmenting
-    repair, run on the same matching, also fails, and the mappings are the
-    plain search's.  Each family must reach the check: a check that never
-    fires passes nothing."""
+    """Every placement that the tight filter or the Hall check drops is one
+    that the augmenting repair, run on the same matching, also fails, and
+    the mappings and unit counts are the plain search's.  Each family must
+    reach both drops: a check that never fires passes nothing."""
     for cases in (_embed_cases(), _pendant_shapes(random.Random(19))):
-        rejected = reached = 0
+        tight_frames = rejected = 0
         for G, T in cases:
             search = _HallAgainstAugment(G, T, solvers.DEFAULT_BUDGET)
-            assert search.run() == tree_embed_backtrack(G, T).certificate
+            plain = tree_embed_backtrack(G, T)
+            assert search.run() == plain.certificate
+            assert search.explored == plain.stats["explored"]
+            tight_frames += search.tight_frames
             rejected += search.rejected
-            reached += search.rejected > 0
-        assert rejected > 0 and reached > 0
+        assert tight_frames > 0 and rejected > 0
 
 
 def test_colorcoding_deterministic_for_seed():
