@@ -46,6 +46,7 @@ from xcover.reductions import (  # noqa: F401 (count_bound_log2, element_bound: 
     tree_cover,
 )
 from xcover.solvers import (
+    certificate_budget,
     exactcover_solve,
     exactcover_with_large_sets,
     heldkarp_ham,
@@ -225,10 +226,8 @@ def _family_cover_guarantees(cfg, rng, cases, failures):
         l = rng.randint(2, k)
         rep = check_cover_properties(T, tree_cover(T, l), l)
         if not rep["ok"]:
-            failures.append({"tree": serialize_instance(T), "l": l,
-                             "violations": {key: rep[key] for key in
-                                            ("size", "coverage", "intersection",
-                                             "count", "connectivity", "root")}})
+            failures.append({"tree": serialize_instance(T), "l": l, "violations":
+                             {key: found for key, found in rep.items() if key != "ok"}})
 
 
 def _family_solver_agreement(cfg, rng, cases, failures):
@@ -465,8 +464,9 @@ def _family_ktree(cfg, rng, cases, failures):
     """ktree_colorcoding against the backtracking embedder: a yes must be
     one, with a verified embedding, and a miss at failure_prob 1e-6 is a
     bug.  ``self_reduced`` counts the yes answers whose embedder run on the
-    whole host spends more than n << k units, so that the solver's sieve
-    shrank the host before its embedder gave the certificate."""
+    whole host spends more than ``certificate_budget(n, k)`` units, so that
+    the solver's sieve shrank the host before its embedder gave the
+    certificate."""
     counts = {"yes": 0, "no": 0, "missed_yes": 0, "self_reduced": 0}
     for t in range(cases):
         k = rng.randint(1, 6)
@@ -479,7 +479,7 @@ def _family_ktree(cfg, rng, cases, failures):
         counts["yes" if bt.is_yes else "no"] += 1
         res = ktree_colorcoding(G, T, failure_prob=1e-6, seed=cfg.seed + t)
         if res.is_yes:
-            counts["self_reduced"] += bt.stats["explored"] > n << k
+            counts["self_reduced"] += bt.stats["explored"] > certificate_budget(n, k)
             if not verify_embedding(G, T, res.certificate):
                 failures.append({"check": "certificate", "graph": serialize_instance(G),
                                  "tree": serialize_instance(T)})

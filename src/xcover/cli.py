@@ -282,7 +282,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_partitions(args) -> int:
     a = args.count
-    # both refusals come before the slow count
+    # the list refusal comes before the count, which refuses a large A itself
     if args.list and a > 40:
         raise CapacityError("refusing to list partitions beyond a = 40")
     record = _record("partitions", [], {"a": a})

@@ -94,14 +94,15 @@ class Digraph:
     allowed.  With ``undirected_mode`` every stored pair (normalized u < v)
     also implies the reverse.  Self-loops are rejected.
 
-    The solvers and reductions read adjacency only through ``masks_along``,
-    per orientation a tuple of per-node bitmasks that maps a tree edge's
-    orientation onto host arcs, and ``at_least``, which counts those arcs
-    per node.  Both are built from ``edges`` on first use, all orientations
-    at once; an undirected host's three orientations are one relation, so
-    it files one tuple under all three.  ``has_arc`` reads ``edges``
-    instead, so the certificate checkers built on it stay independent of
-    the table the solvers search.
+    The searches of the solvers and reductions read adjacency through
+    ``masks_along``, per orientation a tuple of per-node bitmasks that maps
+    a tree edge's orientation onto host arcs, and ``at_least``, which
+    counts those arcs per node.  Both are built from ``edges`` on first
+    use, all orientations at once; an undirected host's three orientations
+    are one relation, so it files one tuple under all three.  The kTree
+    self-reduction reads ``edges`` to build the host it keeps, and
+    ``has_arc`` reads ``edges`` too, so the certificate checkers built on
+    it stay independent of the table the solvers search.
     """
 
     num_nodes: int

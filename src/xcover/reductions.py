@@ -203,6 +203,8 @@ def check_cover_properties(T: PatternTree, cover: SubtreeCover, l: int) -> dict:
     cover V(T); (c) two subtrees intersect at most in one of their roots;
     (d) there are at most 3k/(l-1) subtrees.  Additionally each node set
     must be connected in T with its recorded root nearest the global root.
+    The report lists each item's violations under its key, then ``ok``,
+    true when every list is empty.
     """
     report = {"size": [], "coverage": [], "intersection": [], "count": [],
               "connectivity": [], "root": []}
@@ -238,8 +240,7 @@ def check_cover_properties(T: PatternTree, cover: SubtreeCover, l: int) -> dict:
                 report["intersection"].append((i, j))
     if len(subtrees) > 3 * T.k / (l - 1):
         report["count"] = [len(subtrees)]
-    report["ok"] = not any(report[key] for key in
-                           ("size", "coverage", "intersection", "count", "connectivity", "root"))
+    report["ok"] = not any(report.values())
     return report
 
 

@@ -33,6 +33,10 @@ DEFAULT_CAP_M_BRUTE = 20
 DEFAULT_CAP_HAM = 22
 DEFAULT_CAP_K = 16
 DEFAULT_BUDGET = 10 ** 8
+# The embedder recurses once per internal node of the pattern (``_place``)
+# and once per leaf group on an augmenting path (``_augment``); capping their
+# sum keeps the search 200 frames under Python's default recursion limit.
+MAX_EMBED_DEPTH = 800
 
 
 def cap_n() -> int:
@@ -326,7 +330,9 @@ def tree_embed_backtrack(G: Digraph, T: PatternTree,
     check drops spends nothing itself; its host's unit is charged in bulk
     by the next candidate that passes or at the end of the node's
     candidates, so the count is that of one charge per host.  Raises
-    BudgetExceededError once more than ``budget`` units would be spent.
+    BudgetExceededError once more than ``budget`` units would be spent, and
+    CapacityError, before the search, on a pattern whose internal nodes and
+    leaf groups together exceed MAX_EMBED_DEPTH.
     """
     searcher = _EmbedSearch(G, T, budget)
     mapping = searcher.run()
@@ -367,7 +373,8 @@ class _EmbedSearch:
         children of one parent with one orientation, so they share one host
         pool.  ``groups`` maps a parent to its [(group, the host masks along
         the group's orientation, its leaf count)], and ``group_leaves`` a
-        group to its leaves.
+        group to its leaves.  Raises CapacityError, before any search, when
+        the internal nodes and leaf groups together exceed MAX_EMBED_DEPTH.
         """
         G, T = self.G, self.T
         k, root, children, orientation = T.k, T.root, T.children, T.orientation
@@ -377,14 +384,17 @@ class _EmbedSearch:
         # interchangeable subtrees.  A leaf child enters its parent's shape
         # as its group's (orientation, leaf count).
         size, shape, shapes = [1] * k, [0] * k, {}
-        # internal node -> orientation -> its tree edges leaving it along it,
-        # its parent edge of orientation o counted as one of ``REVERSED[o]``
-        needs = {}
+        # eligible[v]: the hosts with, along each orientation, as many nodes
+        # as ``need`` holds, v's tree edges leaving it along it (its parent
+        # edge of orientation o is one along ``REVERSED[o]``); entry n of the
+        # degree tables (no host) stands for every need >= n
+        n, at_least = G.num_nodes, G.at_least
+        self.eligible = {}
         for v in T.post_order:
             kids = children[v]
             if not kids and v != root:
                 continue
-            need = needs[v] = {} if v == root else {REVERSED[orientation[v]]: 1}
+            need = {} if v == root else {REVERSED[orientation[v]]: 1}
             inner, leaves = [], {}
             for c in kids:
                 o = orientation[c]
@@ -394,6 +404,10 @@ class _EmbedSearch:
                     size[v] += size[c]
                 else:
                     leaves.setdefault(o, []).append(c)
+            mask = (1 << n) - 1
+            for o, c in need.items():
+                mask &= at_least[o][min(c, n)]
+            self.eligible[v] = mask
             inner.sort()
             for o, group in leaves.items():
                 size[v] += len(group)
@@ -402,6 +416,10 @@ class _EmbedSearch:
                 self.group_leaves.append(group)
             inner += sorted((o, len(group)) for o, group in leaves.items())
             shape[v] = shapes.setdefault((orientation[v], tuple(inner)), len(shapes))
+        depth = len(self.eligible) + len(self.group_leaves)
+        if depth > MAX_EMBED_DEPTH:
+            raise CapacityError(f"pattern with {depth} internal nodes and leaf groups exceeds "
+                                f"the embedder's cap of {MAX_EMBED_DEPTH}")
         # placement order; a twin takes a higher host than its earlier twin
         self.order, self.twin_prev = [], {}
         stack = [root]
@@ -415,23 +433,12 @@ class _EmbedSearch:
                     self.twin_prev[c] = last[shape[c]]
                 last[shape[c]] = c
             stack.extend(reversed(kids))
-        # the host's degree tables; a node may need up to k - 1 nodes along
-        # an orientation, and entry n (no host) stands for every need >= n
-        n, at_least = G.num_nodes, G.at_least
-        self.eligible = {}
-        for v, need in needs.items():
-            mask = (1 << n) - 1
-            for o, c in need.items():
-                mask &= at_least[o][min(c, n)]
-            self.eligible[v] = mask
 
-    def _tick(self):
-        self.explored += 1
+    def _charge(self, units):
+        """Spend ``units`` budget units; every unit of the search goes through here."""
+        self.explored += units
         if self.explored > self.budget:
-            raise self._over_budget()
-
-    def _over_budget(self):
-        return BudgetExceededError(f"embedding search exceeded {self.budget} expansions")
+            raise BudgetExceededError(f"embedding search exceeded {self.budget} expansions")
 
     def run(self):
         return self._place(0)
@@ -446,7 +453,6 @@ class _EmbedSearch:
         else:
             adj = G.masks_along[T.orientation[v]][self.assign[T.parent[v]]]
         floor = self.assign[self.twin_prev[v]] if v in self.twin_prev else -1
-        budget = self.budget
         used_mask, comps, new = self.used_mask, self.comps, self.groups.get(v, ())
         # a unit per host of ``adj``, ascending, skipped ones (used, at most
         # the twin's host, short of v's degree needs, or in a tight
@@ -464,10 +470,8 @@ class _EmbedSearch:
             if placed is None:
                 continue
             at = (adj & (low - 1)).bit_count() + 1
-            self.explored += at - charged
+            self._charge(at - charged)
             charged = at
-            if self.explored > budget:
-                raise self._over_budget()
             self.used_mask, self.comps = now_used, placed
             mark = len(self.undo), self.matched
             self.assign[v] = u
@@ -478,9 +482,7 @@ class _EmbedSearch:
             self._rollback(mark)
             del self.assign[v]
         self.used_mask, self.comps = used_mask, comps
-        self.explored += adj.bit_count() - charged
-        if self.explored > budget:
-            raise self._over_budget()
+        self._charge(adj.bit_count() - charged)
         return None
 
     @staticmethod
@@ -542,9 +544,9 @@ class _EmbedSearch:
         prunes what a matching of single leaves would.
 
         ``_place`` calls this only for a placement that passed ``_hall``, so
-        a group fill ticks only then; the augmenting searches stay the
-        decider, since the components' counts miss Hall violations of a
-        part of a component.
+        a group fill is charged its unit only then; the augmenting searches
+        stay the decider, since the components' counts miss Hall violations
+        of a part of a component.
         """
         match, undo = self.match, self.undo
         displaced = match.pop(u, None)
@@ -555,7 +557,7 @@ class _EmbedSearch:
                 return False
         for g, along, missing in self.groups.get(v, ()):
             pool = self.group_pool[g] = along[u]
-            self._tick()
+            self._charge(1)
             free = pool & ~(self.used_mask | self.matched)
             while missing and free:
                 low = free & -free
@@ -576,7 +578,7 @@ class _EmbedSearch:
         ``visited`` holds the groups this search has expanded, ``g`` among
         them, so each pool is scanned at most once per search.
         """
-        self._tick()
+        self._charge(1)
         pool, match = self.group_pool[g], self.match
         free = pool & ~(self.used_mask | self.matched)
         if free:
@@ -640,6 +642,12 @@ def sieve_runs(k: int, failure_prob: float) -> int:
     return max(1, math.ceil(math.log(failure_prob) / math.log((2 * k - 1) / 65536)))
 
 
+def certificate_budget(n: int, k: int) -> int:
+    """The units ``ktree_colorcoding`` lets the embedder spend on the whole
+    host of n nodes, for a pattern of k nodes, before it self-reduces."""
+    return n << k
+
+
 def ktree_colorcoding(G: Digraph, T: PatternTree, failure_prob: float = 0.01,
                       seed: int = 0, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Monte-Carlo tree embedding whose only possible error is a false no.
@@ -648,15 +656,15 @@ def ktree_colorcoding(G: Digraph, T: PatternTree, failure_prob: float = 0.01,
     seeded with ``f"tree_sieve {seed} {i}"``, answer no if all give 0.  A
     nonzero run proves that an embedding exists, so the runs stop there and
     ``tree_embed_backtrack`` on the whole host, capped at min(budget,
-    n << k) units, gives the certificate.  Only when that cap runs out does
-    the sieve self-reduce first: each host in turn is dropped while the
-    sieve on the rest stays nonzero, and the embedder runs on the hosts
-    left under ``budget``.  ``stats`` hold ``explored``, the units of the
-    embedder run that gave the certificate (0 on a no), and ``sieve_runs``,
-    the sieve runs made, those of the self-reduction included.  Raises
-    PreconditionError unless 0 < failure_prob < 1, and BudgetExceededError
-    before the first sieve pass when the 2^k passes of each run exceed
-    ``budget``.
+    certificate_budget(n, k)) units, gives the certificate.  Only when
+    that cap runs out does the sieve self-reduce first: each host in turn
+    is dropped while the sieve on the rest stays nonzero, and the embedder
+    runs on the hosts left under ``budget``.  ``stats`` hold ``explored``,
+    the units of the embedder run that gave the certificate (0 on a no),
+    and ``sieve_runs``, the sieve runs made, those of the self-reduction
+    included.  Raises PreconditionError unless 0 < failure_prob < 1, and
+    BudgetExceededError before the first sieve pass when the 2^k passes of
+    each run exceed ``budget``.
     """
     k = T.k
     if k > DEFAULT_CAP_K:
@@ -683,7 +691,7 @@ def ktree_colorcoding(G: Digraph, T: PatternTree, failure_prob: float = 0.01,
     if not sieved:
         return SolveResult("no", stats={"explored": 0, "sieve_runs": runs})
     try:
-        found = tree_embed_backtrack(G, T, min(budget, n << k))
+        found = tree_embed_backtrack(G, T, min(budget, certificate_budget(n, k)))
     except BudgetExceededError:
         for v in range(n):
             if alive.bit_count() == k:

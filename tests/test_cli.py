@@ -279,11 +279,41 @@ def test_partitions_list(run):
     assert record["partitions"][0] == [5]
 
 
-def test_partitions_list_refuses_a_large_count_before_counting(run):
+def _path_files(n):
+    """A path of n nodes as host and as pattern: n - 1 internal nodes and
+    one leaf group for the embedder."""
+    host = Digraph(n, frozenset((i, i + 1) for i in range(n - 1)), undirected_mode=True)
+    tree = PatternTree(n, 0, (-1,) + tuple(range(n - 1)), ("und",) * n)
+    return {"p.graph": serialize_instance(host), "p.tree": serialize_instance(tree)}
+
+
+_EMBED_CAP = "pattern with {} internal nodes and leaf groups exceeds the embedder's cap of 800"
+
+
+# (argv, files, exit code, error line or None); "@name" stands for the file
+@pytest.mark.parametrize("argv, files, code, error", [
+    (("solve", "embed", "@p.graph", "@p.tree"), _path_files(1000), 3, _EMBED_CAP.format(1000)),
+    (("solve", "embed", "@p.graph", "@p.tree"), _path_files(801), 3, _EMBED_CAP.format(801)),
+    # the largest path the cap admits still embeds
+    (("solve", "embed", "@p.graph", "@p.tree"), _path_files(800), 0, None),
+    (("partitions", "--count", "10000000"), {}, 3,
+     "refusing to count partitions beyond a = 20000"),
+    (("partitions", "--count", "100000", "--list"), {}, 3,
+     "refusing to list partitions beyond a = 40"),
+    (("pipeline", "sc-ktree", "@i.sc"), {"i.sc": _OVER_CAP_SC}, 3,
+     "host of 34054 nodes exceeds the adjacency table cap of 32768"),
+], ids=["embed-1000", "embed-801", "embed-800", "count", "list", "host-cap"])
+def test_limits_are_refused_up_front(run, tmp_path, argv, files, code, error):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
     start = time.perf_counter()
-    code, out, err = run("partitions", "--count", "100000", "--list")
+    got, out, err = run(*(str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv))
     assert time.perf_counter() - start < 0.5
-    assert (code, out, err) == (3, "", "error: refusing to list partitions beyond a = 40\n")
+    assert got == code and "Traceback" not in err
+    if error is None:
+        assert json.loads(out)["answer"] == "yes" and not err.startswith("error:")
+    else:
+        assert (out, err) == ("", f"error: {error}\n")
 
 
 def test_generate_round_trips(run, tmp_path):

@@ -28,6 +28,7 @@ from xcover.reductions import (
     solve_setcover_via_ktree,
 )
 from xcover.solvers import (
+    MAX_EMBED_DEPTH,
     exactcover_solve,
     exactcover_with_large_sets,
     heldkarp_ham,
@@ -913,6 +914,26 @@ def test_hall_check_drops_only_what_the_augmenting_search_drops():
             tight_frames += search.tight_frames
             rejected += search.rejected
         assert tight_frames > 0 and rejected > 0
+
+
+def _caterpillar(s):
+    """A spine of s nodes with one leaf each, as host and as pattern: s
+    internal nodes and s leaf groups for the embedder."""
+    parent = (-1,) + tuple(range(s - 1)) + tuple(range(s))
+    G = Digraph(2 * s, frozenset((p, v) for v, p in enumerate(parent) if p >= 0),
+                undirected_mode=True)
+    return G, PatternTree(2 * s, 0, parent, ("und",) * (2 * s))
+
+
+def test_embed_depth_cap_counts_internal_nodes_and_leaf_groups(monkeypatch):
+    G, T = _caterpillar(MAX_EMBED_DEPTH // 2)
+    res = tree_embed_backtrack(G, T)
+    assert res.is_yes and verify_embedding(G, T, res.certificate)
+    # one more spine node is two more levels, refused before any search
+    G, T = _caterpillar(MAX_EMBED_DEPTH // 2 + 1)
+    monkeypatch.setattr(solvers._EmbedSearch, "run", lambda self: pytest.fail("searched"))
+    with pytest.raises(CapacityError, match=f"with {MAX_EMBED_DEPTH + 2} internal nodes"):
+        tree_embed_backtrack(G, T)
 
 
 def test_colorcoding_deterministic_for_seed():
