@@ -498,17 +498,24 @@ def ham_to_setcover(G: Digraph, delta: int, live_only: bool = False) -> Reductio
     target size n/delta must consist of pairwise-disjoint sets.
 
     Orders come as ``itertools.combinations`` of the other representatives,
-    each followed by its ``itertools.permutations``, by backtracking over
-    the positions after node 0.  Each start node's simple delta-edge paths
-    are found once per stream and filtered per representative set.
+    each followed by its ``itertools.permutations``.  Each start node's
+    simple delta-edge paths are found once per stream.  The path groups of
+    an order, each consecutive pair's paths whose interior avoids the
+    representatives, are read from them only when its instance is built,
+    once per representative set and pair.
 
     An order is live when every consecutive pair, the closing one included,
     has a path.  A representative lies only in the sets of the paths to its
     successor, so a dead order cannot accept.  With ``live_only`` (the
-    decide-side form) only the live orders are built, and the dead ones
-    come as skip counts in their place in the stream: a dead pair skips
-    every completion of its prefix, and a representative with no path to
-    another one skips its representative set's (t-1)! orders.
+    decide-side form) only the live orders are built.  Liveness is read
+    from an index, built once per stream, of each start node's paths by
+    interior mask: for each interior, the ends reached through it.  A
+    representative's live successors are the ends of the interiors that
+    avoid the representatives, so a representative set with one of them
+    lacking a live successor or predecessor has no live order, and the
+    backtracking over positions prunes a dead pair with every completion
+    of its prefix.  Each run of dead orders comes as one skip count in its
+    place in the stream.
     """
     n = G.num_nodes
     if delta < 2:
@@ -520,39 +527,73 @@ def ham_to_setcover(G: Digraph, delta: int, live_only: bool = False) -> Reductio
     t = n // delta
     bound_log2 = (t - 1) * math.log2(n) if n > 1 else 0.0
 
-    def orders(paths, order, free):
-        if not free:
-            if live_only and 0 not in paths[order[-1]]:
-                yield 1
-            else:
-                sets = [s for a, b in zip(order, order[1:] + [0]) for s in paths[a].get(b, ())]
-                yield ProducedInstance(SetCoverInstance(n=n, sets=tuple(sets), delta=delta),
-                                       t, tuple(order))
-            return
-        for i, b in enumerate(free):
-            if live_only and b not in paths[order[-1]]:
-                yield math.factorial(len(free) - 1)
-                continue
-            order.append(b)
-            yield from orders(paths, order, free[:i] + free[i + 1:])
-            order.pop()
-
     def stream():
         table = [_paths_by_end(G, a, delta) for a in range(n)]
+        bits = [1 << a for a in range(n)]
+        orders_after = [math.factorial(i) for i in range(t)]
+        by_inner = []  # start node -> (interior mask, ends reached through it) pairs
+        for paths in table if live_only else ():
+            reach = {}
+            for b, sets in paths.items():
+                for inner in sets.values():
+                    reach[inner] = reach.get(inner, 0) | bits[b]
+            by_inner.append(tuple(reach.items()))
+        live = [0] * n
+        skipped = 0
+
+        def live_orders(order, free):
+            nonlocal skipped
+            succ = live[order[-1]]
+            if not free:
+                if succ & 1:
+                    yield order
+                else:
+                    skipped += 1
+                return
+            for i, b in enumerate(free):
+                if succ >> b & 1:
+                    yield from live_orders(order + (b,), free[:i] + free[i + 1:])
+                else:
+                    skipped += orders_after[len(free) - 1]
+
         for rest in itertools.combinations(range(1, n), t - 1):
-            reps_mask = sum(1 << a for a in rest) | 1
-            paths = {}
-            for a in (0,) + rest:
-                # a's successor is another representative unless a is the only one
-                ends = reps_mask if t == 1 else reps_mask & ~(1 << a)
-                groups = {b: tuple(s for s, inner in sets.items() if not inner & reps_mask)
-                          for b, sets in table[a].items() if ends >> b & 1}
-                paths[a] = {b: group for b, group in groups.items() if group}
-                if live_only and not paths[a]:
-                    yield math.factorial(t - 1)
-                    break
+            reps_mask = sum(map(bits.__getitem__, rest)) | 1
+            if not live_only:
+                orders = ((0,) + perm for perm in itertools.permutations(rest))
             else:
-                yield from orders(paths, [0], rest)
+                reached = 0
+                for a in (0,) + rest:
+                    succ = 0
+                    for inner, ends in by_inner[a]:
+                        if not inner & reps_mask:
+                            succ |= ends
+                    # a's successor is another representative unless a is the only one
+                    succ &= reps_mask if t == 1 else reps_mask ^ bits[a]
+                    if not succ:
+                        break
+                    live[a] = succ
+                    reached |= succ
+                # each representative also needs a live predecessor
+                if not succ or reached != reps_mask:
+                    skipped += orders_after[t - 1]
+                    continue
+                orders = live_orders((0,), rest)
+            groups = {}  # (a, b) -> the sets of a's paths to b that avoid the representatives
+            for order in orders:
+                if skipped:
+                    yield skipped
+                    skipped = 0
+                sets = []
+                for a, b in zip(order, order[1:] + (0,)):
+                    group = groups.get((a, b))
+                    if group is None:
+                        group = groups[a, b] = [s for s, inner in table[a].get(b, {}).items()
+                                                if not inner & reps_mask]
+                    sets += group
+                yield ProducedInstance(SetCoverInstance(n=n, sets=tuple(sets), delta=delta),
+                                       t, order)
+        if skipped:
+            yield skipped
 
     return ReductionBatch(produced=stream(), bound_declared_log2=bound_log2,
                           elements_declared=float(n))

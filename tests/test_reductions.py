@@ -1,5 +1,7 @@
+import contextlib
 import functools
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xcover.cli import main
 from xcover.errors import CapacityError, PreconditionError
 from xcover.instances import (
     FWD,
@@ -473,6 +476,56 @@ def test_ham_preconditions():
         ham_to_setcover(G, 2)  # 2 does not divide 5
     with pytest.raises(PreconditionError):
         ham_to_setcover(Digraph(2, frozenset()), 4)  # n < delta
+
+
+def _stream_corpus_digest():
+    """sha256 over the exit code and stdout of ``pipeline ham`` at delta 2
+    and n/2 and of ``pipeline ntree`` on seeded planted and random hosts,
+    then over the first 50 items of seeded ``ham_to_setcover(G, 4)`` full
+    streams.  Inputs are written to, and passed by relative paths from, the
+    current directory."""
+    def write(name, obj):
+        with open(name, "w", encoding="utf-8") as fh:
+            fh.write(serialize_instance(obj))
+        return name
+
+    commands = []
+    for s in range(6):
+        n = (6, 8, 10)[s % 3]
+        planted, _ = gen_planted("ham_cycle", seed=s, n=n, extra_edges=n)
+        for label, G in (("planted", planted),
+                         ("random", gen_random("digraph", seed=s, n=n, edge_probability=0.3))):
+            g = write(f"ham_{label}{s}.digraph", G)
+            commands += [["pipeline", "ham", g, "--delta", str(delta)] for delta in (2, n // 2)]
+        host, T, _ = gen_planted("embedded_tree", seed=s, k=7, host_n=7,
+                                 extra_edge_probability=0.2)
+        t = write(f"tree{s}.tree", T)
+        for label, G in (("planted", host),
+                         ("random", gen_random("digraph", seed=s, n=7, edge_probability=0.35))):
+            g = write(f"ntree_{label}{s}.digraph", G)
+            commands += [["pipeline", "ntree", g, t, "--delta", "6", "--variant", variant]
+                         for variant in ("anchored", "literal")]
+    digest = hashlib.sha256()
+    for argv in commands:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        digest.update(f"{' '.join(argv)}\n{code}\n{buf.getvalue()}".encode())
+    for s in range(4):
+        n = (8, 12)[s % 2]
+        for G in (gen_planted("ham_cycle", seed=s, n=n, extra_edges=2 * n)[0],
+                  gen_random("digraph", seed=s, n=n, edge_probability=0.4)):
+            for prod in itertools.islice(ham_to_setcover(G, 4).produced, 50):
+                digest.update(repr((prod.provenance, prod.target, prod.instance)).encode())
+    return digest.hexdigest()
+
+
+def test_ham_and_ntree_pipelines_match_the_pinned_digest(tmp_path, monkeypatch):
+    """Taken at commit 8edbd5a, before the ham stream read its liveness
+    from an interior index."""
+    monkeypatch.chdir(tmp_path)
+    assert _stream_corpus_digest() == (
+        "365164f4d75e5831f04fb8fbbb49d1e881f961df1651a930fdf7bc2520f9cfe4")
 
 
 # ---------------------------------------------------------------------------
@@ -966,6 +1019,8 @@ def test_ham_live_decide_matches_the_unpruned_stream(data, n):
         assert [(p.provenance, p.instance) for p in live] == \
             [(p.provenance, p.instance) for p in full if _covers_representatives(p)], delta
         assert sum(item for item in items if isinstance(item, int)) + len(live) == len(full)
+        # each run of dead orders is one skip count
+        assert all(not isinstance(b, int) for a, b in zip(items, items[1:]) if isinstance(a, int))
         if delta == n:
             # one representative: its single order is live exactly when
             # node 0 has a closed delta-walk, i.e. its instance has a set
