@@ -34,22 +34,23 @@ except ImportError:
     from hashlib import sha256
 
 
-def _digest(path: str) -> str:
+def _read_text(args, i: int) -> str:
+    """The text of the command's i-th file, read once: the digest of its
+    bytes goes into ``args.inputs`` for the record.  A file that is not
+    UTF-8 is a format error; line ends are read as text mode reads them."""
+    path = args.files[i]
     with open(path, "rb") as fh:
-        return sha256(fh.read()).hexdigest()[:16]
+        data = fh.read()
+    args.inputs[path] = sha256(data).hexdigest()[:16]
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _read_text(path: str) -> str:
-    """An instance file's text; a file that is not UTF-8 is a format error."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
-def _read(path: str, kind: str):
-    return parse_instance(_read_text(path), kind)
+def _read(args, i: int, kind: str | None = None):
+    return parse_instance(_read_text(args, i), kind)
 
 
 def _emit(record: dict) -> None:
@@ -57,12 +58,12 @@ def _emit(record: dict) -> None:
     sys.stdout.flush()
 
 
-def _record(command: str, files, parameters: dict) -> dict:
+def _record(command: str, args, parameters: dict) -> dict:
     return {
         "tool": "xcover",
         "version": __version__,
         "command": command,
-        "inputs": {path: _digest(path) for path in files},
+        "inputs": args.inputs,
         "parameters": parameters,
     }
 
@@ -97,27 +98,27 @@ def _cmd_solve(args) -> int:
     _check_file_count(args)
     kind = args.kind
     if kind == "setcover":
-        res = solvers.setcover_dp(_read(args.files[0], "setcover"))
+        res = solvers.setcover_dp(_read(args, 0, "setcover"))
     elif kind == "exactcover":
-        inst = _read(args.files[0], "exactcover")
+        inst = _read(args, 0, "exactcover")
         if args.delta is not None:
             res = solvers.exactcover_with_large_sets(inst, args.delta)
         else:
             res = solvers.exactcover_solve(inst)
     elif kind == "partialcover":
-        res = solvers.partialcover_dp(_read(args.files[0], "partialcover"))
+        res = solvers.partialcover_dp(_read(args, 0, "partialcover"))
     elif kind == "ham":
-        res = solvers.heldkarp_ham(_read(args.files[0], "digraph"))
+        res = solvers.heldkarp_ham(_read(args, 0, "digraph"))
     elif kind == "ktree":
-        G = _parse_graph_file(args.files[0])
-        T = _read(args.files[1], "tree")
+        G = _parse_graph_file(args)
+        T = _read(args, 1, "tree")
         res = solvers.ktree_colorcoding(G, T, failure_prob=args.failure_prob, seed=args.seed,
                                         budget=args.budget)
     else:  # embed
-        G = _parse_graph_file(args.files[0])
-        T = _read(args.files[1], "tree")
+        G = _parse_graph_file(args)
+        T = _read(args, 1, "tree")
         res = solvers.tree_embed_backtrack(G, T, budget=args.budget)
-    record = _record("solve", args.files, {
+    record = _record("solve", args, {
         "kind": kind, "failure_prob": args.failure_prob, "seed": args.seed,
     })
     record["kind"] = kind
@@ -126,11 +127,11 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _parse_graph_file(path):
-    """A ``digraph`` or ``graph`` record."""
-    G = parse_instance(_read_text(path))
+def _parse_graph_file(args):
+    """The ``digraph`` or ``graph`` record of the command's first file."""
+    G = _read(args, 0)
     if not isinstance(G, Digraph):
-        raise FormatError(f"{path}: expected a digraph or graph record")
+        raise FormatError(f"{args.files[0]}: expected a digraph or graph record")
     return G
 
 
@@ -147,9 +148,9 @@ def _stream(args, live_only=False) -> reductions.ReductionBatch:
     """The cover stream of an ntree or ham command.  ``live_only`` is the
     decide-side form of either stream: only the instances that can accept
     are built, and the others come as skip counts."""
-    G = _parse_graph_file(args.files[0])
+    G = _parse_graph_file(args)
     if args.kind.startswith("ntree"):
-        T = _read(args.files[1], "tree")
+        T = _read(args, 1, "tree")
         return reductions.ntree_to_setcover(G, T, args.delta, args.variant, live_only)
     return reductions.ham_to_setcover(G, args.delta, live_only)
 
@@ -178,8 +179,7 @@ def _cmd_reduce(args) -> int:
             count += 1
         sys.stderr.write(f"emitted {count} instances\n")
     else:
-        inst = _read(args.files[0],
-                     "setcover" if args.kind == "sc-to-ktree" else "partialcover")
+        inst = _read(args, 0, "setcover" if args.kind == "sc-to-ktree" else "partialcover")
         g = args.g
         # the host and trees are those of the residual instance, the one the
         # pipeline embeds into once the large sets are guessed separately
@@ -219,10 +219,10 @@ def _cmd_pipeline(args) -> int:
                  "instances_filtered": decision.filtered}
         res = solvers.SolveResult("no" if decision.accepted is None else "yes", stats=stats)
     else:
-        inst = _read(args.files[0], "setcover" if args.kind == "sc-ktree" else "partialcover")
+        inst = _read(args, 0, "setcover" if args.kind == "sc-ktree" else "partialcover")
         params.update(g=args.g)
         res = reductions.solve_setcover_via_ktree(inst, args.g, budget=args.budget)
-    record = _record("pipeline", args.files, params)
+    record = _record("pipeline", args, params)
     record["kind"] = args.kind
     record.update(_result_fields(res))
     _emit(record)
@@ -261,7 +261,7 @@ def _cmd_verify(args) -> int:
 def _cmd_bounds(args) -> int:
     if args.ntilde < 1:
         raise PreconditionError(f"--ntilde must be at least 1, got {args.ntilde}")
-    record = _record("bounds", [], {
+    record = _record("bounds", args, {
         "ntilde": args.ntilde, "delta": args.delta, "epsilon": args.epsilon,
     })
     record.update({
@@ -285,7 +285,7 @@ def _cmd_partitions(args) -> int:
     # the list refusal comes before the count, which refuses a large A itself
     if args.list and a > 40:
         raise CapacityError("refusing to list partitions beyond a = 40")
-    record = _record("partitions", [], {"a": a})
+    record = _record("partitions", args, {"a": a})
     if args.asymptotic and a >= 1:
         # past the float range the estimate raises
         record["asymptotic"] = partition_asymptotic(a)
@@ -452,6 +452,7 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    args.inputs = {}  # path -> digest of each file read, for the record
     start = time.perf_counter()
     try:
         code = args.func(args)

@@ -24,8 +24,10 @@ differential soundness tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator
@@ -63,6 +65,17 @@ _VARIANT_ALIASES = {
 }
 
 MG_MAX_G = 4
+
+# Loop items a reduction stream may enumerate, built or skipped: anchor
+# placements tried by the ntree stream, partial ones included, and
+# representative sets by the ham stream.  On a shared 2-core x86-64 host
+# that is about 3 s of a dead ntree stream and 11 s of a dead ham one.
+MAX_STREAM_STEPS = 5_000_000
+
+
+def _over_steps(items: str) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"the stream enumerates more than MAX_STREAM_STEPS = {MAX_STREAM_STEPS} {items}")
 
 
 def normalize_variant(name: str) -> str:
@@ -283,16 +296,19 @@ def ntree_to_setcover(G: Digraph, T: PatternTree, delta: int,
     Placements come in lexicographic order of the host tuple given to the
     anchors in ascending node id (``itertools.permutations`` order), with
     the anchored variant skipping the placements that miss a pinned tree
-    edge.  They are generated by backtracking: each pinned edge restricts
-    the hosts of its later anchor, so a miss prunes every completion.
-    The images of a subtree depend only on its own pins and are computed
-    once per stream.
+    edge.  One backtracking loop generates them and yields the stream: each
+    pinned edge restricts the hosts of its later anchor, so a miss prunes
+    every completion.  Every placement tried, partial ones included, counts
+    against MAX_STREAM_STEPS, and the stream raises BudgetExceededError
+    past it.  The images of a subtree depend only on its own pins; they are
+    found once per stream and kept as free-host bitmasks.
 
     A placement's instance is full when its sets cover the ground set; one
     that is not cannot accept.  With ``live_only`` (the decide-side form)
     only the full instances are built, and each run of consecutive other
     placements comes as one skip count in its place in the stream.  The
-    test costs a bitmask OR per image, with no set built.
+    test costs a bitmask AND and OR per image, with no set or host tuple
+    built.
     """
     variant = normalize_variant(variant)
     if G.num_nodes != T.k:
@@ -321,34 +337,33 @@ def ntree_to_setcover(G: Digraph, T: PatternTree, delta: int,
                 else:
                     reach[slot[p]].append((slot[v], G.masks_along[REVERSED[o]]))
 
-    def placements():
+    def stream():
         # free[i]: the hosts no earlier anchor took; cands[i]: those anchor i
         # can still take, tried lowest first
         last = len(anchors) - 1
         hosts = [0] * len(anchors)
         free = [(1 << ntilde) - 1] + [0] * last
         cands = free[:]
-        i = 0
+        i = skipped = 0
+        steps_left = MAX_STREAM_STEPS
         while i >= 0:
             c = cands[i]
             if not c:
                 i -= 1
                 continue
+            if not steps_left:
+                raise _over_steps("anchor placements")
+            steps_left -= 1
             low = c & -c
             cands[i] = c ^ low
             hosts[i] = low.bit_length() - 1
-            if i == last:
-                yield tuple(hosts)
+            if i < last:
+                i += 1
+                c = free[i] = free[i - 1] ^ low
+                for j, masks in reach[i]:
+                    c &= masks[hosts[j]]
+                cands[i] = c
                 continue
-            i += 1
-            c = free[i] = free[i - 1] ^ low
-            for j, masks in reach[i]:
-                c &= masks[hosts[j]]
-            cands[i] = c
-
-    def stream():
-        skipped = 0
-        for hosts in placements():
             inst = layout.instance(hosts, live_only)
             if inst is None:
                 skipped += 1
@@ -366,33 +381,48 @@ def ntree_to_setcover(G: Digraph, T: PatternTree, delta: int,
 
 
 class _ReducedLayout:
-    """Element numbering and memoized subtree images of one ntree stream.
+    """Element numbering, subtree walks and memoized subtree images of one
+    ntree stream.
 
     Elements are the non-pinned host nodes in ascending order, then per
     subtree its label element followed, in the anchored variant, by one
     incidence element per pinned non-root node of the subtree.  With a
     fixed anchor count these ids do not depend on the placement.
+
+    Each subtree's walk lists its nodes parent-first, the root first, each
+    as (its parent's position in the walk, the host masks along its
+    orientation, its anchor slot or None); it is built once per stream.
+    ``pins[i]`` reads the hosts of subtree i's pinned nodes off a
+    placement, and ``images[i]`` maps them to the free-host bitmask of each
+    image.  ``hosts_of`` reads an image's ascending host tuple off its
+    bitmask when an instance is built, once per stream and bitmask.
     """
 
     def __init__(self, G, T, subtrees, slot, variant, delta):
-        self.G, self.T, self.subtrees, self.delta = G, T, subtrees, delta
+        self.delta = delta
         next_id = G.num_nodes - len(slot)
-        self.bases = []
-        self.pinned_slots = []
+        self.bases, self.pins, self.walks = [], [], []
         for r, nodes in subtrees:
+            pinned = [q for q in sorted(nodes) if q in slot]
             base = [next_id]
             next_id += 1
             if variant == ANCHORED:
-                for q in sorted(nodes):
-                    if q in slot and q != r:
-                        base.append(next_id)
-                        next_id += 1
+                base += range(next_id, next_id + len(pinned) - 1)
+                next_id += len(pinned) - 1
             self.bases.append(base)
-            self.pinned_slots.append([(q, slot[q]) for q in sorted(nodes) if q in slot])
+            self.pins.append(operator.itemgetter(*[slot[q] for q in pinned]))
+            walk, stack = [(None, None, slot[r])], [(r, 0)]
+            while stack:
+                u, at = stack.pop()
+                for c in T.children[u]:
+                    if c in nodes:
+                        stack.append((c, len(walk)))
+                        walk.append((at, G.masks_along[T.orientation[c]], slot.get(c)))
+            self.walks.append(walk)
         self.n = next_id
         self.hosts_mask = (1 << G.num_nodes) - 1
-        # (subtree, its pins' hosts) -> [(free hosts, their bitmask)] per image
-        self.images = {}
+        self.images = [{} for _ in subtrees]
+        self.hosts_of = functools.cache(_host_tuple)
 
     def instance(self, hosts, live_only=False):
         """The placement's cover instance, or None under ``live_only`` when
@@ -410,69 +440,58 @@ class _ReducedLayout:
             pinned |= 1 << u
         union = pinned
         kept = []
-        for idx, pins in enumerate(self.pinned_slots):
-            local = tuple(hosts[s] for _, s in pins)
-            images = self.images.get((idx, local))
+        for pins, memo, walk in zip(self.pins, self.images, self.walks):
+            key = pins(hosts)
+            images = memo.get(key)
             if images is None:
-                r, nodes = self.subtrees[idx]
-                images = self.images[idx, local] = _subtree_images(
-                    self.G.masks_along, self.T, nodes, r, {q: hosts[s] for q, s in pins})
+                images = memo[key] = _subtree_images(walk, hosts)
             alive = []
-            for free, mask in images:
+            for mask in images:
                 if not mask & pinned:
-                    alive.append(free)
+                    alive.append(mask)
                     union |= mask
             if live_only and not alive:
                 return None
             kept.append(alive)
         if live_only and union != self.hosts_mask:
             return None
-        elem = {}
-        for u in range(self.G.num_nodes):
-            if not pinned >> u & 1:
-                elem[u] = len(elem)
+        elem = {u: i for i, u in enumerate(self.hosts_of(self.hosts_mask ^ pinned))}
         # host elements precede the label and incidence ones; the free hosts
         # of one key's images are distinct and the labels tell subtrees apart,
-        # so no two sets are equal
-        produced = [tuple([elem[u] for u in free] + base)
-                    for alive, base in zip(kept, self.bases) for free in alive]
+        # so no two sets are equal (the instance sorts its sets itself)
+        produced = [tuple([elem[u] for u in self.hosts_of(mask)] + base)
+                    for alive, base in zip(kept, self.bases) for mask in alive]
         return SetCoverInstance(n=self.n, sets=tuple(produced), delta=self.delta)
 
 
-def _subtree_images(along, T, nodes, root, local_pins):
-    """Distinct host-node sets, sorted, of the non-pinned nodes of the
-    orientation-respecting copies of the subtree with the given pins, each
-    with its host bitmask.  ``along`` is the host's ``Digraph.masks_along``."""
-    members = set(nodes)
-    order = [root]
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for c in T.children[u]:
-            if c in members:
-                order.append(c)
-                stack.append(c)
+def _host_tuple(mask):
+    return tuple(u for u in range(mask.bit_length()) if mask >> u & 1)
+
+
+def _subtree_images(walk, hosts):
+    """Distinct free-host bitmasks of the orientation-respecting copies of
+    a subtree whose pinned nodes sit on their anchors' ``hosts``: each is
+    the set of hosts of the subtree's non-pinned nodes.  ``walk`` is the
+    subtree's walk (see _ReducedLayout)."""
     images = set()
-    host = {root: local_pins[root]}
+    at = [hosts[walk[0][2]]] + [0] * (len(walk) - 1)
 
     def rec(i, used, free):
-        if i == len(order):
+        if i == len(walk):
             images.add(free)
             return
-        v = order[i]
-        cands = along[T.orientation[v]][host[T.parent[v]]] & ~used
-        pin = local_pins.get(v)
-        if pin is not None:
-            cands &= 1 << pin
+        parent, along, s = walk[i]
+        cands = along[at[parent]] & ~used
+        if s is not None:
+            cands &= 1 << hosts[s]
         while cands:
             low = cands & -cands
             cands ^= low
-            host[v] = low.bit_length() - 1
-            rec(i + 1, used | low, free if pin is not None else free | low)
+            at[i] = low.bit_length() - 1
+            rec(i + 1, used | low, free if s is not None else free | low)
 
-    rec(1, 1 << local_pins[root], 0)
-    return sorted((tuple(u for u in range(mask.bit_length()) if mask >> u & 1), mask)
-                  for mask in images)
+    rec(1, 1 << at[0], 0)
+    return list(images)
 
 
 def solve_ntree_via_setcover(G: Digraph, T: PatternTree, delta: int,
@@ -556,7 +575,9 @@ def ham_to_setcover(G: Digraph, delta: int, live_only: bool = False) -> Reductio
                 else:
                     skipped += orders_after[len(free) - 1]
 
-        for rest in itertools.combinations(range(1, n), t - 1):
+        for steps, rest in enumerate(itertools.combinations(range(1, n), t - 1), 1):
+            if steps > MAX_STREAM_STEPS:
+                raise _over_steps("representative sets")
             reps_mask = sum(map(bits.__getitem__, rest)) | 1
             if not live_only:
                 orders = ((0,) + perm for perm in itertools.permutations(rest))

@@ -9,7 +9,15 @@ import pytest
 
 from xcover import kernels
 from xcover.cli import main
-from xcover.instances import Digraph, PatternTree, gen_planted, parse_instance, serialize_instance
+from xcover.instances import (
+    Digraph,
+    PatternTree,
+    gen_planted,
+    gen_random,
+    parse_instance,
+    serialize_instance,
+)
+from xcover.reductions import MAX_STREAM_STEPS
 from xcover.solvers import verify_embedding
 
 
@@ -314,6 +322,21 @@ def test_limits_are_refused_up_front(run, tmp_path, argv, files, code, error):
         assert json.loads(out)["answer"] == "yes" and not err.startswith("error:")
     else:
         assert (out, err) == ("", f"error: {error}\n")
+
+
+def test_a_dead_stream_stops_at_the_enumeration_cap(run, tmp_path):
+    """11 anchors and up to 20!/9! placements, every one examined dead:
+    the live stream builds nothing, so the budget never stops it, and the
+    enumeration cap must."""
+    g, t = tmp_path / "g.digraph", tmp_path / "t.tree"
+    g.write_text(serialize_instance(gen_random("digraph", seed=2, n=20, edge_probability=0.1)))
+    t.write_text(serialize_instance(gen_random("tree", seed=2, k=20)))
+    start = time.perf_counter()
+    code, out, err = run("pipeline", "ntree", str(g), str(t), "--budget", "10")
+    assert time.perf_counter() - start < 30
+    assert (code, out) == (3, "")
+    assert err == ("error: the stream enumerates more than MAX_STREAM_STEPS = "
+                   f"{MAX_STREAM_STEPS} anchor placements\n")
 
 
 def test_generate_round_trips(run, tmp_path):

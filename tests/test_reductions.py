@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xcover.cli import main
-from xcover.errors import CapacityError, PreconditionError
+from xcover.errors import BudgetExceededError, CapacityError, PreconditionError
 from xcover.instances import (
     FWD,
     REV,
@@ -526,6 +526,79 @@ def test_ham_and_ntree_pipelines_match_the_pinned_digest(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert _stream_corpus_digest() == (
         "365164f4d75e5831f04fb8fbbb49d1e881f961df1651a930fdf7bc2520f9cfe4")
+
+
+def test_stream_steps_count_placements_tried_and_representative_sets(monkeypatch):
+    """The literal variant pins no edge, so its stream tries every partial
+    placement of its anchors, sum over i of perm(k, i); the ham stream
+    visits C(n - 1, t - 1) representative sets.  Either runs whole at a cap
+    of exactly that many steps and stops one step below it."""
+    from xcover import reductions
+
+    T = gen_random("tree", seed=3, k=7)
+    r = len({root for root, _ in tree_cover(T, 3).subtrees})
+    G = gen_random("digraph", seed=3, n=7, edge_probability=0.5)
+    ham_G, _ = gen_planted("ham_cycle", seed=3, n=8, extra_edges=8)
+    for make, steps in ((lambda: ntree_to_setcover(G, T, 6, "literal", live_only=True),
+                         sum(math.perm(7, i) for i in range(1, r + 1))),
+                        (lambda: ham_to_setcover(ham_G, 2, live_only=True), math.comb(7, 3))):
+        monkeypatch.setattr(reductions, "MAX_STREAM_STEPS", steps)
+        assert list(make().produced)
+        monkeypatch.setattr(reductions, "MAX_STREAM_STEPS", steps - 1)
+        with pytest.raises(BudgetExceededError, match=f"MAX_STREAM_STEPS = {steps - 1} "):
+            list(make().produced)
+
+
+def _anchored_hosts_and_trees(k, anchors, count, extra_edge_probability):
+    """``count`` seeded pairs of a host with an oriented k-node tree planted
+    in it and a random host of about the same arc count, each tree pinning
+    ``anchors`` nodes in the anchored variant at delta 6."""
+    pairs, seed = [], 0
+    while len(pairs) < 2 * count:
+        seed += 1
+        host, T, _ = gen_planted("embedded_tree", seed=seed, k=k, host_n=k, oriented=True,
+                                 extra_edge_probability=extra_edge_probability)
+        roots = {r for r, _ in tree_cover(T, 3).subtrees}
+        if len(roots | {T.parent[r] for r in roots if r != T.root}) != anchors:
+            continue
+        p = len(host.edges) / (k * (k - 1))
+        pairs += [(host, T), (gen_random("digraph", seed=seed, n=k, edge_probability=p), T)]
+    return pairs
+
+
+def _ntree_items_digest():
+    """sha256 over the items (skip counts, provenance, target, instance) of
+    full and live seeded ``ntree_to_setcover`` streams: whole anchored
+    delta 6 streams at k = 10 with 4 anchors on sparse and denser hosts,
+    the first 50 items of anchored streams at k = 14 with 5 anchors, and
+    whole literal streams at k <= 7."""
+    streams = [(G, T, "anchored", None)
+               for p in (0.1, 0.3) for G, T in _anchored_hosts_and_trees(10, 4, 4, p)]
+    streams += [(G, T, "anchored", 50) for G, T in _anchored_hosts_and_trees(14, 5, 2, 0.25)]
+    for s in range(6):
+        k = (5, 6, 7)[s % 3]
+        host, T, _ = gen_planted("embedded_tree", seed=s, k=k, host_n=k, oriented=s % 2 == 0,
+                                 extra_edge_probability=0.2)
+        random_host = gen_random("digraph", seed=s, n=k, edge_probability=0.35)
+        streams += [(host, T, "literal", None), (random_host, T, "literal", None)]
+    digest = hashlib.sha256()
+    for G, T, variant, limit in streams:
+        for live_only in (False, True):
+            items = ntree_to_setcover(G, T, 6, variant, live_only).produced
+            for item in itertools.islice(items, limit):
+                if isinstance(item, int):
+                    digest.update(f"{item}\n".encode())
+                else:
+                    digest.update(repr((item.provenance, item.target, item.instance)).encode())
+            digest.update(b"end\n")
+    return digest.hexdigest()
+
+
+def test_ntree_stream_items_match_the_pinned_digest():
+    """Taken at commit f135b9e, before the ntree stream kept its images as
+    host bitmasks."""
+    assert _ntree_items_digest() == (
+        "18d896140f8bf4b2eca8a22adc41826465866ca5693da99aa4076c3e612c04ef")
 
 
 # ---------------------------------------------------------------------------
