@@ -183,17 +183,17 @@ def _cmd_reduce(args) -> int:
         g = args.g
         # the host and trees are those of the residual instance, the one the
         # pipeline embeds into once the large sets are guessed separately
-        pre = reductions.setcover_preprocess_large(inst, g)
+        residual, large, _ = reductions.split_large_sets(inst, g)
         if reductions.leaf_total(inst) == 0:
-            # the pipelines' answer, optimum 0, needs no host: preprocessing
-            # has only refused a g below 2, as it does for them
+            # the pipelines' answer, optimum 0, needs no host: the split has
+            # only refused a g below 2, as preprocessing does for them
             sys.stderr.write("leaf total is 0: the optimum is 0, no host or trees emitted\n")
             return 0
         host_prov = {"role": "host", "g": g}
-        if pre.large_indices:
-            host_prov["removed_large"] = pre.large_indices
-            sys.stderr.write(f"large sets removed: {len(pre.large_indices)}\n")
-        bundle = reductions.build_host_graph(pre.residual, g)
+        if large:
+            host_prov["removed_large"] = large
+            sys.stderr.write(f"large sets removed: {len(large)}\n")
+        bundle = reductions.build_host_graph(residual, g)
         write("host.graph", _provenance_comment(host_prov) + "\n"
               + serialize_instance(bundle.host))
         for alpha in itertools.islice(reductions.leaf_partitions(inst), args.limit or None):

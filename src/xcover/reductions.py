@@ -99,14 +99,16 @@ class ReductionBatch:
     """Lazy stream of produced instances plus the declared caps.
 
     Counts are astronomically large in general, so the stream-length cap is
-    carried in log2.  A stream made for deciding may also yield ints: each
-    is a number of instances, in stream order, skipped because they cannot
-    accept.
+    carried in log2.  Every instance of a stream has the same ground set of
+    ``elements`` elements.  A stream made for deciding may also yield ints:
+    each is a number of instances, in stream order, skipped because they
+    cannot accept.
     """
 
     produced: Iterator[ProducedInstance | int]
     bound_declared_log2: float
     elements_declared: float
+    elements: int
 
 
 @dataclass
@@ -135,8 +137,10 @@ def decide_stream(batch: ReductionBatch, budget: int = DEFAULT_BUDGET) -> Stream
     instance solved and is released on return.  Raises
     BudgetExceededError when the stream yields a built instance beyond the
     first ``budget``, before it is looked at; skip counts build nothing
-    and do not count.
+    and do not count.  Raises CapacityError before the first item when the
+    stream's ground set is over the cover DP's cap.
     """
+    _check_cap_n(batch.elements)
     seen = set()
     examined = filtered = 0
     for prod in batch.produced:
@@ -377,7 +381,7 @@ def ntree_to_setcover(G: Digraph, T: PatternTree, delta: int,
 
     return ReductionBatch(produced=stream(),
                           bound_declared_log2=count_bound_log2(ntilde, delta, variant),
-                          elements_declared=element_bound(ntilde, delta))
+                          elements_declared=element_bound(ntilde, delta), elements=layout.n)
 
 
 class _ReducedLayout:
@@ -518,23 +522,24 @@ def ham_to_setcover(G: Digraph, delta: int, live_only: bool = False) -> Reductio
 
     Orders come as ``itertools.combinations`` of the other representatives,
     each followed by its ``itertools.permutations``.  Each start node's
-    simple delta-edge paths are found once per stream.  The path groups of
-    an order, each consecutive pair's paths whose interior avoids the
-    representatives, are read from them only when its instance is built,
-    once per representative set and pair.
+    simple delta-edge paths are found once per stream and kept as an index
+    by interior mask: for each interior, the bitmask of the ends reached
+    through it.  A path's set is its start plus its interior, so the path
+    groups of an order, each consecutive pair's paths whose interior avoids
+    the representatives, are read off the index only when its instance is
+    built, once per representative set and pair; a set's node tuple is
+    read off its bitmask once per stream.
 
     An order is live when every consecutive pair, the closing one included,
     has a path.  A representative lies only in the sets of the paths to its
     successor, so a dead order cannot accept.  With ``live_only`` (the
-    decide-side form) only the live orders are built.  Liveness is read
-    from an index, built once per stream, of each start node's paths by
-    interior mask: for each interior, the ends reached through it.  A
-    representative's live successors are the ends of the interiors that
-    avoid the representatives, so a representative set with one of them
-    lacking a live successor or predecessor has no live order, and the
-    backtracking over positions prunes a dead pair with every completion
-    of its prefix.  Each run of dead orders comes as one skip count in its
-    place in the stream.
+    decide-side form) only the live orders are built.  A representative's
+    live successors are the ends of its interiors that avoid the
+    representatives, so a representative set with one of them lacking a
+    live successor or predecessor has no live order, and the backtracking
+    over positions prunes a dead pair with every completion of its prefix.
+    Each run of dead orders comes as one skip count in its place in the
+    stream.
     """
     n = G.num_nodes
     if delta < 2:
@@ -547,16 +552,11 @@ def ham_to_setcover(G: Digraph, delta: int, live_only: bool = False) -> Reductio
     bound_log2 = (t - 1) * math.log2(n) if n > 1 else 0.0
 
     def stream():
-        table = [_paths_by_end(G, a, delta) for a in range(n)]
+        # start node -> (interior mask, ends reached through it) pairs
+        by_inner = [_paths_by_interior(G, a, delta) for a in range(n)]
+        node_tuple = functools.cache(_host_tuple)
         bits = [1 << a for a in range(n)]
         orders_after = [math.factorial(i) for i in range(t)]
-        by_inner = []  # start node -> (interior mask, ends reached through it) pairs
-        for paths in table if live_only else ():
-            reach = {}
-            for b, sets in paths.items():
-                for inner in sets.values():
-                    reach[inner] = reach.get(inner, 0) | bits[b]
-            by_inner.append(tuple(reach.items()))
         live = [0] * n
         skipped = 0
 
@@ -608,8 +608,9 @@ def ham_to_setcover(G: Digraph, delta: int, live_only: bool = False) -> Reductio
                 for a, b in zip(order, order[1:] + (0,)):
                     group = groups.get((a, b))
                     if group is None:
-                        group = groups[a, b] = [s for s, inner in table[a].get(b, {}).items()
-                                                if not inner & reps_mask]
+                        group = groups[a, b] = [node_tuple(inner | bits[a])
+                                                for inner, ends in by_inner[a]
+                                                if ends >> b & 1 and not inner & reps_mask]
                     sets += group
                 yield ProducedInstance(SetCoverInstance(n=n, sets=tuple(sets), delta=delta),
                                        t, order)
@@ -617,34 +618,30 @@ def ham_to_setcover(G: Digraph, delta: int, live_only: bool = False) -> Reductio
             yield skipped
 
     return ReductionBatch(produced=stream(), bound_declared_log2=bound_log2,
-                          elements_declared=float(n))
+                          elements_declared=float(n), elements=n)
 
 
-def _paths_by_end(G, a, length):
-    """End node -> {sorted node tuple (end excluded): interior node mask} of
-    the distinct simple directed paths from a with exactly ``length`` edges,
-    each in DFS order.  The end may be a itself, never an interior node."""
-    out = {}
-    path, succ = [a], G.masks_along[FWD]
+def _paths_by_interior(G, a, length):
+    """(interior mask, ends mask) pairs of the simple directed paths from a
+    with exactly ``length`` edges, one pair per interior: the ends reached
+    through it.  An end may be a itself, never an interior node."""
+    reach, succ = {}, G.masks_along[FWD]
 
     def rec(u, depth, inner):
         # ``inner`` is the path without a; only the last edge may end at a
-        last = depth + 1 == length
-        ends = succ[u] & ~(inner if last else inner | 1 << a)
-        nodes = tuple(sorted(path)) if last else None
+        if depth + 1 == length:
+            ends = succ[u] & ~inner
+            if ends:
+                reach[inner] = reach.get(inner, 0) | ends
+            return
+        ends = succ[u] & ~(inner | 1 << a)
         while ends:
             low = ends & -ends
             ends ^= low
-            w = low.bit_length() - 1
-            if last:
-                out.setdefault(w, {}).setdefault(nodes, inner)
-            else:
-                path.append(w)
-                rec(w, depth + 1, inner | low)
-                path.pop()
+            rec(low.bit_length() - 1, depth + 1, inner | low)
 
     rec(a, 0, 0)
-    return out
+    return tuple(reach.items())
 
 
 def solve_ham_via_setcover(G: Digraph, delta: int) -> bool:
@@ -881,6 +878,19 @@ class PreprocessOutcome:
     residual_index_map: list[int]
 
 
+def split_large_sets(inst: SetCoverInstance, g: int) -> tuple[SetCoverInstance, list, list]:
+    """The residual instance of the sets small enough for the pattern trees
+    (see _large_indices), the large sets' indices and the residual's index
+    map into ``inst.sets``.  Runs no cover search."""
+    large = _large_indices(inst, g)
+    large_set = set(large)
+    # inst.sets is sorted, so the residual keeps the small sets in this order
+    small = [j for j in range(inst.m) if j not in large_set]
+    residual = SetCoverInstance(n=inst.n, sets=tuple(inst.sets[j] for j in small),
+                                variant=inst.variant, p=inst.p)
+    return residual, large, small
+
+
 def setcover_preprocess_large(inst: SetCoverInstance, g: int) -> PreprocessOutcome:
     """Handle the sets too large for the pattern trees by guessing one of them.
 
@@ -893,12 +903,7 @@ def setcover_preprocess_large(inst: SetCoverInstance, g: int) -> PreprocessOutco
     solvers' cap.
     """
     total = leaf_total(inst)
-    large = _large_indices(inst, g)
-    large_set = set(large)
-    # inst.sets is sorted, so the residual keeps the small sets in this order
-    small = [j for j in range(inst.m) if j not in large_set]
-    residual = SetCoverInstance(n=inst.n, sets=tuple(inst.sets[j] for j in small),
-                                variant=inst.variant, p=inst.p)
+    residual, large, small = split_large_sets(inst, g)
     if not large or not total:
         return PreprocessOutcome(None, residual, large, small)
     _check_cap_n(inst.n)

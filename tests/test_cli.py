@@ -339,6 +339,37 @@ def test_a_dead_stream_stops_at_the_enumeration_cap(run, tmp_path):
                    f"{MAX_STREAM_STEPS} anchor placements\n")
 
 
+def test_an_over_cap_stream_is_refused_before_it_is_enumerated(run, tmp_path):
+    """Every instance of a ham stream has n elements, so at n = 26 none can
+    be solved and the decide stops before it enumerates; ``reduce`` runs no
+    cover DP and still emits the stream."""
+    g = str(tmp_path / "g.digraph")
+    assert run("generate", "digraph", "--n", "26", "--edge-probability", "0.1",
+               "--seed", "3", "--out", g)[0] == 0
+    start = time.perf_counter()
+    code, out, err = run("pipeline", "ham", g, "--delta", "2")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (3, "", "error: ground set of 26 elements exceeds the DP cap of 24\n")
+    code, out, err = run("reduce", "ham-to-sc", g, "--delta", "2", "--limit", "1")
+    assert (code, err) == (0, "emitted 1 instances\n")
+    assert "p setcover 26 " in out
+
+
+def test_reduce_sc_to_ktree_runs_no_large_set_search(run, tmp_path):
+    """``reduce`` only needs the residual of the large-set split, so an
+    instance over the cover DP's cap reduces, while the pipeline, which
+    searches through the large set, is refused."""
+    sets = [range(8)] + [(i, i + 1) for i in range(8, 30, 2)] + [(0, 9), (3, 12)]
+    sc = tmp_path / "i.sc"
+    sc.write_text(f"p setcover 30 {len(sets)}\n" + "".join(
+        " ".join(map(str, s)) + "\n" for s in sets))
+    code, out, err = run("reduce", "sc-to-ktree", str(sc), "--limit", "1")
+    assert (code, err) == (0, "large sets removed: 1\nemitted host graph and 1 trees\n")
+    assert '"removed_large": [' in out
+    code, out, err = run("pipeline", "sc-ktree", str(sc))
+    assert (code, out, err) == (3, "", "error: ground set of 30 elements exceeds the DP cap of 24\n")
+
+
 def test_generate_round_trips(run, tmp_path):
     out_path = tmp_path / "g.digraph"
     code, _, _ = run("generate", "digraph", "--n", "6", "--edge-probability", "0.4",

@@ -549,6 +549,40 @@ def test_stream_steps_count_placements_tried_and_representative_sets(monkeypatch
             list(make().produced)
 
 
+def _ham_items_digest():
+    """sha256 over the items (skip counts, provenance, target, instance) of
+    full and live seeded ``ham_to_setcover`` streams: whole streams at
+    n = 10, delta 2 and 5, on planted and random hosts, and the first 50
+    items of streams at n = 16, delta 4."""
+    streams = []
+    for s in range(4):
+        planted, _ = gen_planted("ham_cycle", seed=s, n=10, extra_edges=5 + 3 * s)
+        random_host = gen_random("digraph", seed=s, n=10, edge_probability=0.25 + 0.05 * s)
+        streams += [(G, delta, None) for G in (planted, random_host) for delta in (2, 5)]
+    for s in range(2):
+        planted, _ = gen_planted("ham_cycle", seed=s, n=16, extra_edges=48)
+        random_host = gen_random("digraph", seed=s, n=16, edge_probability=0.27)
+        streams += [(planted, 4, 50), (random_host, 4, 50)]
+    digest = hashlib.sha256()
+    for G, delta, limit in streams:
+        for live_only in (False, True):
+            items = ham_to_setcover(G, delta, live_only).produced
+            for item in itertools.islice(items, limit):
+                if isinstance(item, int):
+                    digest.update(f"{item}\n".encode())
+                else:
+                    digest.update(repr((item.provenance, item.target, item.instance)).encode())
+            digest.update(b"end\n")
+    return digest.hexdigest()
+
+
+def test_ham_stream_items_match_the_pinned_digest():
+    """Taken at commit dc795ab, before the ham stream read its sets off
+    its interior index."""
+    assert _ham_items_digest() == (
+        "87264bbfd23b84d87f86664106aafe4eb012691ec45eb85a779e861a6c91fb5e")
+
+
 def _anchored_hosts_and_trees(k, anchors, count, extra_edge_probability):
     """``count`` seeded pairs of a host with an oriented k-node tree planted
     in it and a random host of about the same arc count, each tree pinning
