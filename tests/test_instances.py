@@ -85,6 +85,72 @@ def test_parse_errors_carry_line_numbers(text, line):
     assert err.value.line == line
 
 
+# one case per FormatError branch of the header checks and the three body
+# parsers: (text, kind, line, message without its "line N: " prefix)
+@pytest.mark.parametrize("text,kind,line,message", [
+    ("", None, 1, "empty input"),
+    ("c only a comment\n", None, 1, "empty input"),
+    ("\np setcover 1 0\n", None, 1, "empty input"),
+    ("q setcover 3 2\n", None, 1, "malformed header, expected 'p <kind> ...'"),
+    ("p\n", None, 1, "malformed header, expected 'p <kind> ...'"),
+    ("c lead\np wobble 3 2\n", None, 2, "unknown record kind 'wobble'"),
+    ("p setcover 3 0\n", "digraph", 1, "expected a digraph record, found 'setcover'"),
+    (b"\xffp setcover 2 1\n0 1\n", None, 1, "not UTF-8 text (invalid start byte)"),
+    (b"p setcover 2 1\n0 \xff1\n", None, 2, "not UTF-8 text (invalid start byte)"),
+    ("p setcover 3\n", None, 1, "malformed setcover header"),
+    ("p partialcover 3 1\n0\n", None, 1, "malformed partialcover header"),
+    ("p setcover x 1\n0\n", None, 1, "expected integer n, got 'x'"),
+    ("p setcover 3 y\n0\n", None, 1, "expected integer m, got 'y'"),
+    ("p partialcover 3 1 z\n0\n", None, 1, "expected integer p, got 'z'"),
+    ("p setcover 3 2\n0 1\n", None, 2, "expected 2 set lines, found 1"),
+    ("p setcover 3 1\n", None, 1, "expected 1 set lines, found 0"),
+    ("p setcover 3 1\n0 one\n", None, 2, "expected integer element index, got 'one'"),
+    ("p setcover 3 2\n0 1\n1 3\n", None, 3, "element index 3 out of range [0, 3)"),
+    ("p setcover 3 1\n-1 0\n", None, 2, "element index -1 out of range [0, 3)"),
+    ("p partialcover 3 1 4\n0 1\n", None, 1, "coverage target p=4 out of range [0, 3]"),
+    ("p digraph 3\n", None, 1, "malformed digraph header"),
+    ("p graph 3 1 1\n0 1\n", None, 1, "malformed graph header"),
+    ("p digraph x 1\n0 1\n", None, 1, "expected integer n, got 'x'"),
+    ("p digraph 3 y\n0 1\n", None, 1, "expected integer m, got 'y'"),
+    ("p digraph 3 2\n0 1\n", None, 2, "expected 2 edge lines, found 1"),
+    ("p graph 3 1\n", None, 1, "expected 1 edge lines, found 0"),
+    ("p digraph 3 1\n0 1 2\n", None, 2, "expected edge line '<u> <v>'"),
+    ("p digraph 3 1\n0\n", None, 2, "expected edge line '<u> <v>'"),
+    ("p digraph 3 1\na 1\n", None, 2, "expected integer node, got 'a'"),
+    ("p digraph 3 1\n0 b\n", None, 2, "expected integer node, got 'b'"),
+    ("p digraph 3 1\n2 2\n", None, 2, "self-loop at node 2"),
+    ("p digraph 3 1\n0 3\n", None, 2, "edge (0, 3) out of range [0, 3)"),
+    ("p graph 3 1\n-1 2\n", None, 2, "edge (-1, 2) out of range [0, 3)"),
+    ("p digraph 3 2\n0 1\n0 1\n", None, 3, "duplicate edge (0, 1)"),
+    ("p graph 3 2\n0 1\n1 0\n", None, 3, "duplicate edge (1, 0)"),
+    ("p tree\n", None, 1, "malformed tree header"),
+    ("p tree 3 1\n0 1\n0 2\n", None, 1, "malformed tree header"),
+    ("p tree k\n", None, 1, "expected integer k, got 'k'"),
+    ("p tree 0\n", None, 1, "tree needs at least one node"),
+    ("p tree 3\n0 1\n", None, 2, "expected 2 edge lines, found 1"),
+    ("p tree 2\n", None, 1, "expected 1 edge lines, found 0"),
+    ("p tree 2\n0\n", None, 2, "expected '<parent> <child> [fwd|rev]'"),
+    ("p tree 2\n0 1 fwd extra\n", None, 2, "expected '<parent> <child> [fwd|rev]'"),
+    ("p tree 2\nx 1\n", None, 2, "expected integer parent, got 'x'"),
+    ("p tree 2\n0 y\n", None, 2, "expected integer child, got 'y'"),
+    ("p tree 2\n0 2\n", None, 2, "node out of range [0, 2)"),
+    ("p tree 3\n0 1\n2 1\n", None, 3, "node 1 has two parents"),
+    ("p tree 2\n0 1 und\n", None, 2, "bad orientation token 'und'"),
+    ("p tree 3\n0 1\n1 0\n", None, 1,
+     "non-tree parent array: parent array does not connect all nodes to the root"),
+    ("p tree 3\n0 1 fwd\n0 2\n", None, 1,
+     "non-tree parent array: orientation must be uniform: all und or all oriented"),
+    ("p tree 3\n1 2\n2 1\n", None, 1,
+     "non-tree parent array: parent array does not connect all nodes to the root"),
+    ("p tree 2\n1 1\n", None, 1,
+     "non-tree parent array: parent array does not connect all nodes to the root"),
+])
+def test_parse_error_messages_are_pinned(text, kind, line, message):
+    with pytest.raises(FormatError) as err:
+        parse_instance(text, kind)
+    assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
+
 def test_wrong_kind_rejected():
     with pytest.raises(FormatError):
         parse_instance("p setcover 3 0\n", "digraph")
