@@ -53,8 +53,12 @@ def _read(args, i: int, kind: str | None = None):
     return parse_instance(_read_text(args, i), kind)
 
 
+# json.dumps(record, sort_keys=True) without building an encoder per record
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _emit(record: dict) -> None:
-    sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+    sys.stdout.write(_ENCODER.encode(record) + "\n")
     sys.stdout.flush()
 
 
@@ -437,6 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--witness-out", default=None)
     p.set_defaults(func=_cmd_generate)
+    parser.commands = sub.choices  # command name -> its subparser
     return parser
 
 
@@ -447,9 +452,27 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(argv):
+    """The namespace of ``argv``, parsed by its command's subparser alone.
+
+    The top-level parser hands a command's subparser every argument after
+    the command, so that subparser parses them the same way, usage errors
+    and help included.  Anything else, and arguments the subparser leaves
+    over, goes through the top-level parser, which reports them as before.
+    """
+    parser = _parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     args.inputs = {}  # path -> digest of each file read, for the record

@@ -9,6 +9,7 @@ byte-identically.
 from __future__ import annotations
 
 import heapq
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -48,14 +49,20 @@ class SetCoverInstance:
         if self.n < 0:
             raise ValueError("element count must be non-negative")
         n = self.n
-        norm = tuple(sorted(tuple(sorted(set(s))) for s in self.sets))
+        norm = [tuple(sorted(set(s))) for s in self.sets]
+        norm.sort()
+        norm = tuple(norm)
         object.__setattr__(self, "sets", norm)
-        # each set is sorted, so its ends decide whether it is in range; the
-        # first out-of-range element in set order is reported
-        for s in norm:
-            if s and (s[0] < 0 or s[-1] >= n):
-                e = s[0] if s[0] < 0 else next(e for e in s if e >= n)
-                raise ValueError(f"element {e} out of range [0, {n})")
+        # each set is sorted, so its ends decide whether it is in range, and
+        # the empty sets sort first, so the first non-empty one holds the
+        # least element
+        ends = [s[-1] for s in norm if s]
+        if ends and (norm[-len(ends)][0] < 0 or max(ends) >= n):
+            # the first out-of-range element in set order is reported
+            for s in norm:
+                if s and (s[0] < 0 or s[-1] >= n):
+                    e = s[0] if s[0] < 0 else next(e for e in s if e >= n)
+                    raise ValueError(f"element {e} out of range [0, {n})")
         if self.variant not in (PLAIN, EXACT, PARTIAL):
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant == PARTIAL:
@@ -63,10 +70,9 @@ class SetCoverInstance:
                 raise ValueError("partial variant needs 0 <= p <= n")
         elif self.p is not None:
             raise ValueError("p is only meaningful for the partial variant")
-        if self.delta is not None:
-            for s in norm:
-                if len(s) > self.delta:
-                    raise ValueError(f"set of size {len(s)} exceeds delta={self.delta}")
+        if self.delta is not None and max(map(len, norm), default=0) > self.delta:
+            size = next(len(s) for s in norm if len(s) > self.delta)
+            raise ValueError(f"set of size {size} exceeds delta={self.delta}")
 
     @property
     def m(self) -> int:
@@ -110,15 +116,16 @@ class Digraph:
     undirected_mode: bool = False
 
     def __post_init__(self):
-        if self.num_nodes < 0:
+        n, undirected = self.num_nodes, self.undirected_mode
+        if n < 0:
             raise ValueError("node count must be non-negative")
         norm = set()
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
-            if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
+            if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
-            if self.undirected_mode and u > v:
+            if undirected and u > v:
                 u, v = v, u
             norm.add((u, v))
         object.__setattr__(self, "edges", frozenset(norm))
@@ -190,30 +197,28 @@ class PatternTree:
             raise ValueError("root out of range")
         if len(self.parent) != k or len(self.orientation) != k:
             raise ValueError("parent/orientation arrays must have length k")
-        if self.parent[self.root] != -1:
+        root, parent = self.root, self.parent
+        if parent[root] != -1:
             raise ValueError("parent[root] must be -1")
-        kinds = set()
-        # ids given parent-first from root 0 make a tree by construction:
-        # every node's parent chain descends to 0
-        parent_first = self.root == 0
-        for v in range(k):
-            if v == self.root:
-                continue
-            p = self.parent[v]
-            if not 0 <= p < k:
-                raise ValueError(f"parent of node {v} out of range")
-            parent_first = parent_first and p < v
-            o = self.orientation[v]
-            if o not in (UND, FWD, REV):
-                raise ValueError(f"bad orientation {o!r} at node {v}")
-            kinds.add(o)
+        others = parent[:root] + parent[root + 1:]
+        kinds = {*self.orientation[:root], *self.orientation[root + 1:]}
+        if others and (min(others) < 0 or max(others) >= k) or not kinds <= {UND, FWD, REV}:
+            # the first bad node is reported
+            for v in range(k):
+                if v != root:
+                    if not 0 <= parent[v] < k:
+                        raise ValueError(f"parent of node {v} out of range")
+                    if self.orientation[v] not in (UND, FWD, REV):
+                        raise ValueError(f"bad orientation {self.orientation[v]!r} at node {v}")
         if UND in kinds and len(kinds) > 1:
             raise ValueError("orientation must be uniform: all und or all oriented")
-        if parent_first:
+        # ids given parent-first from root 0 make a tree by construction:
+        # every node's parent chain descends to 0
+        if root == 0 and all(map(operator.lt, others, range(1, k))):
             return
         # every node has one parent, so the root reaches each node at most
         # once; a node on a cycle, or below one, is never reached
-        reached, stack, kids = 1, [self.root], self.children
+        reached, stack, kids = 1, [root], self.children
         while stack:
             below = kids[stack.pop()]
             reached += len(below)
@@ -223,11 +228,12 @@ class PatternTree:
 
     @cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
-        # v ascends, so each node's children come out sorted
+        # v ascends, so each node's children come out sorted; only the root
+        # has no parent
         kids = [[] for _ in range(self.k)]
-        for v in range(self.k):
-            if v != self.root:
-                kids[self.parent[v]].append(v)
+        for v, p in enumerate(self.parent):
+            if p >= 0:
+                kids[p].append(v)
         return tuple(map(tuple, kids))
 
     @cached_property
@@ -308,7 +314,79 @@ def parse_instance(text, kind=None):
         p digraph <n> <m>         then m lines "u v"
         p graph <n> <m>           undirected variant
         p tree <k>                then k-1 lines "parent child [fwd|rev]"
+
+    The text is read in bulk, each body line in one step; a text that fails
+    any check there is read again token by token, which names the first
+    fault and its line.
     """
+    try:
+        value = _parse_bulk(text, kind)
+    except (ValueError, IndexError):
+        value = None
+    return _parse_checked(text, kind) if value is None else value
+
+
+def _parse_bulk(text, kind):
+    """The record of ``text``, or None (or ValueError or IndexError) where
+    the token-by-token parse would raise or where this one cannot tell."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if text.startswith("c") or "\nc" in text:
+        lines = [line for line in lines if not line.startswith("c")]
+    head = lines[0].split()
+    header_kind = head[1]
+    if head[0] != "p" or kind is not None and header_kind != kind:
+        return None
+    body = lines[1:]
+    if header_kind in _SET_KINDS:
+        variant = _SET_KINDS[header_kind]
+        if len(head) != (5 if variant == PARTIAL else 4) or len(body) != int(head[3]):
+            return None
+        # the instance checks the element range and p as the parse does
+        return SetCoverInstance(int(head[2]), tuple([tuple(map(int, line.split()))
+                                                     for line in body]),
+                                variant, int(head[4]) if variant == PARTIAL else None)
+    if header_kind in ("digraph", "graph"):
+        if len(head) != 4 or len(body) != int(head[3]):
+            return None
+        # the graph checks self-loops and the node range as the parse does,
+        # and merges duplicate edges, so fewer edges than lines means one
+        G = Digraph(int(head[2]), [(int(u), int(v)) for u, v in map(str.split, body)],
+                    header_kind == "graph")
+        return G if len(G.edges) == len(body) else None
+    if header_kind == "tree" and len(head) == 3:
+        k = int(head[2])
+        if k < 1 or len(body) != k - 1:
+            return None
+        # the tree checks the parent range as the parse does; a child out of
+        # range raises, and a line without a token leaves None
+        parent, orientation = [-2] * k, [None] * k
+        for line in body:
+            p, v, *o = line.split()
+            v = int(v)
+            if v < 0 or parent[v] != -2:
+                return None
+            parent[v] = int(p)
+            if o:
+                orientation[v], = o
+        root = parent.index(-2)
+        parent[root] = -1
+        # either no line has a token or every line has fwd or rev
+        tokens = set(orientation)
+        if tokens == {None}:
+            orientation = [UND] * k
+        elif tokens <= {None, FWD, REV} and orientation.count(None) == 1:
+            orientation[root] = UND
+        else:
+            return None
+        return PatternTree(k, root, tuple(parent), tuple(orientation))
+    return None
+
+
+def _parse_checked(text, kind):
     lines = list(_content_lines(text))
     if not lines or lines[0][1] == "":
         raise FormatError("empty input", 1)

@@ -24,7 +24,6 @@ differential soundness tests.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -179,37 +178,33 @@ def tree_cover(T: PatternTree, l: int) -> SubtreeCover:
     """
     if l < 2:
         raise PreconditionError("need l >= 2: subtrees of at most 2(l-1) = 0 nodes are empty")
-    k = T.k
+    k, root = T.k, T.root
     if k == 1:
-        return SubtreeCover(((T.root, frozenset({T.root})),))
-    children = T.children
-    next_child = [0] * k
+        return SubtreeCover(((root, frozenset({root})),))
+    parent, children = T.parent, T.children
+    # the pre-order that visits children in descending id, whose reverse is
+    # the order in which the traversal returns from each node
+    order, stack = [], [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack += children[v]
     pending = [{v} for v in range(k)]
     emitted: list[tuple[int, frozenset[int]]] = []
     rooted = set()
-    stack = [T.root]
-    while stack:
-        u = stack[-1]
-        if next_child[u] < len(children[u]):
-            stack.append(children[u][next_child[u]])
-            next_child[u] += 1
-            continue
-        stack.pop()
-        if not stack:
+    for u in reversed(order):
+        p = parent[u]
+        if p < 0:  # the root, returned from last
             break
-        p = stack[-1]
         pending[p] |= pending[u]
-        unvisited = next_child[p] < len(children[p])
+        finished = u == children[p][-1]
         if len(pending[p]) >= l:
             emitted.append((p, frozenset(pending[p])))
             rooted.add(p)
-            pending[p] = {p} if unvisited else set()
-        elif not unvisited and p in rooted:
+            pending[p] = set() if finished else {p}
+        elif finished and (p in rooted or p == root):
             emitted.append((p, frozenset(pending[p])))
             pending[p] = set()
-        elif p == T.root and not unvisited:
-            emitted.append((p, frozenset(pending[p])))
-            rooted.add(p)
     return SubtreeCover(tuple(emitted))
 
 
@@ -334,12 +329,14 @@ def ntree_to_setcover(G: Digraph, T: PatternTree, delta: int,
     # hosts the edge can reach from the earlier one's host: (slot, host masks)
     reach = [[] for _ in anchors]
     if variant == ANCHORED:
-        for p, v, o in T.edge_list():
-            if p in slot and v in slot:
+        along = G.masks_along
+        for v in anchors:  # in ascending child id, as the edge list runs
+            p, o = T.parent[v], T.orientation[v]
+            if p in slot:
                 if slot[p] < slot[v]:
-                    reach[slot[v]].append((slot[p], G.masks_along[o]))
+                    reach[slot[v]].append((slot[p], along[o]))
                 else:
-                    reach[slot[p]].append((slot[v], G.masks_along[REVERSED[o]]))
+                    reach[slot[p]].append((slot[v], along[REVERSED[o]]))
 
     def stream():
         # free[i]: the hosts no earlier anchor took; cands[i]: those anchor i
@@ -405,28 +402,35 @@ class _ReducedLayout:
     def __init__(self, G, T, subtrees, slot, variant, delta):
         self.delta = delta
         next_id = G.num_nodes - len(slot)
-        self.bases, self.pins, self.walks = [], [], []
+        children, orientation, along = T.children, T.orientation, G.masks_along
+        self.bases, self.pins, self.walks = bases, pins, walks = [], [], []
         for r, nodes in subtrees:
-            pinned = [q for q in sorted(nodes) if q in slot]
+            # the slots of the subtree's pinned nodes, which ascend with
+            # their node ids
+            pinned = [slot[r]]
+            walk, stack = [(None, None, pinned[0])], [(r, 0)]
+            while stack:
+                u, at = stack.pop()
+                for c in children[u]:
+                    if c in nodes:
+                        s = slot.get(c)
+                        if s is not None:
+                            pinned.append(s)
+                        stack.append((c, len(walk)))
+                        walk.append((at, along[orientation[c]], s))
+            walks.append(walk)
+            pinned.sort()
+            pins.append(operator.itemgetter(*pinned))
             base = [next_id]
             next_id += 1
             if variant == ANCHORED:
                 base += range(next_id, next_id + len(pinned) - 1)
                 next_id += len(pinned) - 1
-            self.bases.append(base)
-            self.pins.append(operator.itemgetter(*[slot[q] for q in pinned]))
-            walk, stack = [(None, None, slot[r])], [(r, 0)]
-            while stack:
-                u, at = stack.pop()
-                for c in T.children[u]:
-                    if c in nodes:
-                        stack.append((c, len(walk)))
-                        walk.append((at, G.masks_along[T.orientation[c]], slot.get(c)))
-            self.walks.append(walk)
+            bases.append(base)
         self.n = next_id
         self.hosts_mask = (1 << G.num_nodes) - 1
         self.images = [{} for _ in subtrees]
-        self.hosts_of = functools.cache(_host_tuple)
+        self.hosts_of = _HostTuples().__getitem__
 
     def instance(self, hosts, live_only=False):
         """The placement's cover instance, or None under ``live_only`` when
@@ -468,8 +472,13 @@ class _ReducedLayout:
         return SetCoverInstance(n=self.n, sets=tuple(produced), delta=self.delta)
 
 
-def _host_tuple(mask):
-    return tuple(u for u in range(mask.bit_length()) if mask >> u & 1)
+class _HostTuples(dict):
+    """Bitmask -> the ascending tuple of its set bits, each computed once.
+    A stream keeps one for its own life and calls its ``__getitem__``."""
+
+    def __missing__(self, mask):
+        hosts = self[mask] = tuple(u for u in range(mask.bit_length()) if mask >> u & 1)
+        return hosts
 
 
 def _subtree_images(walk, hosts):
@@ -554,7 +563,7 @@ def ham_to_setcover(G: Digraph, delta: int, live_only: bool = False) -> Reductio
     def stream():
         # start node -> (interior mask, ends reached through it) pairs
         by_inner = [_paths_by_interior(G, a, delta) for a in range(n)]
-        node_tuple = functools.cache(_host_tuple)
+        node_tuple = _HostTuples().__getitem__
         bits = [1 << a for a in range(n)]
         orders_after = [math.factorial(i) for i in range(t)]
         live = [0] * n
