@@ -374,11 +374,12 @@ def _parse_bulk(text, kind):
                 orientation[v], = o
         root = parent.index(-2)
         parent[root] = -1
-        # either no line has a token or every line has fwd or rev
+        # either no line has a token, or the tree finds any other node than
+        # the root left at None
         tokens = set(orientation)
         if tokens == {None}:
             orientation = [UND] * k
-        elif tokens <= {None, FWD, REV} and orientation.count(None) == 1:
+        elif tokens <= {None, FWD, REV}:
             orientation[root] = UND
         else:
             return None

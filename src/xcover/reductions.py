@@ -330,7 +330,7 @@ def ntree_to_setcover(G: Digraph, T: PatternTree, delta: int,
     reach = [[] for _ in anchors]
     if variant == ANCHORED:
         along = G.masks_along
-        for v in anchors:  # in ascending child id, as the edge list runs
+        for v in anchors:
             p, o = T.parent[v], T.orientation[v]
             if p in slot:
                 if slot[p] < slot[v]:
@@ -405,9 +405,7 @@ class _ReducedLayout:
         children, orientation, along = T.children, T.orientation, G.masks_along
         self.bases, self.pins, self.walks = bases, pins, walks = [], [], []
         for r, nodes in subtrees:
-            # the slots of the subtree's pinned nodes, which ascend with
-            # their node ids
-            pinned = [slot[r]]
+            pinned = [slot[r]]  # the slots of the subtree's pinned nodes
             walk, stack = [(None, None, pinned[0])], [(r, 0)]
             while stack:
                 u, at = stack.pop()
@@ -419,7 +417,6 @@ class _ReducedLayout:
                         stack.append((c, len(walk)))
                         walk.append((at, along[orientation[c]], s))
             walks.append(walk)
-            pinned.sort()
             pins.append(operator.itemgetter(*pinned))
             base = [next_id]
             next_id += 1

@@ -16,6 +16,8 @@ from xcover.instances import (
     Digraph,
     PatternTree,
     SetCoverInstance,
+    _parse_bulk,
+    _parse_checked,
     gen_planted,
     gen_random,
     parse_instance,
@@ -134,6 +136,7 @@ def test_parse_errors_carry_line_numbers(text, line):
     ("p tree 2\nx 1\n", None, 2, "expected integer parent, got 'x'"),
     ("p tree 2\n0 y\n", None, 2, "expected integer child, got 'y'"),
     ("p tree 2\n0 2\n", None, 2, "node out of range [0, 2)"),
+    ("p tree 2\n0 -1\n", None, 2, "node out of range [0, 2)"),
     ("p tree 3\n0 1\n2 1\n", None, 3, "node 1 has two parents"),
     ("p tree 2\n0 1 und\n", None, 2, "bad orientation token 'und'"),
     ("p tree 3\n0 1\n1 0\n", None, 1,
@@ -336,6 +339,48 @@ def test_constructor_matches_the_old_normalization(data, n, delta):
         assert str(got.value) == str(exc)
     else:
         assert SetCoverInstance(n, tuple(tuple(s) for s in sets), delta=delta).sets == want
+
+
+_EDIT_TOKENS = ["0", "1", "2", "-1", "9", "x", "fwd", "rev", "und", "c", "p", "tree", "graph",
+                "setcover", "partialcover", "", " ", "\r"]
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except ValueError as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), value=st.one_of(_cover_instances(), _graphs(), _pattern_trees()))
+def test_bulk_parse_agrees_with_the_checked_parse(data, value):
+    """parse_instance reads a text in bulk and falls back to the token-by-
+    token parse only to name a fault: on edited texts, dropped, repeated,
+    commented or retokenized lines among them, it returns or raises what
+    the token-by-token parse does, and it reads an unedited text in bulk."""
+    lines = serialize_instance(value).split("\n")
+    text = "\n".join(lines)
+    assert _parse_bulk(text, None) == _parse_bulk("c lead\n" + text, None) == value
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        edit = data.draw(st.sampled_from(["drop", "repeat", "comment", "token", "append"]))
+        if edit == "drop" and len(lines) > 1:
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(i, lines[data.draw(st.integers(0, len(lines) - 1))])
+        elif edit == "comment":
+            lines.insert(i, "c " + data.draw(st.sampled_from(_EDIT_TOKENS)))
+        else:
+            tokens = lines[i].split(" ")
+            token = data.draw(st.sampled_from(_EDIT_TOKENS))
+            if edit == "append":
+                tokens.append(token)
+            else:
+                tokens[data.draw(st.integers(0, len(tokens) - 1))] = token
+            lines[i] = " ".join(tokens)
+    text = "\n".join(lines)
+    assert _outcome(parse_instance, text) == _outcome(lambda t: _parse_checked(t, None), text)
 
 
 def test_duplicate_sets_are_kept():
