@@ -362,17 +362,17 @@ def _parse_bulk(text, kind):
         if k < 1 or len(body) != k - 1:
             return None
         # the tree checks the parent range as the parse does; a child out of
-        # range raises, and a line without a token leaves None
-        parent, orientation = [-2] * k, [None] * k
+        # range raises, and a node without a line or a token keeps None
+        parent, orientation = [None] * k, [None] * k
         for line in body:
             p, v, *o = line.split()
             v = int(v)
-            if v < 0 or parent[v] != -2:
+            if v < 0 or parent[v] is not None:
                 return None
             parent[v] = int(p)
             if o:
                 orientation[v], = o
-        root = parent.index(-2)
+        root = parent.index(None)
         parent[root] = -1
         # either no line has a token, or the tree finds any other node than
         # the root left at None

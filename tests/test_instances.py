@@ -137,6 +137,7 @@ def test_parse_errors_carry_line_numbers(text, line):
     ("p tree 2\n0 y\n", None, 2, "expected integer child, got 'y'"),
     ("p tree 2\n0 2\n", None, 2, "node out of range [0, 2)"),
     ("p tree 2\n0 -1\n", None, 2, "node out of range [0, 2)"),
+    ("p tree 3\n-2 1\n0 1\n", None, 2, "node out of range [0, 3)"),
     ("p tree 3\n0 1\n2 1\n", None, 3, "node 1 has two parents"),
     ("p tree 2\n0 1 und\n", None, 2, "bad orientation token 'und'"),
     ("p tree 3\n0 1\n1 0\n", None, 1,
@@ -341,7 +342,7 @@ def test_constructor_matches_the_old_normalization(data, n, delta):
         assert SetCoverInstance(n, tuple(tuple(s) for s in sets), delta=delta).sets == want
 
 
-_EDIT_TOKENS = ["0", "1", "2", "-1", "9", "x", "fwd", "rev", "und", "c", "p", "tree", "graph",
+_EDIT_TOKENS = ["0", "1", "2", "-1", "-2", "9", "x", "fwd", "rev", "und", "c", "p", "tree", "graph",
                 "setcover", "partialcover", "", " ", "\r"]
 
 
