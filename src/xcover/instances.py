@@ -345,10 +345,10 @@ def _parse_bulk(text, kind):
         variant = _SET_KINDS[header_kind]
         if len(head) != (5 if variant == PARTIAL else 4) or len(body) != int(head[3]):
             return None
+        sets = tuple([tuple(map(int, line.split())) for line in body])
+        p = int(head[4]) if variant == PARTIAL else None
         # the instance checks the element range and p as the parse does
-        return SetCoverInstance(int(head[2]), tuple([tuple(map(int, line.split()))
-                                                     for line in body]),
-                                variant, int(head[4]) if variant == PARTIAL else None)
+        return SetCoverInstance(int(head[2]), sets, variant, p)
     if header_kind in ("digraph", "graph"):
         if len(head) != 4 or len(body) != int(head[3]):
             return None
@@ -388,6 +388,8 @@ def _parse_bulk(text, kind):
 
 
 def _parse_checked(text, kind):
+    """The token-by-token parse: the record of ``text``, or a FormatError
+    naming the first fault and its line."""
     lines = list(_content_lines(text))
     if not lines or lines[0][1] == "":
         raise FormatError("empty input", 1)
@@ -484,10 +486,8 @@ def _parse_tree(toks, head_no, body):
             if parts[2] not in (FWD, REV):
                 raise FormatError(f"bad orientation token {parts[2]!r}", line_no)
             orientation[v] = parts[2]
-    roots = [v for v in range(k) if parent[v] == -2]
-    if len(roots) != 1:
-        raise FormatError(f"expected exactly one parentless node, found {len(roots)}", head_no)
-    root = roots[0]
+    # k - 1 lines gave k - 1 distinct children, so one node has no parent
+    root = parent.index(-2)
     parent[root] = -1
     try:
         return PatternTree(k=k, root=root, parent=tuple(parent),
