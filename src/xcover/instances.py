@@ -156,15 +156,10 @@ class Digraph:
         nodes with at least c nodes along it.  No node has num_nodes, so a
         larger count reads entry num_nodes."""
         # an undirected host's orientations share one tuple, so one table
-        n, built = self.num_nodes, {}
+        built = {}
         for masks in self.masks_along.values():
             if id(masks) not in built:
-                table = [0] * (n + 1)
-                for u, mask in enumerate(masks):
-                    table[mask.bit_count()] |= 1 << u
-                for c in range(n - 1, -1, -1):
-                    table[c] |= table[c + 1]
-                built[id(masks)] = tuple(table)
+                built[id(masks)] = degree_table(masks)
         return {o: built[id(masks)] for o, masks in self.masks_along.items()}
 
     def has_arc(self, u: int, v: int) -> bool:
@@ -172,6 +167,19 @@ class Digraph:
         if (u, v) in self.edges:
             return True
         return self.undirected_mode and (v, u) in self.edges
+
+
+def degree_table(masks: tuple[int, ...]) -> tuple[int, ...]:
+    """Per count c in [0, len(masks)], the bitmask of the nodes u whose
+    ``masks[u]`` has at least c bits set: the ``at_least`` table of one
+    orientation, for a Digraph and for the sc->kTree host's layout alike."""
+    n = len(masks)
+    table = [0] * (n + 1)
+    for u, mask in enumerate(masks):
+        table[mask.bit_count()] |= 1 << u
+    for c in range(n - 1, -1, -1):
+        table[c] |= table[c + 1]
+    return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -240,12 +248,14 @@ class PatternTree:
     def post_order(self) -> tuple[int, ...]:
         """Every node after its children, the root last; the children of a
         node are finished in descending id."""
-        # the reverse of the pre-order that visits children in ascending id
+        # the reverse of the pre-order that visits children in ascending id;
+        # a leaf's empty child tuple is never pushed
         out, stack, kids = [], [self.root], self.children
         while stack:
             v = stack.pop()
             out.append(v)
-            stack.extend(reversed(kids[v]))
+            if kids[v]:
+                stack += kids[v][::-1]
         out.reverse()
         return tuple(out)
 
@@ -301,6 +311,13 @@ def _parse_int(tok, line_no, what):
         return int(tok)
     except ValueError:
         raise FormatError(f"expected integer {what}, got {tok!r}", line_no) from None
+
+
+def _parse_count(tok, line_no, what):
+    value = _parse_int(tok, line_no, what)
+    if value < 0:
+        raise FormatError(f"expected non-negative integer {what}, got {tok!r}", line_no)
+    return value
 
 
 def parse_instance(text, kind=None):
@@ -414,8 +431,8 @@ def _parse_setcover(header_kind, toks, head_no, body):
     want = 5 if header_kind == "partialcover" else 4
     if len(toks) != want:
         raise FormatError(f"malformed {header_kind} header", head_no)
-    n = _parse_int(toks[2], head_no, "n")
-    m = _parse_int(toks[3], head_no, "m")
+    n = _parse_count(toks[2], head_no, "n")
+    m = _parse_count(toks[3], head_no, "m")
     p = _parse_int(toks[4], head_no, "p") if header_kind == "partialcover" else None
     if len(body) != m:
         raise FormatError(f"expected {m} set lines, found {len(body)}",
@@ -436,8 +453,8 @@ def _parse_setcover(header_kind, toks, head_no, body):
 def _parse_graph(header_kind, toks, head_no, body):
     if len(toks) != 4:
         raise FormatError(f"malformed {header_kind} header", head_no)
-    n = _parse_int(toks[2], head_no, "n")
-    m = _parse_int(toks[3], head_no, "m")
+    n = _parse_count(toks[2], head_no, "n")
+    m = _parse_count(toks[3], head_no, "m")
     if len(body) != m:
         raise FormatError(f"expected {m} edge lines, found {len(body)}",
                           body[-1][0] if body else head_no)

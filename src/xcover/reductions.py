@@ -28,6 +28,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Iterator
 
@@ -43,6 +44,7 @@ from xcover.instances import (
     PatternTree,
     SetCoverInstance,
     SubtreeCover,
+    degree_table,
 )
 from xcover.partitions import Partition, partitions_with_length, shrink_partition
 from xcover.solvers import (
@@ -662,8 +664,46 @@ def solve_ham_via_setcover(G: Digraph, delta: int) -> bool:
 
 @dataclass
 class HostGraphBundle:
-    host: Digraph
-    node_roles: dict[int, tuple]
+    """The host of build_host_graph, kept as the tables the embedder reads.
+
+    tree_embed_backtrack reads only ``num_nodes``, ``masks_along`` and
+    ``at_least``: one tuple of undirected adjacency masks and its degree
+    table, each filed under all three orientations, as an undirected
+    Digraph files them.  ``host``, the same graph as a checked Digraph with
+    its edges read off the masks, and ``node_roles`` are built on first
+    use: ``reduce sc-to-ktree|ppc-to-ktree`` prints the host, and tests
+    read both.
+    """
+
+    n: int
+    m: int
+    g: int
+    combos: list[tuple[int, ...]]
+    num_nodes: int
+    masks_along: dict[str, tuple[int, ...]]
+    at_least: dict[str, tuple[int, ...]]
+
+    @cached_property
+    def host(self) -> Digraph:
+        # the masks are symmetric, so each edge is read once, at its lower end
+        edges = []
+        for u, mask in enumerate(self.masks_along[UND]):
+            mask >>= u + 1
+            while mask:
+                low = mask & -mask
+                edges.append((u, u + low.bit_length()))
+                mask ^= low
+        return Digraph(num_nodes=self.num_nodes, edges=frozenset(edges), undirected_mode=True)
+
+    @cached_property
+    def node_roles(self) -> dict[int, tuple]:
+        q = _pendant_count(self.n, self.g)
+        return dict(enumerate(itertools.chain(
+            (("N", j) for j in range(self.n)),
+            (("M", i) for i in range(self.m)),
+            (("Mg", combo) for combo in self.combos),
+            (("R", i, j) for i in range(1, 5) for j in range(q)),
+            [("rg",), ("r1",), ("r2",), ("r",)])))
 
 
 def _pendant_count(n: int, g: int) -> int:
@@ -679,6 +719,10 @@ def build_host_graph(inst: SetCoverInstance, g: int) -> HostGraphBundle:
     The host is admitted here and nowhere else, from its layout and before
     anything is built: no large set (see _large_indices), the forcing
     margins, g <= MG_MAX_G and at most MAX_HOST_NODES nodes.
+
+    The adjacency masks and the degree table, all the embedder reads, are
+    built straight from the set masks and the layout; no edge set is built
+    unless ``host`` is read (see HostGraphBundle).
     """
     n, m = inst.n, inst.m
     large = _large_indices(inst, g)  # refuses the g < 2 the layout cannot divide by
@@ -693,34 +737,44 @@ def build_host_graph(inst: SetCoverInstance, g: int) -> HostGraphBundle:
     _check_forcing_margins(n, g)
     if g > MG_MAX_G:
         raise CapacityError(f"materializing C({m}, {g}) g-subset nodes is over the cap")
-    if base_s + 4 > MAX_HOST_NODES:
-        raise CapacityError(f"host of {base_s + 4} nodes exceeds the adjacency "
+    num_nodes = base_s + 4
+    if num_nodes > MAX_HOST_NODES:
+        raise CapacityError(f"host of {num_nodes} nodes exceeds the adjacency "
                             f"table cap of {MAX_HOST_NODES}")
     combos = list(itertools.combinations(range(m), g))
-    roles = dict(enumerate(itertools.chain(
-        (("N", j) for j in range(n)),
-        (("M", i) for i in range(m)),
-        (("Mg", combo) for combo in combos),
-        (("R", i, j) for i in range(1, 5) for j in range(q)),
-        [("rg",), ("r1",), ("r2",), ("r",)])))
-    rg, r1, r2, r = range(base_s, base_s + 4)
-    edges = {(e, n + i) for i, s in enumerate(inst.sets) for e in s}
     masks = inst.masks()
-    for x, combo in enumerate(combos, base_mg):
+    # per g-subset node the union of its sets; per set the g-subsets holding it
+    unions, holding = [], [0] * m
+    for x, combo in enumerate(combos):
         union = 0
         for i in combo:
             union |= masks[i]
-        while union:
-            e = (union & -union).bit_length() - 1
-            union &= union - 1
-            edges.add((e, x))
-        edges.add((rg, x))
+            holding[i] |= 1 << x
+        unions.append(union)
+    # an element's neighbours are the sets holding it and their g-subsets,
+    # whose nodes follow the element nodes in that order
+    elements = [0] * n
+    for i, s in enumerate(inst.sets):
+        row = (1 << i | holding[i] << m) << n
+        for e in s:
+            elements[e] |= row
+    rg, r1, r2, r = (1 << v for v in range(base_s, base_s + 4))
     # pendant groups R1, R2, R3 and R4 hang from r1, r2, r and rg
-    for i, anchor in enumerate((r1, r2, r, rg)):
-        edges.update((anchor, base_r + i * q + j) for j in range(q))
-    edges.update((r, v) for v in (rg, r1, r2, *range(n, base_mg)))
-    host = Digraph(num_nodes=base_s + 4, edges=frozenset(edges), undirected_mode=True)
-    return HostGraphBundle(host=host, node_roles=roles)
+    r1_group = ((1 << q) - 1) << base_r
+    adj = tuple(elements + [mask | r for mask in masks] + [union | rg for union in unions]
+                + [r1] * q + [r2] * q + [r] * q + [rg] * q
+                + [((1 << len(combos)) - 1) << base_mg | r1_group << 3 * q | r,  # rg
+                   r1_group | r,  # r1
+                   r1_group << q | r,  # r2
+                   r1_group << 2 * q | rg | r1 | r2 | ((1 << m) - 1) << n])  # r
+    # a Digraph's range and self-loop checks, one step per node: no mask
+    # reaches past the last node, and none holds its own node
+    if max(adj) >> num_nodes or any(mask >> u & 1 for u, mask in enumerate(adj)):
+        raise ValueError(f"host layout of {num_nodes} nodes has an edge out of range "
+                         "or a self-loop")
+    return HostGraphBundle(n=n, m=m, g=g, combos=combos, num_nodes=num_nodes,
+                           masks_along=dict.fromkeys(REVERSED, adj),
+                           at_least=dict.fromkeys(REVERSED, degree_table(adj)))
 
 
 def build_pattern_tree(alpha: Partition, g: int, n: int) -> PatternTree:
@@ -817,17 +871,19 @@ def _extract_cover_indices(bundle, tree, mapping):
 
     The star centers are the nodes after the anchors that have leaves:
     grouped stars hang from anchor 1 and name a g-subset node, remainder
-    stars hang from the root and name a set node.
+    stars hang from the root and name a set node.  A center's kind and set
+    are read off the host's node-id ranges, not its roles.
     """
+    base_mg = bundle.n + bundle.m
     chosen = set()
     for v in range(4, tree.k):
         if not tree.children[v]:
             continue
-        role = bundle.node_roles[mapping[v]]
-        if tree.parent[v] == 1 and role[0] == "Mg":
-            chosen.update(role[1])
-        elif tree.parent[v] == 0 and role[0] == "M":
-            chosen.add(role[1])
+        u = mapping[v]
+        if tree.parent[v] == 1 and 0 <= u - base_mg < len(bundle.combos):
+            chosen.update(bundle.combos[u - base_mg])
+        elif tree.parent[v] == 0 and bundle.n <= u < base_mg:
+            chosen.add(u - bundle.n)
         else:
             return None
     return sorted(chosen)
@@ -863,7 +919,7 @@ def setcover_to_ktree(inst: SetCoverInstance, g: int,
     for alpha in leaf_partitions(inst, g, max_size):
         tree = build_pattern_tree(alpha, g, n)
         trees_tried += 1
-        res = tree_embed_backtrack(bundle.host, tree, budget=budget)
+        res = tree_embed_backtrack(bundle, tree, budget=budget)
         explored += res.stats["explored"]
         if res.is_yes:
             indices = _extract_cover_indices(bundle, tree, res.certificate)

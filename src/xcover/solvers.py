@@ -303,6 +303,10 @@ def tree_embed_backtrack(G: Digraph, T: PatternTree,
                          budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Injective embedding of T into G.
 
+    Of its host the search reads only ``num_nodes``, ``masks_along`` and
+    ``at_least`` (see Digraph): a Digraph, or the sc->kTree host that
+    build_host_graph keeps as those tables alone.
+
     Tree edges must map to host arcs matching their orientation (any
     direction when T is undirected).  Internal nodes are placed by DFS in
     pre-order, the larger subtrees of a node first (ties by node id).

@@ -75,6 +75,17 @@ def test_digraph_file_error_names_its_line(run, tmp_path, argv):
     assert err == "error: line 3: edge (1, 5) out of range [0, 3)\n"
 
 
+@pytest.mark.parametrize("argv, text, message", [
+    (("solve", "setcover"), "p setcover -1 0\n", "expected non-negative integer n, got '-1'"),
+    (("solve", "ham"), "p digraph -2 0\n", "expected non-negative integer n, got '-2'"),
+])
+def test_negative_header_count_is_a_format_error(run, tmp_path, argv, text, message):
+    path = tmp_path / "neg"
+    path.write_text(text)
+    code, out, err = run(*argv, str(path))
+    assert (code, out, err) == (2, "", f"error: line 1: {message}\n")
+
+
 def test_graph_reader_rejects_other_records(run, tmp_path):
     path = tmp_path / "t.tree"
     path.write_text("p tree 2\n0 1\n")

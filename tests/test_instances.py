@@ -104,6 +104,9 @@ def test_parse_errors_carry_line_numbers(text, line):
     ("p setcover x 1\n0\n", None, 1, "expected integer n, got 'x'"),
     ("p setcover 3 y\n0\n", None, 1, "expected integer m, got 'y'"),
     ("p partialcover 3 1 z\n0\n", None, 1, "expected integer p, got 'z'"),
+    ("p setcover -1 0\n", None, 1, "expected non-negative integer n, got '-1'"),
+    ("p exactcover 3 -1\n", None, 1, "expected non-negative integer m, got '-1'"),
+    ("p partialcover -2 0 0\n", None, 1, "expected non-negative integer n, got '-2'"),
     ("p setcover 3 2\n0 1\n", None, 2, "expected 2 set lines, found 1"),
     ("p setcover 3 1\n", None, 1, "expected 1 set lines, found 0"),
     ("p setcover 3 1\n0 one\n", None, 2, "expected integer element index, got 'one'"),
@@ -114,6 +117,8 @@ def test_parse_errors_carry_line_numbers(text, line):
     ("p graph 3 1 1\n0 1\n", None, 1, "malformed graph header"),
     ("p digraph x 1\n0 1\n", None, 1, "expected integer n, got 'x'"),
     ("p digraph 3 y\n0 1\n", None, 1, "expected integer m, got 'y'"),
+    ("p digraph -2 0\n", None, 1, "expected non-negative integer n, got '-2'"),
+    ("p graph 3 -1\n", None, 1, "expected non-negative integer m, got '-1'"),
     ("p digraph 3 2\n0 1\n", None, 2, "expected 2 edge lines, found 1"),
     ("p graph 3 1\n", None, 1, "expected 1 edge lines, found 0"),
     ("p digraph 3 1\n0 1 2\n", None, 2, "expected edge line '<u> <v>'"),

@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import hashlib
 import io
 import itertools
@@ -13,15 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xcover import instances, reductions
 from xcover.cli import main
 from xcover.errors import BudgetExceededError, CapacityError, PreconditionError
 from xcover.instances import (
     FWD,
+    PARTIAL,
     REV,
     UND,
     Digraph,
     PatternTree,
     SetCoverInstance,
+    degree_table,
     gen_planted,
     gen_random,
     serialize_instance,
@@ -43,6 +45,7 @@ from xcover.reductions import (
     solve_ntree_via_setcover,
     solve_ppc_via_ktree,
     solve_setcover_via_ktree,
+    split_large_sets,
     tree_cover,
 )
 from xcover.solvers import (
@@ -681,6 +684,22 @@ def test_host_graph_edge_semantics():
             assert elems == union
 
 
+def test_cover_indices_are_read_off_the_node_ranges():
+    bundle = build_host_graph(_crafted_inst(), 2)
+    roles = bundle.node_roles
+    by_role = {role: v for v, role in roles.items()}
+    # one grouped star (from anchor 1) and one remainder star (from the root)
+    tree = build_pattern_tree(Partition((1, 1, 1)), 2, 8)
+    grouped, rest = (v for v in range(4, tree.k) if tree.children[v])
+    assert (tree.parent[grouped], tree.parent[rest]) == (1, 0)
+    pair, single = by_role[("Mg", (0, 4))], by_role[("M", 1)]
+    for u, role in roles.items():
+        want = sorted({1, *role[1]}) if role[0] == "Mg" else None
+        assert reductions._extract_cover_indices(bundle, tree, {grouped: u, rest: single}) == want
+        want = sorted({0, 4, role[1]}) if role[0] == "M" else None
+        assert reductions._extract_cover_indices(bundle, tree, {grouped: pair, rest: u}) == want
+
+
 def test_host_graph_requires_assumption():
     inst = SetCoverInstance(8, ((0, 1, 2),))  # 3 > 8/4
     with pytest.raises(PreconditionError):
@@ -746,6 +765,99 @@ def test_host_graphs_and_pipeline_results_are_pinned():
                   res.answer, res.optimum, res.certificate, res.stats]
         digest.update(json.dumps(record).encode() + b"\n")
     assert digest.hexdigest()[:16] == "02d11b14dba7d7e1"
+
+
+def _layout_cases():
+    """136 residuals at n = 8..24 (n >= 9 at g = 3, for the forcing
+    margins), g = 2 and 3, plain and partial, with g-subset nodes (m >= g
+    small sets) and without (m < g); some carry a large set that the split
+    removes."""
+    rng = random.Random("host layout")
+    for n, g, partial, with_mg in itertools.product(range(8, 25), (2, 3), (False, True),
+                                                    (True, False)):
+        n = max(n, 9) if g == 3 else n
+        p = rng.randint(n - 4, n) if partial else n
+        small = max(1, (p - partial) // (g * g))
+        m = rng.randint(g, 7) if with_mg else rng.randint(1, g - 1)
+        sets = [tuple(sorted(rng.sample(range(n), rng.randint(1, small)))) for _ in range(m)]
+        sets += [tuple(sorted(rng.sample(range(n), n // 2)))] * rng.randint(0, 1)
+        inst = SetCoverInstance(n, tuple(sets), variant="partial" if partial else "plain",
+                                p=p if partial else None)
+        yield split_large_sets(inst, g)[0], g
+
+
+def test_host_tables_match_the_edge_built_ones():
+    for inst, g in _layout_cases():
+        bundle = build_host_graph(inst, g)
+        masks = bundle.masks_along[UND]
+        edges = {(u, v) for u, mask in enumerate(masks) for v in range(bundle.num_nodes)
+                 if mask >> v & 1}
+        G = Digraph(num_nodes=bundle.num_nodes, edges=frozenset(edges), undirected_mode=True)
+        assert G.masks_along == bundle.masks_along
+        assert G.at_least == bundle.at_least
+        assert bundle.host == G
+
+
+@pytest.mark.parametrize("extra", [1 << 10_000, 1 << 8])
+def test_host_layout_refuses_an_edge_out_of_range_or_a_self_loop(monkeypatch, extra):
+    # n = 8, so node 8 is set 0's own node
+    inst = _crafted_inst()
+    masks = inst.masks()
+    monkeypatch.setattr(SetCoverInstance, "masks", lambda self: [masks[0] | extra] + masks[1:])
+    with pytest.raises(ValueError, match="edge out of range or a self-loop"):
+        build_host_graph(inst, 2)
+
+
+def test_host_layout_and_roles_match_the_pinned_digest():
+    """Taken at commit ce8fa73, when the host was built as an edge set."""
+    digest = hashlib.sha256()
+    for inst, g in _layout_cases():
+        bundle = build_host_graph(inst, g)
+        record = [serialize_instance(bundle.host), sorted(bundle.node_roles.items())]
+        digest.update(json.dumps(record).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "907d0c0f0d79732ac5044d819f7ec99c96e5cfdffb7feb5cb501d527dc6c5824")
+
+
+def _min_cover_size(sets, total):
+    for size in range(len(sets) + 1):
+        for combo in itertools.combinations(sets, size):
+            if len(set().union(*combo)) >= total:
+                return size
+    return None
+
+
+def _embed_shaped_cases():
+    """12 instances at n = 16 shaped like the benchmark's embed corpus:
+    plain covers of six 4-sets with optimum 5 plus one large set, and
+    partial covers of ten 2-sets reaching p = 12 with optimum 7."""
+    rng = random.Random("embed corpus shape")
+    for i in range(12):
+        if i % 3 < 2:
+            while True:
+                sets = [tuple(sorted(rng.sample(range(16), 4))) for _ in range(6)]
+                if _min_cover_size(sets, 16) == 5:
+                    break
+            large = tuple(sorted(rng.sample(range(16), 5 + rng.randrange(2))))
+            yield SetCoverInstance(16, tuple(sets) + (large,))
+        else:
+            while True:
+                sets = [tuple(sorted(rng.sample(range(16), 2))) for _ in range(10)]
+                if _min_cover_size(sets, 12) == 7:
+                    break
+            yield SetCoverInstance(16, tuple(sets), variant=PARTIAL, p=12)
+
+
+def test_pipeline_at_corpus_size_matches_the_pinned_digest():
+    """Taken at commit ce8fa73, before the host's search tables were built
+    from its layout."""
+    digest = hashlib.sha256()
+    for inst in _embed_shaped_cases():
+        res = solve_setcover_via_ktree(inst, 2)
+        record = [res.answer, res.optimum, res.certificate, res.stats]
+        digest.update(json.dumps(record).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "bc822531ebf67dea371a0cd359fb8b840b41a7cf9b23d2a4023948fad34787f8")
 
 
 def test_pattern_tree_examples():
@@ -835,21 +947,28 @@ def test_sck_builds_one_partition_per_tree_tried(monkeypatch):
 
 def test_sck_builds_the_degree_table_once_per_host(monkeypatch):
     # the trees tried on one host share its table; the undirected host
-    # files its one table under every orientation
-    built = []
-    at_least = Digraph.at_least.func
+    # files its one table under every orientation.  Both call sites of the
+    # shared builder are counted, so a Digraph built for the search would show
+    built, bundles = [], []
 
-    def counted(G):
-        built.append(G)
-        return at_least(G)
+    def counted(masks):
+        built.append(masks)
+        return degree_table(masks)
 
-    monkeypatch.setattr(Digraph, "at_least", functools.cached_property(counted))
-    Digraph.at_least.__set_name__(Digraph, "at_least")
+    def kept(inst, g):
+        bundles.append(build_host_graph(inst, g))
+        return bundles[-1]
+
+    monkeypatch.setattr(instances, "degree_table", counted)
+    monkeypatch.setattr(reductions, "degree_table", counted)
+    monkeypatch.setattr(reductions, "build_host_graph", kept)
     inst = SetCoverInstance(8, ((0, 1), (2, 3), (4, 5), (6,), (7,)))
     res = setcover_to_ktree(inst, 2)
     assert (res.optimum, res.stats["trees_tried"]) == (5, 2)
-    [G] = built
-    assert G.at_least[FWD] is G.at_least[REV] is G.at_least[UND]
+    [_], [bundle] = built, bundles
+    assert bundle.at_least[FWD] is bundle.at_least[REV] is bundle.at_least[UND]
+    # the search never builds the edge set or the roles
+    assert "host" not in vars(bundle) and "node_roles" not in vars(bundle)
 
 
 def test_sck_infeasible_instance():
