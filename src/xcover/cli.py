@@ -13,6 +13,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -268,18 +269,26 @@ def _cmd_bounds(args) -> int:
     record = _record("bounds", args, {
         "ntilde": args.ntilde, "delta": args.delta, "epsilon": args.epsilon,
     })
-    record.update({
-        "count_bound_log2": reductions.count_bound_log2(args.ntilde, args.delta),
-        "count_bound_log2_anchored": reductions.count_bound_log2(
-            args.ntilde, args.delta, variant=reductions.ANCHORED),
-        "element_bound": reductions.element_bound(args.ntilde, args.delta),
-    })
-    if args.delta >= 2:
-        record["lambda_delta"] = analysis.koivisto_lambda(args.delta)
-    if args.epsilon is not None:
-        record["pipeline_exponent_log2"] = analysis.pipeline_total_exponent(
-            args.ntilde, args.epsilon)
-        record["exponent_target"] = args.ntilde - args.epsilon * args.ntilde / 2
+    try:
+        bounds = {
+            "count_bound_log2": reductions.count_bound_log2(args.ntilde, args.delta),
+            "count_bound_log2_anchored": reductions.count_bound_log2(
+                args.ntilde, args.delta, variant=reductions.ANCHORED),
+            "element_bound": reductions.element_bound(args.ntilde, args.delta),
+        }
+        if args.delta >= 2:
+            bounds["lambda_delta"] = analysis.koivisto_lambda(args.delta)
+        if args.epsilon is not None:
+            bounds["pipeline_exponent_log2"] = analysis.pipeline_total_exponent(
+                args.ntilde, args.epsilon)
+            bounds["exponent_target"] = args.ntilde - args.epsilon * args.ntilde / 2
+        finite = all(map(math.isfinite, bounds.values()))
+    except OverflowError:
+        finite = False
+    # huge arguments overflow a float conversion or round a bound to inf
+    if not finite:
+        raise CapacityError("the bound formulas at these arguments exceed the float range")
+    record.update(bounds)
     _emit(record)
     return 0
 

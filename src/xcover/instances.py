@@ -289,21 +289,24 @@ _SET_KINDS = {"setcover": PLAIN, "exactcover": EXACT, "partialcover": PARTIAL}
 
 
 def _content_lines(text):
-    """Yield (line_no, line) skipping comment lines and the final newline artifact."""
+    """The numbered lines of ``text``, a list of (line_no, line), without the
+    empty string after a final newline, trailing carriage returns or comment
+    lines; each filter runs only on a text that needs it."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             line = text[:exc.start].count(b"\n") + 1
             raise FormatError(f"not UTF-8 text ({exc.reason})", line) from None
-    raw_lines = text.split("\n")
-    if raw_lines and raw_lines[-1] == "":
-        raw_lines.pop()
-    for i, raw in enumerate(raw_lines, start=1):
-        line = raw.rstrip("\r")
-        if line.startswith("c"):
-            continue
-        yield i, line
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if "\r" in text:
+        lines = [line.rstrip("\r") for line in lines]
+    numbered = list(enumerate(lines, 1))
+    if text.startswith("c") or "\nc" in text:
+        numbered = [(i, line) for i, line in numbered if not line.startswith("c")]
+    return numbered
 
 
 def _parse_int(tok, line_no, what):
@@ -332,82 +335,13 @@ def parse_instance(text, kind=None):
         p graph <n> <m>           undirected variant
         p tree <k>                then k-1 lines "parent child [fwd|rev]"
 
-    The text is read in bulk, each body line in one step; a text that fails
-    any check there is read again token by token, which names the first
-    fault and its line.
+    The header is checked token by token.  A set or graph body is converted
+    in one step and checked by the instance type it builds; only when that
+    check fails does a loop over the body lines run, to name the first
+    fault and its line.  A tree body is read line by line.  Every fault
+    raises a FormatError that carries its line number.
     """
-    try:
-        value = _parse_bulk(text, kind)
-    except (ValueError, IndexError):
-        value = None
-    return _parse_checked(text, kind) if value is None else value
-
-
-def _parse_bulk(text, kind):
-    """The record of ``text``, or None (or ValueError or IndexError) where
-    the token-by-token parse would raise or where this one cannot tell."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if text.startswith("c") or "\nc" in text:
-        lines = [line for line in lines if not line.startswith("c")]
-    head = lines[0].split()
-    header_kind = head[1]
-    if head[0] != "p" or kind is not None and header_kind != kind:
-        return None
-    body = lines[1:]
-    if header_kind in _SET_KINDS:
-        variant = _SET_KINDS[header_kind]
-        if len(head) != (5 if variant == PARTIAL else 4) or len(body) != int(head[3]):
-            return None
-        sets = tuple([tuple(map(int, line.split())) for line in body])
-        p = int(head[4]) if variant == PARTIAL else None
-        # the instance checks the element range and p as the parse does
-        return SetCoverInstance(int(head[2]), sets, variant, p)
-    if header_kind in ("digraph", "graph"):
-        if len(head) != 4 or len(body) != int(head[3]):
-            return None
-        # the graph checks self-loops and the node range as the parse does,
-        # and merges duplicate edges, so fewer edges than lines means one
-        G = Digraph(int(head[2]), [(int(u), int(v)) for u, v in map(str.split, body)],
-                    header_kind == "graph")
-        return G if len(G.edges) == len(body) else None
-    if header_kind == "tree" and len(head) == 3:
-        k = int(head[2])
-        if k < 1 or len(body) != k - 1:
-            return None
-        # the tree checks the parent range as the parse does; a child out of
-        # range raises, and a node without a line or a token keeps None
-        parent, orientation = [None] * k, [None] * k
-        for line in body:
-            p, v, *o = line.split()
-            v = int(v)
-            if v < 0 or parent[v] is not None:
-                return None
-            parent[v] = int(p)
-            if o:
-                orientation[v], = o
-        root = parent.index(None)
-        parent[root] = -1
-        # either no line has a token, or the tree finds any other node than
-        # the root left at None
-        tokens = set(orientation)
-        if tokens == {None}:
-            orientation = [UND] * k
-        elif tokens <= {None, FWD, REV}:
-            orientation[root] = UND
-        else:
-            return None
-        return PatternTree(k, root, tuple(parent), tuple(orientation))
-    return None
-
-
-def _parse_checked(text, kind):
-    """The token-by-token parse: the record of ``text``, or a FormatError
-    naming the first fault and its line."""
-    lines = list(_content_lines(text))
+    lines = _content_lines(text)
     if not lines or lines[0][1] == "":
         raise FormatError("empty input", 1)
     head_no, head = lines[0]
@@ -437,17 +371,19 @@ def _parse_setcover(header_kind, toks, head_no, body):
     if len(body) != m:
         raise FormatError(f"expected {m} set lines, found {len(body)}",
                           body[-1][0] if body else head_no)
-    sets = []
+    try:
+        # the instance checks the element range and p
+        return SetCoverInstance(n, tuple([tuple(map(int, line.split())) for _, line in body]),
+                                _SET_KINDS[header_kind], p)
+    except ValueError:
+        pass
     for line_no, line in body:
-        elems = [_parse_int(t, line_no, "element index") for t in line.split()]
-        for e in elems:
+        for e in [_parse_int(t, line_no, "element index") for t in line.split()]:
             if not 0 <= e < n:
                 raise FormatError(f"element index {e} out of range [0, {n})", line_no)
-        sets.append(tuple(elems))
-    variant = _SET_KINDS[header_kind]
-    if variant == PARTIAL and not 0 <= p <= n:
+    if p is not None and not 0 <= p <= n:
         raise FormatError(f"coverage target p={p} out of range [0, {n}]", head_no)
-    return SetCoverInstance(n=n, sets=tuple(sets), variant=variant, p=p)
+    raise AssertionError("a set body that passes every line check failed the instance's")
 
 
 def _parse_graph(header_kind, toks, head_no, body):
@@ -459,6 +395,15 @@ def _parse_graph(header_kind, toks, head_no, body):
         raise FormatError(f"expected {m} edge lines, found {len(body)}",
                           body[-1][0] if body else head_no)
     undirected = header_kind == "graph"
+    try:
+        # the graph checks self-loops and the node range, and merges
+        # duplicate edges, so fewer edges than lines means one
+        G = Digraph(n, [(int(u), int(v)) for _, line in body for u, v in [line.split()]],
+                    undirected)
+        if len(G.edges) == m:
+            return G
+    except ValueError:
+        pass
     edges = set()
     for line_no, line in body:
         parts = line.split()
@@ -474,7 +419,7 @@ def _parse_graph(header_kind, toks, head_no, body):
         if key in edges:
             raise FormatError(f"duplicate edge ({u}, {v})", line_no)
         edges.add(key)
-    return Digraph(num_nodes=n, edges=frozenset(edges), undirected_mode=undirected)
+    raise AssertionError("an edge body that passes every line check failed the graph's")
 
 
 def _parse_tree(toks, head_no, body):
@@ -693,6 +638,10 @@ def _planted_cover(rng, n, m, max_set_size=None):
         max_set_size = max(1, (n + m - 1) // max(m, 1))
     if m * max_set_size < n:
         raise PreconditionError("m sets of max_set_size elements cannot cover the universe")
+    # two negative sizes pass the product check
+    if m < 1 or max_set_size < 1:
+        raise PreconditionError(f"a planted cover needs m >= 1 and max_set_size >= 1, "
+                                f"got m = {m} and max_set_size = {max_set_size}")
     assignment = [[] for _ in range(m)]
     slots = [i for i in range(m) for _ in range(max_set_size)]
     rng.shuffle(slots)

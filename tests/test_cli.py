@@ -272,10 +272,15 @@ def test_bounds_example(run):
     (["--ntilde", "64", "--delta", "8", "--epsilon", "0"], "eps"),
     (["--ntilde", "64", "--delta", "8", "--epsilon", "-0.5"], "eps"),
     (["--ntilde", "64", "--delta", "8", "--epsilon", "1.5"], "eps"),
-], ids=["delta-0", "delta-neg", "ntilde-0", "ntilde-neg", "eps-0", "eps-neg", "eps-over-1"])
+    (["--ntilde", "2", "--delta", "1" + "0" * 200], "float range"),
+    (["--ntilde", "1" + "0" * 400, "--delta", "6"], "float range"),
+    (["--ntilde", "1" + "0" * 305, "--delta", "1"], "float range"),
+], ids=["delta-0", "delta-neg", "ntilde-0", "ntilde-neg", "eps-0", "eps-neg", "eps-over-1",
+        "delta-past-floats", "ntilde-past-floats", "bound-past-floats"])
 def test_bounds_rejects_values_outside_the_formulas(run, argv, message):
     code, out, err = run("bounds", *argv)
     assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
 
 
@@ -745,6 +750,8 @@ def test_verify_rejects_a_bad_config_file(run, tmp_path, text, code):
     ["digraph", "--edge-probability", "2"],
     ["graph", "--edge-probability", "nan"],
     ["embedded-tree", "--edge-probability", "-0.5"],
+    ["covered-universe", "--n", "1", "--m", "-1", "--max-set-size", "-1"],
+    ["covered-universe", "--n", "4", "--m", "-2", "--max-set-size", "-2"],
 ])
 def test_generate_rejects_out_of_range_sizes(run, argv):
     code, out, err = run("generate", *argv)
