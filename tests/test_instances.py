@@ -71,6 +71,21 @@ def test_comments_ignored():
     assert inst.sets == ((0, 1),)
 
 
+@pytest.mark.parametrize("text,line", [
+    ("p wobble 3 2\n0 1\n1 2\n", 1),
+    ("p setcover 3 2\n0 7\n1 2\n", 2),
+    ("p digraph 2 2\n0 1\n0 1\n", 3),
+    ("p tree 3\n0 1\n1 0\n", 1),
+    ("p digraph 2 1\n1 1\n", 2),
+    (b"\xffp setcover 2 1\n0 1\n", 1),
+    (b"p setcover 2 1\n0 \xff1\n", 2),
+])
+def test_parse_errors_carry_line_numbers(text, line):
+    with pytest.raises(FormatError) as err:
+        parse_instance(text)
+    assert err.value.line == line
+
+
 # one case per FormatError branch of the header checks and the three body
 # parsers: (text, kind, line, message without its "line N: " prefix)
 @pytest.mark.parametrize("text,kind,line,message", [
