@@ -26,6 +26,7 @@ from xcover.instances import (
     degree_table,
     gen_planted,
     gen_random,
+    parse_instance,
     serialize_instance,
 )
 from xcover.partitions import Partition, enumerate_partitions, shrink_partition
@@ -55,6 +56,8 @@ from xcover.solvers import (
     tree_embed_backtrack,
     verify_cover,
 )
+
+from test_cli_golden import _inputs as golden_inputs
 
 UND4 = ("und",) * 4
 
@@ -858,6 +861,20 @@ def test_pipeline_at_corpus_size_matches_the_pinned_digest():
         digest.update(json.dumps(record).encode() + b"\n")
     assert digest.hexdigest() == (
         "bc822531ebf67dea371a0cd359fb8b840b41a7cf9b23d2a4023948fad34787f8")
+
+
+def test_pipeline_answers_match_the_pinned_digest():
+    """sha256 over answer, optimum and certificate (no stats) on the golden
+    corpus's sc/ppc fixtures and the corpus-size cases.  Taken at commit
+    89cda68, while the trees still ran past the preprocessing optimum."""
+    fixtures = [parse_instance(text) for name, text in sorted(golden_inputs().items())
+                if name.endswith((".sc", ".pc"))]
+    digest = hashlib.sha256()
+    for inst in fixtures + list(_embed_shaped_cases()):
+        res = solve_setcover_via_ktree(inst, 2)
+        digest.update(json.dumps([res.answer, res.optimum, res.certificate]).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "96b0f86c1b9e9db73cccbfb0df339a229623e550f67e70d09dbb60feeba70d79")
 
 
 def test_pattern_tree_examples():
