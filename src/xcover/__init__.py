@@ -50,7 +50,6 @@ from xcover.reductions import (  # noqa: F401
     ntree_to_setcover,
     ppc_preprocess_large,
     setcover_preprocess_large,
-    setcover_to_ktree,
     solve_ham_via_setcover,
     solve_ntree_via_setcover,
     solve_ppc_via_ktree,

@@ -29,7 +29,7 @@ from xcover.instances import (
     serialize_instance,
 )
 from xcover.partitions import count_partitions, enumerate_partitions
-from xcover.reductions import (  # noqa: F401 (count_bound_log2, element_bound: re-exported)
+from xcover.reductions import (  # noqa: F401 (count_bound_log2: re-exported)
     ANCHORED,
     LITERAL,
     ReductionBatch,
@@ -88,15 +88,14 @@ def compose_runtime(ntilde: int, delta: float, f_exponent) -> float:
     """log2 of ntilde^delta + ntilde^(ntilde/delta) * 2^f_exponent(n, delta).
 
     ``f_exponent(n, delta)`` models a cover solver's exponent on the
-    inflated ground set n = ntilde + 9*ntilde/delta.  Pure arithmetic, no
+    inflated ground set n = element_bound(ntilde, delta).  Pure arithmetic, no
     solving happens.
     """
     if not 1 <= delta <= ntilde:
         raise PreconditionError("delta must lie in [1, ntilde]")
     lg = math.log2(ntilde) if ntilde > 1 else 0.0
-    inflated = ntilde + 9 * ntilde / delta
     a = delta * lg
-    b = (ntilde / delta) * lg + f_exponent(inflated, delta)
+    b = (ntilde / delta) * lg + f_exponent(element_bound(ntilde, delta), delta)
     return _log2_sum(a, b)
 
 
@@ -108,6 +107,9 @@ def pipeline_total_exponent(ntilde: int, eps: float) -> float:
     if not 0 < eps <= 1:
         raise PreconditionError(f"eps must lie in (0, 1], got {eps}")
     delta = 81 / eps * math.log2(ntilde)
+    if delta > ntilde:
+        raise PreconditionError(f"epsilon {eps} derives delta = 81/epsilon * log2(ntilde) = "
+                                f"{delta:g}, more than ntilde = {ntilde}")
     return compose_runtime(ntilde, delta, lambda n, _d: (1 - eps) * n)
 
 

@@ -8,10 +8,10 @@ Two directions, each with one driver:
     cover DP.
   * set cover and p-partial cover -> host graph + one pattern tree per
     partition of the leaf total (n for a plain cover, p for a partial
-    one).  ``setcover_preprocess_large``, ``setcover_to_ktree`` and their
-    composition ``solve_setcover_via_ktree`` read the variant, and so the
-    leaf total and the large-set test, from the instance; the ``ppc_*``
-    names are the same routines restricted to partial instances.
+    one).  ``solve_setcover_via_ktree`` runs ``setcover_preprocess_large``
+    and then the trees; both read the variant, and so the leaf total and
+    the large-set test, from the instance.  The ``ppc_*`` names are the
+    same routines restricted to partial instances.
 
 The tree-to-cover direction ships in two variants.  ``literal`` pins only
 the subtree roots and each produced set certifies one subtree in isolation,
@@ -821,9 +821,9 @@ def leaf_partitions(inst: SetCoverInstance, g: int = 1,
     ascending part count, each count in descending-lex order.
 
     With the defaults every partition comes out; ``reduce`` emits them
-    all.  setcover_to_ktree passes its g and its largest set size and gets
-    only the partitions whose stars fit (see partitions_with_length), in
-    the same order.
+    all.  solve_setcover_via_ktree passes its g and its largest set size
+    and gets only the partitions whose stars fit (see
+    partitions_with_length), in the same order.
     """
     total = leaf_total(inst)
     for length in range(1, total + 1):
@@ -859,12 +859,6 @@ def _check_forcing_margins(n: int, g: int):
             f"forcing margin fails: ceil(2n/g) = {q} < n/g + 3 for n={n}, g={g}")
 
 
-def _ktree_stats(trees_tried=0, explored=0):
-    """Pipeline counters: pattern trees handed to the solver and the sum of
-    the solver's ``explored`` counts over them."""
-    return {"trees_tried": trees_tried, "explored": explored}
-
-
 def _extract_cover_indices(bundle, tree, mapping):
     """Sets named by the images of the star centers, or None when a center
     landed on a node of the wrong kind.
@@ -887,46 +881,6 @@ def _extract_cover_indices(bundle, tree, mapping):
         else:
             return None
     return sorted(chosen)
-
-
-def setcover_to_ktree(inst: SetCoverInstance, g: int,
-                      budget: int = DEFAULT_BUDGET) -> SolveResult:
-    """Optimum cover size via pattern-tree embeddings, one tree per partition.
-
-    The stars carry one leaf per element to cover, n for a plain cover and
-    p for a partial one; leaves map injectively into element nodes, so an
-    embedding covers at least that many elements.  Partitions are tried in
-    ascending part count; the first accepted partition length is the
-    optimum.  Only the partitions whose stars can embed are generated: a
-    grouped star (g parts) has at most g * max_size leaves and a remainder
-    star at most max_size, max_size being the largest set's size; a larger
-    star outgrows every element neighborhood its center can map to.
-    build_host_graph checks the size bound, the forcing margins and the
-    host's caps before it builds anything.
-    """
-    n, total = inst.n, leaf_total(inst)
-    if total == 0:
-        return SolveResult("optimum", optimum=0, certificate=[], stats=_ktree_stats())
-    bundle = build_host_graph(inst, g)
-    coverable = set()
-    for s in inst.sets:
-        coverable.update(s)
-    if len(coverable) < total:
-        # a star leaf standing for an uncovered element can never map
-        return SolveResult("infeasible", stats=_ktree_stats())
-    max_size = max((len(s) for s in inst.sets), default=0)
-    trees_tried = explored = 0
-    for alpha in leaf_partitions(inst, g, max_size):
-        tree = build_pattern_tree(alpha, g, n)
-        trees_tried += 1
-        res = tree_embed_backtrack(bundle, tree, budget=budget)
-        explored += res.stats["explored"]
-        if res.is_yes:
-            indices = _extract_cover_indices(bundle, tree, res.certificate)
-            cert = indices if indices is not None and verify_cover(inst, indices) else None
-            return SolveResult("optimum", optimum=len(alpha), certificate=cert,
-                               stats=_ktree_stats(trees_tried, explored))
-    return SolveResult("infeasible", stats=_ktree_stats(trees_tried, explored))
 
 
 @dataclass
@@ -991,26 +945,55 @@ def ppc_preprocess_large(inst: SetCoverInstance, g: int) -> PreprocessOutcome:
 
 def solve_setcover_via_ktree(inst: SetCoverInstance, g: int,
                              budget: int = DEFAULT_BUDGET) -> SolveResult:
-    """Large-set preprocessing composed with the partition-tree pipeline,
-    for a plain or a partial cover.
+    """Optimum size of a plain or a partial cover: large-set preprocessing,
+    then one pattern tree per partition of the leaf total, embedded in the
+    residual instance's host.
 
-    ``stats`` passes through the pipeline's ``trees_tried`` and the summed
-    solver ``explored`` count.
+    The stars carry one leaf per element to cover, n for a plain cover and
+    p for a partial one; leaves map injectively into element nodes, so an
+    embedding covers at least that many elements.  Partitions are tried in
+    ascending part count, and the first that embeds gives the optimum; the
+    trees stop at the optimum preprocessing found, which wins a tie.  Only
+    the partitions whose stars can embed are generated: a grouped star
+    (g parts) has at most g * max_size leaves and a remainder star at most
+    max_size, max_size being the largest residual set's size; a larger star
+    outgrows every element neighborhood its center can map to.
+    build_host_graph admits the host before any tree is tried.  The trees
+    share ``budget``, and BudgetExceededError names all of it.
+
+    ``stats`` hold ``trees_tried`` and the embedder's summed ``explored``.
     """
     pre = setcover_preprocess_large(inst, g)
-    candidates = []
-    if pre.solved_with_large is not None:
-        candidates.append((pre.solved_with_large.optimum, pre.solved_with_large.certificate))
-    kt = setcover_to_ktree(pre.residual, g, budget)
-    if kt.answer == "optimum":
-        cert = None
-        if kt.certificate is not None:
-            cert = sorted(pre.residual_index_map[j] for j in kt.certificate)
-        candidates.append((kt.optimum, cert))
-    if not candidates:
-        return SolveResult("infeasible", stats=kt.stats)
-    opt, cert = min(candidates, key=lambda c: c[0])
-    return SolveResult("optimum", optimum=opt, certificate=cert, stats=kt.stats)
+    # preprocessing's answer stands unless a tree of fewer parts embeds
+    best = pre.solved_with_large or SolveResult("infeasible")
+    best.stats = stats = {"trees_tried": 0, "explored": 0}
+    total = leaf_total(inst)
+    if total == 0:
+        return SolveResult("optimum", optimum=0, certificate=[], stats=stats)
+    residual = pre.residual
+    bundle = build_host_graph(residual, g)
+    max_size = max((len(s) for s in residual.sets), default=0)
+    partitions = leaf_partitions(residual, g, max_size)
+    if len(set().union(*residual.sets)) < total:
+        # a star leaf standing for an uncovered element can never map
+        partitions = ()
+    for alpha in partitions:
+        if best.optimum is not None and len(alpha) >= best.optimum:
+            break
+        tree = build_pattern_tree(alpha, g, inst.n)
+        stats["trees_tried"] += 1
+        try:
+            res = tree_embed_backtrack(bundle, tree, budget=budget - stats["explored"])
+        except BudgetExceededError:
+            raise BudgetExceededError(f"embedding search exceeded {budget} expansions") from None
+        stats["explored"] += res.stats["explored"]
+        if res.is_yes:
+            indices = _extract_cover_indices(bundle, tree, res.certificate)
+            cert = None
+            if indices is not None and verify_cover(residual, indices):
+                cert = [pre.residual_index_map[j] for j in indices]
+            return SolveResult("optimum", optimum=len(alpha), certificate=cert, stats=stats)
+    return best
 
 
 def solve_ppc_via_ktree(inst: SetCoverInstance, g: int,

@@ -272,11 +272,14 @@ def test_bounds_example(run):
     (["--ntilde", "64", "--delta", "8", "--epsilon", "0"], "eps"),
     (["--ntilde", "64", "--delta", "8", "--epsilon", "-0.5"], "eps"),
     (["--ntilde", "64", "--delta", "8", "--epsilon", "1.5"], "eps"),
+    (["--ntilde", "64", "--delta", "8", "--epsilon", "0.5"],
+     "epsilon 0.5 derives delta = 81/epsilon * log2(ntilde) = 972, more than ntilde = 64"),
     (["--ntilde", "2", "--delta", "1" + "0" * 200], "float range"),
     (["--ntilde", "1" + "0" * 400, "--delta", "6"], "float range"),
     (["--ntilde", "1" + "0" * 305, "--delta", "1"], "float range"),
 ], ids=["delta-0", "delta-neg", "ntilde-0", "ntilde-neg", "eps-0", "eps-neg", "eps-over-1",
-        "delta-past-floats", "ntilde-past-floats", "bound-past-floats"])
+        "eps-derived-delta-over-ntilde", "delta-past-floats", "ntilde-past-floats",
+        "bound-past-floats"])
 def test_bounds_rejects_values_outside_the_formulas(run, argv, message):
     code, out, err = run("bounds", *argv)
     assert code == 3 and out == ""
@@ -565,6 +568,19 @@ def test_pipeline_ktree_stats_pass_through(run, tmp_path):
         assert "wall time" in err
 
 
+def test_pipeline_ktree_trees_share_one_budget(run, tmp_path):
+    # the golden sc_small.sc tries 5 trees of 325, 452, 360, 452 and 712 units
+    path = tmp_path / "sc_small.sc"
+    path.write_text(serialize_instance(
+        gen_planted("covered_universe", seed=5, n=12, m=7, max_set_size=3)[0]))
+    code, out, _ = run("pipeline", "sc-ktree", str(path), "--budget", "2301")
+    record = json.loads(out)
+    assert (code, record["optimum"]) == (0, 6)
+    assert record["stats"] == {"explored": 2301, "trees_tried": 5}
+    code, out, err = run("pipeline", "sc-ktree", str(path), "--budget", "2300")
+    assert (code, out, err) == (3, "", "error: embedding search exceeded 2300 expansions\n")
+
+
 def test_wall_time_only_for_solve_and_ktree_pipelines(run, tmp_path):
     sc = tmp_path / "a.sc"
     sc.write_text("p setcover 8 5\n0 1\n2 3\n4 5\n6 7\n1 2\n")
@@ -702,6 +718,18 @@ def test_verify_subcommand(run, tmp_path):
     report = json.loads(out_path.read_text())
     assert report["passed"]
     assert set(report["families"]) == {"partition_facts", "roundtrip"}
+
+
+def test_verify_trials_fill_in_the_counts_the_config_leaves_out(run, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"families": ["roundtrip", "partition_facts"],
+                               "trials": {"roundtrip": 5}}))
+    code, out, _ = run("verify", "--config", str(cfg), "--trials", "2")
+    report = json.loads(out)
+    assert code == 0 and report["passed"]
+    assert report["config"]["trials"] == {"roundtrip": 5, "partition_facts": 2}
+    assert {f: r["cases"] for f, r in report["families"].items()} == {
+        "roundtrip": 5, "partition_facts": 2}
 
 
 def test_verify_rejects_trial_counts_below_one(run, tmp_path):

@@ -57,7 +57,7 @@ def _inputs():
     files["sc_small.sc"] = serialize_instance(
         gen_planted("covered_universe", seed=5, n=12, m=7, max_set_size=3)[0])
     # planted small sets plus random ones, some of them large: the large-set
-    # guess and a pattern tree both reach the optimum
+    # guess reaches the optimum, and the trees stop before its part count
     small, _ = gen_planted("covered_universe", seed=1, n=12, m=6, max_set_size=3)
     extra = gen_random("setcover", seed=1, n=12, m=3, max_set_size=7)
     files["sc_large.sc"] = serialize_instance(SetCoverInstance(12, small.sets + extra.sets))
@@ -149,11 +149,11 @@ GOLDEN = {
     "pipeline-ntree-yes-anchored": "1c34d37cdc67d1589499526e1776254282fcfa546da37a6de147ba261dd6ecd4",
     "pipeline-ntree-yes-literal": "29cb64e2294513dcfd1a47c91f3aae39c26e67b75630d37421fe9317be858b41",
     "pipeline-ppc-ktree-bound": "20932160aaadf6ce5a6770096dba22e4e74e0aa60298b269b1ff2a71f5605846",
-    "pipeline-ppc-ktree-large": "8fad4501fadb3ab9140291d0ec6b9cd7718985bc8b2b8c94a77b76ef0147047b",
+    "pipeline-ppc-ktree-large": "90c264eb4a0dddb922d637b7307614a595e2d89655a5e4b82b6eeb80e8b1f734",
     "pipeline-ppc-ktree-p0": "197ddaf3ac6e42997371b7c08f1c3b18c2f053e75594ff4bb42d0004aac9e3d2",
     "pipeline-ppc-ktree-small": "b10ee8307bb3dd59548bf2cd32f87433384bcaad5a208771d8323382e4cd1af2",
     "pipeline-sc-ktree-infeasible": "8c1ea49480474838a9261358b78189d2edce59b81d7e580bc6a1721d9b51d6af",
-    "pipeline-sc-ktree-large": "892de90f899a4475c1a3ce4efe13369b0d2c77640828dcec5ff93750d33d41cd",
+    "pipeline-sc-ktree-large": "933a38097f612f49cfe4688d8f6f1e91bb4ff0e50dd3441b7e0a4bb3101876d7",
     "pipeline-sc-ktree-small": "1ab465f978a095df8b621f04f78e612bd60e8cec43e296476f8f7ca953f38f04",
     "reduce-ham-to-sc": "9b8140d5d65db841f95fd15dada90b1b1e3de5c299eff9e4a1ecfc9b838b9a6a",
     "reduce-ham-to-sc-all-delta2": "fe987812bc1f6b832d7d8398135d5c62c175ea5d4be320159ed6804abbb046b0",

@@ -101,7 +101,7 @@ CASES = {
 
 PINNED = {
     "bounds": "2405baca8f23186ae7767aa77b7c5544ffe39acf6f3859f16b7e3e2dff5af9dc",
-    "bounds-refused": "2a3819e215b7a32fb8d853b423229fc7e599e87150a263dee8155e6d544eb2d0",
+    "bounds-refused": "495f9df26a8a439627d39793f33e8a28e39883a46a6b635c6ce9c48d4dc7cc1c",
     "generate-covered-universe": "1cd4d71640f4d57f3d9715a34d983657f6b0768974eebb84fe37df1e303ab537",
     "generate-digraph": "eb84273df2ff194e1199d83f1c2098385ce0b8cc035b057b80d643d715954d27",
     "generate-embedded-tree": "0662f068de96ce2d3fd172bbf0363d4717efb6c1607e0fe70324b85425509633",
@@ -116,7 +116,7 @@ PINNED = {
     "pipeline-ham": "f7a194b68c7057ea48c34c15661baa9ad4522926da12226a9a8f69f8674e76f5",
     "pipeline-ntree": "818ec68d9179424ebe6b85632aa68853063f5c18a78cd046cc554a7fa1e8c3e9",
     "pipeline-ntree-literal": "ba81dcf48079513228978a0f9583e488252b5b5edd875f3ca725d435e0a1209e",
-    "pipeline-ppc-ktree": "72aa6d5ae036989d596b883c9675509cff96fee8a136ea110870073be3eeee45",
+    "pipeline-ppc-ktree": "d6cc34a59b40b3e830e689f12be1dc59c89303c7c47dde5a1ca2a158770426b7",
     "pipeline-sc-ktree": "006d2d7b9c84db70b99f90019e194e8e7e2b42bacea8cb259eddf6fde0455b6a",
     "reduce-ham-to-sc": "dab695f8ec7f4e12ec97705e78796091b6461bc71a9ab4a13feaabfc4891add2",
     "reduce-ntree-to-sc": "89831f64e068b0848279b42a89788089f7c6744848887f0f417fda0c80dc321e",

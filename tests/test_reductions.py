@@ -41,7 +41,6 @@ from xcover.reductions import (
     pattern_tree_size,
     ppc_preprocess_large,
     setcover_preprocess_large,
-    setcover_to_ktree,
     solve_ham_via_setcover,
     solve_ntree_via_setcover,
     solve_ppc_via_ktree,
@@ -853,14 +852,15 @@ def _embed_shaped_cases():
 
 def test_pipeline_at_corpus_size_matches_the_pinned_digest():
     """Taken at commit ce8fa73, before the host's search tables were built
-    from its layout."""
+    from its layout; re-taken when the trees began to stop at the
+    preprocessing optimum, which lowers trees_tried and explored only."""
     digest = hashlib.sha256()
     for inst in _embed_shaped_cases():
         res = solve_setcover_via_ktree(inst, 2)
         record = [res.answer, res.optimum, res.certificate, res.stats]
         digest.update(json.dumps(record).encode() + b"\n")
     assert digest.hexdigest() == (
-        "bc822531ebf67dea371a0cd359fb8b840b41a7cf9b23d2a4023948fad34787f8")
+        "0de11b560025b1f11fb4f655f5a779c24f0ba3c79d48050e35de27c04f23df85")
 
 
 def test_pipeline_answers_match_the_pinned_digest():
@@ -914,7 +914,7 @@ def test_pattern_tree_for_a_partial_leaf_total():
 def test_sck_crafted_optimum_four():
     inst = _crafted_inst()
     assert setcover_dp(inst).optimum == 4
-    res = setcover_to_ktree(inst, 2)
+    res = solve_setcover_via_ktree(inst, 2)
     assert res.optimum == 4
     assert res.certificate is not None and verify_cover(inst, res.certificate)
 
@@ -922,13 +922,12 @@ def test_sck_crafted_optimum_four():
 def test_sck_yes_direction_upper_bound():
     # a known cover of size d means the pipeline returns at most d
     inst = _crafted_inst()
-    res = setcover_to_ktree(inst, 2)
+    res = solve_setcover_via_ktree(inst, 2)
     assert res.optimum <= 4
 
 
 def test_leaf_partitions_enumerate_exactly_the_partitions_whose_stars_fit():
-    # the filter setcover_to_ktree applied to every partition before it
-    # generated only these, in the same order
+    # exactly the partitions that pass the fit filter below, in the same order
     def fits(alpha, g, max_size):
         shrunk = shrink_partition(alpha, g)
         return (all(v <= max_size for v in shrunk.remainder)
@@ -957,7 +956,7 @@ def test_sck_builds_one_partition_per_tree_tried(monkeypatch):
 
     monkeypatch.setattr(Partition, "__post_init__", counted)
     inst = SetCoverInstance(8, ((0, 1), (2, 3), (4, 5), (6,), (7,)))
-    res = setcover_to_ktree(inst, 2)
+    res = solve_setcover_via_ktree(inst, 2)
     assert (res.optimum, res.stats["trees_tried"]) == (5, 2)
     assert built == [(2, 2, 2, 2), (2, 2, 2, 1, 1)]
 
@@ -980,7 +979,7 @@ def test_sck_builds_the_degree_table_once_per_host(monkeypatch):
     monkeypatch.setattr(reductions, "degree_table", counted)
     monkeypatch.setattr(reductions, "build_host_graph", kept)
     inst = SetCoverInstance(8, ((0, 1), (2, 3), (4, 5), (6,), (7,)))
-    res = setcover_to_ktree(inst, 2)
+    res = solve_setcover_via_ktree(inst, 2)
     assert (res.optimum, res.stats["trees_tried"]) == (5, 2)
     [_], [bundle] = built, bundles
     assert bundle.at_least[FWD] is bundle.at_least[REV] is bundle.at_least[UND]
@@ -990,13 +989,13 @@ def test_sck_builds_the_degree_table_once_per_host(monkeypatch):
 
 def test_sck_infeasible_instance():
     inst = SetCoverInstance(8, ((0, 1), (2, 3), (4, 5)))
-    assert setcover_to_ktree(inst, 2).answer == "infeasible"
+    assert solve_setcover_via_ktree(inst, 2).answer == "infeasible"
 
 
 def test_sck_forcing_margin_rejected():
     inst = SetCoverInstance(5, ((0,), (1,), (2,), (3,), (4,)))
     with pytest.raises(PreconditionError):
-        setcover_to_ktree(inst, 2)  # ceil(2n/g) = 5 < n/g + 3 = 5.5
+        solve_setcover_via_ktree(inst, 2)  # ceil(2n/g) = 5 < n/g + 3 = 5.5
 
 
 def test_preprocess_large_forced_choice():
@@ -1066,7 +1065,7 @@ def test_sck_composition_with_large_sets_differential():
 
 def test_ppc_p_zero():
     inst = SetCoverInstance(6, ((0, 1),), variant="partial", p=0)
-    res = setcover_to_ktree(inst, 2)
+    res = solve_setcover_via_ktree(inst, 2)
     assert res.optimum == 0
 
 
@@ -1097,9 +1096,11 @@ def test_ppc_preprocess_requires_partial():
 
 
 def test_ppc_rejects_unpreprocessed_large_sets():
-    inst = SetCoverInstance(8, ((0, 1, 2, 3),), variant="partial", p=4)
-    with pytest.raises(PreconditionError):
-        setcover_to_ktree(inst, 2)
+    # the partial bound is |S|g^2 >= p: singletons are large at p = 4, not at p = 5
+    sets = ((0,), (1,), (2,))
+    with pytest.raises(PreconditionError, match="over the size bound"):
+        build_host_graph(SetCoverInstance(8, sets, variant="partial", p=4), 2)
+    assert build_host_graph(SetCoverInstance(8, sets, variant="partial", p=5), 2).m == 3
 
 
 # ---------------------------------------------------------------------------

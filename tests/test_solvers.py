@@ -24,7 +24,6 @@ from xcover.reductions import (
     build_host_graph,
     build_pattern_tree,
     leaf_partitions,
-    setcover_to_ktree,
     solve_setcover_via_ktree,
 )
 from xcover.solvers import (
@@ -965,7 +964,6 @@ _HOST, _TREE, _ = gen_planted("embedded_tree", seed=3, k=5, host_n=8)
     (heldkarp_ham, (_HAM,)),
     (tree_embed_backtrack, (_HOST, _TREE)),
     (ktree_colorcoding, (_HOST, _TREE)),
-    (setcover_to_ktree, (_SC, 2)),
     (solve_setcover_via_ktree, (_SC, 2)),
 ], ids=lambda case: case[0].__name__)
 def test_solve_result_is_deterministic(case):
