@@ -27,6 +27,9 @@ REV = "rev"
 REVERSED = {FWD: REV, REV: FWD, UND: UND}
 # a host's adjacency tables take O(n^2) bits; masks_along refuses larger hosts
 MAX_HOST_NODES = 1 << 15
+# the random and planted graph generators draw (or list) once per node pair;
+# past this many pairs they refuse before the first draw
+MAX_GENERATED_PAIRS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -523,10 +526,17 @@ def _require_probability(name, value):
         raise PreconditionError(f"{name} must lie in [0, 1], got {value}")
 
 
+def _refuse_pairs(pairs):
+    if pairs > MAX_GENERATED_PAIRS:
+        raise CapacityError(f"{pairs} node pairs exceed the generators' cap of "
+                            f"{MAX_GENERATED_PAIRS}")
+
+
 def _random_graph(rng, undirected, n, edge_probability):
     if n < 0:
         raise PreconditionError(f"node count must be non-negative, got {n}")
     _require_probability("edge probability", edge_probability)
+    _refuse_pairs(n * (n - 1) // 2 if undirected else n * (n - 1))
     edges = set()
     for u in range(n):
         for v in range(u + 1, n) if undirected else range(n):
@@ -601,6 +611,7 @@ def _planted_ham(rng, n, extra_edges=0):
         raise PreconditionError("a directed cycle needs at least 2 nodes")
     if extra_edges < 0:
         raise PreconditionError(f"extra edge count must be non-negative, got {extra_edges}")
+    _refuse_pairs(n * (n - 1))
     order = list(range(n))
     rng.shuffle(order)
     edges = {(order[i], order[(i + 1) % n]) for i in range(n)}
@@ -614,6 +625,7 @@ def _planted_embedding(rng, k, host_n, oriented=True, extra_edge_probability=0.0
     if host_n < k:
         raise PreconditionError("host must have at least k nodes")
     _require_probability("extra edge probability", extra_edge_probability)
+    _refuse_pairs(host_n * (host_n - 1))
     tree = _random_tree(rng, k, oriented=oriented)
     image = rng.sample(range(host_n), k)
     mapping = {v: image[v] for v in range(k)}

@@ -321,9 +321,14 @@ def tree_embed_backtrack(G: Digraph, T: PatternTree,
     run before the repair: once per node, the hosts of every component of
     the placed groups with no free host to spare leave its candidates; per
     candidate, a placement whose new groups' merged component has fewer
-    free hosts than leaves is dropped.  Once every internal node is placed,
-    each group's matched hosts, ascending, go to its leaves in ascending id
-    order.  This keeps star-heavy patterns from exploding.
+    free hosts than leaves is dropped.  The candidates are checked one at a
+    time as they are tried, since the search returns at its first success;
+    when the first new group's pool meets only tight components, the check
+    is decided from two masks, the pool's hosts outside the tight
+    components against the group's leaves, with no merge.  Once every
+    internal node is placed, each group's matched hosts, ascending, go to
+    its leaves in ascending id order.  This keeps star-heavy patterns from
+    exploding.
 
     ``stats["explored"]`` counts budget units: one per host along the edge
     from an internal node's placed parent (every host for the root), in
@@ -462,14 +467,23 @@ class _EmbedSearch:
         # the twin's host, short of v's degree needs, or in a tight
         # component) included: ``charged`` counts the hosts paid for, each
         # candidate that passes the Hall check paying up to its own
-        cands = (adj & self.eligible[v] & ~used_mask & (-1 << (floor + 1))
-                 & ~self._tight_hosts(comps, used_mask))
+        tight, slack = self._tight_hosts(comps, used_mask)
+        cands = adj & self.eligible[v] & ~used_mask & (-1 << (floor + 1)) & ~tight
         charged, hall = 0, self._hall
+        along, demand = new[0][1:] if new else ((), 0)
         while cands:
             low = cands & -cands
             cands ^= low
             u = low.bit_length() - 1
             now_used = used_mask | low
+            # _hall's test of the first new group, decided here when its
+            # pool meets no component with slack (``slack`` holds free hosts
+            # only, and u is not along itself): the tight ones it meets
+            # bring as many free hosts as leaves, so only its hosts outside
+            # them count against its leaves
+            if new and not along[u] & slack and (
+                    along[u] & ~(now_used | tight)).bit_count() < demand:
+                continue
             placed = hall(comps, now_used, u, new)
             if placed is None:
                 continue
@@ -491,19 +505,24 @@ class _EmbedSearch:
 
     @staticmethod
     def _tight_hosts(comps, used_mask):
-        """The hosts of the components with no free host to spare.
+        """The hosts of the components with no free host to spare, and the
+        free hosts of the components with slack, as two masks.
 
         A component of the placed groups keeps at least as many free hosts
         as leaves (see _hall); when it keeps exactly as many, a node placed
         on one of its hosts leaves it one short, so by Hall's theorem no
         b-matching fills its groups.  ``_place`` drops these hosts from its
-        candidates once per frame, before any candidate is tried.
+        candidates once per frame, before any candidate is tried, and
+        decides _hall's test from the two masks for a candidate whose first
+        new group's pool meets no component with slack.
         """
-        tight, free = 0, ~used_mask
+        tight, slack, free = 0, 0, ~used_mask
         for mask, demand in comps:
             if (mask & free).bit_count() <= demand:
                 tight |= mask
-        return tight
+            else:
+                slack |= mask & free
+        return tight, slack
 
     @staticmethod
     def _hall(comps, used, u, new):

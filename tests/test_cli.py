@@ -329,7 +329,19 @@ _EMBED_CAP = "pattern with {} internal nodes and leaf groups exceeds the embedde
      "refusing to list partitions beyond a = 40"),
     (("pipeline", "sc-ktree", "@i.sc"), {"i.sc": _OVER_CAP_SC}, 3,
      "host of 34054 nodes exceeds the adjacency table cap of 32768"),
-], ids=["embed-1000", "embed-801", "embed-800", "count", "list", "host-cap"])
+    # the generators refuse before their first draw: no traceback, no wait
+    (("generate", "digraph", "--n", "30000", "--edge-probability", "0.5"), {}, 3,
+     "899970000 node pairs exceed the generators' cap of 4194304"),
+    (("generate", "digraph", "--n", "2049"), {}, 3,
+     "4196352 node pairs exceed the generators' cap of 4194304"),
+    (("generate", "graph", "--n", "2897"), {}, 3,
+     "4194856 node pairs exceed the generators' cap of 4194304"),
+    (("generate", "ham-cycle", "--n", "2049"), {}, 3,
+     "4196352 node pairs exceed the generators' cap of 4194304"),
+    (("generate", "embedded-tree", "--host-n", "2049"), {}, 3,
+     "4196352 node pairs exceed the generators' cap of 4194304"),
+], ids=["embed-1000", "embed-801", "embed-800", "count", "list", "host-cap", "digraph-30000",
+        "digraph-pairs", "graph-pairs", "ham-cycle-pairs", "embedded-tree-pairs"])
 def test_limits_are_refused_up_front(run, tmp_path, argv, files, code, error):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xcover.errors import FormatError
+from xcover import instances
+from xcover.errors import CapacityError, FormatError
 from xcover.instances import (
     EXACT,
     FWD,
@@ -221,6 +222,16 @@ def test_random_two_node_trees_match_the_pinned_digest():
 def test_random_digraph_edge_bound():
     g = gen_random("digraph", seed=3, n=8, edge_probability=0.5)
     assert 0 <= len(g.edges) <= 56
+
+
+def test_generators_admit_the_pair_cap_and_refuse_past_it():
+    """The largest hosts the cap admits; the CLI table pins the refusals."""
+    cap = instances.MAX_GENERATED_PAIRS
+    assert 2048 * 2047 <= cap < 2049 * 2048
+    assert 2896 * 2895 // 2 <= cap < 2897 * 2896 // 2
+    instances._refuse_pairs(cap)
+    with pytest.raises(CapacityError, match="4194305 node pairs exceed"):
+        instances._refuse_pairs(cap + 1)
 
 
 def test_planted_ham_cycle_verifies():

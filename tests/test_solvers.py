@@ -187,6 +187,55 @@ def test_verify_cover_honours_the_exact_variant():
     assert verify_cover(SetCoverInstance(3, inst.sets), [0, 1])
 
 
+_CYCLE = Digraph(3, frozenset({(0, 1), (1, 2), (2, 0)}))
+_BACKWARDS = frozenset({(1, 0), (2, 1), (0, 2)})
+
+
+@pytest.mark.parametrize("G, order, ok", [
+    (_CYCLE, [0, 1, 2], True),
+    (_CYCLE, [2, 0, 1], True),
+    (Digraph(1, frozenset()), [0], False),  # n < 2
+    (Digraph(0, frozenset()), [], False),
+    (_CYCLE, [0, 1], False),  # not a permutation: a node missing
+    (_CYCLE, [0, 1, 1], False),  # a node twice
+    (_CYCLE, [0, 1, 3], False),  # a node out of range
+    (_CYCLE, [0, 2, 1], False),  # no arc 0 -> 2
+    (Digraph(3, _BACKWARDS), [0, 1, 2], False),  # only the reverse arcs
+    # an undirected host stores each edge once, u < v: 2 -> 0 walks (0, 2)
+    (Digraph(3, _BACKWARDS, undirected_mode=True), [0, 1, 2], True),
+    (Digraph(3, frozenset({(0, 1), (1, 2)}), undirected_mode=True), [0, 1, 2], False),
+], ids=["cycle", "rotated", "one-node", "no-node", "short", "repeat", "out-of-range",
+        "missing-arc", "reverse-arcs", "undirected-reverse", "undirected-missing"])
+def test_verify_ham_cycle_rejects(G, order, ok):
+    assert verify_ham_cycle(G, order) is ok
+
+
+# root 0 with a fwd child 1 and a rev child 2, on host arcs 0 -> 1 and 2 -> 0;
+# host 3 also reaches 0, host 4 has no arc
+_ORIENTED = PatternTree(3, 0, (-1, 0, 0), ("und", "fwd", "rev"))
+_ORIENTED_HOST = Digraph(5, frozenset({(0, 1), (2, 0), (3, 0)}))
+_UND = PatternTree(2, 0, (-1, 0), ("und", "und"))
+
+
+@pytest.mark.parametrize("G, T, mapping, ok", [
+    (_ORIENTED_HOST, _ORIENTED, {0: 0, 1: 1, 2: 2}, True),
+    (_ORIENTED_HOST, _ORIENTED, {0: 0, 1: 1}, False),  # a key missing
+    (_ORIENTED_HOST, _ORIENTED, {0: 0, 1: 1, 2: 2, 3: 3}, False),  # an extra key
+    (_ORIENTED_HOST, _ORIENTED, {0: 0, 1: 2, 2: 2}, False),  # not injective
+    (_ORIENTED_HOST, _ORIENTED, {0: 0, 1: 1, 2: 5}, False),  # host out of range
+    (_ORIENTED_HOST, _ORIENTED, {0: 0, 1: 1, 2: -1}, False),
+    (_ORIENTED_HOST, _ORIENTED, {0: 0, 1: 3, 2: 2}, False),  # fwd: no arc 0 -> 3
+    (_ORIENTED_HOST, _ORIENTED, {0: 0, 1: 1, 2: 3}, True),  # rev: arc 3 -> 0
+    (_ORIENTED_HOST, _ORIENTED, {0: 1, 1: 0, 2: 2}, False),  # fwd: only 0 -> 1, not 1 -> 0
+    (_ORIENTED_HOST, _ORIENTED, {0: 0, 1: 1, 2: 4}, False),  # rev: no arc 4 -> 0
+    (Digraph(3, frozenset({(1, 0)})), _UND, {0: 0, 1: 1}, True),  # und: either direction
+    (Digraph(3, frozenset({(1, 0)})), _UND, {0: 0, 1: 2}, False),  # und: no arc either way
+], ids=["embedding", "missing-key", "extra-key", "not-injective", "out-of-range", "negative",
+        "missing-fwd", "rev", "reversed-fwd", "missing-rev", "und", "missing-und"])
+def test_verify_embedding_rejects(G, T, mapping, ok):
+    assert verify_embedding(G, T, mapping) is ok
+
+
 def test_capacity_cap_and_env_override(monkeypatch):
     big = SetCoverInstance(30, tuple((i,) for i in range(30)))
     with pytest.raises(CapacityError):
@@ -458,15 +507,22 @@ def test_embed_twins_need_equal_orientations_below_them():
 
 
 def test_tight_hosts_take_only_the_components_without_slack():
+    """(tight hosts, free hosts with slack): the first leave the
+    candidates, the second send a candidate whose pool meets them to _hall."""
     tight_hosts = solvers._EmbedSearch._tight_hosts
     # hosts 1 and 2 for two leaves: no slack, both leave the candidates
-    assert tight_hosts(((0b110, 2),), 0) == 0b110
+    assert tight_hosts(((0b110, 2),), 0) == (0b110, 0)
     # hosts 1-3 with host 1 used: its free hosts 2 and 3 are all it has
-    assert 0b1110 & ~tight_hosts(((0b1110, 2),), 0b0010) == 0
-    # one free host to spare: none leaves
-    assert tight_hosts(((0b1110, 2),), 0) == 0
+    tight, slack = tight_hosts(((0b1110, 2),), 0b0010)
+    assert 0b1110 & ~tight == 0 and slack == 0
+    # one free host to spare: none leaves, all three are slack
+    assert tight_hosts(((0b1110, 2),), 0) == (0, 0b1110)
     # only the component without slack gives up its hosts
-    assert tight_hosts(((0b0011, 2), (0b11100, 2)), 0) == 0b0011
+    assert tight_hosts(((0b0011, 2), (0b11100, 2)), 0) == (0b0011, 0b11100)
+    # a tight component next to a slack one with a used host: the slack
+    # mask keeps only the free hosts, so a pool meets it exactly when the
+    # pool meets the component
+    assert tight_hosts(((0b0110, 2), (0b1111000, 2)), 0b0001001) == (0b0110, 0b1110000)
     # with no new groups, _hall keeps the components as they are
     comps = [(0b1110, 2)]
     assert solvers._EmbedSearch._hall(comps, 0b0010, 1, ()) == comps
@@ -842,9 +898,13 @@ class _HallAgainstAugment(solvers._EmbedSearch):
     or the Hall check drops, and counts the two kinds of drop apart: frames
     whose filter takes free hosts out, and candidates the merge rejects.
     The repair's units are given back, so ``explored`` stays the plain
-    search's."""
+    search's.  It reports every host as slack, and a candidate has at
+    least its first group's leaf count of hosts along it (its degree
+    filter), so no candidate is decided from the masks alone: each one
+    that the tight filter keeps reaches _hall, and each that _hall rejects
+    reaches the repair."""
 
-    tight_frames = rejected = 0
+    tight_frames = rejected = hall_calls = 0
 
     def _repair_fails(self, v, u, used):
         mark, used_mask, explored = (len(self.undo), self.matched), self.used_mask, self.explored
@@ -854,7 +914,7 @@ class _HallAgainstAugment(solvers._EmbedSearch):
         self.used_mask, self.explored = used_mask, explored
 
     def _tight_hosts(self, comps, used_mask):
-        tight = super()._tight_hosts(comps, used_mask)
+        tight, _ = super()._tight_hosts(comps, used_mask)
         # every free host of a tight component, whether or not it is a
         # candidate of this frame: the repair must fail on each
         v, hosts = self.order[len(self.assign)], tight & ~used_mask
@@ -863,9 +923,10 @@ class _HallAgainstAugment(solvers._EmbedSearch):
             low = hosts & -hosts
             hosts ^= low
             self._repair_fails(v, low.bit_length() - 1, used_mask | low)
-        return tight
+        return tight, -1
 
     def _hall(self, comps, used, u, new):
+        self.hall_calls += 1
         comps = super()._hall(comps, used, u, new)
         if comps is None:
             self._repair_fails(self.order[len(self.assign)], u, used)
@@ -898,21 +959,38 @@ def _pendant_shapes(rng):
         yield G, PatternTree(k, 0, tuple(parent), orient)
 
 
+class _HallCounter(solvers._EmbedSearch):
+    """The plain search, counting its _hall calls."""
+
+    hall_calls = 0
+
+    def _hall(self, comps, used, u, new):
+        self.hall_calls += 1
+        return super()._hall(comps, used, u, new)
+
+
 def test_hall_check_drops_only_what_the_augmenting_search_drops():
     """Every placement that the tight filter or the Hall check drops is one
     that the augmenting repair, run on the same matching, also fails, and
-    the mappings and unit counts are the plain search's.  Each family must
-    reach both drops: a check that never fires passes nothing."""
-    for cases in (_embed_cases(), _pendant_shapes(random.Random(19))):
+    the mappings and unit counts are the plain search's.  The plain search
+    decides the Hall test from the tight and slack masks where a
+    candidate's pool meets no component with slack; a wrong drop there
+    would move ``explored``, since a candidate that passes pays its group
+    fills.  Each family must reach both drops: a check that never fires
+    passes nothing.  The _hall call counts on the three twin stars are
+    pinned, so a mask test that stops firing fails."""
+    for cases in (_embed_cases(), _pendant_shapes(random.Random(19)),
+                  _reduction_shapes(), [_three_twin_stars()]):
         tight_frames = rejected = 0
         for G, T in cases:
-            search = _HallAgainstAugment(G, T, solvers.DEFAULT_BUDGET)
-            plain = tree_embed_backtrack(G, T)
-            assert search.run() == plain.certificate
-            assert search.explored == plain.stats["explored"]
-            tight_frames += search.tight_frames
-            rejected += search.rejected
+            forced = _HallAgainstAugment(G, T, solvers.DEFAULT_BUDGET)
+            plain = _HallCounter(G, T, solvers.DEFAULT_BUDGET)
+            assert forced.run() == plain.run()
+            assert forced.explored == plain.explored
+            tight_frames += forced.tight_frames
+            rejected += forced.rejected
         assert tight_frames > 0 and rejected > 0
+    assert (forced.hall_calls, plain.hall_calls) == (1565, 144)
 
 
 def _caterpillar(s):
