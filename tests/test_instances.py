@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import pytest
@@ -237,6 +238,20 @@ def test_generators_admit_the_pair_cap_and_refuse_past_it():
 def test_planted_ham_cycle_verifies():
     g, order = gen_planted("ham_cycle", seed=2, n=6, extra_edges=4)
     assert verify_ham_cycle(g, order)
+
+
+def test_planted_ham_cycles_match_the_pinned_digest():
+    """Seeds 0-3 at n in 2..40, with no, one, four and every other arc
+    added, taken while the generator still shuffled its extra-arc pool at
+    ``extra_edges`` 0."""
+    digest = hashlib.sha256()
+    for seed in range(4):
+        for n in (2, 3, 5, 9, 40):
+            for extra in (0, 1, 4, n * (n - 1) - n):
+                g, order = gen_planted("ham_cycle", seed=seed, n=n, extra_edges=extra)
+                digest.update(json.dumps([n, extra, sorted(g.edges), order]).encode())
+    assert digest.hexdigest() == (
+        "086324602a0953d8ef702f9c48077b6b3e9d2c00769e736a9dea541e793a3344")
 
 
 def test_planted_embedding_verifies():

@@ -993,6 +993,52 @@ def test_hall_check_drops_only_what_the_augmenting_search_drops():
     assert (forced.hall_calls, plain.hall_calls) == (1565, 144)
 
 
+class _MoveCounter(solvers._EmbedSearch):
+    """The plain search, counting the two repairs that move a matched host
+    out of its group: a placement on a host that a group holds, and each
+    hop of a successful augmenting path past the group it started from."""
+
+    displaced = rerouted = depth = 0
+
+    def _extend_matching(self, v, u):
+        self.displaced += self.matched >> u & 1
+        return super()._extend_matching(v, u)
+
+    def _augment(self, g, visited):
+        self.depth += 1
+        try:
+            found = super()._augment(g, visited)
+        finally:
+            self.depth -= 1
+        self.rerouted += found and self.depth > 0
+        return found
+
+
+def test_embed_leaf_repairs_match_the_pinned_digest():
+    """Answer, certificate and ``explored`` of the pendant, reduction and
+    twin-star families, whose searches move matched hosts between groups
+    (the 1000 ``_embed_cases`` are pinned above): a change to how the
+    b-matching is held must leave every one of them as it is.  The move
+    counts are pinned too, so each family keeps running the repairs."""
+    digest = hashlib.sha256()
+    moves = []
+    for cases in (_pendant_shapes(random.Random(19)), _reduction_shapes(),
+                  [_three_twin_stars()]):
+        displaced = rerouted = 0
+        for G, T in cases:
+            search = _MoveCounter(G, T, solvers.DEFAULT_BUDGET)
+            mapping = search.run()
+            cert = None if mapping is None else sorted(mapping.items())
+            digest.update(json.dumps(["no" if mapping is None else "yes", cert,
+                                      search.explored]).encode())
+            assert tree_embed_backtrack(G, T).stats["explored"] == search.explored
+            displaced += search.displaced
+            rerouted += search.rerouted
+        moves.append((displaced, rerouted))
+    assert moves == [(447, 154), (85, 0), (12, 0)]
+    assert digest.hexdigest() == "0e486c02ac5814613a1b989d05ae75d8d6876220a27c0f4c1e622c7da53c5bf6"
+
+
 def _caterpillar(s):
     """A spine of s nodes with one leaf each, as host and as pattern: s
     internal nodes and s leaf groups for the embedder."""
