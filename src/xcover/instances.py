@@ -615,9 +615,10 @@ def _planted_ham(rng, n, extra_edges=0):
     order = list(range(n))
     rng.shuffle(order)
     edges = {(order[i], order[(i + 1) % n]) for i in range(n)}
-    pool = [(u, v) for u in range(n) for v in range(n) if u != v and (u, v) not in edges]
-    rng.shuffle(pool)
-    edges.update(pool[:extra_edges])
+    if extra_edges:  # the last draws: skipping them at 0 moves no output
+        pool = [(u, v) for u in range(n) for v in range(n) if u != v and (u, v) not in edges]
+        rng.shuffle(pool)
+        edges.update(pool[:extra_edges])
     return Digraph(num_nodes=n, edges=frozenset(edges)), order
 
 

@@ -315,20 +315,21 @@ def tree_embed_backtrack(G: Digraph, T: PatternTree,
     at least as many nodes as it has tree edges along it; ``stats`` and
     ``budget`` count in this order.  The interchangeable leaf children form
     leaf groups (one parent, one orientation, one host pool); each group is
-    one slot whose capacity is its leaf count, kept in a b-matching that
-    each placement repairs with augmenting searches (a placement is pruned
-    when no b-matching fills the groups of placed parents).  Two Hall tests
-    run before the repair: once per node, the hosts of every component of
-    the placed groups with no free host to spare leave its candidates; per
-    candidate, a placement whose new groups' merged component has fewer
-    free hosts than leaves is dropped.  The candidates are checked one at a
-    time as they are tried, since the search returns at its first success;
-    when the first new group's pool meets only tight components, the check
-    is decided from two masks, the pool's hosts outside the tight
-    components against the group's leaves, with no merge.  Once every
-    internal node is placed, each group's matched hosts, ascending, go to
-    its leaves in ascending id order.  This keeps star-heavy patterns from
-    exploding.
+    one slot whose capacity is its leaf count, held as one mask of its hosts
+    in a b-matching that each placement repairs with augmenting searches (a
+    placement is pruned when no b-matching fills the groups of placed
+    parents) and that a backtrack restores from a copy of the masks taken
+    before the placement.  Two Hall tests run before the repair: once per
+    node, the hosts of every component of the placed groups with no free
+    host to spare leave its candidates; per candidate, a placement whose new
+    groups' merged component has fewer free hosts than leaves is dropped.
+    The candidates are checked one at a time as they are tried, since the
+    search returns at its first success; when the first new group's pool
+    meets only tight components, the check is decided from two masks, the
+    pool's hosts outside the tight components against the group's leaves,
+    with no merge.  Once every internal node is placed, the hosts each group
+    holds, ascending, go to its leaves in ascending id order.  This keeps
+    star-heavy patterns from exploding.
 
     ``stats["explored"]`` counts budget units: one per host along the edge
     from an internal node's placed parent (every host for the root), in
@@ -352,6 +353,8 @@ def tree_embed_backtrack(G: Digraph, T: PatternTree,
 
 
 class _EmbedSearch:
+    """One search of tree_embed_backtrack; see there for the order and units."""
+
     def __init__(self, G, T, budget):
         self.G = G
         self.T = T
@@ -366,13 +369,14 @@ class _EmbedSearch:
         # _tight_hosts, and the new groups' merge once per candidate
         self.comps = ()
         # group matching kept across placements (see _extend_matching), the
-        # leaves' hosts once the search ends (see _leaf_mapping):
-        # group -> mask of the hosts its leaves may take, set when its parent
-        # is placed; ``used_mask`` is checked on use
+        # leaves' hosts once the search ends (see _leaf_mapping), one mask
+        # per group: ``group_pool`` the hosts its leaves may take, set when
+        # its parent is placed (``used_mask`` is checked on use), ``held``
+        # the hosts it holds; ``matched`` is the union of ``held``, and
+        # ``_place`` marks the pair by a copy, which ``_rollback`` restores
         self.group_pool = [0] * len(self.group_leaves)
-        self.match = {}  # host -> leaf group holding it
-        self.matched = 0  # the hosts of ``match`` as a bitmask
-        self.undo = []  # (host, previous group or None), replayed backwards on backtrack
+        self.held = [0] * len(self.group_leaves)
+        self.matched = 0
 
     def _plan(self):
         """Read the tree in one post-order and one pre-order pass.
@@ -491,7 +495,7 @@ class _EmbedSearch:
             self._charge(at - charged)
             charged = at
             self.used_mask, self.comps = now_used, placed
-            mark = len(self.undo), self.matched
+            mark = self.held[:], self.matched
             self.assign[v] = u
             if self._extend_matching(v, u):
                 result = self._place(idx + 1)
@@ -571,26 +575,25 @@ class _EmbedSearch:
         stay the decider, since the components' counts miss Hall violations
         of a part of a component.
         """
-        match, undo = self.match, self.undo
-        displaced = match.pop(u, None)
-        if displaced is not None:
-            undo.append((u, displaced))
-            self.matched ^= 1 << u
+        held, low = self.held, 1 << u
+        if self.matched & low:
+            self.matched ^= low
+            displaced = next(g for g, mask in enumerate(held) if mask & low)
+            held[displaced] ^= low
             if not self._augment(displaced, {displaced}):
                 return False
         for g, along, missing in self.groups.get(v, ()):
             pool = self.group_pool[g] = along[u]
             self._charge(1)
             free = pool & ~(self.used_mask | self.matched)
-            while missing and free:
-                low = free & -free
-                free ^= low
-                w = low.bit_length() - 1
-                undo.append((w, None))
-                match[w] = g
-                self.matched |= low
-                missing -= 1
-            for _ in range(missing):
+            take = free
+            if take.bit_count() > missing:  # the lowest ``missing`` free hosts
+                for _ in range(missing):
+                    free &= free - 1
+                take ^= free
+            held[g] = take
+            self.matched |= take
+            for _ in range(missing - take.bit_count()):
                 if not self._augment(g, {g}):
                     return False
         return True
@@ -599,57 +602,51 @@ class _EmbedSearch:
         """Augmenting path that gives group ``g`` one more unused host.
 
         ``visited`` holds the groups this search has expanded, ``g`` among
-        them, so each pool is scanned at most once per search.
+        them, so each pool is scanned at most once per search.  The pool's
+        free hosts come first, the lowest taken; then its hosts held by
+        other groups, ascending, each holder expanded in turn.
         """
         self._charge(1)
-        pool, match = self.group_pool[g], self.match
+        held, pool = self.held, self.group_pool[g]
         free = pool & ~(self.used_mask | self.matched)
         if free:
             low = free & -free
-            w = low.bit_length() - 1
-            self.undo.append((w, None))
-            match[w] = g
+            held[g] |= low
             self.matched |= low
             return True
-        held = pool & ~self.used_mask
-        while held:
-            low = held & -held
-            held ^= low
-            holder = match[w := low.bit_length() - 1]
+        hosts = pool & ~(self.used_mask | held[g])
+        while hosts:
+            low = hosts & -hosts
+            hosts ^= low
+            holder = next(h for h, mask in enumerate(held) if mask & low)
             if holder in visited:
                 continue
             visited.add(holder)
             if self._augment(holder, visited):
-                self.undo.append((w, holder))
-                match[w] = g
+                held[holder] ^= low
+                held[g] |= low
                 return True
         return False
 
     def _rollback(self, mark):
-        """Undo the matching back to ``mark``, (undo length, ``matched``)."""
-        undo, match = self.undo, self.match
-        end, self.matched = mark
-        while len(undo) > end:
-            w, g = undo.pop()
-            if g is None:
-                del match[w]
-            else:
-                match[w] = g
+        """Restore the matching to ``mark``, a copy of ``held`` and ``matched``;
+        a mark is restored at most once, so its copy is taken over."""
+        self.held, self.matched = mark
 
     def _leaf_mapping(self):
         """The embedding once every internal node is placed: each group's
-        matched hosts, ascending, go to its leaves, in ascending id order.
+        held hosts, ascending, go to its leaves, in ascending id order.
 
-        Every group is full then (see _extend_matching), and no matched host
-        is used: a placement pops its host from the matching first, and the
-        augmenting searches skip used hosts.
+        Every group is full then (see _extend_matching), and no held host
+        is used: a placement takes its host out of the matching first, and
+        the augmenting searches skip used hosts.
         """
-        hosts = [[] for _ in self.group_leaves]
-        for w, g in self.match.items():
-            hosts[g].append(w)
         mapping = dict(self.assign)
-        for leaves, pool in zip(self.group_leaves, hosts):
-            mapping.update(zip(leaves, sorted(pool)))
+        for leaves, hosts in zip(self.group_leaves, self.held):
+            for leaf in leaves:
+                low = hosts & -hosts
+                hosts ^= low
+                mapping[leaf] = low.bit_length() - 1
         return mapping
 
 

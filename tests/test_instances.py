@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -252,6 +253,19 @@ def test_planted_ham_cycles_match_the_pinned_digest():
                 digest.update(json.dumps([n, extra, sorted(g.edges), order]).encode())
     assert digest.hexdigest() == (
         "086324602a0953d8ef702f9c48077b6b3e9d2c00769e736a9dea541e793a3344")
+
+
+def test_planted_ham_cycle_without_extra_arcs_lists_no_node_pairs():
+    """At ``extra_edges`` 0 the generator builds the cycle alone: listing
+    the n(n - 1) candidate arcs at n = 1000 peaked near 88 MB."""
+    tracemalloc.start()
+    try:
+        g, _ = gen_planted("ham_cycle", seed=0, n=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(g.edges) == 1000
+    assert peak < 8_000_000
 
 
 def test_planted_embedding_verifies():

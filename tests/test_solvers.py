@@ -907,7 +907,7 @@ class _HallAgainstAugment(solvers._EmbedSearch):
     tight_frames = rejected = hall_calls = 0
 
     def _repair_fails(self, v, u, used):
-        mark, used_mask, explored = (len(self.undo), self.matched), self.used_mask, self.explored
+        mark, used_mask, explored = (self.held[:], self.matched), self.used_mask, self.explored
         self.used_mask = used
         assert not self._extend_matching(v, u)
         self._rollback(mark)
@@ -1012,6 +1012,36 @@ class _MoveCounter(solvers._EmbedSearch):
             self.depth -= 1
         self.rerouted += found and self.depth > 0
         return found
+
+
+class _HeldChecker(solvers._EmbedSearch):
+    """The plain search, checking the group masks once every internal node
+    is placed, before the leaves are read off them."""
+
+    checked = 0
+
+    def _leaf_mapping(self):
+        union = 0
+        for g, (leaves, held) in enumerate(zip(self.group_leaves, self.held)):
+            assert held & ~self.group_pool[g] == 0
+            assert held.bit_count() == len(leaves)
+            assert held & (self.used_mask | union) == 0
+            union |= held
+        assert union == self.matched
+        self.checked += bool(self.group_leaves)
+        return super()._leaf_mapping()
+
+
+def test_embed_held_masks_fill_each_group_inside_its_pool():
+    """At every yes, each leaf group holds exactly its leaf count of hosts
+    of its pool, none of them an internal node's or another group's, and
+    the masks together are ``matched``."""
+    checked = 0
+    for G, T in itertools.chain(_embed_cases(), _pendant_shapes(random.Random(19))):
+        search = _HeldChecker(G, T, solvers.DEFAULT_BUDGET)
+        assert search.run() == tree_embed_backtrack(G, T).certificate
+        checked += search.checked
+    assert checked == 655
 
 
 def test_embed_leaf_repairs_match_the_pinned_digest():
